@@ -77,15 +77,19 @@ def read_feature_file(path) -> dict[str, np.ndarray]:
         if magic != FEATURE_FILE_MAGIC:
             raise ManifestError(
                 f"{path}: bad magic {magic!r}, expected {FEATURE_FILE_MAGIC!r}")
-        count, d = struct.unpack("<II", f.read(8))
+
+        def read(n):
+            buf = f.read(n)
+            if len(buf) < n:
+                raise ManifestError(f"{path}: truncated feature file")
+            return buf
+
+        count, d = struct.unpack("<II", read(8))
         out = {}
         for _ in range(count):
-            (idlen,) = struct.unpack("<I", f.read(4))
-            rid = f.read(idlen).decode("utf-8")
-            buf = f.read(4 * d)
-            if len(buf) < 4 * d:
-                raise ManifestError(f"{path}: truncated feature file")
-            out[rid] = np.frombuffer(buf, dtype="<f4").astype(np.float64)
+            (idlen,) = struct.unpack("<I", read(4))
+            rid = read(idlen).decode("utf-8")
+            out[rid] = np.frombuffer(read(4 * d), dtype="<f4").astype(np.float64)
         return out
 
 
@@ -177,7 +181,8 @@ def stratified_batches(records, batch_size: int, domain_ratio: float,
     Each full batch holds ``round(batch_size * domain_ratio)`` domain-A
     records, the rest domain-B. The shorter domain recycles with a fresh
     shuffle; the epoch ends when the longer domain is exhausted, and the
-    final partial batch is dropped.
+    final partial batch is dropped. Too few records for one full batch
+    raise rather than give an epoch with no batches.
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
@@ -194,6 +199,10 @@ def stratified_batches(records, batch_size: int, domain_ratio: float,
 
     n_batches = max(len(pool_a) // n_a if n_a else 0,
                     len(pool_b) // n_b if n_b else 0)
+    if n_batches == 0:
+        raise ValueError(
+            f"no full batch: {len(pool_a)} domain-A and {len(pool_b)} domain-B"
+            f" records, but batch_size {batch_size} takes {n_a} A + {n_b} B")
     rng = random.Random(seed)
 
     def drawer(pool, per_batch):

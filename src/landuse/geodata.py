@@ -6,6 +6,13 @@ records are assigned to parcels by even-odd containment, falling back to a
 metric boundary buffer (default 5 m) to tolerate geotag error. Metric
 distances use a local equirectangular frame, which is accurate to well
 under the buffer size at city-block scale.
+
+Assignment prefilters parcels by bounding box. Each point runs the exact
+containment test only on parcels whose box holds it, and the exact distance
+test only on parcels whose box, padded by the buffer, holds it. The pad is
+the buffer in degrees at the box-centre latitude of the parcel's own
+distance frame, widened by a small relative slack, so that rounding can
+only add candidates and the result equals the all-pairs one.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .taxonomy import Taxonomy
 
@@ -20,6 +30,9 @@ from .taxonomy import Taxonomy
 METERS_PER_DEGREE = 111320.0
 
 DEFAULT_DILATION_M = 5.0
+
+#: relative widening of the buffer pad, far above float rounding error
+_PAD_SLACK = 1e-9
 
 
 class GeoJSONParseError(ValueError):
@@ -93,6 +106,8 @@ class Assignment:
 
 
 def _validate_ring(parcel_id: str, ring) -> None:
+    if not all(map(math.isfinite, chain.from_iterable(ring))):
+        raise ParcelValidationError(f"parcel {parcel_id}: non-finite vertex")
     if len(ring) < 4 or ring[0] != ring[-1]:
         raise ParcelValidationError(
             f"parcel {parcel_id}: ring must be closed (first vertex == last)"
@@ -149,7 +164,7 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
 
     MultiPolygon features are split into one parcel per member polygon,
     named ``<id>#<k>``. Unknown ``landuse`` class names raise instead of
-    being silently dropped.
+    being silently dropped, and so do repeated parcel ids.
     """
     try:
         doc = json.loads(document)
@@ -160,6 +175,7 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
         raise GeoJSONParseError("expected a FeatureCollection")
 
     parcels = []
+    seen = set()
     for i, feature in enumerate(doc.get("features", [])):
         props = feature.get("properties") or {}
         fid = str(feature.get("id", props.get("id", f"feature{i}")))
@@ -177,6 +193,9 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
             raise GeoJSONParseError(
                 f"feature {fid}: unsupported geometry type {gtype!r}")
         for pid, rings in zip(ids, polys):
+            if pid in seen:
+                raise ParcelValidationError(f"duplicate parcel id {pid!r}")
+            seen.add(pid)
             rings = tuple(tuple(tuple(v) for v in ring) for ring in rings)
             parcels.append(Parcel(id=pid, rings=rings, truth=truth))
     return parcels
@@ -230,19 +249,29 @@ def contains(parcel: Parcel, p: GeoPoint) -> bool:
 # metric distance
 
 
-def _local_frame(parcel: Parcel):
+def _bbox(parcel: Parcel):
+    """(min lon, min lat, max lon, max lat) over all rings."""
     xs = [v[0] for ring in parcel.rings for v in ring]
     ys = [v[1] for ring in parcel.rings for v in ring]
-    lon0 = (min(xs) + max(xs)) / 2.0
-    lat0 = (min(ys) + max(ys)) / 2.0
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _local_frame(parcel: Parcel):
+    x0, y0, x1, y1 = _bbox(parcel)
+    lon0 = (x0 + x1) / 2.0
+    lat0 = (y0 + y1) / 2.0
     return lon0, lat0, math.cos(math.radians(lat0))
+
+
+def _check_planar(p: GeoPoint) -> None:
+    if abs(p.lat) >= 85.0:
+        raise ValueError(f"latitude {p.lat} too close to the poles for the planar frame")
 
 
 def boundary_distance_m(parcel: Parcel, p: GeoPoint) -> float:
     """Minimum distance in meters from a point to the parcel boundary,
     measured in a planar frame centered on the parcel's bounding box."""
-    if abs(p.lat) >= 85.0:
-        raise ValueError(f"latitude {p.lat} too close to the poles for the planar frame")
+    _check_planar(p)
     lon0, lat0, coslat = _local_frame(parcel)
 
     def to_xy(lon, lat):
@@ -284,12 +313,24 @@ def assign(records, parcels, dilation_m: float = DEFAULT_DILATION_M) -> list[Ass
     """
     if dilation_m < 0:
         raise ValueError("dilation_m must be >= 0")
+    boxes = np.array([_bbox(pc) for pc in parcels], dtype=np.float64)
+    x0, y0, x1, y1 = boxes.reshape(-1, 4).T.copy()
+    # buffer in degrees, in the frame boundary_distance_m measures in
+    pad_lat = dilation_m / METERS_PER_DEGREE * (1.0 + _PAD_SLACK)
+    pad_lon = pad_lat / np.cos(np.radians((y0 + y1) / 2.0))
+    dx0, dx1 = x0 - pad_lon, x1 + pad_lon
+    dy0, dy1 = y0 - pad_lat, y1 + pad_lat
     out = []
     for image_id, point in records:
-        modes = {pc.id: "inside" for pc in parcels if contains(pc, point)}
-        if not modes:
-            modes = {pc.id: "dilated" for pc in parcels
-                     if boundary_distance_m(pc, point) <= dilation_m}
+        x, y = point.lon, point.lat
+        hits = np.flatnonzero((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
+        modes = {parcels[k].id: "inside" for k in hits.tolist()
+                 if contains(parcels[k], point)}
+        if not modes and parcels:
+            _check_planar(point)
+            near = np.flatnonzero((dx0 <= x) & (x <= dx1) & (dy0 <= y) & (y <= dy1))
+            modes = {parcels[k].id: "dilated" for k in near.tolist()
+                     if boundary_distance_m(parcels[k], point) <= dilation_m}
         if modes:
             out.append(Assignment(image_id=image_id, modes=modes))
     out.sort(key=lambda a: a.image_id)

@@ -211,9 +211,10 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     # parcels
     features = []
     parcel_info = []
+    width = len(str(grid - 1))  # fixed-width rows and columns keep ids unique
     for gy in range(grid):
         for gx in range(grid):
-            pid = f"P{gy}{gx}"
+            pid = f"P{gy:0{width}d}{gx:0{width}d}"
             x0 = gx * step_m
             y0 = gy * step_m
             ring = [[_round_coord(lon0 + x * dlon), _round_coord(lat0 + y * dlat)]

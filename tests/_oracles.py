@@ -2,8 +2,9 @@
 
 These deliberately use different algorithms than the library code: the
 containment oracle accumulates a winding number edge by edge instead of
-counting ray crossings, and the gradient oracle differentiates the loss
-numerically. Keep them slow and obvious.
+counting ray crossings, the assignment oracle tests every image against
+every parcel instead of prefiltering by bounding box, and the gradient
+oracle differentiates the loss numerically. Keep them slow and obvious.
 """
 
 import math
@@ -12,7 +13,7 @@ import random
 import numpy as np
 
 from landuse.classifier import loss_grad
-from landuse.geodata import Parcel
+from landuse.geodata import Parcel, boundary_distance_m, contains
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,25 @@ def oracle_contains(parcel: Parcel, lon: float, lat: float) -> bool:
                 return True
     total = sum(abs(_winding(ring, lon, lat)) for ring in parcel.rings)
     return total % 2 == 1
+
+
+# ---------------------------------------------------------------------------
+# geo-filtering over all pairs
+
+
+def oracle_assign(records, parcels, dilation_m):
+    """``[(image_id, [(parcel_id, mode), ...])]`` sorted by image id, with
+    the library's exact tests run on every (image, parcel) pair."""
+    out = []
+    for image_id, point in records:
+        modes = {pc.id: "inside" for pc in parcels if contains(pc, point)}
+        if not modes:
+            modes = {pc.id: "dilated" for pc in parcels
+                     if boundary_distance_m(pc, point) <= dilation_m}
+        if modes:
+            out.append((image_id, list(modes.items())))
+    out.sort(key=lambda t: t[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,17 @@ def test_rerun_subcommand_byte_identical(tmp_path):
         run(path, sub)
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+def test_all_fails_when_training_set_fills_no_batch(tmp_path, capsys):
+    # the default batch size 256 takes 128 records per domain; the default
+    # 8 classes x 10 records leave 40 in each
+    path = tmp_path / "cfg.txt"
+    path.write_text("seed=5\nparcels=data/parcels.geojson\n"
+                    "train_manifest=data/train.jsonl\n"
+                    "val_manifest=data/val.jsonl\nmap_manifest=data/map.jsonl\n"
+                    "out_dir=out\n", encoding="utf-8")
+    code = main(["all", "--config", str(path), "synth.train_per_class=10"])
+    assert code == 1
+    assert "no full batch" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model_object.lusm").exists()

@@ -97,6 +97,16 @@ def test_feature_file_bad_magic(tmp_path):
         read_feature_file(path)
 
 
+def test_feature_file_truncated_anywhere(tmp_path):
+    path = tmp_path / "f.lufv"
+    write_feature_file(path, {"a": np.ones(2), "bé": np.zeros(2)})
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ManifestError, match="truncated|magic"):
+            read_feature_file(path)
+
+
 def test_manifest_with_sidecar(tmp_path):
     sidecar = tmp_path / "feats.lufv"
     write_feature_file(sidecar, {"r0": np.ones(3)})
@@ -174,6 +184,12 @@ def test_missing_required_domain():
     pool = mixed_pool(10, 0)
     with pytest.raises(ValueError, match="domain-B"):
         stratified_batches(pool, 10, 0.5, seed=0)
+
+
+def test_too_few_records_for_one_batch():
+    pool = mixed_pool(40, 40)
+    with pytest.raises(ValueError, match="40 domain-A and 40 domain-B.*256"):
+        stratified_batches(pool, 256, 0.5, seed=0)
 
 
 def test_bad_batch_args():

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import oracle_contains, random_parcel, star_ring
+from _oracles import oracle_assign, oracle_contains, random_parcel, star_ring
 from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              GeoJSONParseError, GeoPoint, Parcel,
                              ParcelValidationError, assign,
@@ -75,6 +76,38 @@ def test_parse_malformed_json_reports_offset():
 def test_parse_rejects_non_collection():
     with pytest.raises(GeoJSONParseError):
         parse_parcels('{"type": "Feature"}', TAX)
+
+
+def polygon_feature(fid, rings):
+    return {"type": "Feature", "id": fid, "properties": {},
+            "geometry": {"type": "Polygon",
+                         "coordinates": [[list(v) for v in r] for r in rings]}}
+
+
+def test_parse_rejects_duplicate_ids():
+    shifted = [(x + 5, y) for x, y in UNIT_SQUARE]
+    doc = feature_collection([polygon_feature("D", [UNIT_SQUARE]),
+                              polygon_feature("D", [shifted])])
+    with pytest.raises(ParcelValidationError, match="'D'"):
+        parse_parcels(doc, TAX)
+    # a MultiPolygon member's name counts too
+    multi = {"type": "Feature", "id": "M", "properties": {},
+             "geometry": {"type": "MultiPolygon",
+                          "coordinates": [[[list(v) for v in shifted]]]}}
+    doc = feature_collection([polygon_feature("M#0", [UNIT_SQUARE]), multi])
+    with pytest.raises(ParcelValidationError, match="'M#0'"):
+        parse_parcels(doc, TAX)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertex_rejected(bad):
+    ring = ((0.0, 0.0), (1.0, 0.0), (bad, 1.0), (0.0, 1.0), (0.0, 0.0))
+    with pytest.raises(ParcelValidationError, match="non-finite"):
+        Parcel(id="bad", rings=(ring,))
+    # json.dumps writes NaN/Infinity tokens, which json.loads accepts
+    doc = feature_collection([polygon_feature("bad", [ring])])
+    with pytest.raises(ParcelValidationError, match="non-finite"):
+        parse_parcels(doc, TAX)
 
 
 def test_ring_must_close():
@@ -255,3 +288,115 @@ def test_star_ring_parcels_validate():
     for k in range(20):
         ring = star_ring(rng, 0, 0, 0.002, 0.009, 12)
         Parcel(id=f"s{k}", rings=(ring,))
+
+
+def test_assign_polar_point_raises():
+    square = square_parcel()
+    with pytest.raises(ValueError, match="pole"):
+        assign([("x", GeoPoint(0.0, 89.0))], [square])
+    # no parcel, nothing to measure against
+    assert assign([("x", GeoPoint(0.0, 89.0))], []) == []
+    # containment needs no planar frame
+    polar = square_parcel(pid="N", x0=-0.5, y0=88.5)
+    out = assign([("x", GeoPoint(0.0, 89.0))], [square, polar])
+    assert [a.modes for a in out] == [{"N": "inside"}]
+
+
+# ---------------------------------------------------------------------------
+# assignment against the all-pairs oracle
+
+
+def _probe_points(rng, parcel, dilation_m):
+    """Vertices, bounding-box edges and points ``dilation_m`` from the
+    boundary: where a box prefilter that is off by a rounding error shows."""
+    rings = parcel.rings
+    xs = [v[0] for ring in rings for v in ring]
+    ys = [v[1] for ring in rings for v in ring]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    # the planar frame boundary_distance_m measures in
+    lon0, lat0 = (x0 + x1) / 2, (y0 + y1) / 2
+    mx = math.cos(math.radians(lat0)) * METERS_PER_DEGREE
+    my = METERS_PER_DEGREE
+    pts = [rng.choice(rng.choice(rings)),
+           (x0, rng.uniform(y0, y1)), (x1, rng.uniform(y0, y1)),
+           (rng.uniform(x0, x1), y0), (rng.uniform(x0, x1), y1),
+           (x0, y0), (x1, y1)]
+    # dilation_m beyond the extreme vertices, just inside and just outside
+    for scale in (1.0, 1.0 - 1e-12, 1.0 + 1e-12):
+        d = dilation_m * scale
+        pts += [(x1 + d / mx, ys[xs.index(x1)]), (x0 - d / mx, ys[xs.index(x0)]),
+                (xs[ys.index(y1)], y1 + d / my), (xs[ys.index(y0)], y0 - d / my)]
+    # dilation_m off the midpoint of an edge, along its normal
+    ring = rng.choice(rings)
+    i = rng.randrange(len(ring) - 1)
+    (ax, ay), (bx, by) = [((x - lon0) * mx, (y - lat0) * my)
+                          for x, y in (ring[i], ring[i + 1])]
+    length = math.hypot(bx - ax, by - ay)
+    nx, ny = (by - ay) / length, (ax - bx) / length
+    for side in (1.0, -1.0):
+        px = (ax + bx) / 2 + side * dilation_m * nx
+        py = (ay + by) / 2 + side * dilation_m * ny
+        pts.append((lon0 + px / mx, lat0 + py / my))
+    return pts
+
+
+@st.composite
+def geo_cities(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lat = draw(st.sampled_from([0.0, LAT0, 60.0, -60.0]))
+    lat += draw(st.floats(-0.5, 0.5))
+    lon = draw(st.floats(-150.0, 150.0))
+    dilation_m = draw(st.sampled_from([0.0, 5.0, 25.0])
+                      | st.floats(0.0, 60.0))
+
+    def simple_star(cx, cy, r_min_m, r_max_m, max_vertices):
+        # with an angular gap over pi a star ring can cross itself
+        while True:
+            ring = star_ring(rng, cx, cy, r_min_m / METERS_PER_DEGREE,
+                             r_max_m / METERS_PER_DEGREE,
+                             rng.randint(3, max_vertices))
+            try:
+                Parcel(id="probe", rings=(ring,))
+                return ring
+            except ParcelValidationError:
+                pass
+
+    def star(r_min_m, r_max_m, spread_m=400.0):
+        cx = lon + rng.uniform(-spread_m, spread_m) / METERS_PER_DEGREE
+        cy = lat + rng.uniform(-spread_m, spread_m) / METERS_PER_DEGREE
+        return cx, cy, simple_star(cx, cy, r_min_m, r_max_m, 12)
+
+    features = []
+    for k in range(draw(st.integers(1, 6))):
+        kind = rng.choice(("plain", "holed", "multi"))
+        if kind == "multi":
+            polys = [[star(20, 150)[2]] for _ in range(rng.randint(1, 3))]
+            features.append({"type": "Feature", "id": f"F{k}", "properties": {},
+                             "geometry": {"type": "MultiPolygon",
+                                          "coordinates": polys}})
+            continue
+        cx, cy, outer = star(80 if kind == "holed" else 20, 200)
+        rings = [outer]
+        if kind == "holed":
+            rings.append(simple_star(cx, cy, 10, 60, 8))
+        features.append(polygon_feature(f"F{k}", rings))
+    parcels = parse_parcels(feature_collection(features), TAX)
+
+    points = []
+    for parcel in parcels:
+        points += _probe_points(rng, parcel, dilation_m)
+    for _ in range(20):
+        points.append((lon + rng.uniform(-700, 700) / METERS_PER_DEGREE,
+                       lat + rng.uniform(-700, 700) / METERS_PER_DEGREE))
+    records = [(f"i{n:03d}", GeoPoint(x, y)) for n, (x, y) in enumerate(points)]
+    rng.shuffle(records)
+    return parcels, records, dilation_m
+
+
+@settings(max_examples=120, deadline=None)
+@given(geo_cities())
+def test_assign_matches_all_pairs_oracle(city):
+    parcels, records, dilation_m = city
+    got = [(a.image_id, list(a.modes.items()))
+           for a in assign(records, parcels, dilation_m)]
+    assert got == oracle_assign(records, parcels, dilation_m)

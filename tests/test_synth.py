@@ -80,3 +80,12 @@ def test_make_city_deterministic(tmp_path):
         assert p1[key].read_bytes() == p2[key].read_bytes()
     p3 = make_city(tmp_path / "c", TAX, seed=8)
     assert p1["train"].read_bytes() != p3["train"].read_bytes()
+
+
+def test_make_city_ids_unique_past_ten_columns(tmp_path):
+    # row 1 column 10 and row 11 column 0 must not both be "P110"
+    paths = make_city(tmp_path, TAX, seed=1, grid=11, images_per_parcel=1,
+                      train_per_class=1, val_per_class=1)
+    ids = [p.id for p in parse_parcels(paths["parcels"].read_text(), TAX)]
+    assert len(set(ids)) == 121
+    assert ids[:2] == ["P0000", "P0001"]
