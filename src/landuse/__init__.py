@@ -1,9 +1,9 @@
 """Land-use mapping from geotagged ground-level image features."""
 
-from .adaptive import GateConfig, GateDecision, adaptive_finetune, \
-    discard_probability, gate
+from .adaptive import GateConfig, adaptive_finetune, discard_probability, \
+    gate_weights
 from .classifier import Schedule, SoftmaxModel, forward, init_model, \
-    load_model, loss_grad, save_model, train
+    load_model, loss_grad, save_model, stream_matrix, train
 from .dataset import Batch, ImageRecord, load_manifest, stratified_batches
 from .evaluation import MappingReport, image_accuracy, mapping_metrics, \
     per_class_report
@@ -16,9 +16,9 @@ from .synth import blob_split, complementary_stream_split, make_city, \
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 __all__ = [
-    "GateConfig", "GateDecision", "adaptive_finetune", "discard_probability",
-    "gate", "Schedule", "SoftmaxModel", "forward", "init_model", "load_model",
-    "loss_grad", "save_model", "train", "Batch", "ImageRecord",
+    "GateConfig", "adaptive_finetune", "discard_probability", "gate_weights",
+    "Schedule", "SoftmaxModel", "forward", "init_model", "load_model",
+    "loss_grad", "save_model", "stream_matrix", "train", "Batch", "ImageRecord",
     "load_manifest", "stratified_batches", "MappingReport", "image_accuracy",
     "mapping_metrics", "per_class_report", "ParcelPrediction",
     "aggregate_parcels", "equal_weights", "export_map", "fuse",

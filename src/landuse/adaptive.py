@@ -10,13 +10,12 @@ frozen snapshot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import Schedule, SoftmaxModel, TrainResult, _batch_arrays, \
-    _sgd, forward_batch
+from .classifier import Schedule, SoftmaxModel, TrainResult, forward, \
+    stream_matrix, train
 
 HARD = "hard"
 SOFT = "soft"
@@ -31,9 +30,6 @@ def default_finetune_schedule() -> Schedule:
 class GateConfig:
     mode: str = HARD
     threshold: float = 0.5
-    #: weight by p instead of 1 - p in soft mode (comparison flag; p is an
-    #: ignore-probability, so the default weights by 1 - p)
-    weight_by_p: bool = False
     schedule: Schedule = field(default_factory=default_finetune_schedule)
 
     def __post_init__(self):
@@ -43,49 +39,26 @@ class GateConfig:
             raise ValueError("threshold must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class GateDecision:
-    p: float
-    weight: float
-
-
-def _check_distribution(y: np.ndarray) -> None:
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("score vector must be a non-empty 1-d array")
-    if np.any(y < 0) or not math.isclose(float(y.sum()), 1.0, abs_tol=1e-6):
-        raise ValueError("score vector is not a probability distribution")
-
-
-def discard_probability(y) -> float:
-    """p = max(0, 2 - exp|max(y) - mean(y)|) for a score distribution y.
+def discard_probability(Y) -> np.ndarray:
+    """p = max(0, 2 - exp(max(y) - mean(y))) for each score distribution y
+    along the last axis of ``Y`` (one vector, or one row per sample).
 
     Uniform scores give p = 1; p hits 0 once max(y) - 1/n >= ln 2.
     """
-    y = np.asarray(y, dtype=np.float64)
-    _check_distribution(y)
-    return max(0.0, 2.0 - math.exp(abs(float(y.max()) - float(y.mean()))))
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim == 0 or Y.size == 0:
+        raise ValueError("scores must be a non-empty array of distributions")
+    if np.any(Y < 0) or not np.all(np.abs(Y.sum(axis=-1) - 1.0) <= 1e-6):
+        raise ValueError("scores are not probability distributions")
+    return np.maximum(0.0, 2.0 - np.exp(Y.max(axis=-1) - Y.mean(axis=-1)))
 
 
-def gate(y, cfg: GateConfig) -> GateDecision:
-    """Per-sample loss weight from the discard probability."""
-    p = discard_probability(y)
-    if cfg.mode == HARD:
-        weight = 1.0 if p < cfg.threshold else 0.0
-    elif cfg.weight_by_p:
-        weight = p
-    else:
-        weight = 1.0 - p
-    return GateDecision(p=p, weight=weight)
-
-
-def _batch_weights(cfg: GateConfig, model: SoftmaxModel, batch) -> np.ndarray:
-    X, _ = _batch_arrays(model, batch)
-    P = forward_batch(model, X)
-    p = np.maximum(0.0, 2.0 - np.exp(P.max(axis=1) - P.mean(axis=1)))
+def gate_weights(Y, cfg: GateConfig) -> np.ndarray:
+    """Per-sample loss weights from the discard probabilities of scores
+    ``Y``: hard keeps (weight 1) iff p < threshold, soft weights by 1 - p."""
+    p = discard_probability(Y)
     if cfg.mode == HARD:
         return (p < cfg.threshold).astype(np.float64)
-    if cfg.weight_by_p:
-        return p
     return 1.0 - p
 
 
@@ -97,6 +70,8 @@ def adaptive_finetune(model: SoftmaxModel, records, cfg: GateConfig,
     update step; the resulting discard probabilities set the sample weights
     for that step's gradient.
     """
-    return _sgd(model, records, cfg.schedule,
-                weight_fn=lambda m, batch: _batch_weights(cfg, m, batch),
-                validation=validation)
+    def weight_fn(m: SoftmaxModel, batch) -> np.ndarray:
+        return gate_weights(forward(m, stream_matrix(batch.records, m.stream)), cfg)
+
+    return train(model, records, cfg.schedule, validation=validation,
+                 weight_fn=weight_fn)

@@ -72,39 +72,30 @@ def init_model(n: int, D: int, stream: str) -> SoftmaxModel:
     return SoftmaxModel(W=np.zeros((n, D)), b=np.zeros(n), stream=stream)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+def forward(model: SoftmaxModel, X) -> np.ndarray:
+    """softmax(X W^T + b) over the last axis, overflow-safe.
+
+    ``X`` is one ``(D,)`` feature vector or an ``(N, D)`` matrix of them;
+    the result has one probability vector per row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (1, 2) or X.shape[-1] != model.D:
+        raise ValueError(f"feature dimension {X.shape} does not match D={model.D}")
+    logits = X @ model.W.T + model.b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(model: SoftmaxModel, x) -> np.ndarray:
-    """softmax(Wx + b), overflow-safe. Returns a probability vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.D,):
-        raise ValueError(f"feature dimension {x.shape} does not match D={model.D}")
-    return _softmax_rows(model.W @ x + model.b)
-
-
-def forward_batch(model: SoftmaxModel, X: np.ndarray) -> np.ndarray:
-    if X.shape[1] != model.D:
-        raise ValueError(f"feature dimension {X.shape[1]} does not match D={model.D}")
-    return _softmax_rows(X @ model.W.T + model.b)
-
-
-def _batch_arrays(model: SoftmaxModel, batch: Batch):
-    X = np.empty((batch.size, model.D))
-    y = np.empty(batch.size, dtype=np.intp)
-    for i, rec in enumerate(batch.records):
+def stream_matrix(records, stream: str) -> np.ndarray:
+    """One stream's feature vectors stacked into a matrix, one row per record."""
+    rows = []
+    for rec in records:
         try:
-            X[i] = rec.features[model.stream]
+            rows.append(rec.features[stream])
         except KeyError:
             raise ValueError(
-                f"record {rec.id}: missing features for stream {model.stream!r}") from None
-        if rec.label is None:
-            raise ValueError(f"record {rec.id}: unlabeled record in training batch")
-        y[i] = rec.label
-    return X, y
+                f"record {rec.id}: missing features for stream {stream!r}") from None
+    return np.array(rows, dtype=np.float64)
 
 
 def loss_grad(model: SoftmaxModel, batch: Batch, sample_weights):
@@ -122,8 +113,12 @@ def loss_grad(model: SoftmaxModel, batch: Batch, sample_weights):
     wsum = w.sum()
     if wsum == 0.0:
         return 0.0, np.zeros_like(model.W), np.zeros_like(model.b)
-    X, y = _batch_arrays(model, batch)
-    P = forward_batch(model, X)
+    X = stream_matrix(batch.records, model.stream)
+    for rec in batch.records:
+        if rec.label is None:
+            raise ValueError(f"record {rec.id}: unlabeled record in training batch")
+    y = np.array([rec.label for rec in batch.records], dtype=np.intp)
+    P = forward(model, X)
     idx = np.arange(batch.size)
     loss = float(-(w * np.log(P[idx, y])).sum() / wsum)
     E = P.copy()
@@ -134,17 +129,15 @@ def loss_grad(model: SoftmaxModel, batch: Batch, sample_weights):
     return loss, gradW, gradb
 
 
-def train(model: SoftmaxModel, records, schedule: Schedule,
-          validation=None) -> TrainResult:
-    """SGD over stratified batches with unit sample weights."""
-    return _sgd(model, records, schedule, weight_fn=None, validation=validation)
+def train(model: SoftmaxModel, records, schedule: Schedule, validation=None,
+          weight_fn=None) -> TrainResult:
+    """SGD over stratified batches, starting from a copy of ``model``.
 
-
-def _sgd(model: SoftmaxModel, records, schedule: Schedule,
-         weight_fn=None, validation=None) -> TrainResult:
-    """Shared SGD loop. ``weight_fn(model, batch) -> weights`` supplies
-    per-sample loss weights from the current model state (used by the
-    adaptive gate); None means unit weights."""
+    ``weight_fn(model, batch) -> weights`` supplies per-sample loss weights
+    from the current model state (the adaptive gate uses it); None means
+    unit weights. With a validation split, its accuracy is recorded after
+    every epoch.
+    """
     m = model.copy()
     vW = np.zeros_like(m.W)
     vb = np.zeros_like(m.b)
@@ -174,15 +167,12 @@ def _sgd(model: SoftmaxModel, records, schedule: Schedule,
     return TrainResult(model=m, val_accuracy=trace)
 
 
-def predict(model: SoftmaxModel, record) -> int:
-    return int(np.argmax(forward(model, record.features[model.stream])))
-
-
 def accuracy(model: SoftmaxModel, records) -> float:
+    """Share of records whose argmax class equals their label."""
     if not records:
         return 0.0
-    correct = sum(1 for r in records if predict(model, r) == r.label)
-    return correct / len(records)
+    pred = np.argmax(forward(model, stream_matrix(records, model.stream)), axis=-1)
+    return sum(int(k) == r.label for k, r in zip(pred, records)) / len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +191,30 @@ def save_model(model: SoftmaxModel, path) -> None:
 
 
 def load_model(path) -> SoftmaxModel:
+    """Read an LUSM1 file. A file that is cut short, carries trailing bytes,
+    has a shape ``init_model`` rejects or a stream name that is not UTF-8
+    raises ``ModelIOError``."""
     with open(path, "rb") as f:
-        magic = f.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ModelIOError(
-                f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        header = f.read(8)
-        if len(header) < 8:
-            raise ModelIOError(f"{path}: truncated header")
-        n, d = struct.unpack("<II", header)
-        (slen,) = struct.unpack("<I", f.read(4))
-        stream = f.read(slen).decode("utf-8")
-        wbuf = f.read(8 * n * d)
-        bbuf = f.read(8 * n)
-        if len(wbuf) < 8 * n * d or len(bbuf) < 8 * n:
-            raise ModelIOError(f"{path}: truncated weights")
-        W = np.frombuffer(wbuf, dtype="<f8").reshape(n, d).copy()
-        b = np.frombuffer(bbuf, dtype="<f8").copy()
-        return SoftmaxModel(W=W, b=b, stream=stream)
+        data = f.read()
+    if data[:len(MODEL_MAGIC)] != MODEL_MAGIC:
+        raise ModelIOError(
+            f"{path}: bad magic {data[:len(MODEL_MAGIC)]!r}, expected {MODEL_MAGIC!r}")
+    pos = len(MODEL_MAGIC) + 12
+    if len(data) < pos:
+        raise ModelIOError(f"{path}: truncated header")
+    n, d, slen = struct.unpack_from("<III", data, len(MODEL_MAGIC))
+    if n < 2 or d < 1:
+        raise ModelIOError(f"{path}: bad model shape n={n}, D={d}")
+    end = pos + slen + 8 * n * d + 8 * n
+    if len(data) < end:
+        raise ModelIOError(f"{path}: truncated stream name or weights")
+    if len(data) > end:
+        raise ModelIOError(f"{path}: {len(data) - end} trailing bytes")
+    try:
+        stream = data[pos:pos + slen].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ModelIOError(f"{path}: stream name is not valid UTF-8") from None
+    pos += slen
+    W = np.frombuffer(data, dtype="<f8", count=n * d, offset=pos)
+    b = np.frombuffer(data, dtype="<f8", count=n, offset=pos + 8 * n * d)
+    return SoftmaxModel(W=W.reshape(n, d).copy(), b=b.copy(), stream=stream)

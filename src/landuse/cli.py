@@ -19,8 +19,9 @@ import numpy as np
 
 from . import synth
 from .adaptive import GateConfig, adaptive_finetune
-from .classifier import Schedule, init_model, load_model, save_model, train
-from .dataset import load_manifest
+from .classifier import (Schedule, init_model, load_model, save_model,
+                         stream_matrix, train)
+from .dataset import ManifestError, load_manifest
 from .evaluation import image_accuracy, mapping_metrics, per_class_report
 from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,
                              predict_image)
@@ -145,8 +146,15 @@ class Pipeline:
             return equal_weights(self.streams)
         weights = {}
         for part in spec.split(","):
-            stream, value = part.split(":")
-            weights[stream.strip()] = float(value)
+            stream, sep, value = part.partition(":")
+            if not sep:
+                raise ConfigError(
+                    f"fusion.weights: bad part {part!r}, expected stream:weight")
+            try:
+                weights[stream.strip()] = float(value)
+            except ValueError:
+                raise ConfigError(
+                    f"fusion.weights: bad weight in {part!r}") from None
         return weights
 
     # -- artifact paths --------------------------------------------------
@@ -171,6 +179,25 @@ class Pipeline:
 
     def load_split(self, key: str):
         return load_manifest(self.path(key), self.taxonomy)
+
+    def load_training(self):
+        """(train records, validation records or None if no val_manifest)."""
+        train_records = self.load_split("train_manifest")
+        if not train_records:
+            raise ManifestError(
+                f"{self.path('train_manifest')}: no training records")
+        val_records = (self.load_split("val_manifest")
+                       if "val_manifest" in self.cfg else None)
+        return train_records, val_records
+
+    def write_model(self, result, stream: str, adapted: bool = False) -> None:
+        """Write a trained model and its provenance ``.meta.json`` sidecar."""
+        path = self.model_path(stream, adapted)
+        save_model(result.model, path)
+        meta = dict(self.provenance, stream=stream,
+                    val_accuracy=result.val_accuracy)
+        path.with_suffix(".lusm.meta.json").write_text(
+            json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
     def read_predictions(self) -> dict[str, int]:
         preds = {}
@@ -199,36 +226,23 @@ def cmd_filter(p: Pipeline) -> None:
 
 
 def cmd_train(p: Pipeline) -> None:
-    train_records = p.load_split("train_manifest")
-    val_records = (p.load_split("val_manifest")
-                   if "val_manifest" in p.cfg else None)
+    train_records, val_records = p.load_training()
     n = len(p.taxonomy.fine_classes)
     p.out_dir.mkdir(parents=True, exist_ok=True)
     for k, stream in enumerate(p.streams):
-        d = len(train_records[0].features[stream])
+        d = stream_matrix(train_records[:1], stream).shape[1]
         result = train(init_model(n, d, stream), train_records,
                        p.train_schedule(k), validation=val_records)
-        save_model(result.model, p.model_path(stream))
-        meta = dict(p.provenance, stream=stream,
-                    val_accuracy=result.val_accuracy)
-        p.model_path(stream).with_suffix(".lusm.meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        p.write_model(result, stream)
 
 
 def cmd_adapt(p: Pipeline) -> None:
-    train_records = p.load_split("train_manifest")
-    val_records = (p.load_split("val_manifest")
-                   if "val_manifest" in p.cfg else None)
+    train_records, val_records = p.load_training()
     for k, stream in enumerate(p.streams):
         model = load_model(p.model_path(stream))
         result = adaptive_finetune(model, train_records, p.gate_config(k),
                                    validation=val_records)
-        save_model(result.model, p.model_path(stream, adapted=True))
-        meta = dict(p.provenance, stream=stream,
-                    val_accuracy=result.val_accuracy)
-        p.model_path(stream, adapted=True).with_suffix(
-            ".lusm.meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        p.write_model(result, stream, adapted=True)
 
 
 def cmd_predict(p: Pipeline) -> None:

@@ -46,9 +46,6 @@ class Batch:
     def size(self) -> int:
         return len(self.records)
 
-    def domain_count(self, domain: str) -> int:
-        return sum(1 for r in self.records if r.domain == domain)
-
 
 # ---------------------------------------------------------------------------
 # sidecar feature files

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import SoftmaxModel, forward
+from .classifier import SoftmaxModel, forward, stream_matrix
 from .dataset import ImageRecord
 from .geodata import Parcel, parcel_geometry
 from .taxonomy import Level, Taxonomy
@@ -59,12 +59,8 @@ def fuse(scores: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray
 def predict_image(models: dict[str, SoftmaxModel], record: ImageRecord,
                   weights: dict[str, float]):
     """Fused prediction for one record: (argmax class index, fused scores)."""
-    scores = {}
-    for stream, model in models.items():
-        if stream not in record.features:
-            raise ValueError(
-                f"record {record.id}: missing features for stream {stream!r}")
-        scores[stream] = forward(model, record.features[stream])
+    scores = {stream: forward(model, stream_matrix((record,), stream)[0])
+              for stream, model in models.items()}
     fused = fuse(scores, weights)
     return int(np.argmax(fused)), fused
 

@@ -34,28 +34,6 @@ def _flip_labels(rng, labels: np.ndarray, n_classes: int,
     return labels
 
 
-def blob_records(n_classes: int, n_records: int, dim: int, *,
-                 noise_rate: float = 0.0, seed: int = 0,
-                 separation: float = 3.0, spread: float = 1.0,
-                 feature_scale: float = 1.0, stream: str = "object",
-                 mixed_domains: bool = False,
-                 id_prefix: str = "img") -> list[ImageRecord]:
-    """Labeled single-stream Gaussian-blob records.
-
-    Classes are balanced in round-robin order; ``noise_rate`` flips each
-    label uniformly to one of the other classes. The feature geometry
-    (means, spread, scale) is independent of the noise, so a clean
-    validation split comes from a different seed with identical geometry
-    arguments only when the same seed is used for the mean draw; use
-    :func:`blob_split` for train/validation pairs.
-    """
-    rng = np.random.default_rng(seed)
-    means = _class_means(rng, n_classes, dim, separation)
-    return _sample_blob(rng, means, n_classes, n_records, spread,
-                        feature_scale, noise_rate, stream, mixed_domains,
-                        id_prefix)
-
-
 def _sample_blob(rng, means, n_classes, n_records, spread, feature_scale,
                  noise_rate, stream, mixed_domains, id_prefix):
     true = np.arange(n_records) % n_classes

@@ -181,10 +181,6 @@ class Taxonomy:
             return middle
         return self.middle_to_top[middle]
 
-    def relabel(self, labels, target: Level) -> list[int]:
-        """Element-wise roll-up of a list of fine class indices."""
-        return [self.roll_up(i, target) for i in labels]
-
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from _oracles import finite_difference_grads, oracle_contains, random_parcel
 from landuse.adaptive import GateConfig, adaptive_finetune, discard_probability
-from landuse.classifier import (Schedule, SoftmaxModel, _sgd, accuracy,
+from landuse.classifier import (Schedule, SoftmaxModel, accuracy,
                                 forward, init_model, load_model, loss_grad,
                                 save_model, train)
 from landuse.cli import main as cli_main
@@ -156,7 +156,7 @@ def test_criterion_4_adaptive_training_direction():
                                 seed=seed + 99, domain_ratio=1.0)
             adapted = adaptive_finetune(
                 base, train_set, GateConfig(schedule=finetune)).model
-            plain = _sgd(base, train_set, finetune).model
+            plain = train(base, train_set, finetune).model
             margins.append(accuracy(adapted, val_set)
                            - accuracy(plain, val_set))
         mean_margin = sum(margins) / len(margins)

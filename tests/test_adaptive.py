@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from landuse.adaptive import (HARD, SOFT, GateConfig, adaptive_finetune,
                               default_finetune_schedule, discard_probability,
-                              gate)
+                              gate_weights)
 from landuse.classifier import Schedule, init_model
 from landuse.synth import blob_split
 
@@ -83,25 +83,44 @@ def test_monotone_in_max():
 def test_hard_gate_examples():
     cfg = GateConfig(mode=HARD, threshold=0.5)
     confident = [0.8, 0.05, 0.05, 0.05, 0.05]
-    assert gate(confident, cfg).weight == 1.0
-    assert gate(confident, cfg).p == pytest.approx(2 - math.exp(0.6), abs=1e-12)
-    assert gate(np.full(5, 0.2), cfg).weight == 0.0
-    assert gate([0.4, 0.15, 0.15, 0.15, 0.15], cfg).weight == 0.0
+    assert gate_weights(confident, cfg) == 1.0
+    assert discard_probability(confident) == pytest.approx(2 - math.exp(0.6),
+                                                           abs=1e-12)
+    assert gate_weights(np.full(5, 0.2), cfg) == 0.0
+    assert gate_weights([0.4, 0.15, 0.15, 0.15, 0.15], cfg) == 0.0
 
 
 def test_soft_gate_is_one_minus_p():
     cfg = GateConfig(mode=SOFT)
     y = [0.4, 0.15, 0.15, 0.15, 0.15]
-    d = gate(y, cfg)
-    assert d.weight == pytest.approx(1.0 - d.p, abs=1e-12)
-    assert d.weight == pytest.approx(0.22140, abs=1e-5)
-    assert gate(np.full(5, 0.2), cfg).weight == pytest.approx(0.0)
+    weight = gate_weights(y, cfg)
+    assert weight == pytest.approx(1.0 - discard_probability(y), abs=1e-12)
+    assert weight == pytest.approx(0.22140, abs=1e-5)
+    assert gate_weights(np.full(5, 0.2), cfg) == pytest.approx(0.0)
 
 
-def test_soft_gate_p_weighting_flag():
-    cfg = GateConfig(mode=SOFT, weight_by_p=True)
-    d = gate([0.4, 0.15, 0.15, 0.15, 0.15], cfg)
-    assert d.weight == pytest.approx(d.p)
+def test_rows_gated_like_single_vectors():
+    rng = np.random.default_rng(5)
+    Y = rng.dirichlet(np.full(6, 0.3), size=40)
+    p = discard_probability(Y)
+    assert p.shape == (40,)
+    for mode in (HARD, SOFT):
+        cfg = GateConfig(mode=mode)
+        w = gate_weights(Y, cfg)
+        assert w.shape == (40,)
+        for k, y in enumerate(Y):
+            assert p[k] == discard_probability(y)
+            assert w[k] == gate_weights(y, cfg)
+    assert 0 < gate_weights(Y, GateConfig(mode=HARD)).sum() < 40
+
+
+def test_rejects_matrix_with_one_bad_row():
+    Y = np.full((3, 4), 0.25)
+    Y[1] = [0.5, 0.5, 0.5, 0.5]
+    with pytest.raises(ValueError, match="distribution"):
+        discard_probability(Y)
+    with pytest.raises(ValueError, match="distribution"):
+        gate_weights(Y, GateConfig())
 
 
 def test_keep_condition_closed_form():
@@ -111,7 +130,7 @@ def test_keep_condition_closed_form():
     for _ in range(500):
         n = int(rng.integers(2, 46))
         y = rng.dirichlet(np.ones(n))
-        kept = gate(y, cfg).weight == 1.0
+        kept = gate_weights(y, cfg) == 1.0
         assert kept == (y.max() > 1 / n + math.log(1.5))
 
 

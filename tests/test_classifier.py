@@ -1,13 +1,15 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
 from _oracles import finite_difference_grads
-from landuse.classifier import (ModelIOError, Schedule, SoftmaxModel,
-                                accuracy, forward, init_model, load_model,
-                                loss_grad, save_model, train)
+from landuse.classifier import (MODEL_MAGIC, ModelIOError, Schedule,
+                                SoftmaxModel, accuracy, forward, init_model,
+                                load_model, loss_grad, save_model,
+                                stream_matrix, train)
 from landuse.dataset import Batch, ImageRecord
 from landuse.synth import blob_split
 
@@ -65,6 +67,40 @@ def test_forward_dimension_check():
     m = init_model(3, 4, "object")
     with pytest.raises(ValueError, match="dimension"):
         forward(m, np.zeros(5))
+    with pytest.raises(ValueError, match="dimension"):
+        forward(m, np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="dimension"):
+        forward(m, np.zeros((2, 2, 4)))
+
+
+def test_forward_matrix_rows_match_vectors():
+    nprng = np.random.default_rng(6)
+    m = SoftmaxModel(W=nprng.standard_normal((5, 3)),
+                     b=nprng.standard_normal(5), stream="object")
+    X = 10 * nprng.standard_normal((20, 3))
+    P = forward(m, X)
+    assert P.shape == (20, 5)
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+    for x, p in zip(X, P):
+        np.testing.assert_allclose(forward(m, x), p, rtol=1e-12, atol=1e-15)
+
+
+def test_stream_matrix_rows_and_missing_stream():
+    recs = [record(0, [1.0, 2.0]), record(1, [3.0, 4.0])]
+    X = stream_matrix(recs, "object")
+    assert X.dtype == np.float64
+    np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError,
+                       match="record r1: missing features for stream 'scene'"):
+        stream_matrix([record(0, [1.0], stream="scene"), recs[1]], "scene")
+
+
+def test_accuracy_counts_argmax_hits():
+    m = SoftmaxModel(W=np.array([[1.0], [-1.0]]), b=np.zeros(2),
+                     stream="object")
+    recs = [record(0, [1.0], label=0), record(1, [-1.0], label=1),
+            record(2, [2.0], label=1), record(3, [-2.0], label=None)]
+    assert accuracy(m, recs) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +244,43 @@ def test_load_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ModelIOError, match="truncated"):
         load_model(path)
+
+
+def test_load_cut_anywhere_or_extended(tmp_path):
+    nprng = np.random.default_rng(9)
+    m = SoftmaxModel(W=nprng.standard_normal((3, 2)),
+                     b=nprng.standard_normal(3), stream="scène")
+    path = tmp_path / "m.lusm"
+    save_model(m, path)
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ModelIOError, match="truncated|magic"):
+            load_model(path)
+    path.write_bytes(whole + b"\x00")
+    with pytest.raises(ModelIOError, match="1 trailing bytes"):
+        load_model(path)
+
+
+def header(n, d, name: bytes) -> bytes:
+    return MODEL_MAGIC + struct.pack("<III", n, d, len(name)) + name
+
+
+def test_load_rejects_stream_name_not_utf8(tmp_path):
+    path = tmp_path / "m.lusm"
+    path.write_bytes(header(2, 1, b"\xff\xfe") + bytes(8 * 4))
+    with pytest.raises(ModelIOError, match="UTF-8"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("n,d", [(0, 3), (1, 3), (3, 0), (0, 0)])
+def test_load_rejects_shapes_init_model_rejects(tmp_path, n, d):
+    path = tmp_path / "m.lusm"
+    path.write_bytes(header(n, d, b"object") + bytes(8 * (n * d + n)))
+    with pytest.raises(ModelIOError, match="shape"):
+        load_model(path)
+    with pytest.raises(ValueError):
+        init_model(n, d, "object")
 
 
 def test_load_wrong_magic(tmp_path):

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
-from landuse.cli import (ConfigError, config_hash, load_config, main,
-                         parse_config_text)
+from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
+                         main, parse_config_text)
 from landuse.evaluation import image_accuracy
 from landuse.taxonomy import Level, builtin_taxonomy
 
@@ -179,3 +180,45 @@ def test_all_fails_when_training_set_fills_no_batch(tmp_path, capsys):
     assert code == 1
     assert "no full batch" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model_object.lusm").exists()
+
+
+def drop_stream(manifest, stream):
+    lines = []
+    for line in manifest.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        obj.get("features", {}).pop(stream, None)
+        lines.append(json.dumps(obj))
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_train_rejects_empty_train_manifest(tmp_path, capsys):
+    path = write_config(tmp_path)
+    run(path, "synth")
+    (tmp_path / "data" / "train.jsonl").write_text("", encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ManifestError: ")
+    assert "train.jsonl: no training records" in err
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_names_record_lacking_a_stream(tmp_path, capsys, split):
+    path = write_config(tmp_path)
+    run(path, "synth")
+    drop_stream(tmp_path / "data" / f"{split}.jsonl", "scene")
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: ValueError: record \w+: missing features"
+                        r" for stream 'scene'\n", err), err
+
+
+@pytest.mark.parametrize("spec,bad", [
+    ("object:0.5,scene", "bad part 'scene'"),
+    ("object:half,scene:0.5", "bad weight in 'object:half'"),
+])
+def test_malformed_fusion_weights(spec, bad):
+    p = Pipeline({"seed": "1", "fusion.weights": spec})
+    with pytest.raises(ConfigError, match=f"fusion.weights: {bad}"):
+        p.fusion_weights()
+    ok = Pipeline({"seed": "1", "fusion.weights": "object:0.25, scene:0.75"})
+    assert ok.fusion_weights() == {"object": 0.25, "scene": 0.75}

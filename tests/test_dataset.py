@@ -142,15 +142,15 @@ def test_ratio_half_256():
     assert batches
     for b in batches:
         assert b.size == 256
-        assert b.domain_count(DOMAIN_A) == 128
-        assert b.domain_count(DOMAIN_B) == 128
+        assert sum(r.domain == DOMAIN_A for r in b.records) == 128
+        assert sum(r.domain == DOMAIN_B for r in b.records) == 128
 
 
 def test_ratio_one_is_single_domain():
     pool = mixed_pool(100, 0)
     batches = stratified_batches(pool, 10, 1.0, seed=1)
     assert len(batches) == 10
-    assert all(b.domain_count(DOMAIN_B) == 0 for b in batches)
+    assert all(r.domain != DOMAIN_B for b in batches for r in b.records)
     # drop-last epoch covers every domain-A record exactly once
     ids = [r.id for b in batches for r in b.records]
     assert sorted(ids) == sorted(r.id for r in pool)
@@ -161,7 +161,7 @@ def test_shorter_domain_recycles():
     batches = stratified_batches(pool, 10, 0.5, seed=2)
     assert len(batches) == 100 // 5
     for b in batches:
-        assert b.domain_count(DOMAIN_B) == 5
+        assert sum(r.domain == DOMAIN_B for r in b.records) == 5
 
 
 def test_same_seed_identical():

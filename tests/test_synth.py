@@ -3,22 +3,21 @@ import numpy as np
 from landuse.classifier import Schedule, init_model, train
 from landuse.dataset import DOMAIN_A, DOMAIN_B, load_manifest
 from landuse.geodata import parse_parcels
-from landuse.synth import (blob_records, blob_split,
-                           complementary_stream_split, make_city,
+from landuse.synth import (blob_split, complementary_stream_split, make_city,
                            noisy_web_split)
 from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
 
 
-def test_blob_records_balanced_and_seeded():
-    a = blob_records(4, 40, 8, seed=3, mixed_domains=True)
-    b = blob_records(4, 40, 8, seed=3, mixed_domains=True)
+def test_blob_split_balanced_and_seeded():
+    a, _ = blob_split(4, 40, 0, 8, seed=3, mixed_domains=True)
+    b, _ = blob_split(4, 40, 0, 8, seed=3, mixed_domains=True)
     assert [r.id for r in a] == [r.id for r in b]
     assert all(np.array_equal(x.features["object"], y.features["object"])
                for x, y in zip(a, b))
     assert sum(1 for r in a if r.domain == DOMAIN_A) == 20
-    labels = [r.label for r in blob_records(4, 40, 8, seed=3)]
+    labels = [r.label for r in blob_split(4, 40, 0, 8, seed=3)[0]]
     assert sorted(set(labels)) == [0, 1, 2, 3]
 
 

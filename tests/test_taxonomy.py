@@ -50,15 +50,6 @@ def test_composition_consistency(tax):
             tax.middle_to_top[tax.fine_to_middle[i]]
 
 
-def test_relabel(tax):
-    assert tax.relabel([tax.index("bank")], Level.MIDDLE) == \
-        [tax.index("Finance and Insurance", Level.MIDDLE)]
-    assert tax.relabel([], Level.TOP) == []
-    mixed = [0, 5, 44]
-    assert tax.relabel(mixed, Level.TOP) == \
-        [tax.roll_up(i, Level.TOP) for i in mixed]
-
-
 def test_unknown_name_raises(tax):
     with pytest.raises(TaxonomyError, match="notaclass"):
         tax.index("notaclass")
