@@ -86,6 +86,10 @@ def forward(model: SoftmaxModel, X) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _missing_stream(rec, stream: str) -> ValueError:
+    return ValueError(f"record {rec.id}: missing features for stream {stream!r}")
+
+
 def stream_matrix(records, stream: str) -> np.ndarray:
     """One stream's feature vectors stacked into a matrix, one row per record."""
     rows = []
@@ -93,9 +97,17 @@ def stream_matrix(records, stream: str) -> np.ndarray:
         try:
             rows.append(rec.features[stream])
         except KeyError:
-            raise ValueError(
-                f"record {rec.id}: missing features for stream {stream!r}") from None
+            raise _missing_stream(rec, stream) from None
     return np.array(rows, dtype=np.float64)
+
+
+def require_streams(records, streams) -> None:
+    """Raise ``stream_matrix``'s error for the first record that lacks one
+    of ``streams``, without gathering any features."""
+    for rec in records:
+        for stream in streams:
+            if stream not in rec.features:
+                raise _missing_stream(rec, stream)
 
 
 def loss_grad(model: SoftmaxModel, batch: Batch, sample_weights):

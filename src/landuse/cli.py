@@ -19,8 +19,8 @@ import numpy as np
 
 from . import synth
 from .adaptive import GateConfig, adaptive_finetune
-from .classifier import (Schedule, init_model, load_model, save_model,
-                         stream_matrix, train)
+from .classifier import (Schedule, init_model, load_model, require_streams,
+                         save_model, stream_matrix, train)
 from .dataset import ManifestError, load_manifest
 from .evaluation import image_accuracy, mapping_metrics, per_class_report
 from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,
@@ -181,13 +181,18 @@ class Pipeline:
         return load_manifest(self.path(key), self.taxonomy)
 
     def load_training(self):
-        """(train records, validation records or None if no val_manifest)."""
+        """(train records, validation records or None if no val_manifest).
+
+        Every record of both splits must carry every configured stream, so
+        that a bad split fails before any stream's model is trained."""
         train_records = self.load_split("train_manifest")
         if not train_records:
             raise ManifestError(
                 f"{self.path('train_manifest')}: no training records")
         val_records = (self.load_split("val_manifest")
                        if "val_manifest" in self.cfg else None)
+        require_streams(train_records, self.streams)
+        require_streams(val_records or (), self.streams)
         return train_records, val_records
 
     def write_model(self, result, stream: str, adapted: bool = False) -> None:
@@ -279,13 +284,19 @@ def cmd_eval(p: Pipeline) -> None:
     assignments = assignments_from_jsonl(
         p.assignments_path.read_text(encoding="utf-8"))
     predictions = p.read_predictions()
+    labels = {r.id: r.label for r in p.load_split("map_manifest")
+              if r.label is not None}
+    # an accuracy over only the labelled images would hide the rest
+    unlabeled = [i for i in predictions if i not in labels]
+    if 0 < len(unlabeled) < len(predictions):
+        raise ManifestError(
+            f"{p.path('map_manifest')}: {len(unlabeled)} of {len(predictions)}"
+            f" predicted images have no label (first: {unlabeled[0]})")
     include = p.cfg.get("eval.include_untruthed", "false").lower() == "true"
     report = mapping_metrics(assignments, predictions, parcels, p.taxonomy,
                              level=p.level, include_untruthed=include)
-    labels = {r.id: r.label for r in p.load_split("map_manifest")
-              if r.label is not None}
     accuracy = None
-    if all(i in labels for i in predictions):
+    if not unlabeled:
         rolled_preds = {i: p.taxonomy.roll_up(c, p.level)
                         for i, c in predictions.items()}
         rolled_labels = {i: p.taxonomy.roll_up(c, p.level)

@@ -3,8 +3,10 @@
 These deliberately use different algorithms than the library code: the
 containment oracle accumulates a winding number edge by edge instead of
 counting ray crossings, the assignment oracle tests every image against
-every parcel instead of prefiltering by bounding box, and the gradient
-oracle differentiates the loss numerically. Keep them slow and obvious.
+every parcel instead of prefiltering by bounding box, the ring oracle tests
+every pair of edges instead of sweeping over their boxes, and the gradient
+oracle differentiates the loss numerically. Keep them slow and obvious: an
+oracle that shares the library's shortcut would share its bugs too.
 """
 
 import math
@@ -13,7 +15,8 @@ import random
 import numpy as np
 
 from landuse.classifier import loss_grad
-from landuse.geodata import Parcel, boundary_distance_m, contains
+from landuse.geodata import (Parcel, _segments_cross, boundary_distance_m,
+                             contains)
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +79,45 @@ def oracle_assign(records, parcels, dilation_m):
 
 
 # ---------------------------------------------------------------------------
+# ring self-intersection over all pairs
+
+
+def oracle_ring_crossing(ring):
+    """The lowest ``(i, j)`` of non-adjacent edges that the library's
+    segment predicate calls crossing, or None; every pair is tested, O(E²).
+
+    On float rings ``_orient`` rounds, so the predicate can call two
+    nearly collinear edges whose boxes are apart crossing; the library
+    never tests such a pair and accepts the ring. The two agree exactly
+    where the arithmetic is exact, such as on small integer coordinates.
+    """
+    segs = list(zip(ring, ring[1:]))
+    n = len(segs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # consecutive segments share a vertex by construction
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            if not adjacent and _segments_cross(segs[i], segs[j]):
+                return i, j
+    return None
+
+
+# ---------------------------------------------------------------------------
 # random simple polygons (closed rings, no self-intersection)
 
 
 def _spread_angles(rng, n_vertices):
-    """Sorted angles with a guaranteed gap, so radial rings stay simple."""
+    """Sorted angles with every gap between 1e-3 and pi - 1e-3.
+
+    The lower bound keeps vertices apart. The upper one keeps each edge
+    inside its own wedge around the centre: an edge spanning pi or more
+    passes the centre on the far side, where it can cross the others.
+    """
     while True:
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n_vertices))
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         gaps.append(angles[0] + 2 * math.pi - angles[-1])
-        if min(gaps) > 1e-3:
+        if 1e-3 < min(gaps) and max(gaps) < math.pi - 1e-3:
             return angles
 
 

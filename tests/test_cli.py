@@ -210,6 +210,43 @@ def test_train_names_record_lacking_a_stream(tmp_path, capsys, split):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: ValueError: record \w+: missing features"
                         r" for stream 'scene'\n", err), err
+    # no stream's model is trained before the split is checked
+    assert not list((tmp_path / "out").glob("model_*"))
+
+
+def strip_labels(manifest, keep):
+    lines = []
+    for line in manifest.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        if not keep(obj["id"]):
+            obj.pop("label", None)
+        lines.append(json.dumps(obj))
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_eval_rejects_partly_labelled_map(tmp_path, capsys):
+    path = write_config(tmp_path)
+    run(path, "all")
+    report = tmp_path / "out" / "report.json"
+    report.unlink()
+    manifest = tmp_path / "data" / "map.jsonl"
+    ids = [json.loads(line)["id"] for line in manifest.read_text().splitlines()]
+    strip_labels(manifest, keep=lambda i: i not in (ids[3], ids[5]))
+    assert main(["eval", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: ManifestError: {manifest}: 2 of {len(ids)} predicted"
+                   f" images have no label (first: {ids[3]})\n")
+    assert not report.exists()
+
+
+def test_eval_without_labels_reports_null_accuracy(tmp_path):
+    path = write_config(tmp_path)
+    run(path, "all")
+    strip_labels(tmp_path / "data" / "map.jsonl", keep=lambda i: False)
+    run(path, "eval")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["image_accuracy"] is None
+    assert report["mapping"]["level"] == "fine"
 
 
 @pytest.mark.parametrize("spec,bad", [
