@@ -3,12 +3,13 @@
 from .adaptive import GateConfig, adaptive_finetune, discard_probability, \
     gate_weights
 from .classifier import Schedule, SoftmaxModel, forward, init_model, \
-    load_model, loss_grad, save_model, stream_matrix, train
-from .dataset import Batch, ImageRecord, load_manifest, stratified_batches
+    load_model, loss_grad, save_model, train
+from .dataset import ImageRecord, ManifestTable, load_manifest, \
+    stratified_batches
 from .evaluation import MappingReport, image_accuracy, mapping_metrics, \
     per_class_report
 from .fusion_mapping import ParcelPrediction, aggregate_parcels, \
-    equal_weights, export_map, fuse, predict_image
+    equal_weights, export_map, fuse, predict_image, predict_table
 from .geodata import Assignment, GeoPoint, Parcel, assign, \
     boundary_distance_m, contains, parse_parcels
 from .synth import blob_split, complementary_stream_split, make_city, \
@@ -18,12 +19,12 @@ from .taxonomy import Level, Taxonomy, builtin_taxonomy
 __all__ = [
     "GateConfig", "adaptive_finetune", "discard_probability", "gate_weights",
     "Schedule", "SoftmaxModel", "forward", "init_model", "load_model",
-    "loss_grad", "save_model", "stream_matrix", "train", "Batch", "ImageRecord",
+    "loss_grad", "save_model", "train", "ImageRecord", "ManifestTable",
     "load_manifest", "stratified_batches", "MappingReport", "image_accuracy",
     "mapping_metrics", "per_class_report", "ParcelPrediction",
     "aggregate_parcels", "equal_weights", "export_map", "fuse",
-    "predict_image", "Assignment", "GeoPoint", "Parcel", "assign",
-    "boundary_distance_m", "contains", "parse_parcels", "blob_split",
-    "complementary_stream_split", "make_city", "noisy_web_split", "Level",
-    "Taxonomy", "builtin_taxonomy",
+    "predict_image", "predict_table", "Assignment", "GeoPoint", "Parcel",
+    "assign", "boundary_distance_m", "contains", "parse_parcels",
+    "blob_split", "complementary_stream_split", "make_city",
+    "noisy_web_split", "Level", "Taxonomy", "builtin_taxonomy",
 ]

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import Schedule, SoftmaxModel, TrainResult, forward, \
-    stream_matrix, train
+from .classifier import Schedule, SoftmaxModel, TrainResult, train
 
 HARD = "hard"
 SOFT = "soft"
@@ -67,11 +66,8 @@ def adaptive_finetune(model: SoftmaxModel, records, cfg: GateConfig,
     """Second-stage fine-tuning with per-sample gated loss weights.
 
     Each batch is forwarded through the current model state before its
-    update step; the resulting discard probabilities set the sample weights
-    for that step's gradient.
+    update step; the discard probabilities of those scores set the sample
+    weights, and the same scores give that step's gradient.
     """
-    def weight_fn(m: SoftmaxModel, batch) -> np.ndarray:
-        return gate_weights(forward(m, stream_matrix(batch.records, m.stream)), cfg)
-
     return train(model, records, cfg.schedule, validation=validation,
-                 weight_fn=weight_fn)
+                 weight_fn=lambda P: gate_weights(P, cfg))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Batch, stratified_batches
+from .dataset import ManifestTable, stratified_batches
 
 MODEL_MAGIC = b"LUSM1"
 
@@ -81,57 +81,40 @@ def forward(model: SoftmaxModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim not in (1, 2) or X.shape[-1] != model.D:
         raise ValueError(f"feature dimension {X.shape} does not match D={model.D}")
-    logits = X @ model.W.T + model.b
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # in place, so that a matrix of N rows needs one (N, n) buffer
+    P = X @ model.W.T
+    P += model.b
+    P -= P.max(axis=-1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=-1, keepdims=True)
+    return P
 
 
-def _missing_stream(rec, stream: str) -> ValueError:
-    return ValueError(f"record {rec.id}: missing features for stream {stream!r}")
-
-
-def stream_matrix(records, stream: str) -> np.ndarray:
-    """One stream's feature vectors stacked into a matrix, one row per record."""
-    rows = []
-    for rec in records:
-        try:
-            rows.append(rec.features[stream])
-        except KeyError:
-            raise _missing_stream(rec, stream) from None
-    return np.array(rows, dtype=np.float64)
-
-
-def require_streams(records, streams) -> None:
-    """Raise ``stream_matrix``'s error for the first record that lacks one
-    of ``streams``, without gathering any features."""
-    for rec in records:
-        for stream in streams:
-            if stream not in rec.features:
-                raise _missing_stream(rec, stream)
-
-
-def loss_grad(model: SoftmaxModel, batch: Batch, sample_weights):
-    """Weighted-mean cross-entropy loss and its analytic gradients.
+def loss_grad(model: SoftmaxModel, X, y, sample_weights, P=None):
+    """Weighted-mean cross-entropy loss of feature rows ``X`` with labels
+    ``y``, and its analytic gradients. ``P`` is ``forward(model, X)`` when
+    the caller has it already.
 
     Weighted mean (not sum) so that gating samples out does not implicitly
     shrink the learning rate; all-zero weights give zero loss and zero
     gradients.
     """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.intp)
     w = np.asarray(sample_weights, dtype=np.float64)
-    if w.shape != (batch.size,):
-        raise ValueError(f"need {batch.size} sample weights, got {w.shape}")
+    if w.shape != y.shape:
+        raise ValueError(f"need {len(y)} sample weights, got {w.shape}")
     if np.any(w < 0):
         raise ValueError("sample weights must be >= 0")
     wsum = w.sum()
     if wsum == 0.0:
         return 0.0, np.zeros_like(model.W), np.zeros_like(model.b)
-    X = stream_matrix(batch.records, model.stream)
-    for rec in batch.records:
-        if rec.label is None:
-            raise ValueError(f"record {rec.id}: unlabeled record in training batch")
-    y = np.array([rec.label for rec in batch.records], dtype=np.intp)
-    P = forward(model, X)
-    idx = np.arange(batch.size)
+    if y.min() < 0 or y.max() >= model.n:
+        raise ValueError(f"unlabeled record or label outside [0, {model.n})"
+                         f" in training batch")
+    if P is None:
+        P = forward(model, X)
+    idx = np.arange(len(y))
     loss = float(-(w * np.log(P[idx, y])).sum() / wsum)
     E = P.copy()
     E[idx, y] -= 1.0
@@ -141,30 +124,32 @@ def loss_grad(model: SoftmaxModel, batch: Batch, sample_weights):
     return loss, gradW, gradb
 
 
-def train(model: SoftmaxModel, records, schedule: Schedule, validation=None,
+def train(model: SoftmaxModel, records: ManifestTable, schedule: Schedule,
+          validation: ManifestTable | None = None,
           weight_fn=None) -> TrainResult:
-    """SGD over stratified batches, starting from a copy of ``model``.
+    """SGD over stratified batches of ``records``, starting from a copy of
+    ``model``.
 
-    ``weight_fn(model, batch) -> weights`` supplies per-sample loss weights
-    from the current model state (the adaptive gate uses it); None means
-    unit weights. With a validation split, its accuracy is recorded after
-    every epoch.
+    Each step forwards its batch once. ``weight_fn(P) -> weights`` turns
+    those scores, from the current model state, into per-sample loss
+    weights (the adaptive gate uses it); None means unit weights. With a
+    validation split, its accuracy is recorded after every epoch.
     """
+    X = records.stream(model.stream)
     m = model.copy()
     vW = np.zeros_like(m.W)
     vb = np.zeros_like(m.b)
     trace = []
     for epoch in range(schedule.total_epochs):
         lr = schedule.lr_at(epoch)
-        batches = stratified_batches(records, schedule.batch_size,
+        batches = stratified_batches(records.domain, schedule.batch_size,
                                      schedule.domain_ratio,
                                      seed=schedule.seed + epoch)
-        for batch in batches:
-            if weight_fn is None:
-                w = np.ones(batch.size)
-            else:
-                w = weight_fn(m, batch)
-            _, gW, gb = loss_grad(m, batch, w)
+        for idx in batches:
+            Xb = X[idx]
+            P = forward(m, Xb)
+            w = np.ones(len(idx)) if weight_fn is None else weight_fn(P)
+            _, gW, gb = loss_grad(m, Xb, records.label[idx], w, P)
             if schedule.weight_decay:
                 gW = gW + schedule.weight_decay * m.W
                 gb = gb + schedule.weight_decay * m.b
@@ -179,12 +164,12 @@ def train(model: SoftmaxModel, records, schedule: Schedule, validation=None,
     return TrainResult(model=m, val_accuracy=trace)
 
 
-def accuracy(model: SoftmaxModel, records) -> float:
+def accuracy(model: SoftmaxModel, records: ManifestTable) -> float:
     """Share of records whose argmax class equals their label."""
-    if not records:
+    if not len(records):
         return 0.0
-    pred = np.argmax(forward(model, stream_matrix(records, model.stream)), axis=-1)
-    return sum(int(k) == r.label for k, r in zip(pred, records)) / len(records)
+    pred = np.argmax(forward(model, records.stream(model.stream)), axis=-1)
+    return int(np.count_nonzero(pred == records.label)) / len(records)
 
 
 # ---------------------------------------------------------------------------

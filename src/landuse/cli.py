@@ -19,14 +19,15 @@ import numpy as np
 
 from . import synth
 from .adaptive import GateConfig, adaptive_finetune
-from .classifier import (Schedule, init_model, load_model, require_streams,
-                         save_model, stream_matrix, train)
+from .classifier import Schedule, init_model, load_model, save_model, train
 from .dataset import ManifestError, load_manifest
 from .evaluation import image_accuracy, mapping_metrics, per_class_report
-from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,
-                             predict_image)
-from .geodata import (assign, assignments_from_jsonl, assignments_to_jsonl,
-                      parse_parcels)
+# no stage calls predict_image; it stays among this module's names so
+# that traces which wrap them still find it
+from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # noqa: F401
+                             predict_image, predict_table)
+from .geodata import (GeoPoint, JSONLinesError, assign, assignments_from_jsonl,
+                      assignments_to_jsonl, iter_jsonl, parse_parcels)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 SUBCOMMANDS = ("filter", "train", "adapt", "predict", "map", "eval",
@@ -181,18 +182,20 @@ class Pipeline:
         return load_manifest(self.path(key), self.taxonomy)
 
     def load_training(self):
-        """(train records, validation records or None if no val_manifest).
+        """(train table, validation table or None if no val_manifest).
 
-        Every record of both splits must carry every configured stream, so
-        that a bad split fails before any stream's model is trained."""
+        Both splits must carry every configured stream, so that a bad split
+        fails before any stream's model is trained."""
         train_records = self.load_split("train_manifest")
-        if not train_records:
+        if not len(train_records):
             raise ManifestError(
                 f"{self.path('train_manifest')}: no training records")
         val_records = (self.load_split("val_manifest")
                        if "val_manifest" in self.cfg else None)
-        require_streams(train_records, self.streams)
-        require_streams(val_records or (), self.streams)
+        for split in (train_records, val_records):
+            if split:
+                for stream in self.streams:
+                    split.stream(stream)
         return train_records, val_records
 
     def write_model(self, result, stream: str, adapted: bool = False) -> None:
@@ -205,11 +208,15 @@ class Pipeline:
             json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
     def read_predictions(self) -> dict[str, int]:
+        path = self.predictions_path
         preds = {}
-        for line in self.predictions_path.read_text(encoding="utf-8").splitlines():
-            obj = json.loads(line)
-            if "image" in obj:
-                preds[obj["image"]] = obj["pred"]
+        for lineno, obj in iter_jsonl(path.read_text(encoding="utf-8"), path):
+            if "image" not in obj:
+                continue  # provenance header line
+            if obj["image"] in preds:
+                raise JSONLinesError(
+                    f"{path}:{lineno}: repeated image id {obj['image']}")
+            preds[obj["image"]] = obj["pred"]
         return preds
 
     def _write_jsonl(self, path: Path, body: str) -> None:
@@ -223,8 +230,10 @@ class Pipeline:
 
 
 def cmd_filter(p: Pipeline) -> None:
-    records = [(r.id, r.geo) for r in p.load_split("map_manifest")
-               if r.geo is not None]
+    table = p.load_split("map_manifest")
+    lon, lat = table.lon.tolist(), table.lat.tolist()
+    records = [(table.ids[k], GeoPoint(lon[k], lat[k]))
+               for k in np.flatnonzero(table.has_geo).tolist()]
     assignments = assign(records, p.load_parcels(),
                          dilation_m=p.f("dilation_m", 5.0))
     p._write_jsonl(p.assignments_path, assignments_to_jsonl(assignments))
@@ -235,7 +244,7 @@ def cmd_train(p: Pipeline) -> None:
     n = len(p.taxonomy.fine_classes)
     p.out_dir.mkdir(parents=True, exist_ok=True)
     for k, stream in enumerate(p.streams):
-        d = stream_matrix(train_records[:1], stream).shape[1]
+        d = train_records.stream(stream).shape[1]
         result = train(init_model(n, d, stream), train_records,
                        p.train_schedule(k), validation=val_records)
         p.write_model(result, stream)
@@ -258,12 +267,12 @@ def cmd_predict(p: Pipeline) -> None:
         if use_adapted and not path.exists():
             path = p.model_path(stream)
         models[stream] = load_model(path)
-    weights = p.fusion_weights()
-    lines = []
-    for record in p.load_split("map_manifest"):
-        pred, _scores = predict_image(models, record, weights)
-        lines.append(json.dumps({"image": record.id, "pred": pred,
-                                 "class": p.taxonomy.fine_classes[pred]}))
+    table = p.load_split("map_manifest")
+    preds = (predict_table(models, table, p.fusion_weights())[0].tolist()
+             if len(table) else [])
+    lines = [json.dumps({"image": rid, "pred": k,
+                         "class": p.taxonomy.fine_classes[k]})
+             for rid, k in zip(table.ids, preds)]
     p._write_jsonl(p.predictions_path,
                    "\n".join(lines) + ("\n" if lines else ""))
 
@@ -271,7 +280,7 @@ def cmd_predict(p: Pipeline) -> None:
 def cmd_map(p: Pipeline) -> None:
     parcels = p.load_parcels()
     assignments = assignments_from_jsonl(
-        p.assignments_path.read_text(encoding="utf-8"))
+        p.assignments_path.read_text(encoding="utf-8"), p.assignments_path)
     parcel_preds = aggregate_parcels(assignments, p.read_predictions())
     doc = json.loads(export_map(parcels, parcel_preds, p.taxonomy, p.level))
     doc["provenance"] = p.provenance
@@ -282,10 +291,11 @@ def cmd_map(p: Pipeline) -> None:
 def cmd_eval(p: Pipeline) -> None:
     parcels = p.load_parcels()
     assignments = assignments_from_jsonl(
-        p.assignments_path.read_text(encoding="utf-8"))
+        p.assignments_path.read_text(encoding="utf-8"), p.assignments_path)
     predictions = p.read_predictions()
-    labels = {r.id: r.label for r in p.load_split("map_manifest")
-              if r.label is not None}
+    table = p.load_split("map_manifest")
+    labels = {rid: c for rid, c in zip(table.ids, table.label.tolist())
+              if c >= 0}
     # an accuracy over only the labelled images would hide the rest
     unlabeled = [i for i in predictions if i not in labels]
     if 0 < len(unlabeled) < len(predictions):

@@ -3,12 +3,16 @@
 Records carry precomputed per-stream feature vectors instead of pixels; the
 vectors stand in for frozen pretrained feature extractors. Manifests are
 JSON-lines, optionally referencing a binary sidecar feature file (format
-``LUFV1``) instead of inlining the floats.
+``LUFV1``) instead of inlining the floats. One load gives a
+``ManifestTable``: one column per field and one ``(N, D)`` matrix per
+stream, so training, gating and prediction index whole matrices.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .geodata import GeoPoint
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, TaxonomyError
 
 FEATURE_FILE_MAGIC = b"LUFV1"
 
@@ -29,8 +33,14 @@ class ManifestError(ValueError):
     pass
 
 
+def missing_stream(rid: str, stream: str) -> str:
+    return f"record {rid}: missing features for stream {stream!r}"
+
+
 @dataclass(frozen=True, eq=False)
 class ImageRecord:
+    """One record; ``ManifestTable[k]`` gives row ``k`` in this form."""
+
     id: str
     domain: str
     features: dict[str, np.ndarray]
@@ -38,13 +48,42 @@ class ImageRecord:
     label: int | None = None
 
 
-@dataclass(frozen=True)
-class Batch:
-    records: tuple[ImageRecord, ...]
+@dataclass(frozen=True, eq=False)
+class ManifestTable:
+    """A manifest as columns: entry ``k`` of each belongs to record ``k``.
 
-    @property
-    def size(self) -> int:
-        return len(self.records)
+    ``label`` is -1 for an unlabelled record, and ``lon``/``lat`` are
+    meaningful only where ``has_geo`` is set. Every record carries every
+    stream, and each stream is one C-contiguous float64 matrix.
+    """
+
+    ids: tuple[str, ...]
+    domain: np.ndarray                 # (N,) DOMAIN_A or DOMAIN_B
+    label: np.ndarray                  # (N,) fine class index or -1
+    features: dict[str, np.ndarray]    # stream -> (N, D)
+    lon: np.ndarray                    # (N,)
+    lat: np.ndarray                    # (N,)
+    has_geo: np.ndarray                # (N,) bool
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> ImageRecord:
+        label = int(self.label[k])
+        return ImageRecord(
+            id=self.ids[k], domain=str(self.domain[k]),
+            features={s: M[k] for s, M in self.features.items()},
+            geo=GeoPoint(float(self.lon[k]), float(self.lat[k]))
+            if self.has_geo[k] else None,
+            label=None if label < 0 else label)
+
+    def stream(self, name: str) -> np.ndarray:
+        """One stream's ``(N, D)`` matrix; a stream the table lacks raises
+        ``ValueError`` naming the first record."""
+        if name not in self.features:
+            raise ValueError(missing_stream(self.ids[0], name) if self.ids
+                             else f"no records, so no stream {name!r}")
+        return self.features[name]
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +107,9 @@ def write_feature_file(path, vectors: dict[str, np.ndarray]) -> None:
             f.write(np.asarray(vec, dtype="<f4").tobytes())
 
 
-def read_feature_file(path) -> dict[str, np.ndarray]:
+def read_feature_file(path) -> tuple[list[str], np.ndarray]:
+    """Read an LUFV1 file in one pass: its ids and an ``(N, D)`` float64
+    matrix holding row ``k`` for ``ids[k]``."""
     with open(path, "rb") as f:
         magic = f.read(len(FEATURE_FILE_MAGIC))
         if magic != FEATURE_FILE_MAGIC:
@@ -82,98 +123,173 @@ def read_feature_file(path) -> dict[str, np.ndarray]:
             return buf
 
         count, d = struct.unpack("<II", read(8))
-        out = {}
-        for _ in range(count):
+        # every row holds a length field and d floats at least
+        if count * (4 + 4 * d) > os.fstat(f.fileno()).st_size - f.tell():
+            raise ManifestError(f"{path}: truncated feature file")
+        ids = []
+        X = np.empty((count, d))
+        for k in range(count):
             (idlen,) = struct.unpack("<I", read(4))
-            rid = read(idlen).decode("utf-8")
-            out[rid] = np.frombuffer(read(4 * d), dtype="<f4").astype(np.float64)
-        return out
+            ids.append(read(idlen).decode("utf-8"))
+            X[k] = np.frombuffer(read(4 * d), dtype="<f4")
+        return ids, X
 
 
 # ---------------------------------------------------------------------------
 # manifest loading
 
 
-def load_manifest(path, taxonomy: Taxonomy | None = None) -> list[ImageRecord]:
-    """Load and validate a JSON-lines manifest.
+def _row_fault(rid: str, stream: str, vec, d: int) -> str:
+    """Why a feature value does not fit a ``(d,)`` row: not a vector, not
+    finite, or its dimension, in that order."""
+    try:
+        arr = np.asarray(vec, dtype=np.float64)
+    except (ValueError, TypeError):
+        arr = np.zeros((0, 0))
+    if arr.ndim != 1:
+        return f"record {rid}: stream {stream} not a vector"
+    if not np.isfinite(arr).all():
+        return f"record {rid}: non-finite value in stream {stream}"
+    return (f"record {rid}: stream {stream} has dimension {len(arr)},"
+            f" expected {d}")
+
+
+def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
+    """Load and validate a JSON-lines manifest into one table.
 
     Each line: ``{"id", "lon"?, "lat"?, "domain", "label"?,
     "features": {stream: [floats]}}`` or ``"features_ref": {stream: path}``
     pointing at LUFV1 sidecar files (paths relative to the manifest).
     String labels are resolved to fine class indices via the taxonomy.
+    Ids must not repeat, and every record must carry the first record's
+    streams. Each row goes straight into its stream's matrix, and the
+    matrices are checked for non-finite values as a whole; the error raised
+    is the one a record-by-record check meets first.
     """
     path = Path(path)
-    sidecars: dict[str, dict[str, np.ndarray]] = {}
-    records = []
-    dims: dict[str, int] = {}
+    with open(path, "rb") as f:
+        capacity = sum(1 for _ in f)
+    ids: list[str] = []
+    domains: list[str] = []
+    seen: set[str] = set()
+    label = np.full(capacity, -1, dtype=np.intp)
+    lon, lat = np.zeros(capacity), np.zeros(capacity)
+    has_geo = np.zeros(capacity, dtype=bool)
+    mats: dict[str, np.ndarray] = {}   # rows stay zero until written
+    sidecars: dict[str, tuple[dict[str, int], np.ndarray]] = {}
+
+    def nonfinite(rows: int) -> ManifestError | None:
+        """The error for the first of the first ``rows`` records that has
+        a non-finite feature, naming its first such stream."""
+        bad = []
+        for stream, M in mats.items():
+            hits = np.flatnonzero(~np.isfinite(M[:rows]).all(axis=1))
+            if hits.size:
+                bad.append((hits[0], stream))
+        if not bad:
+            return None
+        k, stream = min(bad, key=lambda t: t[0])
+        return ManifestError(f"record {ids[k]}: non-finite value in stream {stream}")
+
+    def fail(k: int, error: Exception):
+        # a non-finite value in an earlier record, or earlier in record k,
+        # is met first
+        raise nonfinite(k + 1) or error
+
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
+            k = len(ids)
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ManifestError(f"{path}:{lineno}: bad JSON: {e.msg}") from None
+                fail(k, ManifestError(f"{path}:{lineno}: bad JSON: {e.msg}"))
             if "id" not in obj:
                 continue  # provenance header line
             rid = str(obj["id"])
+            ids.append(rid)
+            if rid in seen:
+                fail(k, ManifestError(f"{path}:{lineno}: repeated record id {rid}"))
+            seen.add(rid)
             domain = obj.get("domain", DOMAIN_A)
             if domain not in (DOMAIN_A, DOMAIN_B):
-                raise ManifestError(f"record {rid}: unknown domain {domain!r}")
+                fail(k, ManifestError(f"record {rid}: unknown domain {domain!r}"))
 
-            features = {}
-            for stream, vec in (obj.get("features") or {}).items():
-                features[stream] = np.asarray(vec, dtype=np.float64)
+            row = dict(obj.get("features") or {})
             for stream, ref in (obj.get("features_ref") or {}).items():
                 refpath = str(path.parent / ref)
                 if refpath not in sidecars:
-                    sidecars[refpath] = read_feature_file(refpath)
+                    try:
+                        ref_ids, X = read_feature_file(refpath)
+                    except ManifestError as e:
+                        fail(k, e)
+                    sidecars[refpath] = ({r: i for i, r in enumerate(ref_ids)}, X)
+                index, X = sidecars[refpath]
+                if rid not in index:
+                    fail(k, ManifestError(
+                        f"record {rid}: not found in feature file {ref}"))
+                row[stream] = X[index[rid]]
+            if not row:
+                fail(k, ManifestError(f"record {rid}: no features"))
+            if k and row.keys() != mats.keys():
+                lacking = [s for s in mats if s not in row]
+                extra = [s for s in row if s not in mats]
+                fail(k, ManifestError(missing_stream(rid, lacking[0]) if lacking
+                                      else missing_stream(ids[0], extra[0])))
+            for stream, vec in row.items():
+                if stream not in mats:  # the first record fixes the dimension
+                    d = len(vec) if isinstance(vec, (list, np.ndarray)) else 0
+                    mats[stream] = np.zeros((capacity, d))
+                M = mats[stream]
                 try:
-                    features[stream] = sidecars[refpath][rid]
-                except KeyError:
-                    raise ManifestError(
-                        f"record {rid}: not found in feature file {ref}") from None
-            if not features:
-                raise ManifestError(f"record {rid}: no features")
-            for stream, vec in features.items():
-                if vec.ndim != 1:
-                    raise ManifestError(f"record {rid}: stream {stream} not a vector")
-                if not np.all(np.isfinite(vec)):
-                    raise ManifestError(
-                        f"record {rid}: non-finite value in stream {stream}")
-                if stream not in dims:
-                    dims[stream] = len(vec)
-                elif dims[stream] != len(vec):
-                    raise ManifestError(
-                        f"record {rid}: stream {stream} has dimension {len(vec)},"
-                        f" expected {dims[stream]}")
+                    if len(vec) != M.shape[1]:  # numpy would broadcast [x]
+                        raise ValueError
+                    M[k] = vec
+                except (ValueError, TypeError):
+                    fail(k, ManifestError(_row_fault(rid, stream, vec, M.shape[1])))
 
-            label = obj.get("label")
-            if isinstance(label, str):
+            value = obj.get("label")
+            if isinstance(value, str):
                 if taxonomy is None:
-                    raise ManifestError(
-                        f"record {rid}: string label {label!r} needs a taxonomy")
-                label = taxonomy.index(label)
-            if label is not None and taxonomy is not None:
-                if not 0 <= label < len(taxonomy.fine_classes):
-                    raise ManifestError(f"record {rid}: label {label} out of range")
-
-            geo = None
+                    fail(k, ManifestError(
+                        f"record {rid}: string label {value!r} needs a taxonomy"))
+                try:
+                    value = taxonomy.index(value)
+                except TaxonomyError as e:
+                    fail(k, e)
+            if value is not None:
+                top = len(taxonomy.fine_classes) if taxonomy else math.inf
+                if not (isinstance(value, int) and 0 <= value < top):
+                    fail(k, ManifestError(f"record {rid}: label {value} out of range"))
+                label[k] = value
             if "lon" in obj and "lat" in obj:
-                geo = GeoPoint(lon=obj["lon"], lat=obj["lat"])
+                try:
+                    GeoPoint(obj["lon"], obj["lat"])
+                except (ValueError, TypeError):
+                    fail(k, ManifestError(f"record {rid}: bad coordinates"
+                                          f" ({obj['lon']!r}, {obj['lat']!r})"))
+                lon[k], lat[k], has_geo[k] = obj["lon"], obj["lat"], True
+            domains.append(domain)
 
-            records.append(ImageRecord(
-                id=rid, domain=domain, features=features, geo=geo, label=label))
-    return records
+    n = len(ids)
+    error = nonfinite(n)
+    if error:
+        raise error
+    return ManifestTable(
+        ids=tuple(ids), domain=np.array(domains, dtype=str),
+        label=label[:n], features={s: M[:n] for s, M in mats.items()},
+        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n])
 
 
 # ---------------------------------------------------------------------------
 # stratified batching
 
 
-def stratified_batches(records, batch_size: int, domain_ratio: float,
-                       seed: int) -> list[Batch]:
-    """Seeded mixed-domain batches with a fixed per-batch domain ratio.
+def stratified_batches(domains, batch_size: int, domain_ratio: float,
+                       seed: int) -> list[np.ndarray]:
+    """Seeded mixed-domain batches, as index arrays into ``domains`` (one
+    domain per record), with a fixed per-batch domain ratio.
 
     Each full batch holds ``round(batch_size * domain_ratio)`` domain-A
     records, the rest domain-B. The shorter domain recycles with a fresh
@@ -187,8 +303,9 @@ def stratified_batches(records, batch_size: int, domain_ratio: float,
         raise ValueError("domain_ratio must be in [0, 1]")
     n_a = int(round(batch_size * domain_ratio))
     n_b = batch_size - n_a
-    pool_a = [r for r in records if r.domain == DOMAIN_A]
-    pool_b = [r for r in records if r.domain == DOMAIN_B]
+    domains = np.asarray(domains)
+    pool_a = np.flatnonzero(domains == DOMAIN_A).tolist()
+    pool_b = np.flatnonzero(domains == DOMAIN_B).tolist()
     if n_a > 0 and not pool_a:
         raise ValueError("batch requires domain-A records but none are present")
     if n_b > 0 and not pool_b:
@@ -203,7 +320,7 @@ def stratified_batches(records, batch_size: int, domain_ratio: float,
     rng = random.Random(seed)
 
     def drawer(pool, per_batch):
-        queue: list[ImageRecord] = []
+        queue: list[int] = []
 
         def draw():
             nonlocal queue
@@ -220,10 +337,10 @@ def stratified_batches(records, batch_size: int, domain_ratio: float,
     draw_b = drawer(pool_b, n_b)
     batches = []
     for _ in range(n_batches):
-        recs = []
+        idx = []
         if n_a:
-            recs.extend(draw_a())
+            idx.extend(draw_a())
         if n_b:
-            recs.extend(draw_b())
-        batches.append(Batch(records=tuple(recs)))
+            idx.extend(draw_b())
+        batches.append(np.array(idx, dtype=np.intp))
     return batches

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import SoftmaxModel, forward, stream_matrix
-from .dataset import ImageRecord
+from .classifier import SoftmaxModel, forward
+from .dataset import ImageRecord, ManifestTable, missing_stream
 from .geodata import Parcel, parcel_geometry
 from .taxonomy import Level, Taxonomy
 
@@ -25,12 +25,15 @@ def equal_weights(streams) -> dict[str, float]:
     return {s: 1.0 / len(streams) for s in streams}
 
 
-def _check_weights(weights: dict[str, float]) -> None:
+def _check_weights(weights: dict[str, float], streams) -> None:
     vals = list(weights.values())
     if any(v < 0 for v in vals):
         raise ValueError("fusion weights must be >= 0")
     if abs(sum(vals) - 1.0) > 1e-9:
         raise ValueError(f"fusion weights must sum to 1, got {sum(vals)}")
+    if set(streams) != set(weights):
+        raise ValueError(
+            f"streams {sorted(streams)} do not match weights {sorted(weights)}")
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,13 @@ class ParcelPrediction:
 
 
 def fuse(scores: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray:
-    """Element-wise convex combination of per-stream score vectors."""
-    _check_weights(weights)
-    if set(scores) != set(weights):
-        raise ValueError(
-            f"streams {sorted(scores)} do not match weights {sorted(weights)}")
-    lengths = {len(v) for v in scores.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"score vector length mismatch: {sorted(lengths)}")
-    out = np.zeros(lengths.pop())
+    """Element-wise convex combination of per-stream scores: one vector per
+    stream, or one ``(N, n)`` matrix per stream with a row per image."""
+    _check_weights(weights, scores)
+    shapes = {np.shape(v) for v in scores.values()}
+    if len(shapes) != 1:
+        raise ValueError(f"score length mismatch: {sorted(shapes)}")
+    out = np.zeros(shapes.pop())
     for stream, vec in scores.items():
         out += weights[stream] * np.asarray(vec, dtype=np.float64)
     return out
@@ -59,10 +60,32 @@ def fuse(scores: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray
 def predict_image(models: dict[str, SoftmaxModel], record: ImageRecord,
                   weights: dict[str, float]):
     """Fused prediction for one record: (argmax class index, fused scores)."""
-    scores = {stream: forward(model, stream_matrix((record,), stream)[0])
-              for stream, model in models.items()}
+    scores = {}
+    for stream, model in models.items():
+        if stream not in record.features:
+            raise ValueError(missing_stream(record.id, stream))
+        scores[stream] = forward(model, record.features[stream])
     fused = fuse(scores, weights)
     return int(np.argmax(fused)), fused
+
+
+def predict_table(models: dict[str, SoftmaxModel], table: ManifestTable,
+                  weights: dict[str, float]):
+    """Fused predictions for every record of a table, one forward per
+    stream: (argmax class index per record, ``(N, n)`` fused scores).
+    Row ``k`` agrees with ``predict_image`` on ``table[k]``; the sum is
+    ``fuse``'s, taken one stream at a time so that two score matrices are
+    held at most."""
+    _check_weights(weights, models)
+    fused = None
+    for stream, model in models.items():
+        P = forward(model, table.stream(stream))
+        P *= weights[stream]
+        if fused is None:
+            fused = P
+        else:
+            fused += P
+    return np.argmax(fused, axis=-1), fused
 
 
 def aggregate_parcels(assignments, predictions: dict[str, int]) -> list[ParcelPrediction]:

@@ -45,6 +45,10 @@ class GeoJSONParseError(ValueError):
     pass
 
 
+class JSONLinesError(ValueError):
+    pass
+
+
 class ParcelValidationError(ValueError):
     pass
 
@@ -239,7 +243,11 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
             if pid in seen:
                 raise ParcelValidationError(f"duplicate parcel id {pid!r}")
             seen.add(pid)
-            rings = tuple(tuple(tuple(v) for v in ring) for ring in rings)
+            rings = tuple(tuple(map(tuple, ring)) for ring in rings)
+            bad = next((v for ring in rings for v in ring if len(v) != 2), None)
+            if bad is not None:
+                raise GeoJSONParseError(
+                    f"feature {fid}: position {list(bad)} is not [lon, lat]")
             parcels.append(Parcel(id=pid, rings=rings, truth=truth))
     return parcels
 
@@ -390,13 +398,24 @@ def assignments_to_jsonl(assignments) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def assignments_from_jsonl(text: str) -> list[Assignment]:
-    by_image: dict[str, dict[str, str]] = {}
-    order: list[str] = []
-    for line in text.splitlines():
+def iter_jsonl(text: str, source):
+    """(line number, object) for each non-blank line of a JSON-lines text;
+    a line that is not JSON, a cut last line say, raises ``JSONLinesError``
+    naming ``source`` and the line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise JSONLinesError(f"{source}:{lineno}: bad JSON: {e.msg}") from None
+        yield lineno, obj
+
+
+def assignments_from_jsonl(text: str, source="assignments") -> list[Assignment]:
+    by_image: dict[str, dict[str, str]] = {}
+    order: list[str] = []
+    for _lineno, obj in iter_jsonl(text, source):
         if "image" not in obj:
             continue  # provenance header line
         if obj["image"] not in by_image:

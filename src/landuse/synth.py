@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DOMAIN_A, DOMAIN_B, ImageRecord
+from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
 from .geodata import METERS_PER_DEGREE
 from .taxonomy import Taxonomy
 
@@ -34,19 +34,25 @@ def _flip_labels(rng, labels: np.ndarray, n_classes: int,
     return labels
 
 
+def _table(prefix, labels, features, mixed_domains) -> ManifestTable:
+    """Records ``<prefix>000000``, ... without geotags; with
+    ``mixed_domains`` every odd record is domain B."""
+    n = len(labels)
+    return ManifestTable(
+        ids=tuple(f"{prefix}{i:06d}" for i in range(n)),
+        domain=np.array([DOMAIN_B if (mixed_domains and i % 2) else DOMAIN_A
+                         for i in range(n)]),
+        label=np.asarray(labels, dtype=np.intp), features=features,
+        lon=np.zeros(n), lat=np.zeros(n), has_geo=np.zeros(n, dtype=bool))
+
+
 def _sample_blob(rng, means, n_classes, n_records, spread, feature_scale,
                  noise_rate, stream, mixed_domains, id_prefix):
     true = np.arange(n_records) % n_classes
     X = means[true] + spread * rng.normal(size=(n_records, means.shape[1]))
     X *= feature_scale
     labels = _flip_labels(rng, true, n_classes, noise_rate)
-    records = []
-    for i in range(n_records):
-        domain = DOMAIN_B if (mixed_domains and i % 2) else DOMAIN_A
-        records.append(ImageRecord(
-            id=f"{id_prefix}{i:06d}", domain=domain,
-            features={stream: X[i]}, label=int(labels[i])))
-    return records
+    return _table(id_prefix, labels, {stream: X}, mixed_domains)
 
 
 def blob_split(n_classes: int, n_train: int, n_val: int, dim: int, *,
@@ -96,11 +102,7 @@ def noisy_web_split(n_classes: int, n_train: int, n_val: int, dim: int, *,
         X = (gain[:, None] * means[true]
              + spread[:, None] * rng.normal(size=(n, dim))) * feature_scale
         labels = _flip_labels(rng, true, n_classes, noise)
-        return [ImageRecord(
-            id=f"{prefix}{i:06d}",
-            domain=DOMAIN_B if (mixed_domains and i % 2) else DOMAIN_A,
-            features={stream: X[i]}, label=int(labels[i]))
-            for i in range(n)]
+        return _table(prefix, labels, {stream: X}, mixed_domains)
 
     train = sample(n_train, noise_rate, "train", cores_only=False)
     val = sample(n_val, 0.0, "val", cores_only=True)
@@ -130,15 +132,9 @@ def complementary_stream_split(n_classes: int, n_train: int, n_val: int,
 
     def sample(n, prefix):
         true = np.arange(n) % n_classes
-        records = []
         feats = {s: means[s][true] + spread * rng.normal(size=(n, dim))
                  for s in streams}
-        for i in range(n):
-            records.append(ImageRecord(
-                id=f"{prefix}{i:06d}", domain=DOMAIN_A,
-                features={s: feats[s][i] for s in streams},
-                label=int(true[i])))
-        return records
+        return _table(prefix, true, feats, mixed_domains=False)
 
     return sample(n_train, "train"), sample(n_val, "val")
 

@@ -8,7 +8,7 @@ from a plain-text file (see :func:`Taxonomy.from_text`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -124,6 +124,7 @@ class Taxonomy:
     top_classes: tuple[str, ...]
     fine_to_middle: tuple[int, ...]
     middle_to_top: tuple[int, ...]
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for names, label in ((self.fine_classes, "fine"),
@@ -141,6 +142,9 @@ class Taxonomy:
         for j in self.middle_to_top:
             if not 0 <= j < len(self.top_classes):
                 raise TaxonomyError(f"middle_to_top target {j} out of range")
+        object.__setattr__(self, "_index", {
+            level: {name: i for i, name in enumerate(self.classes(level))}
+            for level in Level})
 
     # -- lookups ---------------------------------------------------------
 
@@ -155,8 +159,8 @@ class Taxonomy:
     def index(self, name: str, level: Level = Level.FINE) -> int:
         """Case-sensitive exact-name lookup. Unknown names raise."""
         try:
-            return self.classes(level).index(name)
-        except ValueError:
+            return self._index[level][name]
+        except KeyError:
             raise TaxonomyError(
                 f"unknown {level.value} class name: {name!r}") from None
 

@@ -4,19 +4,25 @@ These deliberately use different algorithms than the library code: the
 containment oracle accumulates a winding number edge by edge instead of
 counting ray crossings, the assignment oracle tests every image against
 every parcel instead of prefiltering by bounding box, the ring oracle tests
-every pair of edges instead of sweeping over their boxes, and the gradient
+every pair of edges instead of sweeping over their boxes, the manifest
+oracle checks and keeps one record at a time instead of filling matrices,
+the batch oracle shuffles records instead of indices, and the gradient
 oracle differentiates the loss numerically. Keep them slow and obvious: an
 oracle that shares the library's shortcut would share its bugs too.
 """
 
+import json
 import math
 import random
+import struct
+from pathlib import Path
 
 import numpy as np
 
 from landuse.classifier import loss_grad
-from landuse.geodata import (Parcel, _segments_cross, boundary_distance_m,
-                             contains)
+from landuse.dataset import DOMAIN_A, DOMAIN_B, ImageRecord, ManifestError
+from landuse.geodata import (GeoPoint, Parcel, _segments_cross,
+                             boundary_distance_m, contains)
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +163,147 @@ def random_parcel(rng: random.Random, index: int) -> Parcel:
 
 
 # ---------------------------------------------------------------------------
+# manifests one record at a time
+
+
+def _oracle_sidecar(path) -> dict[str, np.ndarray]:
+    data = Path(path).read_bytes()
+    if data[:5] != b"LUFV1":
+        raise ManifestError(
+            f"{path}: bad magic {data[:5]!r}, expected {b'LUFV1'!r}")
+    count, d = struct.unpack_from("<II", data, 5)
+    pos, out = 13, {}
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", data, pos)
+        rid = data[pos + 4:pos + 4 + n].decode("utf-8")
+        pos += 4 + n
+        out[rid] = np.frombuffer(data, "<f4", d, pos).astype(np.float64)
+        pos += 4 * d
+    return out
+
+
+def oracle_load_manifest(path, taxonomy=None) -> list[ImageRecord]:
+    """The manifest as ``ImageRecord``s, each record checked in full before
+    the next is read, so the first error met names the first bad record.
+
+    Within a record: a repeated id, the domain, its features (sidecar ids),
+    that it has any, that it carries the first record's streams, then per
+    stream a vector, finite and of the first record's dimension, then the
+    label, then the coordinates. A stream the first record lacks is
+    reported for the first record.
+    """
+    path = Path(path)
+    sidecars, records, dims, seen = {}, [], {}, set()
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ManifestError(f"{path}:{lineno}: bad JSON: {e.msg}") from None
+            if "id" not in obj:
+                continue
+            rid = str(obj["id"])
+            if rid in seen:
+                raise ManifestError(f"{path}:{lineno}: repeated record id {rid}")
+            seen.add(rid)
+            domain = obj.get("domain", DOMAIN_A)
+            if domain not in (DOMAIN_A, DOMAIN_B):
+                raise ManifestError(f"record {rid}: unknown domain {domain!r}")
+            features = {}
+            for stream, vec in (obj.get("features") or {}).items():
+                features[stream] = np.asarray(vec, dtype=np.float64)
+            for stream, ref in (obj.get("features_ref") or {}).items():
+                refpath = str(path.parent / ref)
+                if refpath not in sidecars:
+                    sidecars[refpath] = _oracle_sidecar(refpath)
+                if rid not in sidecars[refpath]:
+                    raise ManifestError(
+                        f"record {rid}: not found in feature file {ref}")
+                features[stream] = sidecars[refpath][rid]
+            if not features:
+                raise ManifestError(f"record {rid}: no features")
+            if records:
+                first = records[0]
+                for stream in first.features:
+                    if stream not in features:
+                        raise ManifestError(f"record {rid}: missing features"
+                                            f" for stream {stream!r}")
+                for stream in features:
+                    if stream not in first.features:
+                        raise ManifestError(f"record {first.id}: missing"
+                                            f" features for stream {stream!r}")
+            for stream, vec in features.items():
+                if vec.ndim != 1:
+                    raise ManifestError(f"record {rid}: stream {stream} not a vector")
+                if not np.all(np.isfinite(vec)):
+                    raise ManifestError(
+                        f"record {rid}: non-finite value in stream {stream}")
+                dims.setdefault(stream, len(vec))
+                if dims[stream] != len(vec):
+                    raise ManifestError(
+                        f"record {rid}: stream {stream} has dimension {len(vec)},"
+                        f" expected {dims[stream]}")
+            label = obj.get("label")
+            if isinstance(label, str):
+                if taxonomy is None:
+                    raise ManifestError(
+                        f"record {rid}: string label {label!r} needs a taxonomy")
+                label = taxonomy.index(label)
+            if label is not None and taxonomy is not None:
+                if not 0 <= label < len(taxonomy.fine_classes):
+                    raise ManifestError(f"record {rid}: label {label} out of range")
+            geo = None
+            if "lon" in obj and "lat" in obj:
+                try:
+                    geo = GeoPoint(lon=obj["lon"], lat=obj["lat"])
+                except (ValueError, TypeError):
+                    raise ManifestError(f"record {rid}: bad coordinates"
+                                        f" ({obj['lon']!r}, {obj['lat']!r})") from None
+            records.append(ImageRecord(
+                id=rid, domain=domain, features=features, geo=geo, label=label))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# stratified batches of records
+
+
+def oracle_stratified_batches(records, batch_size, domain_ratio, seed):
+    """Batches as tuples of records: per-domain pools of records, each
+    reshuffled from a copy whenever it runs short, A before B in a batch."""
+    n_a = int(round(batch_size * domain_ratio))
+    n_b = batch_size - n_a
+    pools = {DOMAIN_A: [r for r in records if r.domain == DOMAIN_A],
+             DOMAIN_B: [r for r in records if r.domain == DOMAIN_B]}
+    n_batches = max(len(pools[DOMAIN_A]) // n_a if n_a else 0,
+                    len(pools[DOMAIN_B]) // n_b if n_b else 0)
+    rng = random.Random(seed)
+    queues = {DOMAIN_A: [], DOMAIN_B: []}
+
+    def draw(domain, k):
+        while len(queues[domain]) < k:
+            fresh = pools[domain][:]
+            rng.shuffle(fresh)
+            queues[domain].extend(fresh)
+        take, queues[domain] = queues[domain][:k], queues[domain][k:]
+        return take
+
+    return [tuple((draw(DOMAIN_A, n_a) if n_a else [])
+                  + (draw(DOMAIN_B, n_b) if n_b else []))
+            for _ in range(n_batches)]
+
+
+# ---------------------------------------------------------------------------
 # numerical gradients
 
 
-def finite_difference_grads(model, batch, weights, step=1e-6):
+def finite_difference_grads(model, X, y, weights, step=1e-6):
     """Central-difference gradients of the batch loss in every parameter."""
 
     def loss_at():
-        return loss_grad(model, batch, weights)[0]
+        return loss_grad(model, X, y, weights)[0]
 
     gW = np.zeros_like(model.W)
     for i in range(model.n):

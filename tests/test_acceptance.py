@@ -19,7 +19,6 @@ from landuse.classifier import (Schedule, SoftmaxModel, accuracy,
                                 forward, init_model, load_model, loss_grad,
                                 save_model, train)
 from landuse.cli import main as cli_main
-from landuse.dataset import Batch, ImageRecord
 from landuse.evaluation import image_accuracy, mapping_metrics
 from landuse.fusion_mapping import equal_weights, fuse, predict_image
 from landuse.geodata import (GeoPoint, Parcel, assign, contains,
@@ -74,17 +73,13 @@ def test_criterion_2_gradients_match_finite_differences():
             n = rng.randint(2, 6)
             d = rng.randint(1, 8)
             size = rng.randint(2, 10)
-            records = tuple(
-                ImageRecord(id=f"r{i}", domain="A",
-                            features={"object": nprng.standard_normal(d)},
-                            label=rng.randrange(n))
-                for i in range(size))
-            batch = Batch(records=records)
+            X = np.array([nprng.standard_normal(d) for _ in range(size)])
+            y = np.array([rng.randrange(n) for _ in range(size)])
             model = SoftmaxModel(W=nprng.standard_normal((n, d)),
                                  b=nprng.standard_normal(n), stream="object")
             weights = np.abs(nprng.standard_normal(size)) + 1e-3
-            _, gW, gb = loss_grad(model, batch, weights)
-            fW, fb = finite_difference_grads(model, batch, weights, step=1e-6)
+            _, gW, gb = loss_grad(model, X, y, weights)
+            fW, fb = finite_difference_grads(model, X, y, weights, step=1e-6)
             analytic = np.concatenate([gW.ravel(), gb])
             numeric = np.concatenate([fW.ravel(), fb])
             scale = max(float(np.linalg.norm(numeric)), 1e-8)

@@ -8,22 +8,26 @@ import pytest
 from _oracles import finite_difference_grads
 from landuse.classifier import (MODEL_MAGIC, ModelIOError, Schedule,
                                 SoftmaxModel, accuracy, forward, init_model,
-                                load_model, loss_grad, save_model,
-                                stream_matrix, train)
-from landuse.dataset import Batch, ImageRecord
+                                load_model, loss_grad, save_model, train)
+from landuse.dataset import ManifestTable
 from landuse.synth import blob_split
 
 
-def record(i, vec, label=0, domain="A", stream="object"):
-    return ImageRecord(id=f"r{i}", domain=domain,
-                       features={stream: np.asarray(vec, float)}, label=label)
+def table(rows, labels, stream="object"):
+    """Domain-A records r0, r1, ... without geotags."""
+    n = len(rows)
+    return ManifestTable(
+        ids=tuple(f"r{i}" for i in range(n)), domain=np.array(["A"] * n),
+        label=np.array(labels, dtype=np.intp),
+        features={stream: np.array(rows, dtype=float)},
+        lon=np.zeros(n), lat=np.zeros(n), has_geo=np.zeros(n, dtype=bool))
 
 
-def random_batch(rng, n, d, size, stream="object"):
+def random_batch(rng, n, d, size):
+    """(X, y) of ``size`` random rows of dimension ``d`` and ``n`` classes."""
     nprng = np.random.default_rng(rng.randrange(2 ** 32))
-    recs = tuple(record(i, nprng.standard_normal(d), label=rng.randrange(n))
-                 for i in range(size))
-    return Batch(records=recs)
+    return (nprng.standard_normal((size, d)),
+            np.array([rng.randrange(n) for _ in range(size)]))
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +89,24 @@ def test_forward_matrix_rows_match_vectors():
         np.testing.assert_allclose(forward(m, x), p, rtol=1e-12, atol=1e-15)
 
 
-def test_stream_matrix_rows_and_missing_stream():
-    recs = [record(0, [1.0, 2.0]), record(1, [3.0, 4.0])]
-    X = stream_matrix(recs, "object")
-    assert X.dtype == np.float64
+def test_table_stream_and_missing_stream():
+    t = table([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+    X = t.stream("object")
+    assert X.dtype == np.float64 and X.flags.c_contiguous
     np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError,
-                       match="record r1: missing features for stream 'scene'"):
-        stream_matrix([record(0, [1.0], stream="scene"), recs[1]], "scene")
+                       match="record r0: missing features for stream 'scene'"):
+        t.stream("scene")
+    with pytest.raises(ValueError,
+                       match="record r0: missing features for stream 'scene'"):
+        train(init_model(2, 2, "scene"), t, Schedule(batch_size=2))
 
 
 def test_accuracy_counts_argmax_hits():
     m = SoftmaxModel(W=np.array([[1.0], [-1.0]]), b=np.zeros(2),
                      stream="object")
-    recs = [record(0, [1.0], label=0), record(1, [-1.0], label=1),
-            record(2, [2.0], label=1), record(3, [-2.0], label=None)]
-    assert accuracy(m, recs) == 0.5
+    t = table([[1.0], [-1.0], [2.0], [-2.0]], [0, 1, 1, -1])
+    assert accuracy(m, t) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -108,50 +114,59 @@ def test_accuracy_counts_argmax_hits():
 
 
 def test_zero_weights_zero_everything():
-    b = Batch(records=(record(0, [1.0, 2.0]), record(1, [0.0, 1.0], label=1)))
     m = init_model(2, 2, "object")
-    loss, gW, gb = loss_grad(m, b, [0.0, 0.0])
+    loss, gW, gb = loss_grad(m, [[1.0, 2.0], [0.0, 1.0]], [0, 1], [0.0, 0.0])
     assert loss == 0.0
     assert not gW.any() and not gb.any()
 
 
 def test_zero_model_loss_is_log_n():
-    b = random_batch(random.Random(4), 7, 5, 12)
+    X, y = random_batch(random.Random(4), 7, 5, 12)
     m = init_model(7, 5, "object")
-    loss, _, _ = loss_grad(m, b, np.ones(12))
+    loss, _, _ = loss_grad(m, X, y, np.ones(12))
     assert loss == pytest.approx(math.log(7), abs=1e-12)
 
 
 def test_weight_scale_invariance():
     rng = random.Random(11)
-    b = random_batch(rng, 4, 6, 10)
+    X, y = random_batch(rng, 4, 6, 10)
     m = SoftmaxModel(W=np.random.default_rng(1).standard_normal((4, 6)),
                      b=np.zeros(4), stream="object")
     w = np.abs(np.random.default_rng(2).standard_normal(10))
-    l1, gW1, gb1 = loss_grad(m, b, w)
-    l2, gW2, gb2 = loss_grad(m, b, 3.5 * w)
+    l1, gW1, gb1 = loss_grad(m, X, y, w)
+    l2, gW2, gb2 = loss_grad(m, X, y, 3.5 * w)
     assert l1 == pytest.approx(l2, rel=1e-12)
     np.testing.assert_allclose(gW1, gW2, rtol=1e-12)
     np.testing.assert_allclose(gb1, gb2, rtol=1e-12)
 
 
 def test_unlabeled_record_rejected():
-    r = ImageRecord(id="u", domain="A", features={"object": np.zeros(2)})
     m = init_model(2, 2, "object")
     with pytest.raises(ValueError, match="unlabeled"):
-        loss_grad(m, Batch(records=(r,)), [1.0])
-
-
-def test_missing_stream_rejected():
-    m = init_model(2, 2, "scene")
-    with pytest.raises(ValueError, match="scene"):
-        loss_grad(m, Batch(records=(record(0, [0.0, 0.0]),)), [1.0])
+        loss_grad(m, np.zeros((1, 2)), [-1], [1.0])
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        loss_grad(m, np.zeros((1, 2)), [2], [1.0])
+    t = table([[0.0, 0.0], [1.0, 1.0]], [0, -1])
+    with pytest.raises(ValueError, match="unlabeled record"):
+        train(m, t, Schedule(batch_size=2, domain_ratio=1.0))
 
 
 def test_negative_weight_rejected():
     m = init_model(2, 2, "object")
     with pytest.raises(ValueError):
-        loss_grad(m, Batch(records=(record(0, [0.0, 0.0]),)), [-1.0])
+        loss_grad(m, np.zeros((1, 2)), [0], [-1.0])
+
+
+def test_precomputed_scores_give_the_same_step():
+    X, y = random_batch(random.Random(12), 4, 3, 9)
+    m = SoftmaxModel(W=np.random.default_rng(3).standard_normal((4, 3)),
+                     b=np.zeros(4), stream="object")
+    w = np.linspace(0.0, 1.0, 9)
+    plain = loss_grad(m, X, y, w)
+    given = loss_grad(m, X, y, w, forward(m, X))
+    assert plain[0] == given[0]
+    np.testing.assert_array_equal(plain[1], given[1])
+    np.testing.assert_array_equal(plain[2], given[2])
 
 
 def test_gradients_match_finite_differences():
@@ -159,12 +174,12 @@ def test_gradients_match_finite_differences():
     nprng = np.random.default_rng(123)
     for _ in range(5):
         n, d, size = rng.randint(2, 5), rng.randint(1, 6), rng.randint(2, 8)
-        batch = random_batch(rng, n, d, size)
+        X, y = random_batch(rng, n, d, size)
         m = SoftmaxModel(W=nprng.standard_normal((n, d)),
                          b=nprng.standard_normal(n), stream="object")
         w = np.abs(nprng.standard_normal(size)) + 0.01
-        _, gW, gb = loss_grad(m, batch, w)
-        fW, fb = finite_difference_grads(m, batch, w)
+        _, gW, gb = loss_grad(m, X, y, w)
+        fW, fb = finite_difference_grads(m, X, y, w)
         np.testing.assert_allclose(gW, fW, atol=1e-7)
         np.testing.assert_allclose(gb, fb, atol=1e-7)
 
@@ -207,10 +222,10 @@ def test_loss_non_increasing_full_batch():
     sched = Schedule(total_epochs=8, batch_size=90, seed=0, initial_lr=0.05,
                      domain_ratio=1.0)
     m = init_model(3, 6, "object")
-    batch = Batch(records=tuple(train_set))
+    X, y = train_set.stream("object"), train_set.label
     losses = []
     for epoch in range(sched.total_epochs):
-        loss, gW, gb = loss_grad(m, batch, np.ones(batch.size))
+        loss, gW, gb = loss_grad(m, X, y, np.ones(len(y)))
         losses.append(loss)
         m.W -= sched.lr_at(epoch) * gW
         m.b -= sched.lr_at(epoch) * gb
@@ -218,7 +233,7 @@ def test_loss_non_increasing_full_batch():
 
 
 def test_accuracy_empty_is_zero():
-    assert accuracy(init_model(2, 2, "object"), []) == 0.0
+    assert accuracy(init_model(2, 2, "object"), table(np.zeros((0, 2)), [])) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -259,3 +259,33 @@ def test_malformed_fusion_weights(spec, bad):
         p.fusion_weights()
     ok = Pipeline({"seed": "1", "fusion.weights": "object:0.25, scene:0.75"})
     assert ok.fusion_weights() == {"object": 0.25, "scene": 0.75}
+
+
+def test_map_rejects_cut_or_repeated_predictions(tmp_path, capsys):
+    path = write_config(tmp_path)
+    run(path, "all")
+    preds = tmp_path / "out" / "predictions.jsonl"
+    lines = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+    preds.write_text("".join(lines[:-1]) + lines[-1][:-8], encoding="utf-8")
+    assert main(["map", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: JSONLinesError: {preds}:{len(lines)}: bad JSON:"
+        f" Unterminated string starting at\n")
+    preds.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+    image = json.loads(lines[1])["image"]
+    assert main(["eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: JSONLinesError: {preds}:{len(lines) + 1}: repeated image id"
+        f" {image}\n")
+
+
+def test_map_rejects_cut_assignments(tmp_path, capsys):
+    path = write_config(tmp_path)
+    run(path, "all")
+    assignments = tmp_path / "out" / "assignments.jsonl"
+    text = assignments.read_text(encoding="utf-8")
+    assignments.write_text(text[:-5], encoding="utf-8")
+    assert main(["map", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: JSONLinesError: {assignments}:"
+                          f"{text.count(chr(10))}: bad JSON")

@@ -1,19 +1,19 @@
 import json
+import random
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from _oracles import oracle_load_manifest, oracle_stratified_batches
 from landuse.dataset import (DOMAIN_A, DOMAIN_B, ImageRecord, ManifestError,
                              load_manifest, read_feature_file,
                              stratified_batches, write_feature_file)
 from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
-
-
-def rec(i, domain=DOMAIN_A, dim=4, label=0):
-    return ImageRecord(id=f"r{i}", domain=domain,
-                       features={"object": np.zeros(dim)}, label=label)
 
 
 def write_lines(path, rows):
@@ -84,10 +84,10 @@ def test_feature_file_round_trip(tmp_path):
     vectors = {f"id{i}": np.arange(6, dtype=np.float64) + i for i in range(5)}
     path = tmp_path / "f.lufv"
     write_feature_file(path, vectors)
-    again = read_feature_file(path)
-    assert set(again) == set(vectors)
-    for k in vectors:
-        np.testing.assert_allclose(again[k], vectors[k], atol=1e-6)
+    ids, X = read_feature_file(path)
+    assert ids == list(vectors)
+    assert X.dtype == np.float64 and X.flags.c_contiguous
+    np.testing.assert_allclose(X, np.array(list(vectors.values())), atol=1e-6)
 
 
 def test_feature_file_bad_magic(tmp_path):
@@ -131,9 +131,9 @@ def test_sidecar_missing_id(tmp_path):
 # batching
 
 
-def mixed_pool(n_a, n_b, dim=4):
-    return ([rec(i, DOMAIN_A, dim) for i in range(n_a)]
-            + [rec(1000 + i, DOMAIN_B, dim) for i in range(n_b)])
+def mixed_pool(n_a, n_b):
+    """Domains of ``n_a`` domain-A then ``n_b`` domain-B records."""
+    return np.array([DOMAIN_A] * n_a + [DOMAIN_B] * n_b)
 
 
 def test_ratio_half_256():
@@ -141,19 +141,18 @@ def test_ratio_half_256():
     batches = stratified_batches(pool, 256, 0.5, seed=0)
     assert batches
     for b in batches:
-        assert b.size == 256
-        assert sum(r.domain == DOMAIN_A for r in b.records) == 128
-        assert sum(r.domain == DOMAIN_B for r in b.records) == 128
+        assert b.shape == (256,) and b.dtype == np.intp
+        assert sum(pool[b] == DOMAIN_A) == 128
+        assert sum(pool[b] == DOMAIN_B) == 128
 
 
 def test_ratio_one_is_single_domain():
     pool = mixed_pool(100, 0)
     batches = stratified_batches(pool, 10, 1.0, seed=1)
     assert len(batches) == 10
-    assert all(r.domain != DOMAIN_B for b in batches for r in b.records)
+    assert all(pool[b].tolist() == [DOMAIN_A] * 10 for b in batches)
     # drop-last epoch covers every domain-A record exactly once
-    ids = [r.id for b in batches for r in b.records]
-    assert sorted(ids) == sorted(r.id for r in pool)
+    assert sorted(np.concatenate(batches).tolist()) == list(range(100))
 
 
 def test_shorter_domain_recycles():
@@ -161,23 +160,21 @@ def test_shorter_domain_recycles():
     batches = stratified_batches(pool, 10, 0.5, seed=2)
     assert len(batches) == 100 // 5
     for b in batches:
-        assert sum(r.domain == DOMAIN_B for r in b.records) == 5
+        assert sum(pool[b] == DOMAIN_B) == 5
 
 
 def test_same_seed_identical():
     pool = mixed_pool(80, 80)
     a = stratified_batches(pool, 16, 0.5, seed=9)
     b = stratified_batches(pool, 16, 0.5, seed=9)
-    assert [[r.id for r in batch.records] for batch in a] == \
-        [[r.id for r in batch.records] for batch in b]
+    assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
 
 def test_different_seeds_differ():
     pool = mixed_pool(120, 120)
     a = stratified_batches(pool, 16, 0.5, seed=1)
     b = stratified_batches(pool, 16, 0.5, seed=2)
-    assert [[r.id for r in batch.records] for batch in a] != \
-        [[r.id for r in batch.records] for batch in b]
+    assert [x.tolist() for x in a] != [x.tolist() for x in b]
 
 
 def test_missing_required_domain():
@@ -198,3 +195,268 @@ def test_bad_batch_args():
         stratified_batches(pool, 1, 0.5, seed=0)
     with pytest.raises(ValueError):
         stratified_batches(pool, 10, 1.5, seed=0)
+
+
+def test_repeated_record_id_rejected(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_lines(path, [manifest_row(0), manifest_row(1), manifest_row(0)])
+    with pytest.raises(ManifestError,
+                       match=rf"^{re.escape(str(path))}:3: repeated record id r0$"):
+        load_manifest(path, TAX)
+
+
+def test_record_lacking_a_stream_rejected_at_load(tmp_path):
+    path = tmp_path / "m.jsonl"
+    rows = [manifest_row(i) for i in range(3)]
+    for row in rows:
+        row["features"]["scene"] = [0.5, 0.5]
+    del rows[2]["features"]["scene"]
+    write_lines(path, rows)
+    with pytest.raises(ManifestError,
+                       match="record r2: missing features for stream 'scene'"):
+        load_manifest(path, TAX)
+    # a stream the first record lacks is missing from the first record
+    rows = [manifest_row(i) for i in range(3)]
+    rows[1]["features"]["scene"] = [0.5, 0.5]
+    write_lines(path, rows)
+    with pytest.raises(ManifestError,
+                       match="record r0: missing features for stream 'scene'"):
+        load_manifest(path, TAX)
+
+
+@pytest.mark.parametrize("lon,lat", [(200.0, 1.0), (1.0, -91.0), ("east", 1.0)])
+def test_bad_coordinates_rejected(tmp_path, lon, lat):
+    path = tmp_path / "m.jsonl"
+    row = manifest_row(0)
+    row["lon"], row["lat"] = lon, lat
+    write_lines(path, [row])
+    with pytest.raises(ManifestError, match="record r0: bad coordinates"):
+        load_manifest(path, TAX)
+
+
+def test_table_columns(tmp_path):
+    path = tmp_path / "m.jsonl"
+    rows = [manifest_row(i, domain="AB"[i % 2]) for i in range(3)]
+    rows[1]["lon"], rows[1]["lat"] = 10.0, 20.0
+    del rows[2]["label"]
+    write_lines(path, [{"provenance": {}}] + rows + [{}])
+    t = load_manifest(path, TAX)
+    assert t.ids == ("r0", "r1", "r2")
+    assert t.domain.tolist() == ["A", "B", "A"]
+    r = TAX.index("restaurant")
+    assert t.label.tolist() == [r, r, -1]
+    assert t.has_geo.tolist() == [False, True, False]
+    assert (t.lon[1], t.lat[1]) == (10.0, 20.0)
+    X = t.stream("object")
+    assert X.shape == (3, 4) and X.flags.c_contiguous and X.dtype == np.float64
+    assert t[2].label is None and t[1].geo.lon == 10.0 and t[0].domain == "A"
+
+
+@pytest.mark.parametrize("first", ["object", "scene"])
+def test_first_non_finite_record_named_whatever_its_stream(tmp_path, first):
+    later = {"object": "scene", "scene": "object"}[first]
+    rows = [{"id": f"r{i}", "features": {"object": [1.0, 2.0], "scene": [3.0]}}
+            for i in range(4)]
+    rows[1]["features"][first][0] = float("nan")
+    rows[2]["features"][later][0] = float("inf")
+    path = tmp_path / "m.jsonl"
+    write_lines(path, rows)
+    with pytest.raises(ManifestError,
+                       match=f"^record r1: non-finite value in stream {first}$"):
+        load_manifest(path, TAX)
+    # an earlier non-finite value is met before a later record's fault
+    rows[3]["domain"] = "C"
+    write_lines(path, rows)
+    with pytest.raises(ManifestError, match="^record r1: non-finite"):
+        load_manifest(path, TAX)
+    del rows[3]["domain"]
+    rows[3]["features_ref"] = {"depth": "broken.lufv"}
+    (tmp_path / "broken.lufv").write_bytes(b"LUFV0")
+    write_lines(path, rows)
+    with pytest.raises(ManifestError, match="^record r1: non-finite"):
+        load_manifest(path, TAX)
+
+
+def test_feature_file_header_beyond_file_size(tmp_path):
+    path = tmp_path / "f.lufv"
+    path.write_bytes(b"LUFV1" + struct.pack("<II", 2 ** 32 - 1, 2 ** 20))
+    with pytest.raises(ManifestError, match="truncated"):
+        read_feature_file(path)
+
+
+# ---------------------------------------------------------------------------
+# the table against the one-record-at-a-time oracle
+
+STREAM_DIMS = {"object": 3, "scene": 2}
+FAULTS = ("nan", "inf", "short", "long", "no_stream", "domain", "repeat",
+          "unknown_label", "label_range", "not_in_sidecar", "broken_sidecar")
+
+
+@st.composite
+def manifests(draw):
+    """(rows, sidecar mode) for a manifest of 1-8 records; a record has up
+    to two faults, in one stream or in two."""
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(("inline", "sidecar", "mixed")))
+    rows = []
+    for i in range(n):
+        row = {"id": f"r{i}"}
+        if draw(st.booleans()):
+            row["domain"] = draw(st.sampled_from("AB"))
+        label = draw(st.sampled_from(("name", "int", "none")))
+        if label == "name":
+            row["label"] = draw(st.sampled_from(TAX.fine_classes[:5]))
+        elif label == "int":
+            row["label"] = draw(st.integers(0, 44))
+        if draw(st.booleans()):
+            row["lon"] = draw(st.floats(-180, 180))
+            row["lat"] = draw(st.floats(-90, 90))
+        row["vectors"] = {
+            s: draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=d,
+                             max_size=d))
+            for s, d in STREAM_DIMS.items()}
+        faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2)
+                      if draw(st.booleans()) else st.just([]))
+        for fault in faults:
+            add_fault(draw, row, i, fault,
+                      draw(st.sampled_from(tuple(STREAM_DIMS))))
+        rows.append(row)
+    return rows, mode
+
+
+def add_fault(draw, row, i, fault, stream):
+    vec = row["vectors"].get(stream)
+    if vec is None:  # already dropped
+        return
+    if fault in ("nan", "inf"):
+        vec[draw(st.integers(0, len(vec) - 1))] = float(fault)
+    elif fault == "short":
+        vec.pop()
+    elif fault == "long":
+        vec.append(1.0)
+    elif fault == "no_stream":
+        del row["vectors"][stream]
+    elif fault == "domain":
+        row["domain"] = "C"
+    elif fault == "repeat" and i:
+        row["id"] = f"r{draw(st.integers(0, i - 1))}"
+    elif fault == "unknown_label":
+        row["label"] = "no_such_class"
+    elif fault == "label_range":
+        row["label"] = draw(st.sampled_from((-1, 45)))
+    elif fault in ("not_in_sidecar", "broken_sidecar"):
+        row[fault] = stream
+
+
+def write_manifest(tmp_path, rows, mode):
+    """Write ``rows`` inline or through one LUFV1 file per stream and
+    dimension; return the manifest path."""
+    sidecars: dict[tuple[str, int], dict[str, list]] = {}
+    lines = [{"provenance": {"seed": 1}}]
+    for row in rows:
+        line = {k: v for k, v in row.items()
+                if k not in ("vectors", "not_in_sidecar", "broken_sidecar")}
+        for s, vec in row["vectors"].items():
+            if mode == "inline" or (mode == "mixed" and s == "object"):
+                line.setdefault("features", {})[s] = vec
+                continue
+            if row.get("broken_sidecar") == s:
+                line.setdefault("features_ref", {})[s] = "broken.lufv"
+                continue
+            name = f"{s}_{len(vec)}.lufv"
+            if row.get("not_in_sidecar") != s:
+                sidecars.setdefault((name, len(vec)), {})[row["id"]] = vec
+            sidecars.setdefault((name, len(vec)), {})
+            line.setdefault("features_ref", {})[s] = name
+        lines.append(line)
+    for (name, d), vectors in sidecars.items():
+        path = tmp_path / name
+        if vectors:
+            write_feature_file(path, vectors)
+        else:
+            path.write_bytes(b"LUFV1" + struct.pack("<II", 0, d))
+    (tmp_path / "broken.lufv").write_bytes(b"LUFV0" + bytes(8))
+    path = tmp_path / "m.jsonl"
+    write_lines(path, lines)
+    return path
+
+
+def outcome(load, path):
+    try:
+        return load(path, TAX), None
+    except ValueError as e:
+        return None, (type(e), str(e))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifests())
+def test_table_matches_oracle(tmp_path_factory, case):
+    rows, mode = case
+    path = write_manifest(tmp_path_factory.mktemp("m"), rows, mode)
+    records, want = outcome(oracle_load_manifest, path)
+    table, got = outcome(load_manifest, path)
+    assert got == want
+    if want is not None:
+        return
+    assert table.ids == tuple(r.id for r in records)
+    assert table.domain.tolist() == [r.domain for r in records]
+    assert table.label.tolist() == [-1 if r.label is None else r.label
+                                    for r in records]
+    assert table.has_geo.tolist() == [r.geo is not None for r in records]
+    for k, r in enumerate(records):
+        if r.geo is not None:
+            assert (table.lon[k], table.lat[k]) == (r.geo.lon, r.geo.lat)
+    assert list(table.features) == list(records[0].features)
+    for s, X in table.features.items():
+        assert X.flags.c_contiguous and X.dtype == np.float64
+        np.testing.assert_array_equal(X, [r.features[s] for r in records])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([{"id": "a", "features": {"o": 3.0}}], "record a: stream o not a vector"),
+    ([{"id": "a", "features": {"o": [1.0, 2.0]}},
+      {"id": "b", "features": {"o": [[1.0], [2.0]]}}],
+     "record b: stream o not a vector"),
+    ([{"id": "a", "features": {"o": [1.0, 2.0]}},
+      {"id": "b", "features": {"o": [1.0]}}],
+     "record b: stream o has dimension 1, expected 2"),
+    ([{"id": "a", "features": {"o": [1.0, 2.0]}},
+      {"id": "b", "features": {"o": [NAN]}}],
+     "record b: non-finite value in stream o"),
+    ([{"id": "a", "features": {"o": [1.0], "s": [1.0]}},
+      {"id": "b", "features": {"o": [INF], "s": [1.0, 2.0]}}],
+     "record b: non-finite value in stream o"),
+    ([{"id": "a", "features": {"o": [1.0], "s": [1.0]}},
+      {"id": "b", "features": {"o": [1.0, 2.0], "s": [INF]}}],
+     "record b: stream o has dimension 2, expected 1"),
+    ([{"id": "a", "features": {"o": [1.0]}},
+      {"id": "b", "label": "no_such_class", "features": {"o": [NAN]}}],
+     "record b: non-finite value in stream o"),
+    ([{"id": "a", "label": 44, "features": {"o": [1.0]}},
+      {"id": "b", "label": 45, "features": {"o": [1.0]}}],
+     "record b: label 45 out of range"),
+])
+def test_first_fault_matches_oracle(tmp_path, rows, message):
+    path = tmp_path / "m.jsonl"
+    write_lines(path, rows)
+    assert outcome(oracle_load_manifest, path)[1] == (ManifestError, message)
+    assert outcome(load_manifest, path)[1] == (ManifestError, message)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11, 123])
+@pytest.mark.parametrize("n_a,n_b,size,ratio", [
+    (30, 30, 8, 0.5), (40, 9, 6, 0.5), (25, 0, 5, 1.0), (3, 50, 10, 0.3)])
+def test_batch_indices_match_oracle_record_batches(seed, n_a, n_b, size, ratio):
+    rng = random.Random(seed)
+    domains = [DOMAIN_A] * n_a + [DOMAIN_B] * n_b
+    rng.shuffle(domains)
+    records = [ImageRecord(id=f"r{k}", domain=d, features={})
+               for k, d in enumerate(domains)]
+    got = stratified_batches(domains, size, ratio, seed=seed)
+    want = oracle_stratified_batches(records, size, ratio, seed=seed)
+    assert [[records[k].id for k in idx] for idx in got] == \
+        [[r.id for r in batch] for batch in want]

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from landuse.classifier import SoftmaxModel, init_model
-from landuse.dataset import ImageRecord
+from landuse.dataset import ImageRecord, ManifestTable
 from landuse.fusion_mapping import (ParcelPrediction, aggregate_parcels,
                                     equal_weights, export_map, fuse,
-                                    predict_image)
+                                    predict_image, predict_table)
 from landuse.geodata import Assignment, Parcel, parse_parcels
 from landuse.taxonomy import Level, builtin_taxonomy
 
 TAX = builtin_taxonomy()
 EQ = equal_weights(["object", "scene"])
+
+
+def table(features, ids):
+    n = len(ids)
+    return ManifestTable(
+        ids=tuple(ids), domain=np.array(["B"] * n),
+        label=np.full(n, -1, dtype=np.intp), features=features,
+        lon=np.zeros(n), lat=np.zeros(n), has_geo=np.zeros(n, dtype=bool))
 
 
 def rec(features, rid="img"):
@@ -90,6 +98,50 @@ def test_predict_image_missing_stream():
               "scene": init_model(2, 2, "scene")}
     with pytest.raises(ValueError, match="scene"):
         predict_image(models, rec({"object": [0.0, 0.0]}, rid="x"), EQ)
+
+
+def test_fuse_matrices_row_by_row():
+    rng = np.random.default_rng(2)
+    a, b = rng.dirichlet(np.ones(5), size=7), rng.dirichlet(np.ones(5), size=7)
+    w = {"object": 0.3, "scene": 0.7}
+    out = fuse({"object": a, "scene": b}, w)
+    assert out.shape == (7, 5)
+    for k in range(7):
+        np.testing.assert_array_equal(
+            out[k], fuse({"object": a[k], "scene": b[k]}, w))
+    np.testing.assert_array_equal(a, fuse({"object": a, "scene": a}, EQ))
+
+
+def test_fuse_leaves_its_inputs_alone():
+    a = np.array([0.6, 0.4])
+    fuse({"object": a, "scene": a}, {"object": 0.25, "scene": 0.75})
+    np.testing.assert_array_equal(a, [0.6, 0.4])
+
+
+def test_predict_table_equals_predict_image_per_row():
+    rng = np.random.default_rng(4)
+    n, N = 6, 200
+    models = {s: SoftmaxModel(W=rng.standard_normal((n, d)),
+                              b=rng.standard_normal(n), stream=s)
+              for s, d in (("object", 5), ("scene", 3))}
+    t = table({"object": 3 * rng.standard_normal((N, 5)),
+               "scene": 3 * rng.standard_normal((N, 3))},
+              [f"i{k}" for k in range(N)])
+    weights = {"object": 0.4, "scene": 0.6}
+    preds, fused = predict_table(models, t, weights)
+    assert preds.shape == (N,) and fused.shape == (N, n)
+    for k in range(N):
+        pred, scores = predict_image(models, t[k], weights)
+        assert preds[k] == pred
+        np.testing.assert_allclose(fused[k], scores, rtol=1e-12, atol=1e-15)
+
+
+def test_predict_table_missing_stream():
+    models = {"object": init_model(2, 2, "object"),
+              "scene": init_model(2, 2, "scene")}
+    with pytest.raises(ValueError,
+                       match="record x: missing features for stream 'scene'"):
+        predict_table(models, table({"object": np.zeros((1, 2))}, ["x"]), EQ)
 
 
 # ---------------------------------------------------------------------------

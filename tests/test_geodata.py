@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (oracle_assign, oracle_contains, oracle_ring_crossing,
                       random_parcel, star_ring)
 from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
-                             GeoJSONParseError, GeoPoint, Parcel,
-                             ParcelValidationError, assign,
+                             GeoJSONParseError, GeoPoint, JSONLinesError,
+                             Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
@@ -32,6 +32,18 @@ def square_parcel(pid="S", side=1.0, x0=0.0, y0=0.0, truth=frozenset()):
 
 def feature_collection(features):
     return json.dumps({"type": "FeatureCollection", "features": features})
+
+
+@pytest.mark.parametrize("position", [[1.0, 0.0, 12.5], [1.0]])
+def test_position_that_is_not_lon_lat_rejected(position):
+    ring = [[0.0, 0.0], position, [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
+    doc = feature_collection([{
+        "type": "Feature", "id": "p1",
+        "geometry": {"type": "Polygon", "coordinates": [ring]}}])
+    with pytest.raises(GeoJSONParseError,
+                       match=re.escape(f"feature p1: position {position}"
+                                       " is not [lon, lat]")):
+        parse_parcels(doc, TAX)
 
 
 def test_parse_single_square():
@@ -480,3 +492,12 @@ def test_assign_matches_all_pairs_oracle(city):
     got = [(a.image_id, list(a.modes.items()))
            for a in assign(records, parcels, dilation_m)]
     assert got == oracle_assign(records, parcels, dilation_m)
+
+
+def test_assignments_cut_line_names_source_and_line():
+    text = assignments_to_jsonl(assign([("i1", GeoPoint(0.5, 0.5)),
+                                        ("i2", GeoPoint(0.2, 0.2))],
+                                       [square_parcel()]))
+    cut = '{"provenance": {}}\n' + text[:-10]
+    with pytest.raises(JSONLinesError, match=r"^out/assignments.jsonl:3: bad JSON"):
+        assignments_from_jsonl(cut, "out/assignments.jsonl")

@@ -55,6 +55,14 @@ def test_unknown_name_raises(tax):
         tax.index("notaclass")
 
 
+def test_index_inverts_classes_at_every_level(tax):
+    for level in Level:
+        names = tax.classes(level)
+        assert [tax.index(n, level) for n in names] == list(range(len(names)))
+    with pytest.raises(TaxonomyError, match="unknown middle class name: 'bank'"):
+        tax.index("bank", Level.MIDDLE)
+
+
 def test_index_out_of_range(tax):
     with pytest.raises(TaxonomyError):
         tax.name(45, Level.FINE)
