@@ -89,7 +89,7 @@ def test_forward_matrix_rows_match_vectors():
         np.testing.assert_allclose(forward(m, x), p, rtol=1e-12, atol=1e-15)
 
 
-def test_table_stream_and_missing_stream():
+def test_stream_matrix_rows_and_missing_stream():
     t = table([[1.0, 2.0], [3.0, 4.0]], [0, 1])
     X = t.stream("object")
     assert X.dtype == np.float64 and X.flags.c_contiguous
@@ -97,6 +97,10 @@ def test_table_stream_and_missing_stream():
     with pytest.raises(ValueError,
                        match="record r0: missing features for stream 'scene'"):
         t.stream("scene")
+
+
+def test_missing_stream_rejected():
+    t = table([[0.0, 0.0], [1.0, 1.0]], [0, 1])
     with pytest.raises(ValueError,
                        match="record r0: missing features for stream 'scene'"):
         train(init_model(2, 2, "scene"), t, Schedule(batch_size=2))
