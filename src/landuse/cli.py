@@ -27,7 +27,8 @@ from .evaluation import image_accuracy, mapping_metrics, per_class_report
 from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # noqa: F401
                              predict_image, predict_table)
 from .geodata import (GeoPoint, JSONLinesError, assign, assignments_from_jsonl,
-                      assignments_to_jsonl, iter_jsonl, parse_parcels)
+                      assignments_to_jsonl, iter_jsonl, jsonl_field,
+                      parse_parcels)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 SUBCOMMANDS = ("filter", "train", "adapt", "predict", "map", "eval",
@@ -216,7 +217,7 @@ class Pipeline:
             if obj["image"] in preds:
                 raise JSONLinesError(
                     f"{path}:{lineno}: repeated image id {obj['image']}")
-            preds[obj["image"]] = obj["pred"]
+            preds[obj["image"]] = jsonl_field(obj, "pred", path, lineno)
         return preds
 
     def _write_jsonl(self, path: Path, body: str) -> None:
@@ -282,10 +283,9 @@ def cmd_map(p: Pipeline) -> None:
     assignments = assignments_from_jsonl(
         p.assignments_path.read_text(encoding="utf-8"), p.assignments_path)
     parcel_preds = aggregate_parcels(assignments, p.read_predictions())
-    doc = json.loads(export_map(parcels, parcel_preds, p.taxonomy, p.level))
-    doc["provenance"] = p.provenance
     (p.out_dir / "map.geojson").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        export_map(parcels, parcel_preds, p.taxonomy, p.level, p.provenance),
+        encoding="utf-8")
 
 
 def cmd_eval(p: Pipeline) -> None:

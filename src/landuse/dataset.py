@@ -3,9 +3,11 @@
 Records carry precomputed per-stream feature vectors instead of pixels; the
 vectors stand in for frozen pretrained feature extractors. Manifests are
 JSON-lines, optionally referencing a binary sidecar feature file (format
-``LUFV1``) instead of inlining the floats. One load gives a
-``ManifestTable``: one column per field and one ``(N, D)`` matrix per
-stream, so training, gating and prediction index whole matrices.
+``LUFV1``) instead of inlining the floats. Each line is decoded by
+``geodata.decode_json``: the object ``json.loads`` gives, decoded by orjson
+where that is the same. One load gives a ``ManifestTable``: one column per
+field and one ``(N, D)`` matrix per stream, so training, gating and
+prediction index whole matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geodata import GeoPoint
+from .geodata import GeoPoint, decode_json
 from .taxonomy import Taxonomy, TaxonomyError
 
 FEATURE_FILE_MAGIC = b"LUFV1"
@@ -109,7 +111,8 @@ def write_feature_file(path, vectors: dict[str, np.ndarray]) -> None:
 
 def read_feature_file(path) -> tuple[list[str], np.ndarray]:
     """Read an LUFV1 file in one pass: its ids and an ``(N, D)`` float64
-    matrix holding row ``k`` for ``ids[k]``."""
+    matrix holding row ``k`` for ``ids[k]``. An id that is not UTF-8 or
+    that repeats, and bytes after the last row, raise ``ManifestError``."""
     with open(path, "rb") as f:
         magic = f.read(len(FEATURE_FILE_MAGIC))
         if magic != FEATURE_FILE_MAGIC:
@@ -127,11 +130,23 @@ def read_feature_file(path) -> tuple[list[str], np.ndarray]:
         if count * (4 + 4 * d) > os.fstat(f.fileno()).st_size - f.tell():
             raise ManifestError(f"{path}: truncated feature file")
         ids = []
+        seen = set()
         X = np.empty((count, d))
         for k in range(count):
             (idlen,) = struct.unpack("<I", read(4))
-            ids.append(read(idlen).decode("utf-8"))
+            try:
+                rid = read(idlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ManifestError(f"{path}: row {k}: id is not UTF-8") from None
+            if rid in seen:
+                raise ManifestError(f"{path}: row {k}: repeated id {rid}")
+            seen.add(rid)
+            ids.append(rid)
             X[k] = np.frombuffer(read(4 * d), dtype="<f4")
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise ManifestError(
+                f"{path}: {extra} bytes after the last of {count} rows")
         return ids, X
 
 
@@ -144,6 +159,8 @@ def _row_fault(rid: str, stream: str, vec, d: int) -> str:
     finite, or its dimension, in that order."""
     try:
         arr = np.asarray(vec, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        arr = np.array([math.inf])
     except (ValueError, TypeError):
         arr = np.zeros((0, 0))
     if arr.ndim != 1:
@@ -196,15 +213,20 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
         # is met first
         raise nonfinite(k + 1) or error
 
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             k = len(ids)
             try:
-                obj = json.loads(line)
+                obj = decode_json(line)
             except json.JSONDecodeError as e:
                 fail(k, ManifestError(f"{path}:{lineno}: bad JSON: {e.msg}"))
+            except UnicodeDecodeError as e:
+                fail(k, ManifestError(f"{path}:{lineno}: not UTF-8: {e.reason}"))
+            if not isinstance(obj, dict):
+                fail(k, ManifestError(f"{path}:{lineno}: expected a JSON object,"
+                                      f" got {type(obj).__name__}"))
             if "id" not in obj:
                 continue  # provenance header line
             rid = str(obj["id"])
@@ -216,8 +238,16 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
             if domain not in (DOMAIN_A, DOMAIN_B):
                 fail(k, ManifestError(f"record {rid}: unknown domain {domain!r}"))
 
-            row = dict(obj.get("features") or {})
-            for stream, ref in (obj.get("features_ref") or {}).items():
+            inline, refs = obj.get("features") or {}, obj.get("features_ref") or {}
+            for key, value in (("features", inline), ("features_ref", refs)):
+                if not isinstance(value, dict):
+                    fail(k, ManifestError(f"record {rid}: {key} must be an"
+                                          f" object, got {type(value).__name__}"))
+            row = dict(inline)
+            for stream, ref in refs.items():
+                if not isinstance(ref, str):
+                    fail(k, ManifestError(f"record {rid}: features_ref of stream"
+                                          f" {stream} must be a path, got {ref!r}"))
                 refpath = str(path.parent / ref)
                 if refpath not in sidecars:
                     try:
@@ -246,7 +276,7 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
                     if len(vec) != M.shape[1]:  # numpy would broadcast [x]
                         raise ValueError
                     M[k] = vec
-                except (ValueError, TypeError):
+                except (ValueError, TypeError, OverflowError):
                     fail(k, ManifestError(_row_fault(rid, stream, vec, M.shape[1])))
 
             value = obj.get("label")
@@ -259,7 +289,8 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
                 except TaxonomyError as e:
                     fail(k, e)
             if value is not None:
-                top = len(taxonomy.fine_classes) if taxonomy else math.inf
+                top = (len(taxonomy.fine_classes) if taxonomy
+                       else np.iinfo(label.dtype).max)
                 if not (isinstance(value, int) and 0 <= value < top):
                     fail(k, ManifestError(f"record {rid}: label {value} out of range"))
                 label[k] = value

@@ -116,12 +116,13 @@ def aggregate_parcels(assignments, predictions: dict[str, int]) -> list[ParcelPr
 
 
 def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
-               level: Level = Level.FINE) -> str:
+               level: Level = Level.FINE, provenance: dict | None = None) -> str:
     """GeoJSON FeatureCollection of predicted parcels.
 
     The majority label is rolled up to the requested level; the full fine
     histogram is kept in the properties so mixed-use parcels stay visible.
-    Geometry is copied verbatim from the input parcels.
+    Geometry is copied verbatim from the input parcels. A ``provenance``
+    given becomes the collection's last member.
     """
     by_id = {pp.parcel_id: pp for pp in parcel_predictions}
     features = []
@@ -142,5 +143,7 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
                               for c, k in pp.histogram.items()},
             },
         })
-    return json.dumps({"type": "FeatureCollection", "features": features},
-                      indent=2) + "\n"
+    doc = {"type": "FeatureCollection", "features": features}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return json.dumps(doc, indent=2) + "\n"

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .taxonomy import Taxonomy
 
@@ -39,6 +40,10 @@ DEFAULT_DILATION_M = 5.0
 
 #: relative widening of the buffer pad, far above float rounding error
 _PAD_SLACK = 1e-9
+
+#: orjson reads an integer literal past 64 bits as a float, which is at
+#: least this large in magnitude
+_INT64_BOUND = 2.0 ** 63
 
 
 class GeoJSONParseError(ValueError):
@@ -213,13 +218,21 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
     except json.JSONDecodeError as e:
         raise GeoJSONParseError(
             f"malformed GeoJSON at byte offset {e.pos}: {e.msg}") from None
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise GeoJSONParseError("expected a FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise GeoJSONParseError(
+            f"features must be a list, got {type(features).__name__}")
 
     parcels = []
     seen = set()
-    for i, feature in enumerate(doc.get("features", [])):
-        props = feature.get("properties") or {}
+    for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise GeoJSONParseError(
+                f"feature {i} must be an object, got {type(feature).__name__}")
+        props = _member_object(feature, "properties",
+                               feature.get("id", f"feature{i}"))
         fid = str(feature.get("id", props.get("id", f"feature{i}")))
         landuse = props.get("landuse", [])
         if not (isinstance(landuse, list)
@@ -228,7 +241,7 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
                 f"feature {fid}: landuse must be a list of class names,"
                 f" got {type(landuse).__name__}")
         truth = frozenset(taxonomy.index(name) for name in landuse)
-        geom = feature.get("geometry") or {}
+        geom = _member_object(feature, "geometry", fid)
         gtype = geom.get("type")
         if gtype == "Polygon":
             polys = [geom["coordinates"]]
@@ -250,6 +263,18 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
                     f"feature {fid}: position {list(bad)} is not [lon, lat]")
             parcels.append(Parcel(id=pid, rings=rings, truth=truth))
     return parcels
+
+
+def _member_object(feature: dict, key: str, fid: str) -> dict:
+    """A feature's ``properties`` or ``geometry``: an object, or ``{}``
+    where it is absent or null."""
+    value = feature.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise GeoJSONParseError(
+            f"feature {fid}: {key} must be an object, got {type(value).__name__}")
+    return value
 
 
 def parcel_geometry(parcel: Parcel) -> dict:
@@ -398,28 +423,71 @@ def assignments_to_jsonl(assignments) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def decode_json(line):
+    """``json.loads`` of one JSON text, given as ``str`` or UTF-8 ``bytes``,
+    decoded by orjson wherever that gives the same object.
+
+    json decodes the text instead when orjson rejects it, which keeps
+    json's ``NaN`` and ``Infinity``, its infinities for floats out of
+    range, lone surrogates and its error messages; bytes that are not
+    UTF-8 then raise ``UnicodeDecodeError``. json also decodes it when the
+    document, or a value directly inside it, comes back as a float of
+    magnitude 2**63 or more, as orjson gives an integer literal past 64
+    bits. Such a literal nested deeper stays the float nearest to it, the
+    value a float64 array holds for it either way. orjson also reads texts
+    nested deeper than json's recursion allows.
+    """
+    try:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if type(obj) is dict:
+            members = obj.values()
+        elif type(obj) is list:
+            members = obj
+        else:
+            members = (obj,)
+        if not any(type(v) is float and abs(v) >= _INT64_BOUND for v in members):
+            return obj
+    return json.loads(line if isinstance(line, str) else line.decode("utf-8"))
+
+
 def iter_jsonl(text: str, source):
-    """(line number, object) for each non-blank line of a JSON-lines text;
-    a line that is not JSON, a cut last line say, raises ``JSONLinesError``
-    naming ``source`` and the line."""
+    """(line number, object) for each non-blank line of a JSON-lines text.
+    A line that is not JSON, a cut last line say, or that is JSON but not
+    an object raises ``JSONLinesError`` naming ``source`` and the line."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_json(line)
         except json.JSONDecodeError as e:
             raise JSONLinesError(f"{source}:{lineno}: bad JSON: {e.msg}") from None
+        if not isinstance(obj, dict):
+            raise JSONLinesError(f"{source}:{lineno}: expected a JSON object,"
+                                 f" got {type(obj).__name__}")
         yield lineno, obj
 
 
 def assignments_from_jsonl(text: str, source="assignments") -> list[Assignment]:
     by_image: dict[str, dict[str, str]] = {}
     order: list[str] = []
-    for _lineno, obj in iter_jsonl(text, source):
+    for lineno, obj in iter_jsonl(text, source):
         if "image" not in obj:
             continue  # provenance header line
+        parcel = jsonl_field(obj, "parcel", source, lineno)
+        mode = jsonl_field(obj, "mode", source, lineno)
         if obj["image"] not in by_image:
             by_image[obj["image"]] = {}
             order.append(obj["image"])
-        by_image[obj["image"]][obj["parcel"]] = obj["mode"]
+        by_image[obj["image"]][parcel] = mode
     return [Assignment(image_id=i, modes=by_image[i]) for i in order]
+
+
+def jsonl_field(obj: dict, key: str, source, lineno: int):
+    """``obj[key]`` of a JSON-lines row; a row lacking it raises
+    ``JSONLinesError`` naming ``source`` and the line."""
+    if key not in obj:
+        raise JSONLinesError(f"{source}:{lineno}: row lacks {key!r}")
+    return obj[key]

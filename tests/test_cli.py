@@ -6,6 +6,7 @@ import pytest
 from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
                          main, parse_config_text)
 from landuse.evaluation import image_accuracy
+from landuse.geodata import JSONLinesError
 from landuse.taxonomy import Level, builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -277,6 +278,16 @@ def test_map_rejects_cut_or_repeated_predictions(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: JSONLinesError: {preds}:{len(lines) + 1}: repeated image id"
         f" {image}\n")
+
+
+def test_prediction_row_lacking_pred_rejected(tmp_path):
+    p = Pipeline({"seed": "1", "out_dir": str(tmp_path)})
+    p.predictions_path.write_text('{"provenance": {}}\n{"image": "i"}\n',
+                                  encoding="utf-8")
+    with pytest.raises(JSONLinesError,
+                       match=f"^{re.escape(str(p.predictions_path))}:2:"
+                             " row lacks 'pred'$"):
+        p.read_predictions()
 
 
 def test_map_rejects_cut_assignments(tmp_path, capsys):

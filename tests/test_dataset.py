@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import struct
@@ -125,6 +126,64 @@ def test_sidecar_missing_id(tmp_path):
                         "features_ref": {"object": "feats.lufv"}}])
     with pytest.raises(ManifestError, match="r0"):
         load_manifest(path, TAX)
+
+
+def lufv_bytes(ids, d=2):
+    """An LUFV1 file of all-zero rows under the raw ``ids``, repeats
+    allowed."""
+    out = b"LUFV1" + struct.pack("<II", len(ids), d)
+    for raw in ids:
+        out += struct.pack("<I", len(raw)) + raw + bytes(4 * d)
+    return out
+
+
+@pytest.mark.parametrize("data,message", [
+    (lufv_bytes([b"a", b"b", b"a"]), "row 2: repeated id a"),
+    (lufv_bytes([b"a", b"b"]) + b"\x00", "1 bytes after the last of 2 rows"),
+    (lufv_bytes([b"a", b"\xff"]), "row 1: id is not UTF-8"),
+], ids=["repeated_id", "trailing_bytes", "id_not_utf8"])
+def test_feature_file_bad_rows_rejected(tmp_path, data, message):
+    path = tmp_path / "f.lufv"
+    path.write_bytes(data)
+    with pytest.raises(ManifestError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_feature_file(path)
+
+
+@pytest.mark.parametrize("line,message", [
+    (b"5", "{path}:2: expected a JSON object, got int"),
+    (b'"x"', "{path}:2: expected a JSON object, got str"),
+    (b"[1]", "{path}:2: expected a JSON object, got list"),
+    (b'{"id": "b", "features": [2.0]}',
+     "record b: features must be an object, got list"),
+    (b'{"id": "b", "features_ref": ["o.lufv"]}',
+     "record b: features_ref must be an object, got list"),
+    (b'{"id": "b", "features_ref": {"o": 5}}',
+     "record b: features_ref of stream o must be a path, got 5"),
+    (b'{"id": "b", "features": {"o": [1' + b"0" * 400 + b"]}}",
+     "record b: non-finite value in stream o"),
+    (b'{"id": "b\xff", "features": {"o": [2.0]}}',
+     "{path}:2: not UTF-8: invalid start byte"),
+], ids=["int", "str", "list", "features_list", "features_ref_list",
+        "features_ref_int", "int_past_float_range", "not_utf8"])
+def test_malformed_json_line_rejected(tmp_path, line, message):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b'{"id": "a", "features": {"o": [1.0]}}\n' + line + b"\n")
+    with pytest.raises(ManifestError,
+                       match=f"^{re.escape(message.format(path=path))}$"):
+        load_manifest(path, TAX)
+
+
+def test_big_integers_read_exactly(tmp_path):
+    path = tmp_path / "m.jsonl"
+    big = 10 ** 25
+    write_lines(path, [{"id": big, "features": {"o": [big, 1.0]}},
+                       {"id": "b", "label": big, "features": {"o": [1.0, 2.0]}}])
+    with pytest.raises(ManifestError, match=f"^record b: label {big} out of range$"):
+        load_manifest(path)
+    write_lines(path, [{"id": big, "features": {"o": [big, 1.0]}}])
+    table = load_manifest(path)
+    assert table.ids == (str(big),)
+    assert table.stream("o").tolist() == [[float(big), 1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +348,14 @@ def test_feature_file_header_beyond_file_size(tmp_path):
 
 STREAM_DIMS = {"object": 3, "scene": 2}
 FAULTS = ("nan", "inf", "short", "long", "no_stream", "domain", "repeat",
-          "unknown_label", "label_range", "not_in_sidecar", "broken_sidecar")
+          "unknown_label", "label_range", "not_in_sidecar", "broken_sidecar",
+          "big_id", "big_label", "big_float", "surrogate_id")
+#: written unquoted in place of a vector entry: json reads it as inf
+BIG_FLOAT = "1e400"
+
+
+def inline_stream(mode, stream):
+    return mode == "inline" or (mode == "mixed" and stream == "object")
 
 
 @st.composite
@@ -311,9 +377,13 @@ def manifests(draw):
         if draw(st.booleans()):
             row["lon"] = draw(st.floats(-180, 180))
             row["lat"] = draw(st.floats(-90, 90))
+        # inline floats span float64, subnormals and both zeros included;
+        # LUFV1 holds float32
         row["vectors"] = {
-            s: draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=d,
-                             max_size=d))
+            s: draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                             if inline_stream(mode, s)
+                             else st.floats(-1e3, 1e3, width=32),
+                             min_size=d, max_size=d))
             for s, d in STREAM_DIMS.items()}
         faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2)
                       if draw(st.booleans()) else st.just([]))
@@ -346,26 +416,37 @@ def add_fault(draw, row, i, fault, stream):
         row["label"] = draw(st.sampled_from((-1, 45)))
     elif fault in ("not_in_sidecar", "broken_sidecar"):
         row[fault] = stream
+    elif fault == "big_id":  # an integer past 64 bits
+        row["id"] = 10 ** 25 + i
+    elif fault == "big_label":
+        row["label"] = 10 ** 25
+    elif fault == "big_float":
+        vec[draw(st.integers(0, len(vec) - 1))] = BIG_FLOAT
+    elif fault == "surrogate_id":
+        row["id"] = f"r{i}\ud800"
 
 
 def write_manifest(tmp_path, rows, mode):
     """Write ``rows`` inline or through one LUFV1 file per stream and
-    dimension; return the manifest path."""
+    dimension; return the manifest path. LUFV1 ids are UTF-8, so a record
+    whose id holds a lone surrogate keeps its vectors inline."""
     sidecars: dict[tuple[str, int], dict[str, list]] = {}
     lines = [{"provenance": {"seed": 1}}]
     for row in rows:
         line = {k: v for k, v in row.items()
                 if k not in ("vectors", "not_in_sidecar", "broken_sidecar")}
+        rid = str(row["id"])
         for s, vec in row["vectors"].items():
-            if mode == "inline" or (mode == "mixed" and s == "object"):
+            if inline_stream(mode, s) or "\ud800" in rid:
                 line.setdefault("features", {})[s] = vec
                 continue
+            vec = [math.inf if v == BIG_FLOAT else v for v in vec]
             if row.get("broken_sidecar") == s:
                 line.setdefault("features_ref", {})[s] = "broken.lufv"
                 continue
             name = f"{s}_{len(vec)}.lufv"
             if row.get("not_in_sidecar") != s:
-                sidecars.setdefault((name, len(vec)), {})[row["id"]] = vec
+                sidecars.setdefault((name, len(vec)), {})[rid] = vec
             sidecars.setdefault((name, len(vec)), {})
             line.setdefault("features_ref", {})[s] = name
         lines.append(line)
@@ -377,7 +458,8 @@ def write_manifest(tmp_path, rows, mode):
             path.write_bytes(b"LUFV1" + struct.pack("<II", 0, d))
     (tmp_path / "broken.lufv").write_bytes(b"LUFV0" + bytes(8))
     path = tmp_path / "m.jsonl"
-    write_lines(path, lines)
+    text = "".join(json.dumps(r) + "\n" for r in lines)
+    path.write_text(text.replace(f'"{BIG_FLOAT}"', BIG_FLOAT), encoding="utf-8")
     return path
 
 

@@ -221,6 +221,17 @@ def test_export_empty_predictions():
     assert doc == {"type": "FeatureCollection", "features": []}
 
 
+def test_export_puts_provenance_last():
+    parcel = Parcel(id="P", rings=(SQUARE,))
+    pp = ParcelPrediction(parcel_id="P", histogram={0: 1}, majority=0,
+                          support=1)
+    text = export_map([parcel], [pp], TAX, provenance={"seed": 3})
+    doc = json.loads(text)
+    assert list(doc) == ["type", "features", "provenance"]
+    assert doc["provenance"] == {"seed": 3}
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
 def test_export_round_trips_through_parser():
     parcel = Parcel(id="P", rings=(SQUARE,))
     pp = ParcelPrediction(parcel_id="P", histogram={0: 1}, majority=0,

@@ -12,7 +12,8 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              GeoJSONParseError, GeoPoint, JSONLinesError,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
-                             boundary_distance_m, contains, parse_parcels)
+                             boundary_distance_m, contains, decode_json,
+                             iter_jsonl, parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -103,6 +104,23 @@ def test_parse_malformed_json_reports_offset():
 def test_parse_rejects_non_collection():
     with pytest.raises(GeoJSONParseError):
         parse_parcels('{"type": "Feature"}', TAX)
+
+
+@pytest.mark.parametrize("document,message", [
+    ("[]", "expected a FeatureCollection"),
+    ("5", "expected a FeatureCollection"),
+    ('{"type": "FeatureCollection", "features": {}}',
+     "features must be a list, got dict"),
+    ('{"type": "FeatureCollection", "features": [5]}',
+     "feature 0 must be an object, got int"),
+    ('{"type": "FeatureCollection", "features": [{"id": "F", "properties": []}]}',
+     "feature F: properties must be an object, got list"),
+    ('{"type": "FeatureCollection", "features": [{"id": "F", "geometry": "x"}]}',
+     "feature F: geometry must be an object, got str"),
+])
+def test_parse_rejects_members_of_the_wrong_shape(document, message):
+    with pytest.raises(GeoJSONParseError, match=f"^{re.escape(message)}$"):
+        parse_parcels(document, TAX)
 
 
 def polygon_feature(fid, rings):
@@ -501,3 +519,85 @@ def test_assignments_cut_line_names_source_and_line():
     cut = '{"provenance": {}}\n' + text[:-10]
     with pytest.raises(JSONLinesError, match=r"^out/assignments.jsonl:3: bad JSON"):
         assignments_from_jsonl(cut, "out/assignments.jsonl")
+
+
+@pytest.mark.parametrize("line", ["5", '"x"', "[1]", "null"])
+def test_jsonl_line_that_is_not_an_object_rejected(line):
+    text = '{"provenance": {}}\n' + line + "\n"
+    with pytest.raises(JSONLinesError,
+                       match=r"^src:2: expected a JSON object, got \w+$"):
+        list(iter_jsonl(text, "src"))
+
+
+@pytest.mark.parametrize("row,key", [
+    ('{"image": "i", "mode": "inside"}', "parcel"),
+    ('{"image": "i", "parcel": "P"}', "mode"),
+])
+def test_assignment_row_lacking_a_field_rejected(row, key):
+    text = '{"provenance": {}}\n' + row + "\n"
+    with pytest.raises(JSONLinesError, match=f"^src:2: row lacks '{key}'$"):
+        assignments_from_jsonl(text, "src")
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding against json.loads
+
+
+def decoded(decode, text):
+    """``repr`` of what ``decode`` gives, which tells 1 from 1.0 and -0.0
+    from 0.0, or the type and message of what it raises."""
+    try:
+        return repr(decode(text))
+    except ValueError as e:
+        return type(e), str(e)
+
+
+BIG = str(10 ** 25)
+EDGE_TEXTS = [
+    f'{{"id": {BIG}, "label": {BIG}}}', BIG, f"-{BIG}", f"[{BIG}, 1]",
+    "9223372036854775807", "-9223372036854775808", "-9223372036854775809",
+    "18446744073709551615", "18446744073709551616", "1" + "0" * 400,
+    "1e400", "-1e400", '{"v": [1.0, 1e400]}', "[NaN, Infinity, -Infinity]",
+    '{"id": "r\\ud800"}', '"\\udc00x"', '"\\ud83d\\ude00"', "5", '"x"',
+    "[1]", "null", "true", "-0", "-0.0", "1E5", "1e-400", "-1e-400",
+    "[5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]",
+    "9007199254740993.0", "9007199254740993.000000000000000000001",
+    '{"a": 1, "a": 2}', '{"a": "\u00e9\u2028"}', "\ufeff{}", "", "   ",
+    '{"a": 1', "[1,]", "01", "1.", '{"a": 1} x', '"a\tb"', "[" * 50 + "]" * 50,
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda text: text[:32])
+def test_decode_json_matches_json_loads(text):
+    want = decoded(json.loads, text)
+    assert decoded(decode_json, text) == want
+    assert decoded(decode_json, text.encode("utf-8")) == want
+
+
+def test_decode_json_reads_bytes_as_utf8():
+    for raw in (b"\xff", b'"\xed\xa0\x80"', b'{"a": "\xc3"}'):
+        with pytest.raises(UnicodeDecodeError):
+            decode_json(raw)
+
+
+def test_decode_json_nested_big_integer_is_its_nearest_float():
+    # the documented difference: json gives the int, orjson the float that
+    # a float64 array holds for it either way
+    big = 10 ** 25
+    assert decode_json(f'{{"v": [{big}]}}') == {"v": [float(big)]}
+
+
+# each writes a float literal, or for an integral float below 1e17 an
+# integer literal within 64 bits: a longer one nested in an array is the
+# difference decode_json documents
+FLOAT_FORMATS = (repr, "{:.17g}".format, "{:.16e}".format, "{:.30e}".format,
+                 "{:.20f}".format)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+       st.integers(), st.sampled_from(FLOAT_FORMATS))
+def test_decode_json_floats_and_integers_match_json_loads(values, n, fmt):
+    text = f'{{"id": {n}, "v": [{", ".join(map(fmt, values))}]}}'
+    assert decoded(decode_json, text) == decoded(json.loads, text)
+    assert decoded(decode_json, text.encode()) == decoded(json.loads, text)
