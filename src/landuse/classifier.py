@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_output
 from .dataset import ManifestTable, stratified_batches
 
 MODEL_MAGIC = b"LUSM1"
@@ -177,7 +178,9 @@ def accuracy(model: SoftmaxModel, records: ManifestTable) -> float:
 
 
 def save_model(model: SoftmaxModel, path) -> None:
-    with open(path, "wb") as f:
+    """Write an LUSM1 file through a temp file, so that a failed write
+    leaves any earlier file whole."""
+    with atomic_output(path) as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<II", model.n, model.D))
         raw = model.stream.encode("utf-8")

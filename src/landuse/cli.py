@@ -19,6 +19,7 @@ import numpy as np
 
 from . import synth
 from .adaptive import GateConfig, adaptive_finetune
+from .atomic import write_atomic
 from .classifier import Schedule, init_model, load_model, save_model, train
 from .dataset import ManifestError, load_manifest
 from .evaluation import image_accuracy, mapping_metrics, per_class_report
@@ -180,7 +181,10 @@ class Pipeline:
                              self.taxonomy)
 
     def load_split(self, key: str):
-        return load_manifest(self.path(key), self.taxonomy)
+        """The table of a manifest, through its table-cache entry
+        ``out_dir/<key>.lutab``."""
+        return load_manifest(self.path(key), self.taxonomy,
+                             cache=self.out_dir / f"{key}.lutab")
 
     def load_training(self):
         """(train table, validation table or None if no val_manifest).
@@ -205,8 +209,8 @@ class Pipeline:
         save_model(result.model, path)
         meta = dict(self.provenance, stream=stream,
                     val_accuracy=result.val_accuracy)
-        path.with_suffix(".lusm.meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        write_atomic(path.with_suffix(".lusm.meta.json"),
+                     json.dumps(meta, indent=2) + "\n")
 
     def read_predictions(self) -> dict[str, int]:
         path = self.predictions_path
@@ -223,7 +227,7 @@ class Pipeline:
     def _write_jsonl(self, path: Path, body: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         header = json.dumps({"provenance": self.provenance})
-        path.write_text(header + "\n" + body, encoding="utf-8")
+        write_atomic(path, header + "\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +287,9 @@ def cmd_map(p: Pipeline) -> None:
     assignments = assignments_from_jsonl(
         p.assignments_path.read_text(encoding="utf-8"), p.assignments_path)
     parcel_preds = aggregate_parcels(assignments, p.read_predictions())
-    (p.out_dir / "map.geojson").write_text(
-        export_map(parcels, parcel_preds, p.taxonomy, p.level, p.provenance),
-        encoding="utf-8")
+    write_atomic(p.out_dir / "map.geojson",
+                 export_map(parcels, parcel_preds, p.taxonomy, p.level,
+                            p.provenance))
 
 
 def cmd_eval(p: Pipeline) -> None:
@@ -314,12 +318,11 @@ def cmd_eval(p: Pipeline) -> None:
         accuracy = image_accuracy(rolled_preds, rolled_labels)
     out = {"provenance": p.provenance, "image_accuracy": accuracy,
            "mapping": report.to_json()}
-    (p.out_dir / "report.json").write_text(
-        json.dumps(out, indent=2) + "\n", encoding="utf-8")
-    (p.out_dir / "per_class.csv").write_text(
-        per_class_report(report, p.taxonomy,
-                         image_predictions=predictions, image_labels=labels),
-        encoding="utf-8")
+    write_atomic(p.out_dir / "report.json", json.dumps(out, indent=2) + "\n")
+    write_atomic(p.out_dir / "per_class.csv",
+                 per_class_report(report, p.taxonomy,
+                                  image_predictions=predictions,
+                                  image_labels=labels))
 
 
 def cmd_synth(p: Pipeline) -> None:

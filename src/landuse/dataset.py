@@ -7,11 +7,13 @@ JSON-lines, optionally referencing a binary sidecar feature file (format
 ``geodata.decode_json``: the object ``json.loads`` gives, decoded by orjson
 where that is the same. One load gives a ``ManifestTable``: one column per
 field and one ``(N, D)`` matrix per stream, so training, gating and
-prediction index whole matrices.
+prediction index whole matrices. A load given a cache entry decodes the
+JSON only when the entry does not hold the table for the same inputs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_output
 from .geodata import GeoPoint, decode_json
 from .taxonomy import Taxonomy, TaxonomyError
 
@@ -171,7 +174,8 @@ def _row_fault(rid: str, stream: str, vec, d: int) -> str:
             f" expected {d}")
 
 
-def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
+def load_manifest(path, taxonomy: Taxonomy | None = None,
+                  cache=None) -> ManifestTable:
     """Load and validate a JSON-lines manifest into one table.
 
     Each line: ``{"id", "lon"?, "lat"?, "domain", "label"?,
@@ -182,8 +186,31 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
     streams. Each row goes straight into its stream's matrix, and the
     matrices are checked for non-finite values as a whole; the error raised
     is the one a record-by-record check meets first.
+
+    ``cache`` names a table-cache entry (see ``read_entry``). When it holds
+    this manifest's table, keyed by the bytes of the manifest, of its
+    sidecars and by the taxonomy, that table is returned without decoding;
+    otherwise the manifest is decoded as above and, if that succeeds, the
+    entry is rewritten. Either way the table is the same, bit for bit, and
+    a manifest that fails to decode raises what it raises without a cache.
     """
     path = Path(path)
+    if cache is None:
+        return _decode_manifest(path, taxonomy)[0]
+    table = read_entry(cache, path, taxonomy)
+    if table is None:
+        try:
+            digest = _file_sha256(path)
+        except OSError:
+            digest = None  # the decode raises its own error
+        table, refs = _decode_manifest(path, taxonomy)
+        _write_entry(cache, path, taxonomy, refs, table, digest)
+    return table
+
+
+def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
+    """The table of a manifest, and the ``features_ref`` paths it uses in
+    the order first met."""
     with open(path, "rb") as f:
         capacity = sum(1 for _ in f)
     ids: list[str] = []
@@ -194,6 +221,7 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
     has_geo = np.zeros(capacity, dtype=bool)
     mats: dict[str, np.ndarray] = {}   # rows stay zero until written
     sidecars: dict[str, tuple[dict[str, int], np.ndarray]] = {}
+    used_refs: dict[str, None] = {}   # in the order first met
 
     def nonfinite(rows: int) -> ManifestError | None:
         """The error for the first of the first ``rows`` records that has
@@ -248,6 +276,7 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
                 if not isinstance(ref, str):
                     fail(k, ManifestError(f"record {rid}: features_ref of stream"
                                           f" {stream} must be a path, got {ref!r}"))
+                used_refs.setdefault(ref)
                 refpath = str(path.parent / ref)
                 if refpath not in sidecars:
                     try:
@@ -310,7 +339,179 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> ManifestTable:
     return ManifestTable(
         ids=tuple(ids), domain=np.array(domains, dtype=str),
         label=label[:n], features={s: M[:n] for s, M in mats.items()},
-        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n])
+        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n]), list(used_refs)
+
+
+# ---------------------------------------------------------------------------
+# table cache
+#
+# A cache entry holds one decoded manifest table, little-endian:
+#
+#   b"LUTAB", <I version
+#   key:   sha256 of the manifest bytes, sha256 of the taxonomy's fine-class
+#          list (JSON, ``null`` for no taxonomy), <I count, then per sidecar
+#          path as written in the manifest: <I length, UTF-8, its sha256
+#   table: <Q rows, <I streams, <u4 byte length of each id, the ids as
+#          UTF-8, per stream <I length, UTF-8 name, <Q dimension; one byte
+#          of domain and one of has_geo per row; zeros up to a multiple of
+#          8; <i8 label, <f8 lon, <f8 lat, then each stream's <f8 matrix
+#   sha256 of every byte before it
+#
+# Strings keep lone surrogates (``surrogatepass``), which JSON can hold. The
+# entry holds no path of its own, so equal inputs give equal entries in any
+# directory. ENTRY_VERSION changes whenever the layout or the decode does.
+
+ENTRY_MAGIC = b"LUTAB"
+ENTRY_VERSION = 1
+_DIGEST = 32
+
+
+def _file_sha256(path) -> bytes:
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").digest()
+
+
+def _utf8(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _sized(text: str) -> bytes:
+    raw = _utf8(text)
+    return struct.pack("<I", len(raw)) + raw
+
+
+def _cache_key(path: Path, taxonomy: Taxonomy | None, refs) -> bytes:
+    """The digests an entry for ``path`` is keyed by; reading a file that
+    is gone raises ``OSError``."""
+    classes = list(taxonomy.fine_classes) if taxonomy else None
+    parts = [_file_sha256(path),
+             hashlib.sha256(_utf8(json.dumps(classes))).digest(),
+             struct.pack("<I", len(refs))]
+    for ref in refs:
+        parts += [_sized(ref), _file_sha256(path.parent / ref)]
+    return b"".join(parts)
+
+
+class _Cursor:
+    """Reads an entry front to back; reading past its end raises
+    ``ValueError``."""
+
+    def __init__(self, buf: bytearray):
+        self.buf, self.pos = buf, 0
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.buf) - self.pos:
+            raise ValueError("entry cut short")
+        self.pos += n
+        return memoryview(self.buf)[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (n,) = self.unpack("<I")
+        return str(self.take(n), "utf-8", "surrogatepass")
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """``count`` items in place: writable views of the entry's buffer."""
+        size = np.dtype(dtype).itemsize
+        return np.frombuffer(self.take(size * count), dtype=dtype)
+
+
+def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable | None:
+    """The table cache entry ``entry`` holds for manifest ``path``, or None.
+
+    None is a miss: no readable entry, one that is cut short, garbled or
+    extended, or one keyed by other bytes of the manifest or its sidecars,
+    or by another taxonomy. The key is checked by hashing the files in
+    chunks, so a hit never holds the manifest's bytes.
+    """
+    path = Path(path)
+    try:
+        with open(entry, "rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            whole = f.readinto(buf) == len(buf)
+    except OSError:
+        return None
+    body = memoryview(buf)[:-_DIGEST]
+    if not whole or len(buf) < _DIGEST or (
+            hashlib.sha256(body).digest() != buf[-_DIGEST:]):
+        return None
+    cur = _Cursor(body)
+    try:
+        if cur.take(len(ENTRY_MAGIC)) != ENTRY_MAGIC or (
+                cur.unpack("<I") != (ENTRY_VERSION,)):
+            return None
+        start = cur.pos
+        cur.take(2 * _DIGEST)
+        (n_refs,) = cur.unpack("<I")
+        refs = []
+        for _ in range(n_refs):
+            refs.append(cur.text())
+            cur.take(_DIGEST)
+        if cur.buf[start:cur.pos] != _cache_key(path, taxonomy, refs):
+            return None
+        n, n_streams = cur.unpack("<QI")
+        sizes = cur.array("<u4", n).tolist()
+        blob = cur.take(sum(sizes))
+        ends = np.cumsum(sizes).tolist()
+        ids = tuple(str(blob[e - k:e], "utf-8", "surrogatepass")
+                    for k, e in zip(sizes, ends))
+        dims = {cur.text(): cur.unpack("<Q")[0] for _ in range(n_streams)}
+        domain = cur.array("S1", n).astype(str)
+        has_geo = cur.array("?", n).copy()
+        cur.take(-cur.pos % 8)
+        label = cur.array("<i8", n).astype(np.intp)
+        lon = cur.array("<f8", n).astype(np.float64)
+        lat = cur.array("<f8", n).astype(np.float64)
+        features = {s: cur.array("<f8", n * d).astype(np.float64, copy=False)
+                    .reshape(n, d) for s, d in dims.items()}
+    except (ValueError, struct.error, OSError):
+        return None
+    if cur.pos != len(body):
+        return None
+    return ManifestTable(ids=ids, domain=domain, label=label,
+                         features=features, lon=lon, lat=lat, has_geo=has_geo)
+
+
+def _write_entry(entry, path: Path, taxonomy: Taxonomy | None, refs,
+                 table: ManifestTable, digest: bytes | None) -> None:
+    """Write the entry for a decoded table, through a temp file. Nothing is
+    written if the manifest no longer has the bytes ``digest`` it had
+    before the decode, or if the entry cannot be written: the cache then
+    misses next time, which costs a decode and nothing else."""
+    entry = Path(entry)
+    try:
+        key = _cache_key(path, taxonomy, refs)
+        if key[:_DIGEST] != digest:
+            return
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_output(entry) as f:
+            h = hashlib.sha256()
+
+            def put(data) -> None:
+                h.update(data)
+                f.write(data)
+
+            n = len(table)
+            raw_ids = [_utf8(rid) for rid in table.ids]
+            put(ENTRY_MAGIC + struct.pack("<I", ENTRY_VERSION) + key)
+            put(struct.pack("<QI", n, len(table.features)))
+            put(np.array([len(r) for r in raw_ids], dtype="<u4").tobytes())
+            put(b"".join(raw_ids))
+            for stream, M in table.features.items():
+                put(_sized(stream) + struct.pack("<Q", M.shape[1]))
+            put(table.domain.astype("S1").tobytes())
+            put(table.has_geo.astype("?").tobytes())
+            put(bytes(-f.tell() % 8))
+            put(table.label.astype("<i8").tobytes())
+            put(table.lon.astype("<f8").tobytes())
+            put(table.lat.astype("<f8").tobytes())
+            for M in table.features.values():
+                put(np.ascontiguousarray(M, dtype="<f8").data)
+            f.write(h.digest())
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------

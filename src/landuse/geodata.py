@@ -243,26 +243,42 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
         truth = frozenset(taxonomy.index(name) for name in landuse)
         geom = _member_object(feature, "geometry", fid)
         gtype = geom.get("type")
-        if gtype == "Polygon":
-            polys = [geom["coordinates"]]
-            ids = [fid]
-        elif gtype == "MultiPolygon":
-            polys = geom["coordinates"]
-            ids = [f"{fid}#{k}" for k in range(len(polys))]
-        else:
+        if gtype not in ("Polygon", "MultiPolygon"):
             raise GeoJSONParseError(
                 f"feature {fid}: unsupported geometry type {gtype!r}")
+        coords = geom.get("coordinates")
+        polys = [coords] if gtype == "Polygon" else coords
+        if not _nested_lists(polys, 3):
+            what = "rings of positions" if gtype == "Polygon" else "polygons"
+            raise GeoJSONParseError(
+                f"feature {fid}: {gtype} coordinates must be a list of {what},"
+                f" got {coords!r:.60}")
+        ids = [fid] if gtype == "Polygon" else [
+            f"{fid}#{k}" for k in range(len(polys))]
         for pid, rings in zip(ids, polys):
             if pid in seen:
                 raise ParcelValidationError(f"duplicate parcel id {pid!r}")
             seen.add(pid)
             rings = tuple(tuple(map(tuple, ring)) for ring in rings)
-            bad = next((v for ring in rings for v in ring if len(v) != 2), None)
+            bad = next((v for ring in rings for v in ring if not _is_position(v)),
+                       None)
             if bad is not None:
                 raise GeoJSONParseError(
                     f"feature {fid}: position {list(bad)} is not [lon, lat]")
             parcels.append(Parcel(id=pid, rings=rings, truth=truth))
     return parcels
+
+
+def _nested_lists(value, depth: int) -> bool:
+    """Whether ``value`` is a list whose members are such lists
+    ``depth`` levels down."""
+    return isinstance(value, list) and (
+        depth == 0 or all(_nested_lists(v, depth - 1) for v in value))
+
+
+def _is_position(v: tuple) -> bool:
+    """Two JSON numbers; ``true`` and ``false`` are not numbers."""
+    return len(v) == 2 and all(type(c) in (int, float) for c in v)
 
 
 def _member_object(feature: dict, key: str, fid: str) -> dict:
@@ -455,9 +471,11 @@ def decode_json(line):
 
 def iter_jsonl(text: str, source):
     """(line number, object) for each non-blank line of a JSON-lines text.
-    A line that is not JSON, a cut last line say, or that is JSON but not
-    an object raises ``JSONLinesError`` naming ``source`` and the line."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    Lines end at a line feed only: other Unicode line ends, such as U+2028,
+    may stand raw inside a JSON string. A line that is not JSON, a cut last
+    line say, or that is JSON but not an object raises ``JSONLinesError``
+    naming ``source`` and the line."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

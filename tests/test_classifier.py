@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from _oracles import finite_difference_grads
 from landuse.classifier import (MODEL_MAGIC, ModelIOError, Schedule,
@@ -283,6 +284,48 @@ def test_load_cut_anywhere_or_extended(tmp_path):
 
 def header(n, d, name: bytes) -> bytes:
     return MODEL_MAGIC + struct.pack("<III", n, d, len(name)) + name
+
+
+@st.composite
+def models(draw):
+    n, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    values = st.floats(allow_nan=False, width=64)
+    return SoftmaxModel(
+        W=np.array(draw(st.lists(values, min_size=n * d, max_size=n * d)),
+                   dtype=np.float64).reshape(n, d),
+        b=np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                   dtype=np.float64),
+        stream=draw(st.text(max_size=4)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(models())
+def test_model_file_round_trip_exact_and_every_prefix_rejected(tmp_path, m):
+    path = tmp_path / "m.lusm"
+    save_model(m, path)
+    whole = path.read_bytes()
+    again = load_model(path)
+    assert again.stream == m.stream
+    assert again.W.tobytes() == m.W.tobytes() and again.W.shape == m.W.shape
+    assert again.b.tobytes() == m.b.tobytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ModelIOError):
+            load_model(path)
+
+
+def test_failed_save_leaves_the_earlier_model_whole(tmp_path):
+    path = tmp_path / "m.lusm"
+    save_model(init_model(3, 2, "object"), path)
+    whole = path.read_bytes()
+    # the header goes out before the weights fail to convert
+    bad = SoftmaxModel(W=np.array([["x", "y"], ["z", "w"]]), b=np.zeros(2),
+                       stream="object")
+    with pytest.raises(ValueError):
+        save_model(bad, path)
+    assert path.read_bytes() == whole
+    assert [p.name for p in tmp_path.iterdir()] == ["m.lusm"]
 
 
 def test_load_rejects_stream_name_not_utf8(tmp_path):

@@ -3,8 +3,10 @@ import re
 
 import pytest
 
+from landuse.atomic import atomic_output, write_atomic
 from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
                          main, parse_config_text)
+from landuse.dataset import read_entry
 from landuse.evaluation import image_accuracy
 from landuse.geodata import JSONLinesError
 from landuse.taxonomy import Level, builtin_taxonomy
@@ -167,6 +169,54 @@ def test_rerun_subcommand_byte_identical(tmp_path):
         run(path, sub)
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+ENTRIES = ("map_manifest.lutab", "train_manifest.lutab", "val_manifest.lutab")
+
+
+def test_out_dir_holds_the_artifacts_and_one_entry_per_manifest(tmp_path):
+    path = write_config(tmp_path)
+    run(path, "all")
+    out = tmp_path / "out"
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 16
+    assert [n for n in names if n.endswith(".lutab")] == list(ENTRIES)
+    p = Pipeline(load_config(str(path), []))
+    for name in ENTRIES:
+        key = name.removesuffix(".lutab")
+        assert read_entry(out / name, p.path(key), p.taxonomy) is not None
+
+
+def test_deleting_the_entries_changes_no_artifact(tmp_path):
+    path = write_config(tmp_path)
+    run(path, "all")
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for sub in ("filter", "train", "adapt", "predict", "map", "eval"):
+        for name in ENTRIES:
+            (out / name).unlink(missing_ok=True)
+        run(path, sub)
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    # eval loads only the map manifest, so only its entry is back
+    assert after == {k: v for k, v in before.items()
+                     if k not in ENTRIES[1:]}
+
+
+def test_write_that_raises_leaves_the_earlier_file_and_no_temp(tmp_path):
+    path = tmp_path / "report.json"
+    write_atomic(path, "old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_output(path) as f:
+            f.write(b"half of the new")
+            raise RuntimeError("disk gone")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    with pytest.raises(RuntimeError):
+        with atomic_output(tmp_path / "new.json") as f:
+            raise RuntimeError("before any byte")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    write_atomic(path, "néw\n")
+    assert path.read_bytes() == "néw\n".encode("utf-8")
 
 
 def test_all_fails_when_training_set_fills_no_batch(tmp_path, capsys):

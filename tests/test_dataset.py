@@ -108,6 +108,28 @@ def test_feature_file_truncated_anywhere(tmp_path):
             read_feature_file(path)
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 3).flatmap(lambda d: st.dictionaries(
+    st.text(max_size=3),
+    st.lists(st.floats(width=32, allow_nan=False), min_size=d, max_size=d),
+    min_size=1, max_size=4)))
+def test_feature_file_round_trip_exact_and_every_prefix_rejected(tmp_path,
+                                                                 vectors):
+    path = tmp_path / "f.lufv"
+    write_feature_file(path, vectors)
+    whole = path.read_bytes()
+    ids, X = read_feature_file(path)
+    assert ids == list(vectors)
+    want = np.array(list(vectors.values()), dtype=np.float32).astype(np.float64)
+    assert X.dtype == np.float64 and X.shape == want.shape
+    assert X.tobytes() == want.tobytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ManifestError):
+            read_feature_file(path)
+
+
 def test_manifest_with_sidecar(tmp_path):
     sidecar = tmp_path / "feats.lufv"
     write_feature_file(sidecar, {"r0": np.ones(3)})

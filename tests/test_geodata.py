@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (oracle_assign, oracle_contains, oracle_ring_crossing,
                       random_parcel, star_ring)
 from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
-                             GeoJSONParseError, GeoPoint, JSONLinesError,
+                             Assignment, GeoJSONParseError, GeoPoint, JSONLinesError,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, decode_json,
@@ -121,6 +121,49 @@ def test_parse_rejects_non_collection():
 def test_parse_rejects_members_of_the_wrong_shape(document, message):
     with pytest.raises(GeoJSONParseError, match=f"^{re.escape(message)}$"):
         parse_parcels(document, TAX)
+
+
+SQUARE_RING = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("geometry,message", [
+    ({"type": "Polygon"},
+     "Polygon coordinates must be a list of rings of positions, got None"),
+    ({"type": "Polygon", "coordinates": 5},
+     "Polygon coordinates must be a list of rings of positions, got 5"),
+    ({"type": "Polygon", "coordinates": [5]},
+     "Polygon coordinates must be a list of rings of positions, got [5]"),
+    ({"type": "Polygon", "coordinates": [[5]]},
+     "Polygon coordinates must be a list of rings of positions, got [[5]]"),
+    ({"type": "Polygon", "coordinates": {"a": 1}},
+     "Polygon coordinates must be a list of rings of positions,"
+     " got {'a': 1}"),
+    ({"type": "MultiPolygon"},
+     "MultiPolygon coordinates must be a list of polygons, got None"),
+    ({"type": "MultiPolygon", "coordinates": 5},
+     "MultiPolygon coordinates must be a list of polygons, got 5"),
+    ({"type": "MultiPolygon", "coordinates": [SQUARE_RING]},
+     "MultiPolygon coordinates must be a list of polygons, got [[[0.0, 0.0],"
+     " [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]"),   # cut at 60
+])
+def test_coordinates_of_the_wrong_shape_rejected(geometry, message):
+    doc = feature_collection([{"type": "Feature", "id": "p1",
+                               "geometry": geometry}])
+    with pytest.raises(GeoJSONParseError,
+                       match=f"^{re.escape('feature p1: ' + message)}$"):
+        parse_parcels(doc, TAX)
+
+
+@pytest.mark.parametrize("position", [["1", 0.0], [True, 0.0], [1.0, None]])
+def test_position_that_is_not_two_numbers_rejected(position):
+    ring = [SQUARE_RING[0], position, *SQUARE_RING[2:]]
+    doc = feature_collection([{
+        "type": "Feature", "id": "p1",
+        "geometry": {"type": "MultiPolygon", "coordinates": [[ring]]}}])
+    with pytest.raises(GeoJSONParseError,
+                       match=re.escape(f"feature p1: position {position}"
+                                       " is not [lon, lat]")):
+        parse_parcels(doc, TAX)
 
 
 def polygon_feature(fid, rings):
@@ -519,6 +562,38 @@ def test_assignments_cut_line_names_source_and_line():
     cut = '{"provenance": {}}\n' + text[:-10]
     with pytest.raises(JSONLinesError, match=r"^out/assignments.jsonl:3: bad JSON"):
         assignments_from_jsonl(cut, "out/assignments.jsonl")
+
+
+#: line ends ``str.splitlines`` knows besides the line feed
+UNICODE_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_jsonl_raw_unicode_line_end_inside_a_string_read():
+    text = ('{"provenance": {}}\n'
+            '{"image": "i", "parcel": "P\u2028Q\x85R", "mode": "inside"}\n'
+            '{"image": "j", "parcel": "S", "mode": "dilated"}\n')
+    out = assignments_from_jsonl(text, "src")
+    assert [(a.image_id, a.modes) for a in out] == [
+        ("i", {"P\u2028Q\x85R": "inside"}), ("j", {"S": "dilated"})]
+    # line numbers still count line feeds only
+    with pytest.raises(JSONLinesError, match=r"^src:3: bad JSON"):
+        assignments_from_jsonl(text.replace('"j"', "j"), "src")
+
+
+@given(st.lists(st.text(alphabet=st.sampled_from("ab" + UNICODE_LINE_ENDS),
+                        min_size=1, max_size=6),
+                min_size=1, max_size=4, unique=True))
+def test_assignments_with_unicode_line_ends_round_trip(parcel_ids):
+    a = Assignment(image_id="i\u2028" + parcel_ids[0],
+                   modes={pid: "inside" for pid in parcel_ids})
+    text = assignments_to_jsonl([a])
+    # the writer escapes every line end; JSON allows those past U+001F raw
+    raw = text
+    for c in "\x85\u2028\u2029":
+        raw = raw.replace(json.dumps(c)[1:-1], c)
+    for t in (text, raw):
+        again = assignments_from_jsonl(t)
+        assert [(b.image_id, b.modes) for b in again] == [(a.image_id, a.modes)]
 
 
 @pytest.mark.parametrize("line", ["5", '"x"', "[1]", "null"])
