@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # no
                              predict_image, predict_table)
 from .geodata import (GeoPoint, JSONLinesError, assign, assignments_from_jsonl,
                       assignments_to_jsonl, iter_jsonl, jsonl_field,
-                      parse_parcels)
+                      parse_parcels, read_parcel_entry, write_parcel_entry)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 SUBCOMMANDS = ("filter", "train", "adapt", "predict", "map", "eval",
@@ -73,13 +74,14 @@ def load_config(path: str, overrides) -> dict[str, str]:
 def config_hash(cfg: dict[str, str]) -> str:
     payload = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg)
                         if not k.startswith("_"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    # an argument that is not UTF-8 reaches Python as lone surrogates
+    return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class Pipeline:
     def __init__(self, cfg: dict[str, str]):
         self.cfg = cfg
-        self.seed = int(cfg["seed"])
+        self.seed = self.i("seed", None)
         self.hash = config_hash(cfg)
         self.base = Path(cfg.get("_config_dir", "."))
         out = os.environ.get("LANDUSE_OUT_DIR") or cfg.get("out_dir", "out")
@@ -104,14 +106,33 @@ class Pipeline:
         return self._resolve(self.cfg[key])
 
     def f(self, key: str, default: float) -> float:
-        return float(self.cfg.get(key, default))
+        value = self.cfg.get(key, default)
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"config key {key!r}: expected a finite number,"
+                              f" got {value!r}")
+        return number
 
-    def i(self, key: str, default: int) -> int:
-        return int(self.cfg.get(key, default))
+    def i(self, key: str, default: int | None) -> int:
+        value = self.cfg.get(key, default)
+        try:
+            return int(value)
+        except (ValueError, TypeError):
+            raise ConfigError(f"config key {key!r}: expected an integer,"
+                              f" got {value!r}") from None
 
     @property
     def level(self) -> Level:
-        return Level(self.cfg.get("level", "fine"))
+        value = self.cfg.get("level", "fine")
+        try:
+            return Level(value)
+        except ValueError:
+            raise ConfigError(
+                f"config key 'level': expected one of"
+                f" {', '.join(v.value for v in Level)}, got {value!r}") from None
 
     @property
     def provenance(self) -> dict:
@@ -139,9 +160,13 @@ class Pipeline:
                               self.i("train.batch_size", 256)),
             seed=self.seed + 1000 * (stream_index + 1) + 500,
             domain_ratio=self.f("train.domain_ratio", 0.5))
-        return GateConfig(mode=self.cfg.get("gate.mode", "hard"),
-                          threshold=self.f("gate.threshold", 0.5),
-                          schedule=schedule)
+        mode = self.cfg.get("gate.mode", "hard")
+        threshold = self.f("gate.threshold", 0.5)
+        try:
+            return GateConfig(mode=mode, threshold=threshold, schedule=schedule)
+        except ValueError as e:
+            raise ConfigError(f"config keys gate.mode={mode!r},"
+                              f" gate.threshold={threshold!r}: {e}") from None
 
     def fusion_weights(self) -> dict[str, float]:
         spec = self.cfg.get("fusion.weights", "equal")
@@ -154,10 +179,12 @@ class Pipeline:
                 raise ConfigError(
                     f"fusion.weights: bad part {part!r}, expected stream:weight")
             try:
-                weights[stream.strip()] = float(value)
+                weight = float(value)
             except ValueError:
-                raise ConfigError(
-                    f"fusion.weights: bad weight in {part!r}") from None
+                weight = math.nan
+            if not math.isfinite(weight):
+                raise ConfigError(f"fusion.weights: bad weight in {part!r}")
+            weights[stream.strip()] = weight
         return weights
 
     # -- artifact paths --------------------------------------------------
@@ -177,8 +204,16 @@ class Pipeline:
     # -- shared loaders --------------------------------------------------
 
     def load_parcels(self):
-        return parse_parcels(self.path("parcels").read_text(encoding="utf-8"),
-                             self.taxonomy)
+        """The parcels, through the parcel entry ``out_dir/parcels.lupar``:
+        the GeoJSON is parsed and validated only when the entry does not
+        hold the parcels of these bytes and this taxonomy."""
+        data = self.path("parcels").read_bytes()
+        entry = self.out_dir / "parcels.lupar"
+        parcels = read_parcel_entry(entry, data, self.taxonomy)
+        if parcels is None:
+            parcels = parse_parcels(data, self.taxonomy)
+            write_parcel_entry(entry, data, self.taxonomy, parcels)
+        return parcels
 
     def load_split(self, key: str):
         """The table of a manifest, through its table-cache entry
@@ -212,10 +247,14 @@ class Pipeline:
         write_atomic(path.with_suffix(".lusm.meta.json"),
                      json.dumps(meta, indent=2) + "\n")
 
+    def read_assignments(self):
+        path = self.assignments_path
+        return assignments_from_jsonl(_jsonl_text(path), path)
+
     def read_predictions(self) -> dict[str, int]:
         path = self.predictions_path
         preds = {}
-        for lineno, obj in iter_jsonl(path.read_text(encoding="utf-8"), path):
+        for lineno, obj in iter_jsonl(_jsonl_text(path), path):
             if "image" not in obj:
                 continue  # provenance header line
             if obj["image"] in preds:
@@ -228,6 +267,15 @@ class Pipeline:
         path.parent.mkdir(parents=True, exist_ok=True)
         header = json.dumps({"provenance": self.provenance})
         write_atomic(path, header + "\n" + body)
+
+
+def _jsonl_text(path: Path) -> str:
+    """The text of a JSON-lines artifact; bytes that are not UTF-8 raise
+    ``JSONLinesError`` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise JSONLinesError(f"{path}: not UTF-8: {e.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +332,7 @@ def cmd_predict(p: Pipeline) -> None:
 
 def cmd_map(p: Pipeline) -> None:
     parcels = p.load_parcels()
-    assignments = assignments_from_jsonl(
-        p.assignments_path.read_text(encoding="utf-8"), p.assignments_path)
+    assignments = p.read_assignments()
     parcel_preds = aggregate_parcels(assignments, p.read_predictions())
     write_atomic(p.out_dir / "map.geojson",
                  export_map(parcels, parcel_preds, p.taxonomy, p.level,
@@ -294,8 +341,7 @@ def cmd_map(p: Pipeline) -> None:
 
 def cmd_eval(p: Pipeline) -> None:
     parcels = p.load_parcels()
-    assignments = assignments_from_jsonl(
-        p.assignments_path.read_text(encoding="utf-8"), p.assignments_path)
+    assignments = p.read_assignments()
     predictions = p.read_predictions()
     table = p.load_split("map_manifest")
     labels = {rid: c for rid, c in zip(table.ids, table.label.tolist())

@@ -13,7 +13,6 @@ JSON only when the entry does not hold the table for the same inputs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -24,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_output
+from .entry import (DIGEST, classes_sha256, file_sha256, open_entry, sized,
+                    write_entry)
 from .geodata import GeoPoint, decode_json
 from .taxonomy import Taxonomy, TaxonomyError
 
@@ -200,7 +200,7 @@ def load_manifest(path, taxonomy: Taxonomy | None = None,
     table = read_entry(cache, path, taxonomy)
     if table is None:
         try:
-            digest = _file_sha256(path)
+            digest = file_sha256(path)
         except OSError:
             digest = None  # the decode raises its own error
         table, refs = _decode_manifest(path, taxonomy)
@@ -363,59 +363,16 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
 
 ENTRY_MAGIC = b"LUTAB"
 ENTRY_VERSION = 1
-_DIGEST = 32
-
-
-def _file_sha256(path) -> bytes:
-    with open(path, "rb") as f:
-        return hashlib.file_digest(f, "sha256").digest()
-
-
-def _utf8(text: str) -> bytes:
-    return text.encode("utf-8", "surrogatepass")
-
-
-def _sized(text: str) -> bytes:
-    raw = _utf8(text)
-    return struct.pack("<I", len(raw)) + raw
 
 
 def _cache_key(path: Path, taxonomy: Taxonomy | None, refs) -> bytes:
     """The digests an entry for ``path`` is keyed by; reading a file that
     is gone raises ``OSError``."""
-    classes = list(taxonomy.fine_classes) if taxonomy else None
-    parts = [_file_sha256(path),
-             hashlib.sha256(_utf8(json.dumps(classes))).digest(),
+    parts = [file_sha256(path), classes_sha256(taxonomy),
              struct.pack("<I", len(refs))]
     for ref in refs:
-        parts += [_sized(ref), _file_sha256(path.parent / ref)]
+        parts += [sized(ref), file_sha256(path.parent / ref)]
     return b"".join(parts)
-
-
-class _Cursor:
-    """Reads an entry front to back; reading past its end raises
-    ``ValueError``."""
-
-    def __init__(self, buf: bytearray):
-        self.buf, self.pos = buf, 0
-
-    def take(self, n: int) -> memoryview:
-        if n > len(self.buf) - self.pos:
-            raise ValueError("entry cut short")
-        self.pos += n
-        return memoryview(self.buf)[self.pos - n:self.pos]
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self) -> str:
-        (n,) = self.unpack("<I")
-        return str(self.take(n), "utf-8", "surrogatepass")
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        """``count`` items in place: writable views of the entry's buffer."""
-        size = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(size * count), dtype=dtype)
 
 
 def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable | None:
@@ -427,40 +384,25 @@ def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable |
     chunks, so a hit never holds the manifest's bytes.
     """
     path = Path(path)
-    try:
-        with open(entry, "rb") as f:
-            buf = bytearray(os.fstat(f.fileno()).st_size)
-            whole = f.readinto(buf) == len(buf)
-    except OSError:
+    cur = open_entry(entry, ENTRY_MAGIC, ENTRY_VERSION)
+    if cur is None:
         return None
-    body = memoryview(buf)[:-_DIGEST]
-    if not whole or len(buf) < _DIGEST or (
-            hashlib.sha256(body).digest() != buf[-_DIGEST:]):
-        return None
-    cur = _Cursor(body)
     try:
-        if cur.take(len(ENTRY_MAGIC)) != ENTRY_MAGIC or (
-                cur.unpack("<I") != (ENTRY_VERSION,)):
-            return None
         start = cur.pos
-        cur.take(2 * _DIGEST)
+        cur.take(2 * DIGEST)
         (n_refs,) = cur.unpack("<I")
         refs = []
         for _ in range(n_refs):
             refs.append(cur.text())
-            cur.take(_DIGEST)
+            cur.take(DIGEST)
         if cur.buf[start:cur.pos] != _cache_key(path, taxonomy, refs):
             return None
         n, n_streams = cur.unpack("<QI")
-        sizes = cur.array("<u4", n).tolist()
-        blob = cur.take(sum(sizes))
-        ends = np.cumsum(sizes).tolist()
-        ids = tuple(str(blob[e - k:e], "utf-8", "surrogatepass")
-                    for k, e in zip(sizes, ends))
+        ids = tuple(cur.texts(n))
         dims = {cur.text(): cur.unpack("<Q")[0] for _ in range(n_streams)}
         domain = cur.array("S1", n).astype(str)
         has_geo = cur.array("?", n).copy()
-        cur.take(-cur.pos % 8)
+        cur.align(8)
         label = cur.array("<i8", n).astype(np.intp)
         lon = cur.array("<f8", n).astype(np.float64)
         lat = cur.array("<f8", n).astype(np.float64)
@@ -468,7 +410,7 @@ def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable |
                     .reshape(n, d) for s, d in dims.items()}
     except (ValueError, struct.error, OSError):
         return None
-    if cur.pos != len(body):
+    if not cur.done:
         return None
     return ManifestTable(ids=ids, domain=domain, label=label,
                          features=features, lon=lon, lat=lat, has_geo=has_geo)
@@ -476,42 +418,33 @@ def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable |
 
 def _write_entry(entry, path: Path, taxonomy: Taxonomy | None, refs,
                  table: ManifestTable, digest: bytes | None) -> None:
-    """Write the entry for a decoded table, through a temp file. Nothing is
-    written if the manifest no longer has the bytes ``digest`` it had
-    before the decode, or if the entry cannot be written: the cache then
-    misses next time, which costs a decode and nothing else."""
-    entry = Path(entry)
+    """Write the entry for a decoded table. Nothing is written if the
+    manifest no longer has the bytes ``digest`` it had before the decode,
+    or if the entry cannot be written: the cache then misses next time,
+    which costs a decode and nothing else."""
     try:
         key = _cache_key(path, taxonomy, refs)
-        if key[:_DIGEST] != digest:
-            return
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_output(entry) as f:
-            h = hashlib.sha256()
-
-            def put(data) -> None:
-                h.update(data)
-                f.write(data)
-
-            n = len(table)
-            raw_ids = [_utf8(rid) for rid in table.ids]
-            put(ENTRY_MAGIC + struct.pack("<I", ENTRY_VERSION) + key)
-            put(struct.pack("<QI", n, len(table.features)))
-            put(np.array([len(r) for r in raw_ids], dtype="<u4").tobytes())
-            put(b"".join(raw_ids))
-            for stream, M in table.features.items():
-                put(_sized(stream) + struct.pack("<Q", M.shape[1]))
-            put(table.domain.astype("S1").tobytes())
-            put(table.has_geo.astype("?").tobytes())
-            put(bytes(-f.tell() % 8))
-            put(table.label.astype("<i8").tobytes())
-            put(table.lon.astype("<f8").tobytes())
-            put(table.lat.astype("<f8").tobytes())
-            for M in table.features.values():
-                put(np.ascontiguousarray(M, dtype="<f8").data)
-            f.write(h.digest())
     except OSError:
-        pass
+        return
+    if key[:DIGEST] != digest:
+        return
+
+    def fill(out) -> None:
+        out.put(key)
+        out.put(struct.pack("<QI", len(table), len(table.features)))
+        out.texts(table.ids)
+        for stream, M in table.features.items():
+            out.put(sized(stream) + struct.pack("<Q", M.shape[1]))
+        out.put(table.domain.astype("S1").tobytes())
+        out.put(table.has_geo.astype("?").tobytes())
+        out.align(8)
+        out.put(table.label.astype("<i8").tobytes())
+        out.put(table.lon.astype("<f8").tobytes())
+        out.put(table.lat.astype("<f8").tobytes())
+        for M in table.features.values():
+            out.put(np.ascontiguousarray(M, dtype="<f8").data)
+
+    write_entry(entry, ENTRY_MAGIC, ENTRY_VERSION, fill)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def equal_weights(streams) -> dict[str, float]:
 
 def _check_weights(weights: dict[str, float], streams) -> None:
     vals = list(weights.values())
-    if any(v < 0 for v in vals):
+    if not all(v >= 0 for v in vals):  # NaN compares false, so fails too
         raise ValueError("fusion weights must be >= 0")
     if abs(sum(vals) - 1.0) > 1e-9:
         raise ValueError(f"fusion weights must sum to 1, got {sum(vals)}")

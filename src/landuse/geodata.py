@@ -23,14 +23,17 @@ all-pairs check, since the candidates are a subset of all pairs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 import orjson
 
+from .entry import DIGEST, classes_sha256, open_entry, write_entry
 from .taxonomy import Taxonomy
 
 #: meters per degree of latitude in the local planar frame
@@ -87,6 +90,16 @@ class Parcel:
             raise ParcelValidationError(f"parcel {self.id}: no rings")
         for ring in self.rings:
             _validate_ring(self.id, ring)
+
+    @classmethod
+    def _trusted(cls, id: str, rings, truth: frozenset[int]) -> "Parcel":
+        """A parcel built without validation, from parts that were validated
+        when the same input was parsed; see ``read_parcel_entry``."""
+        parcel = object.__new__(cls)
+        object.__setattr__(parcel, "id", id)
+        object.__setattr__(parcel, "rings", rings)
+        object.__setattr__(parcel, "truth", truth)
+        return parcel
 
     @property
     def exterior(self):
@@ -205,19 +218,30 @@ def _on_segment_collinear(a, b, p) -> bool:
 # GeoJSON parsing
 
 
-def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
-    """Parse a GeoJSON FeatureCollection into parcels.
+def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
+    """Parse a GeoJSON FeatureCollection, given as text or UTF-8 bytes,
+    into parcels.
 
     MultiPolygon features are split into one parcel per member polygon,
     named ``<id>#<k>``. A ``landuse`` value that is not a list of strings,
     unknown class names and repeated parcel ids raise instead of being
     silently dropped.
     """
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise GeoJSONParseError(
+                f"not UTF-8 at byte offset {e.start}: {e.reason}") from None
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise GeoJSONParseError(
             f"malformed GeoJSON at byte offset {e.pos}: {e.msg}") from None
+    except ValueError as e:  # an integer literal of too many digits
+        raise GeoJSONParseError(f"malformed GeoJSON: {e}") from None
+    except RecursionError:
+        raise GeoJSONParseError("malformed GeoJSON: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise GeoJSONParseError("expected a FeatureCollection")
     features = doc.get("features", [])
@@ -260,11 +284,15 @@ def parse_parcels(document: str, taxonomy: Taxonomy) -> list[Parcel]:
                 raise ParcelValidationError(f"duplicate parcel id {pid!r}")
             seen.add(pid)
             rings = tuple(tuple(map(tuple, ring)) for ring in rings)
-            bad = next((v for ring in rings for v in ring if not _is_position(v)),
-                       None)
-            if bad is not None:
-                raise GeoJSONParseError(
-                    f"feature {fid}: position {list(bad)} is not [lon, lat]")
+            for r, ring in enumerate(rings):
+                for k, v in enumerate(ring):
+                    if not _is_position(v):
+                        raise GeoJSONParseError(
+                            f"feature {fid}: position {list(v)} is not [lon, lat]")
+                    if not _fits_float(v):
+                        raise GeoJSONParseError(
+                            f"feature {pid}: ring {r}, position {k} has a"
+                            f" coordinate past the float range")
             parcels.append(Parcel(id=pid, rings=rings, truth=truth))
     return parcels
 
@@ -279,6 +307,16 @@ def _nested_lists(value, depth: int) -> bool:
 def _is_position(v: tuple) -> bool:
     """Two JSON numbers; ``true`` and ``false`` are not numbers."""
     return len(v) == 2 and all(type(c) in (int, float) for c in v)
+
+
+def _fits_float(v: tuple) -> bool:
+    """Whether each number of ``v`` converts to a float; a JSON integer
+    can be too large for one."""
+    try:
+        float(v[0]), float(v[1])
+    except OverflowError:
+        return False
+    return True
 
 
 def _member_object(feature: dict, key: str, fid: str) -> dict:
@@ -299,6 +337,109 @@ def parcel_geometry(parcel: Parcel) -> dict:
         "type": "Polygon",
         "coordinates": [[list(v) for v in ring] for ring in parcel.rings],
     }
+
+
+# ---------------------------------------------------------------------------
+# parcel entry
+#
+# A parcel entry holds the parcels of one GeoJSON file, little-endian,
+# framed as ``entry`` describes:
+#
+#   b"LUPAR", <I version
+#   key:     sha256 of the GeoJSON bytes, sha256 of the taxonomy's
+#            fine-class list
+#   parcels: <Q parcels, <Q rings, <Q vertices, <Q truth classes; <u4 byte
+#            length of each id, the ids as UTF-8; <u4 rings and <u4 truth
+#            classes per parcel; <u4 vertices per ring; <u4 truth class
+#            indices, in the order each set iterates; zeros up to a
+#            multiple of 8; <f8 lon and lat of each vertex; one byte per
+#            coordinate, 1 where it was a JSON integer
+#   sha256 of every byte before it
+#
+# Integers are kept as integers, as ``export_map`` writes them back. A file
+# with an integer coordinate that a float cannot hold exactly gets no
+# entry. The entry holds no path, so equal inputs give equal entries in any
+# directory. PARCEL_ENTRY_VERSION changes whenever the layout or the parse
+# does.
+
+PARCEL_ENTRY_MAGIC = b"LUPAR"
+PARCEL_ENTRY_VERSION = 1
+
+#: integers a float64 holds exactly, and so the layout
+_EXACT_INT = 2 ** 53
+
+
+def _parcel_key(data: bytes, taxonomy: Taxonomy) -> bytes:
+    return hashlib.sha256(data).digest() + classes_sha256(taxonomy)
+
+
+def read_parcel_entry(entry, data: bytes, taxonomy: Taxonomy) -> list[Parcel] | None:
+    """The parcels that ``parse_parcels(data, taxonomy)`` gives, as held by
+    the parcel entry ``entry``, or None.
+
+    None is a miss: no readable entry, one that is cut short, garbled or
+    extended, or one keyed by other GeoJSON bytes or another taxonomy. A
+    hit neither decodes JSON nor validates rings: they were validated when
+    the entry was written from the same bytes.
+    """
+    cur = open_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION)
+    if cur is None:
+        return None
+    try:
+        if cur.take(2 * DIGEST) != _parcel_key(data, taxonomy):
+            return None
+        n, n_rings, n_vertices, n_truth = cur.unpack("<4Q")
+        ids = cur.texts(n)
+        rings_per = cur.array("<u4", n).tolist()
+        truth_per = cur.array("<u4", n).tolist()
+        vertices_per = cur.array("<u4", n_rings).tolist()
+        classes = cur.array("<u4", n_truth).tolist()
+        cur.align(8)
+        coords = cur.array("<f8", 2 * n_vertices).tolist()
+        is_int = cur.array("?", 2 * n_vertices)
+    except (ValueError, struct.error):
+        return None
+    if not cur.done or (sum(rings_per), sum(truth_per), sum(vertices_per)) != (
+            n_rings, n_truth, n_vertices):
+        return None
+    for k in np.flatnonzero(is_int).tolist():
+        coords[k] = int(coords[k])
+    xy = iter(coords)
+    vertices = iter(list(zip(xy, xy)))
+    rings = iter([tuple(islice(vertices, m)) for m in vertices_per])
+    truths = iter(classes)
+    return [Parcel._trusted(pid, tuple(islice(rings, r)),
+                            frozenset(islice(truths, t)))
+            for pid, r, t in zip(ids, rings_per, truth_per)]
+
+
+def write_parcel_entry(entry, data: bytes, taxonomy: Taxonomy,
+                       parcels: list[Parcel]) -> None:
+    """Write the parcel entry for the parcels ``data`` parsed into. Nothing
+    is written if a coordinate is an integer past 2**53, or if the entry
+    cannot be written: the entry then misses next time, which costs a parse
+    and nothing else."""
+    rings = [ring for p in parcels for ring in p.rings]
+    coords = list(chain.from_iterable(chain.from_iterable(rings)))
+    is_int = [type(c) is int for c in coords]
+    if any(flag and abs(c) > _EXACT_INT for flag, c in zip(is_int, coords)):
+        return
+
+    def fill(out) -> None:
+        out.put(_parcel_key(data, taxonomy))
+        out.put(struct.pack("<4Q", len(parcels), len(rings), len(coords) // 2,
+                            sum(len(p.truth) for p in parcels)))
+        out.texts([p.id for p in parcels])
+        for counts in ([len(p.rings) for p in parcels],
+                       [len(p.truth) for p in parcels],
+                       [len(ring) for ring in rings],
+                       [c for p in parcels for c in p.truth]):
+            out.put(np.array(counts, dtype="<u4").tobytes())
+        out.align(8)
+        out.put(np.array(coords, dtype="<f8").tobytes())
+        out.put(np.array(is_int, dtype="?").tobytes())
+
+    write_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +544,8 @@ def assign(records, parcels, dilation_m: float = DEFAULT_DILATION_M) -> list[Ass
     boundaries. Records matching nothing are dropped. Output is sorted by
     image id and independent of parcel list order.
     """
-    if dilation_m < 0:
-        raise ValueError("dilation_m must be >= 0")
+    if not (math.isfinite(dilation_m) and dilation_m >= 0):
+        raise ValueError(f"dilation_m must be finite and >= 0, got {dilation_m}")
     boxes = np.array([_bbox(pc) for pc in parcels], dtype=np.float64)
     x0, y0, x1, y1 = boxes.reshape(-1, 4).T.copy()
     # buffer in degrees, in the frame boundary_distance_m measures in

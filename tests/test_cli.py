@@ -2,13 +2,14 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from landuse.atomic import atomic_output, write_atomic
 from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
                          main, parse_config_text)
 from landuse.dataset import read_entry
 from landuse.evaluation import image_accuracy
-from landuse.geodata import JSONLinesError
+from landuse.geodata import JSONLinesError, read_parcel_entry
 from landuse.taxonomy import Level, builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -65,6 +66,55 @@ def test_load_config_requires_seed(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         load_config(str(path), [])
     assert load_config(str(path), ["seed=3"])["seed"] == "3"
+
+
+@pytest.mark.parametrize("override,message", [
+    ("train.lr=abc", "config key 'train.lr': expected a finite number, got 'abc'"),
+    ("train.lr=nan", "config key 'train.lr': expected a finite number, got 'nan'"),
+    ("dilation_m=inf",
+     "config key 'dilation_m': expected a finite number, got 'inf'"),
+    ("seed=x", "config key 'seed': expected an integer, got 'x'"),
+    ("train.epochs=1.5",
+     "config key 'train.epochs': expected an integer, got '1.5'"),
+    ("level=bogus",
+     "config key 'level': expected one of fine, middle, top, got 'bogus'"),
+    ("gate.mode=both", "config keys gate.mode='both', gate.threshold=0.5:"
+                       " unknown gate mode 'both'"),
+])
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, override, message):
+    path = write_config(tmp_path)
+    assert main(["all", "--config", str(path), override]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+
+#: keys whose value the accessors parse; keys naming files are left out, as
+#: a missing file is an ``OSError`` when it is opened, not a bad value
+VALUE_KEYS = ("seed", "level", "dilation_m", "streams", "fusion.weights",
+              "gate.mode", "gate.threshold", "train.lr", "train.decay_factor",
+              "train.decay_every", "train.epochs", "train.batch_size",
+              "train.domain_ratio", "train.momentum", "train.weight_decay",
+              "finetune.lr", "finetune.epochs", "finetune.batch_size",
+              "synth.grid", "synth.noise", "predict.use_adapted")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(VALUE_KEYS) | st.text(min_size=1).filter(
+           lambda k: "=" not in k),
+       value=st.text() | st.sampled_from(("1", "-3", "0.5", "1e400", "nan",
+                                          "1_0", " 7 ", "middle",
+                                          # argv bytes that are not UTF-8
+                                          "\udcff")))
+def test_any_override_loads_or_is_a_config_error(tmp_path, key, value):
+    path = tmp_path / "c.txt"
+    path.write_text("seed=1\n", encoding="utf-8")
+    try:
+        p = Pipeline(load_config(str(path), [f"{key}={value}"]))
+        p.train_schedule(0), p.gate_config(0), p.fusion_weights()
+        p.level, p.provenance, p.f("dilation_m", 5.0)
+        p.f(key, 0.0), p.i(key, 0)
+    except ConfigError:
+        pass
 
 
 def test_config_hash_properties():
@@ -179,12 +229,14 @@ def test_out_dir_holds_the_artifacts_and_one_entry_per_manifest(tmp_path):
     run(path, "all")
     out = tmp_path / "out"
     names = sorted(p.name for p in out.iterdir())
-    assert len(names) == 16
+    assert len(names) == 17
     assert [n for n in names if n.endswith(".lutab")] == list(ENTRIES)
     p = Pipeline(load_config(str(path), []))
     for name in ENTRIES:
         key = name.removesuffix(".lutab")
         assert read_entry(out / name, p.path(key), p.taxonomy) is not None
+    assert read_parcel_entry(out / "parcels.lupar",
+                             p.path("parcels").read_bytes(), p.taxonomy)
 
 
 def test_deleting_the_entries_changes_no_artifact(tmp_path):
@@ -193,11 +245,12 @@ def test_deleting_the_entries_changes_no_artifact(tmp_path):
     out = tmp_path / "out"
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     for sub in ("filter", "train", "adapt", "predict", "map", "eval"):
-        for name in ENTRIES:
+        for name in (*ENTRIES, "parcels.lupar"):
             (out / name).unlink(missing_ok=True)
         run(path, sub)
     after = {p.name: p.read_bytes() for p in out.iterdir()}
-    # eval loads only the map manifest, so only its entry is back
+    # eval loads only the map manifest and the parcels, so only their
+    # entries are back
     assert after == {k: v for k, v in before.items()
                      if k not in ENTRIES[1:]}
 
@@ -303,6 +356,7 @@ def test_eval_without_labels_reports_null_accuracy(tmp_path):
 @pytest.mark.parametrize("spec,bad", [
     ("object:0.5,scene", "bad part 'scene'"),
     ("object:half,scene:0.5", "bad weight in 'object:half'"),
+    ("object:nan,scene:0.5", "bad weight in 'object:nan'"),
 ])
 def test_malformed_fusion_weights(spec, bad):
     p = Pipeline({"seed": "1", "fusion.weights": spec})
@@ -350,3 +404,65 @@ def test_map_rejects_cut_assignments(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: JSONLinesError: {assignments}:"
                           f"{text.count(chr(10))}: bad JSON")
+
+
+def first_lon_past_float_range(data: bytes) -> bytes:
+    doc = json.loads(data)
+    ring = doc["features"][0]["geometry"]["coordinates"][0]
+    ring[0][0] = ring[-1][0] = 10 ** 400
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda b: b.replace(b'"id": "', b'"id": "\xff', 1),
+     r"not UTF-8 at byte offset \d+: invalid start byte"),
+    (first_lon_past_float_range,
+     r"feature \S+: ring 0, position 0 has a coordinate past the float range"),
+])
+def test_filter_names_undecodable_parcels(tmp_path, capsys, fault, message):
+    path = write_config(tmp_path)
+    run(path, "synth")
+    parcels = tmp_path / "data" / "parcels.geojson"
+    parcels.write_bytes(fault(parcels.read_bytes()))
+    assert main(["filter", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: GeoJSONParseError: {message}\n", err), err
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A pipeline whose six stages have run, for its JSON-lines artifacts."""
+    root = tmp_path_factory.mktemp("done")
+    path = write_config(root)
+    run(path, "all")
+    return Pipeline(load_config(str(path), []))
+
+
+def raw_utf8(data: bytes) -> bytes:
+    """The same rows with a raw two-byte character in every image id."""
+    return data.replace(b'"image": "', '"image": "é'.encode("utf-8"))
+
+
+@pytest.mark.parametrize("name,rows", [
+    ("assignments.jsonl",
+     lambda p: [(a.image_id, *pair) for a in p.read_assignments()
+                for pair in a.pairs()]),
+    ("predictions.jsonl", lambda p: list(p.read_predictions().items())),
+])
+@pytest.mark.parametrize("variant", [bytes, raw_utf8])
+def test_every_prefix_of_a_jsonl_artifact_reads_or_is_typed(
+        finished_run, tmp_path, name, rows, variant):
+    whole = variant((finished_run.out_dir / name).read_bytes())
+    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)))
+    target = tmp_path / name
+    target.write_bytes(whole)
+    full = rows(p)
+    assert len(full) > 10
+    for cut in range(len(whole)):
+        target.write_bytes(whole[:cut])
+        try:
+            got = rows(p)
+        except JSONLinesError as e:
+            assert str(e).startswith(f"{target}:"), e
+        else:  # whole rows only
+            assert got == full[:len(got)]

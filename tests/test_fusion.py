@@ -65,6 +65,8 @@ def test_fuse_validates_weights_and_lengths():
         fuse({"a": [1.0]}, {"a": 0.5})
     with pytest.raises(ValueError, match=">= 0"):
         fuse({"a": [1.0], "b": [0.0]}, {"a": 1.5, "b": -0.5})
+    with pytest.raises(ValueError, match=">= 0"):
+        fuse({"a": [1.0], "b": [0.0]}, {"a": 1.0, "b": float("nan")})
     with pytest.raises(ValueError, match="match"):
         fuse({"a": [1.0]}, {"b": 1.0})
     with pytest.raises(ValueError, match="length"):

@@ -101,6 +101,39 @@ def test_parse_malformed_json_reports_offset():
         parse_parcels('{"type": "FeatureCollection", ', TAX)
 
 
+@pytest.mark.parametrize("document,message", [
+    (b'{"type": "FeatureCollection", "features": [{"id": "\xe9"}]}',
+     "not UTF-8 at byte offset 51: invalid continuation byte"),
+    ("[" + "1" * 5000 + "]", "malformed GeoJSON: Exceeds the limit"),
+    ("[" * 100000, "malformed GeoJSON: nested too deeply"),
+])
+def test_parse_rejects_undecodable_documents(document, message):
+    with pytest.raises(GeoJSONParseError, match=f"^{re.escape(message)}"):
+        parse_parcels(document, TAX)
+
+
+def test_parse_reads_utf8_bytes_as_text():
+    doc = feature_collection([{
+        "type": "Feature", "id": "pé\u2028",
+        "geometry": {"type": "Polygon",
+                     "coordinates": [[list(v) for v in UNIT_SQUARE]]}}])
+    doc = doc.replace("\\u00e9", "é")
+    assert parse_parcels(doc.encode("utf-8"), TAX) == parse_parcels(doc, TAX)
+    assert parse_parcels(doc, TAX)[0].id == "pé\u2028"
+
+
+@pytest.mark.parametrize("big", ["1" + "0" * 400, "-" + "9" * 309])
+def test_integer_coordinate_past_the_float_range_rejected(big):
+    ring = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+    doc = feature_collection([{
+        "type": "Feature", "id": "p1",
+        "geometry": {"type": "Polygon", "coordinates": [ring]}}])
+    doc = doc.replace("[1, 1]", f"[{big}, 1]")
+    with pytest.raises(GeoJSONParseError, match=r"^feature p1: ring 0, position 2"
+                       r" has a coordinate past the float range$"):
+        parse_parcels(doc, TAX)
+
+
 def test_parse_rejects_non_collection():
     with pytest.raises(GeoJSONParseError):
         parse_parcels('{"type": "Feature"}', TAX)
@@ -419,8 +452,11 @@ def test_assign_order_independent():
 
 
 def test_assign_rejects_negative_dilation():
-    with pytest.raises(ValueError):
-        assign([], [], dilation_m=-1.0)
+    parcels, records = city_fixture()
+    for dilation_m in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError,
+                           match="^dilation_m must be finite and >= 0"):
+            assign(records, parcels, dilation_m=dilation_m)
 
 
 def test_assignments_jsonl_round_trip():
