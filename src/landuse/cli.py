@@ -29,8 +29,9 @@ from .evaluation import image_accuracy, mapping_metrics, per_class_report
 from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # noqa: F401
                              predict_image, predict_table)
 from .geodata import (GeoPoint, JSONLinesError, assign, assignments_from_jsonl,
-                      assignments_to_jsonl, iter_jsonl, jsonl_field,
-                      parse_parcels, read_parcel_entry, write_parcel_entry)
+                      assignments_to_jsonl, encode_json, iter_jsonl,
+                      jsonl_field, jsonl_id, parse_parcels, read_parcel_entry,
+                      write_parcel_entry)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 SUBCOMMANDS = ("filter", "train", "adapt", "predict", "map", "eval",
@@ -245,7 +246,7 @@ class Pipeline:
         meta = dict(self.provenance, stream=stream,
                     val_accuracy=result.val_accuracy)
         write_atomic(path.with_suffix(".lusm.meta.json"),
-                     json.dumps(meta, indent=2) + "\n")
+                     encode_json(meta) + "\n")
 
     def read_assignments(self):
         path = self.assignments_path
@@ -257,10 +258,11 @@ class Pipeline:
         for lineno, obj in iter_jsonl(_jsonl_text(path), path):
             if "image" not in obj:
                 continue  # provenance header line
-            if obj["image"] in preds:
+            image = jsonl_id(obj, "image", path, lineno)
+            if image in preds:
                 raise JSONLinesError(
-                    f"{path}:{lineno}: repeated image id {obj['image']}")
-            preds[obj["image"]] = jsonl_field(obj, "pred", path, lineno)
+                    f"{path}:{lineno}: repeated image id {image}")
+            preds[image] = jsonl_field(obj, "pred", path, lineno)
         return preds
 
     def _write_jsonl(self, path: Path, body: str) -> None:
@@ -364,7 +366,7 @@ def cmd_eval(p: Pipeline) -> None:
         accuracy = image_accuracy(rolled_preds, rolled_labels)
     out = {"provenance": p.provenance, "image_accuracy": accuracy,
            "mapping": report.to_json()}
-    write_atomic(p.out_dir / "report.json", json.dumps(out, indent=2) + "\n")
+    write_atomic(p.out_dir / "report.json", encode_json(out) + "\n")
     write_atomic(p.out_dir / "per_class.csv",
                  per_class_report(report, p.taxonomy,
                                   image_predictions=predictions,

@@ -8,7 +8,6 @@ index everywhere, for reproducibility.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .classifier import SoftmaxModel, forward
 from .dataset import ImageRecord, ManifestTable, missing_stream
-from .geodata import Parcel, parcel_geometry
+from .geodata import Parcel, encode_json, parcel_geometry
 from .taxonomy import Level, Taxonomy
 
 
@@ -122,7 +121,11 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
     The majority label is rolled up to the requested level; the full fine
     histogram is kept in the properties so mixed-use parcels stay visible.
     Geometry is copied verbatim from the input parcels. A ``provenance``
-    given becomes the collection's last member.
+    given becomes the collection's last member. The text is
+    ``json.dumps(collection, indent=2)`` and a line feed, written by
+    ``geodata.encode_json``: orjson writes it unless the map holds a
+    value that orjson writes otherwise, such as a non-ASCII class name or
+    a coordinate below 1e-4 in magnitude, and json then writes it all.
     """
     by_id = {pp.parcel_id: pp for pp in parcel_predictions}
     features = []
@@ -146,4 +149,4 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
     doc = {"type": "FeatureCollection", "features": features}
     if provenance is not None:
         doc["provenance"] = provenance
-    return json.dumps(doc, indent=2) + "\n"
+    return encode_json(doc) + "\n"

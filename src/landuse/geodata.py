@@ -48,6 +48,20 @@ _PAD_SLACK = 1e-9
 #: least this large in magnitude
 _INT64_BOUND = 2.0 ** 63
 
+#: orjson writes a nonzero float as ``repr`` does, and so as json does,
+#: only at magnitudes in [_PLAIN_FLOAT_MIN, _PLAIN_FLOAT_MAX): outside them
+#: ``repr`` writes ``1e-05`` and ``1e+16`` where orjson writes ``0.00001``
+#: and ``1e16``
+_PLAIN_FLOAT_MIN = 1e-4
+_PLAIN_FLOAT_MAX = 1e16
+
+#: the integers orjson writes; past them it raises
+_ORJSON_INT_MIN = -2 ** 63
+_ORJSON_INT_END = 2 ** 64
+
+#: containers orjson writes nested at most this deep; past it it raises
+_ORJSON_DEPTH = 255
+
 
 class GeoJSONParseError(ValueError):
     pass
@@ -580,6 +594,78 @@ def assignments_to_jsonl(assignments) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# ---------------------------------------------------------------------------
+# JSON text
+#
+# ``decode_json`` and ``encode_json`` are one contract: the program's JSON
+# reader and its writer of indented JSON each give what the standard
+# ``json`` module gives (``json.loads(text)``, ``json.dumps(value,
+# indent=2)``). Each lets orjson do the work wherever orjson's result is
+# known to be the same, and falls back to ``json`` for the rest; there is
+# no option to choose. The writer is exact. The reader differs in the two
+# ways its docstring names: an integer literal past 64 bits nested inside
+# a value, and a text nested past json's recursion limit.
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, indent=2)``, written by orjson wherever that
+    gives the same text.
+
+    One walk over ``value`` decides. orjson writes the text if the walk
+    finds only these exact types: ``dict`` with ``str`` keys, ``list``,
+    ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``, nested
+    in at most as many containers as orjson writes (255), and finds only
+    values that orjson writes as json does:
+
+    - strings and keys of ASCII without DEL; json escapes the rest under
+      ``ensure_ascii``, and both escape control characters alike;
+    - floats that are zero or of magnitude in [1e-4, 1e16), which both
+      write as ``repr`` does; outside that range the notations differ,
+      and orjson writes a non-finite float as ``null``;
+    - integers in [-2**63, 2**64), past which orjson raises.
+
+    json writes every other value, and any value orjson refuses, so json's
+    text and exceptions hold: a circular value, where the walk stops at
+    the depth bound, raises json's ``ValueError``.
+    """
+    if _orjson_writes_as_json(value, 0):
+        try:
+            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
+        except orjson.JSONEncodeError:
+            pass
+    return json.dumps(value, indent=2)
+
+
+def _orjson_writes_as_json(value, depth: int) -> bool:
+    """Whether orjson writes ``value``, inside ``depth`` containers, as
+    json does; see ``encode_json``."""
+    kind = type(value)
+    if kind is float:
+        return (value == 0.0
+                or _PLAIN_FLOAT_MIN <= abs(value) < _PLAIN_FLOAT_MAX)
+    if kind is str:
+        return value.isascii() and "\x7f" not in value
+    if kind is int:
+        return _ORJSON_INT_MIN <= value < _ORJSON_INT_END
+    if kind is bool or value is None:
+        return True
+    if depth == _ORJSON_DEPTH:
+        return False
+    if kind is list or kind is tuple:
+        members = value
+    elif kind is dict:
+        if not all(type(key) is str and key.isascii() and "\x7f" not in key
+                   for key in value):
+            return False
+        members = value.values()
+    else:
+        return False
+    for member in members:
+        if not _orjson_writes_as_json(member, depth + 1):
+            return False
+    return True
+
+
 def decode_json(line):
     """``json.loads`` of one JSON text, given as ``str`` or UTF-8 ``bytes``,
     decoded by orjson wherever that gives the same object.
@@ -592,7 +678,10 @@ def decode_json(line):
     magnitude 2**63 or more, as orjson gives an integer literal past 64
     bits. Such a literal nested deeper stays the float nearest to it, the
     value a float64 array holds for it either way. orjson also reads texts
-    nested deeper than json's recursion allows.
+    nested deeper than json's recursion allows. A text that neither reads
+    for its depth raises ``json.JSONDecodeError`` ("nested too deeply"),
+    where ``json.loads`` raises ``RecursionError``. These are the two ways
+    the result differs from ``json.loads``.
     """
     try:
         obj = orjson.loads(line)
@@ -607,7 +696,11 @@ def decode_json(line):
             members = (obj,)
         if not any(type(v) is float and abs(v) >= _INT64_BOUND for v in members):
             return obj
-    return json.loads(line if isinstance(line, str) else line.decode("utf-8"))
+    text = line if isinstance(line, str) else line.decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def iter_jsonl(text: str, source):
@@ -635,12 +728,13 @@ def assignments_from_jsonl(text: str, source="assignments") -> list[Assignment]:
     for lineno, obj in iter_jsonl(text, source):
         if "image" not in obj:
             continue  # provenance header line
-        parcel = jsonl_field(obj, "parcel", source, lineno)
+        image = jsonl_id(obj, "image", source, lineno)
+        parcel = jsonl_id(obj, "parcel", source, lineno)
         mode = jsonl_field(obj, "mode", source, lineno)
-        if obj["image"] not in by_image:
-            by_image[obj["image"]] = {}
-            order.append(obj["image"])
-        by_image[obj["image"]][parcel] = mode
+        if image not in by_image:
+            by_image[image] = {}
+            order.append(image)
+        by_image[image][parcel] = mode
     return [Assignment(image_id=i, modes=by_image[i]) for i in order]
 
 
@@ -650,3 +744,14 @@ def jsonl_field(obj: dict, key: str, source, lineno: int):
     if key not in obj:
         raise JSONLinesError(f"{source}:{lineno}: row lacks {key!r}")
     return obj[key]
+
+
+def jsonl_id(obj: dict, key: str, source, lineno: int) -> str:
+    """The image or parcel id ``obj[key]`` of a JSON-lines row; a row
+    lacking it, or holding anything but a string there, raises
+    ``JSONLinesError`` naming ``source`` and the line."""
+    value = jsonl_field(obj, key, source, lineno)
+    if type(value) is not str:
+        raise JSONLinesError(f"{source}:{lineno}: {key} must be a string,"
+                             f" got {type(value).__name__}")
+    return value

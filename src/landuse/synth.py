@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
-from .geodata import METERS_PER_DEGREE
+from .geodata import METERS_PER_DEGREE, encode_json
 from .taxonomy import Taxonomy
 
 
@@ -208,8 +208,8 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
                       lat0 + (y0 + parcel_size_m / 2) * dlat)
             parcel_info.append((pid, truth, center))
     parcels_path = out_dir / "parcels.geojson"
-    parcels_path.write_text(json.dumps(
-        {"type": "FeatureCollection", "features": features}, indent=2) + "\n",
+    parcels_path.write_text(encode_json(
+        {"type": "FeatureCollection", "features": features}) + "\n",
         encoding="utf-8")
 
     # train / val manifests

@@ -394,6 +394,18 @@ def test_prediction_row_lacking_pred_rejected(tmp_path):
         p.read_predictions()
 
 
+@pytest.mark.parametrize("value,kind", [("[1]", "list"), ('{"a": "i"}', "dict")])
+def test_prediction_image_that_is_not_a_string_rejected(tmp_path, value, kind):
+    p = Pipeline({"seed": "1", "out_dir": str(tmp_path)})
+    p.predictions_path.write_text(
+        '{"provenance": {}}\n{"image": ' + value + ', "pred": 0}\n',
+        encoding="utf-8")
+    with pytest.raises(JSONLinesError,
+                       match=f"^{re.escape(str(p.predictions_path))}:2:"
+                             f" image must be a string, got {kind}$"):
+        p.read_predictions()
+
+
 def test_map_rejects_cut_assignments(tmp_path, capsys):
     path = write_config(tmp_path)
     run(path, "all")

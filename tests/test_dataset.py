@@ -185,8 +185,11 @@ def test_feature_file_bad_rows_rejected(tmp_path, data, message):
      "record b: non-finite value in stream o"),
     (b'{"id": "b\xff", "features": {"o": [2.0]}}',
      "{path}:2: not UTF-8: invalid start byte"),
+    (b'{"id": "b", "features": {"o": ' + b"[" * 100000,
+     "{path}:2: bad JSON: nested too deeply"),
 ], ids=["int", "str", "list", "features_list", "features_ref_list",
-        "features_ref_int", "int_past_float_range", "not_utf8"])
+        "features_ref_int", "int_past_float_range", "not_utf8",
+        "nested_too_deeply"])
 def test_malformed_json_line_rejected(tmp_path, line, message):
     path = tmp_path / "m.jsonl"
     path.write_bytes(b'{"id": "a", "features": {"o": [1.0]}}\n' + line + b"\n")

@@ -2,18 +2,21 @@ import json
 import math
 import random
 import re
+import struct
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (oracle_assign, oracle_contains, oracle_ring_crossing,
                       random_parcel, star_ring)
+from landuse import geodata
 from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Assignment, GeoJSONParseError, GeoPoint, JSONLinesError,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, decode_json,
-                             iter_jsonl, parse_parcels)
+                             encode_json, iter_jsonl, parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -650,6 +653,25 @@ def test_assignment_row_lacking_a_field_rejected(row, key):
         assignments_from_jsonl(text, "src")
 
 
+@pytest.mark.parametrize("key", ["image", "parcel"])
+@pytest.mark.parametrize("value,kind", [
+    ("[1]", "list"), ('{"a": "P"}', "dict"), ("5", "int")])
+def test_assignment_id_that_is_not_a_string_rejected(key, value, kind):
+    row = {"image": '"i"', "parcel": '"P"', "mode": '"inside"', key: value}
+    text = ('{"provenance": {}}\n{'
+            + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
+    with pytest.raises(JSONLinesError,
+                       match=f"^src:2: {key} must be a string, got {kind}$"):
+        assignments_from_jsonl(text, "src")
+
+
+def test_jsonl_line_nested_too_deeply_rejected():
+    text = '{"provenance": {}}\n{"a": ' + "[" * 100000 + "\n"
+    with pytest.raises(JSONLinesError,
+                       match=r"^src:2: bad JSON: nested too deeply$"):
+        list(iter_jsonl(text, "src"))
+
+
 # ---------------------------------------------------------------------------
 # JSON decoding against json.loads
 
@@ -712,3 +734,140 @@ def test_decode_json_floats_and_integers_match_json_loads(values, n, fmt):
     text = f'{{"id": {n}, "v": [{", ".join(map(fmt, values))}]}}'
     assert decoded(decode_json, text) == decoded(json.loads, text)
     assert decoded(decode_json, text.encode()) == decoded(json.loads, text)
+
+
+# ---------------------------------------------------------------------------
+# JSON encoding against json.dumps
+
+
+def encoded(encode, value):
+    """What ``encode`` writes for ``value``, or the type of what it raises."""
+    try:
+        return encode(value)
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        return type(e)
+
+
+def indented(value):
+    return json.dumps(value, indent=2)
+
+
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def around(x: float, steps: int = 2) -> list[float]:
+    """``x``, its neighbours ``steps`` floats either way, and their
+    negations."""
+    out = [x]
+    for toward in (0.0, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out + [-v for v in out]
+
+
+#: zeros, subnormals, the bounds of json's and orjson's shared notation,
+#: the bounds of the float range and the non-finite floats
+EDGE_FLOATS = ([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, math.nan, math.inf, -math.inf]
+               + around(1e-4) + around(1e16))
+
+#: orjson writes integers in [-2**63, 2**64) and raises past them
+EDGE_INTS = [-2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1,
+             2 ** 64]
+
+
+@dataclass
+class Point:
+    x: float
+
+
+class Name(str):
+    pass
+
+
+#: values json writes differently from orjson or not at all: a dataclass
+#: (orjson writes an object, json raises), a subclass of str, bytes, a set
+ODD_VALUES = [Point(1.0), Name("n"), b"x", {1}]
+
+floats = (st.floats() | st.integers(0, 2 ** 64 - 1).map(float_from_bits)
+          | st.sampled_from(EDGE_FLOATS))
+ints = st.integers(-2 ** 70, 2 ** 70) | st.sampled_from(EDGE_INTS)
+ascii_texts = st.text(st.characters(max_codepoint=0x7f))
+texts = ascii_texts | st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from("\x7f\x00\x1f\n\t\"\\/\u00e9\u2028\ud800"))
+scalars = st.none() | st.booleans() | ints | floats | texts
+keys = texts | ints | floats | st.booleans() | st.none()
+#: scalars that orjson writes as json does, and DEL, drawn apart so that
+#: about half of the values take orjson's path
+plain_floats = st.sampled_from([0.0, -0.0]) | st.builds(
+    math.copysign, st.floats(1e-4, 1e16, exclude_max=True), st.sampled_from([1, -1]))
+plain_scalars = (st.none() | st.booleans() | plain_floats | ascii_texts
+                 | st.integers(-2 ** 63, 2 ** 64 - 1))
+
+
+def nested_values(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda children: (st.lists(children, max_size=5)
+                          | st.lists(children, max_size=5).map(tuple)
+                          | st.dictionaries(keys, children, max_size=5)),
+        max_leaves=30)
+
+
+json_values = (nested_values(plain_scalars, ascii_texts)
+               | nested_values(scalars, keys)
+               | nested_values(scalars | st.sampled_from(ODD_VALUES), keys))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(json_values)
+def test_encode_json_matches_json_dumps(value):
+    assert encoded(encode_json, value) == encoded(indented, value)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": [1, 2.5, None, True], "b": {"c": "d", "e": []}, "f": {}},
+    [0.0, -0.0, 1e-4, 9999999999999998.0, 1e16, 9.999999999999999e-05],
+    "caf\u00e9", "\x7f", {"\x7f": 1}, {"\u00e9": 1}, "\x00\x1f\n",
+    [2 ** 64 - 1, 2 ** 64], {1: "a", None: "b"},
+    (1, (2, 3)), [math.nan], Point(2.0), Name("x"),
+], ids=repr)
+def test_encode_json_edge_values(value):
+    assert encoded(encode_json, value) == encoded(indented, value)
+
+
+def nested(levels: int) -> list:
+    value = [1]
+    for _ in range(levels - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("levels", [254, 255, 256, 300])
+def test_encode_json_deep_nesting_matches_json_dumps(levels):
+    value = nested(levels)
+    assert encode_json(value) == indented(value)
+    value = {"a": nested(levels - 1)}
+    assert encode_json(value) == indented(value)
+
+
+def test_encode_json_falls_back_when_orjson_refuses(monkeypatch):
+    # a walk that lets deeper values through hands orjson one it refuses
+    monkeypatch.setattr(geodata, "_ORJSON_DEPTH", 1000)
+    value = nested(300)
+    assert encode_json(value) == indented(value)
+
+
+def test_encode_json_circular_value_raises_jsons_error():
+    value = [1]
+    value.append(value)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        encode_json(value)
+    member = {}
+    member["self"] = [member]
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        encode_json({"a": member})
