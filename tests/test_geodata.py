@@ -788,8 +788,8 @@ class Name(str):
     pass
 
 
-#: values json writes differently from orjson or not at all: a dataclass
-#: (orjson writes an object, json raises), a subclass of str, bytes, a set
+#: values of types the walk refuses: a dataclass (orjson writes an object,
+#: json raises), a subclass of str, and bytes and a set (both raise)
 ODD_VALUES = [Point(1.0), Name("n"), b"x", {1}]
 
 floats = (st.floats() | st.integers(0, 2 ** 64 - 1).map(float_from_bits)
@@ -804,7 +804,8 @@ keys = texts | ints | floats | st.booleans() | st.none()
 #: scalars that orjson writes as json does, and DEL, drawn apart so that
 #: about half of the values take orjson's path
 plain_floats = st.sampled_from([0.0, -0.0]) | st.builds(
-    math.copysign, st.floats(1e-4, 1e16, exclude_max=True), st.sampled_from([1, -1]))
+    math.copysign, st.floats(1e-4, 1e16, exclude_max=True),
+    st.sampled_from([1, -1]))
 plain_scalars = (st.none() | st.booleans() | plain_floats | ascii_texts
                  | st.integers(-2 ** 63, 2 ** 64 - 1))
 
