@@ -262,7 +262,11 @@ class Pipeline:
             if image in preds:
                 raise JSONLinesError(
                     f"{path}:{lineno}: repeated image id {image}")
-            preds[image] = jsonl_field(obj, "pred", path, lineno)
+            pred = jsonl_field(obj, "pred", path, lineno)
+            if type(pred) is not int:
+                raise JSONLinesError(f"{path}:{lineno}: pred must be a class"
+                                     f" index, got {type(pred).__name__}")
+            preds[image] = pred
         return preds
 
     def _write_jsonl(self, path: Path, body: str) -> None:
@@ -355,13 +359,14 @@ def cmd_eval(p: Pipeline) -> None:
             f"{p.path('map_manifest')}: {len(unlabeled)} of {len(predictions)}"
             f" predicted images have no label (first: {unlabeled[0]})")
     include = p.cfg.get("eval.include_untruthed", "false").lower() == "true"
+    level = p.level
     report = mapping_metrics(assignments, predictions, parcels, p.taxonomy,
-                             level=p.level, include_untruthed=include)
+                             level=level, include_untruthed=include)
     accuracy = None
     if not unlabeled:
-        rolled_preds = {i: p.taxonomy.roll_up(c, p.level)
+        rolled_preds = {i: p.taxonomy.roll_up(c, level)
                         for i, c in predictions.items()}
-        rolled_labels = {i: p.taxonomy.roll_up(c, p.level)
+        rolled_labels = {i: p.taxonomy.roll_up(c, level)
                          for i, c in labels.items()}
         accuracy = image_accuracy(rolled_preds, rolled_labels)
     out = {"provenance": p.provenance, "image_accuracy": accuracy,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entry import (DIGEST, classes_sha256, file_sha256, open_entry, sized,
+from .entry import (classes_sha256, file_sha256, read_entry as read_items,
                     write_entry)
 from .geodata import GeoPoint, decode_json
 from .taxonomy import Taxonomy, TaxonomyError
@@ -345,75 +345,56 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
 # ---------------------------------------------------------------------------
 # table cache
 #
-# A cache entry holds one decoded manifest table, little-endian:
-#
-#   b"LUTAB", <I version
-#   key:   sha256 of the manifest bytes, sha256 of the taxonomy's fine-class
-#          list (JSON, ``null`` for no taxonomy), <I count, then per sidecar
-#          path as written in the manifest: <I length, UTF-8, its sha256
-#   table: <Q rows, <I streams, <u4 byte length of each id, the ids as
-#          UTF-8, per stream <I length, UTF-8 name, <Q dimension; one byte
-#          of domain and one of has_geo per row; zeros up to a multiple of
-#          8; <i8 label, <f8 lon, <f8 lat, then each stream's <f8 matrix
-#   sha256 of every byte before it
-#
-# Strings keep lone surrogates (``surrogatepass``), which JSON can hold. The
-# entry holds no path of its own, so equal inputs give equal entries in any
-# directory. ENTRY_VERSION changes whenever the layout or the decode does.
+# A cache entry holds one decoded manifest table as the items of ``entry``:
+# the key (the sha256 of the manifest bytes, of the taxonomy's fine-class
+# list and of each sidecar, in the order of the sidecar paths), the sidecar
+# paths as written in the manifest, the ids, the stream names and their
+# dimensions, then the domain, has_geo, label, lon and lat columns and each
+# stream's matrix. The entry holds no path of its own, so equal inputs give
+# equal entries in any directory. ENTRY_VERSION changes whenever the items
+# or the decode do.
 
 ENTRY_MAGIC = b"LUTAB"
-ENTRY_VERSION = 1
+ENTRY_VERSION = 2
 
 
 def _cache_key(path: Path, taxonomy: Taxonomy | None, refs) -> bytes:
-    """The digests an entry for ``path`` is keyed by; reading a file that
-    is gone raises ``OSError``."""
-    parts = [file_sha256(path), classes_sha256(taxonomy),
-             struct.pack("<I", len(refs))]
-    for ref in refs:
-        parts += [sized(ref), file_sha256(path.parent / ref)]
-    return b"".join(parts)
+    """The digests an entry for ``path`` is keyed by, the manifest's first;
+    reading a file that is gone raises ``OSError``."""
+    return b"".join([file_sha256(path), classes_sha256(taxonomy),
+                     *(file_sha256(path.parent / ref) for ref in refs)])
 
 
 def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable | None:
     """The table cache entry ``entry`` holds for manifest ``path``, or None.
 
     None is a miss: no readable entry, one that is cut short, garbled or
-    extended, or one keyed by other bytes of the manifest or its sidecars,
-    or by another taxonomy. The key is checked by hashing the files in
-    chunks, so a hit never holds the manifest's bytes.
+    extended, one whose columns disagree in length, or one keyed by other
+    bytes of the manifest or its sidecars, or by another taxonomy. The key
+    is checked by hashing the files in chunks, so a hit never holds the
+    manifest's bytes.
     """
-    path = Path(path)
-    cur = open_entry(entry, ENTRY_MAGIC, ENTRY_VERSION)
-    if cur is None:
+    items = read_items(entry, ENTRY_MAGIC, ENTRY_VERSION)
+    if items is None or len(items) < 10:
         return None
+    (key, refs, ids, streams, dims, domain, has_geo, label, lon, lat,
+     *mats) = items
     try:
-        start = cur.pos
-        cur.take(2 * DIGEST)
-        (n_refs,) = cur.unpack("<I")
-        refs = []
-        for _ in range(n_refs):
-            refs.append(cur.text())
-            cur.take(DIGEST)
-        if cur.buf[start:cur.pos] != _cache_key(path, taxonomy, refs):
+        if key.tobytes() != _cache_key(Path(path), taxonomy, refs):
             return None
-        n, n_streams = cur.unpack("<QI")
-        ids = tuple(cur.texts(n))
-        dims = {cur.text(): cur.unpack("<Q")[0] for _ in range(n_streams)}
-        domain = cur.array("S1", n).astype(str)
-        has_geo = cur.array("?", n).copy()
-        cur.align(8)
-        label = cur.array("<i8", n).astype(np.intp)
-        lon = cur.array("<f8", n).astype(np.float64)
-        lat = cur.array("<f8", n).astype(np.float64)
-        features = {s: cur.array("<f8", n * d).astype(np.float64, copy=False)
-                    .reshape(n, d) for s, d in dims.items()}
-    except (ValueError, struct.error, OSError):
+    except OSError:
         return None
-    if not cur.done:
+    n, dims = len(ids), dims.tolist()
+    if (len(streams) != len(dims) or len(mats) != len(dims)
+            or any(len(c) != n for c in (domain, has_geo, label, lon, lat))
+            or any(len(M) != n * d for M, d in zip(mats, dims))):
         return None
-    return ManifestTable(ids=ids, domain=domain, label=label,
-                         features=features, lon=lon, lat=lat, has_geo=has_geo)
+    return ManifestTable(
+        ids=tuple(ids), domain=domain.astype(str), label=label.astype(np.intp),
+        features={s: M.astype(np.float64, copy=False).reshape(n, d)
+                  for s, d, M in zip(streams, dims, mats)},
+        lon=lon.astype(np.float64), lat=lat.astype(np.float64),
+        has_geo=has_geo.copy())
 
 
 def _write_entry(entry, path: Path, taxonomy: Taxonomy | None, refs,
@@ -426,25 +407,16 @@ def _write_entry(entry, path: Path, taxonomy: Taxonomy | None, refs,
         key = _cache_key(path, taxonomy, refs)
     except OSError:
         return
-    if key[:DIGEST] != digest:
+    if digest is None or not key.startswith(digest):
         return
-
-    def fill(out) -> None:
-        out.put(key)
-        out.put(struct.pack("<QI", len(table), len(table.features)))
-        out.texts(table.ids)
-        for stream, M in table.features.items():
-            out.put(sized(stream) + struct.pack("<Q", M.shape[1]))
-        out.put(table.domain.astype("S1").tobytes())
-        out.put(table.has_geo.astype("?").tobytes())
-        out.align(8)
-        out.put(table.label.astype("<i8").tobytes())
-        out.put(table.lon.astype("<f8").tobytes())
-        out.put(table.lat.astype("<f8").tobytes())
-        for M in table.features.values():
-            out.put(np.ascontiguousarray(M, dtype="<f8").data)
-
-    write_entry(entry, ENTRY_MAGIC, ENTRY_VERSION, fill)
+    write_entry(entry, ENTRY_MAGIC, ENTRY_VERSION, [
+        np.frombuffer(key, dtype="u1"), refs, list(table.ids),
+        list(table.features),
+        np.array([M.shape[1] for M in table.features.values()], dtype="<u8"),
+        table.domain.astype("S1"), table.has_geo.astype("?"),
+        table.label.astype("<i8"), table.lon.astype("<f8"),
+        table.lat.astype("<f8"),
+        *(np.asarray(M, dtype="<f8") for M in table.features.values())])
 
 
 # ---------------------------------------------------------------------------

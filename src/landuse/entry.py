@@ -1,20 +1,25 @@
-"""Framing of the binary cache entries that stages keep in ``out_dir``.
+"""The binary cache entries that stages keep in ``out_dir``.
 
 An entry is, little-endian::
 
-    magic, <I version, key, body, sha256 of every byte before it
+    magic, <I version, <I item count, the items, sha256 of every byte before it
 
-The key holds digests of the inputs the body was built from, and the body
-is what building it gave. Each kind of entry (the manifest table of
-``dataset``, the parcels of ``geodata``) defines its own magic, key and
-body; this module holds what they share: the digests, strings that keep
-lone surrogates, a cursor that reads a body front to back, and the hashed
-write through a temp file.
+Each item starts at a multiple of 8 bytes, after zero padding, with an
+8-byte ASCII code and a ``<Q`` count. An array item's code is its numpy
+dtype string, and its data the count elements, so every array is aligned
+for its dtype. A string item's code is ``utf-8``, and its data the ``<u4``
+byte length of each of the count strings, then their bytes; strings keep
+lone surrogates (``surrogatepass``), which JSON can hold.
+
+Each kind of entry (the manifest table of ``dataset``, the parcels of
+``geodata``) has its own magic and says which items it stores in which
+order, a key of input digests first; this module alone knows the bytes,
+and holds the digests the keys are made of.
 
 A reader treats anything but an entry it can read whole, whose sha256,
-magic, version and key all match, as a miss. A writer that meets an
-``OSError`` leaves no entry, or the previous one: a miss costs the work the
-entry saves and nothing else.
+magic and version match, as a miss. A writer that meets an ``OSError``
+leaves no entry, or the previous one: a miss costs the work the entry
+saves and nothing else.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import numpy as np
 
 from .atomic import atomic_output
 
-DIGEST = 32
+_DIGEST = 32
+_TEXT = b"utf-8"
+_ITEM = struct.Struct("<8sQ")
 
 
 def file_sha256(path) -> bytes:
@@ -42,114 +49,86 @@ def classes_sha256(taxonomy) -> bytes:
     """sha256 of a taxonomy's fine-class list as JSON (``null`` for none):
     the part of a taxonomy that names and numbers classes."""
     classes = list(taxonomy.fine_classes) if taxonomy else None
-    return hashlib.sha256(utf8(json.dumps(classes))).digest()
+    return hashlib.sha256(json.dumps(classes).encode("utf-8")).digest()
 
 
-def utf8(text: str) -> bytes:
-    return text.encode("utf-8", "surrogatepass")
-
-
-def sized(text: str) -> bytes:
-    raw = utf8(text)
-    return struct.pack("<I", len(raw)) + raw
-
-
-class Cursor:
-    """Reads an entry front to back; reading past its end raises
-    ``ValueError``."""
-
-    def __init__(self, buf: memoryview, pos: int = 0):
-        self.buf, self.pos = buf, pos
-
-    def take(self, n: int) -> memoryview:
-        if n > len(self.buf) - self.pos:
-            raise ValueError("entry cut short")
-        self.pos += n
-        return self.buf[self.pos - n:self.pos]
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self) -> str:
-        (n,) = self.unpack("<I")
-        return str(self.take(n), "utf-8", "surrogatepass")
-
-    def texts(self, count: int) -> list[str]:
-        """``count`` strings stored as their ``<u4`` byte lengths followed
-        by their bytes."""
-        sizes = self.array("<u4", count).tolist()
-        blob = self.take(sum(sizes))
-        ends = np.cumsum(sizes).tolist()
-        return [str(blob[e - k:e], "utf-8", "surrogatepass")
-                for k, e in zip(sizes, ends)]
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        """``count`` items in place: writable views of the entry's buffer."""
-        size = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(size * count), dtype=dtype)
-
-    def align(self, n: int) -> None:
-        self.take(-self.pos % n)
-
-    @property
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
-
-
-def open_entry(entry, magic: bytes, version: int) -> Cursor | None:
-    """A cursor just past the magic and version of ``entry``, over its bytes
-    up to the trailing sha256; None if the entry cannot be read whole, or
-    its sha256, magic or version do not match."""
+def read_entry(entry, magic: bytes, version: int) -> list | None:
+    """The items of ``entry``: each a 1-D array, a writable view of the
+    entry's bytes, or a list of strings. None if the entry cannot be read
+    whole, or its sha256, magic or version do not match, or its items do
+    not fill it exactly."""
     try:
         with open(entry, "rb") as f:
             buf = bytearray(os.fstat(f.fileno()).st_size)
             whole = f.readinto(buf) == len(buf)
     except OSError:
         return None
-    body = memoryview(buf)[:-DIGEST]
+    body = memoryview(buf)[:-_DIGEST]
     head = magic + struct.pack("<I", version)
-    if not whole or len(buf) < DIGEST + len(head) or (
-            hashlib.sha256(body).digest() != buf[-DIGEST:]
+    if not whole or len(buf) < _DIGEST + len(head) + 4 or (
+            hashlib.sha256(body).digest() != buf[-_DIGEST:]
             or body[:len(head)] != head):
         return None
-    return Cursor(body, len(head))
+    (count,) = struct.unpack_from("<I", body, len(head))
+    pos = len(head) + 4
+
+    def take(size: int) -> memoryview:
+        nonlocal pos
+        if size > len(body) - pos:
+            raise ValueError("entry cut short")
+        pos += size
+        return body[pos - size:pos]
+
+    items = []
+    try:
+        for _ in range(count):
+            take(-pos % 8)
+            code, n = _ITEM.unpack(take(_ITEM.size))
+            code = code.rstrip(b"\0")
+            if code == _TEXT:
+                sizes = np.frombuffer(take(4 * n), dtype="<u4").tolist()
+                blob = take(sum(sizes))
+                ends = np.cumsum(sizes).tolist()
+                items.append([str(blob[e - k:e], "utf-8", "surrogatepass")
+                              for k, e in zip(sizes, ends)])
+            else:
+                dtype = np.dtype(code.decode("ascii"))
+                items.append(np.frombuffer(take(dtype.itemsize * n),
+                                           dtype=dtype))
+    # a cut item or bad UTF-8 raises ValueError, and a dtype code that
+    # numpy cannot parse ValueError, TypeError or SyntaxError
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return items if pos == len(body) else None
 
 
-class EntryWriter:
-    """Writes an entry's bytes and hashes them as it goes."""
-
-    def __init__(self, f):
-        self._f, self._hash = f, hashlib.sha256()
-
-    def put(self, data) -> None:
-        self._hash.update(data)
-        self._f.write(data)
-
-    def texts(self, texts) -> None:
-        """Strings as ``Cursor.texts`` reads them."""
-        raw = [utf8(t) for t in texts]
-        self.put(np.array([len(r) for r in raw], dtype="<u4").tobytes())
-        self.put(b"".join(raw))
-
-    def align(self, n: int) -> None:
-        self.put(bytes(-self._f.tell() % n))
-
-    def digest(self) -> bytes:
-        return self._hash.digest()
-
-
-def write_entry(entry, magic: bytes, version: int, fill) -> None:
-    """Replace ``entry`` with its magic and version, the bytes that
-    ``fill(writer)`` puts through an ``EntryWriter``, and their sha256. An
-    ``OSError``, raised here or in ``fill``, is swallowed and leaves the
-    previous entry, if any."""
+def write_entry(entry, magic: bytes, version: int, items) -> None:
+    """Replace ``entry`` with ``items``, in order, and their sha256. An item
+    is a little-endian numpy array, stored flat, or a list of strings. The
+    bytes are hashed as they are written, never joined into one. An
+    ``OSError`` is swallowed and leaves the previous entry, if any."""
     entry = Path(entry)
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         with atomic_output(entry) as f:
-            out = EntryWriter(f)
-            out.put(magic + struct.pack("<I", version))
-            fill(out)
-            f.write(out.digest())
+            sha = hashlib.sha256()
+
+            def put(data) -> None:
+                sha.update(data)
+                f.write(data)
+
+            put(magic + struct.pack("<II", version, len(items)))
+            for item in items:
+                put(bytes(-f.tell() % 8))
+                if isinstance(item, np.ndarray):
+                    flat = np.ascontiguousarray(item).ravel()
+                    put(_ITEM.pack(flat.dtype.str.encode("ascii"), len(flat)))
+                    put(flat.data)
+                else:
+                    raw = [t.encode("utf-8", "surrogatepass") for t in item]
+                    put(_ITEM.pack(_TEXT, len(raw)))
+                    put(np.array([len(r) for r in raw], dtype="<u4").data)
+                    put(b"".join(raw))
+            f.write(sha.digest())
     except OSError:
         pass

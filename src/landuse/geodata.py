@@ -26,14 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 import orjson
 
-from .entry import DIGEST, classes_sha256, open_entry, write_entry
+from .entry import classes_sha256, read_entry, write_entry
 from .taxonomy import Taxonomy
 
 #: meters per degree of latitude in the local planar frame
@@ -356,30 +355,21 @@ def parcel_geometry(parcel: Parcel) -> dict:
 # ---------------------------------------------------------------------------
 # parcel entry
 #
-# A parcel entry holds the parcels of one GeoJSON file, little-endian,
-# framed as ``entry`` describes:
-#
-#   b"LUPAR", <I version
-#   key:     sha256 of the GeoJSON bytes, sha256 of the taxonomy's
-#            fine-class list
-#   parcels: <Q parcels, <Q rings, <Q vertices, <Q truth classes; <u4 byte
-#            length of each id, the ids as UTF-8; <u4 rings and <u4 truth
-#            classes per parcel; <u4 vertices per ring; <u4 truth class
-#            indices, in the order each set iterates; zeros up to a
-#            multiple of 8; <f8 lon and lat of each vertex; one byte per
-#            coordinate, 1 where it was a JSON integer
-#   sha256 of every byte before it
-#
-# Integers are kept as integers, as ``export_map`` writes them back. A file
-# with an integer coordinate that a float cannot hold exactly gets no
-# entry. The entry holds no path, so equal inputs give equal entries in any
-# directory. PARCEL_ENTRY_VERSION changes whenever the layout or the parse
-# does.
+# A parcel entry holds the parcels of one GeoJSON file as the items of
+# ``entry``: the key (the sha256 of the GeoJSON bytes and of the taxonomy's
+# fine-class list), the ids, the rings and truth classes of each parcel,
+# the vertices of each ring, the truth class indices in the order each set
+# iterates, the lon and lat of each vertex, and a flag per coordinate, set
+# where it was a JSON integer. Integers are kept as integers, as
+# ``export_map`` writes them back. A file with an integer coordinate that a
+# float cannot hold exactly gets no entry. The entry holds no path, so
+# equal inputs give equal entries in any directory. PARCEL_ENTRY_VERSION
+# changes whenever the items or the parse do.
 
 PARCEL_ENTRY_MAGIC = b"LUPAR"
-PARCEL_ENTRY_VERSION = 1
+PARCEL_ENTRY_VERSION = 2
 
-#: integers a float64 holds exactly, and so the layout
+#: integers a float64 holds exactly, and so the entry
 _EXACT_INT = 2 ** 53
 
 
@@ -392,36 +382,31 @@ def read_parcel_entry(entry, data: bytes, taxonomy: Taxonomy) -> list[Parcel] | 
     the parcel entry ``entry``, or None.
 
     None is a miss: no readable entry, one that is cut short, garbled or
-    extended, or one keyed by other GeoJSON bytes or another taxonomy. A
-    hit neither decodes JSON nor validates rings: they were validated when
-    the entry was written from the same bytes.
+    extended, one whose counts disagree with its items, or one keyed by
+    other GeoJSON bytes or another taxonomy. A hit neither decodes JSON nor
+    validates rings: they were validated when the entry was written from
+    the same bytes.
     """
-    cur = open_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION)
-    if cur is None:
+    items = read_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION)
+    if items is None or len(items) != 8:
         return None
-    try:
-        if cur.take(2 * DIGEST) != _parcel_key(data, taxonomy):
-            return None
-        n, n_rings, n_vertices, n_truth = cur.unpack("<4Q")
-        ids = cur.texts(n)
-        rings_per = cur.array("<u4", n).tolist()
-        truth_per = cur.array("<u4", n).tolist()
-        vertices_per = cur.array("<u4", n_rings).tolist()
-        classes = cur.array("<u4", n_truth).tolist()
-        cur.align(8)
-        coords = cur.array("<f8", 2 * n_vertices).tolist()
-        is_int = cur.array("?", 2 * n_vertices)
-    except (ValueError, struct.error):
+    key, ids, rings_per, truth_per, vertices_per, classes, coords, is_int = items
+    if key.tobytes() != _parcel_key(data, taxonomy):
         return None
-    if not cur.done or (sum(rings_per), sum(truth_per), sum(vertices_per)) != (
-            n_rings, n_truth, n_vertices):
+    rings_per, truth_per = rings_per.tolist(), truth_per.tolist()
+    vertices_per = vertices_per.tolist()
+    if (len(rings_per) != len(ids) or len(truth_per) != len(ids)
+            or sum(rings_per) != len(vertices_per)
+            or sum(truth_per) != len(classes)
+            or not 2 * sum(vertices_per) == len(coords) == len(is_int)):
         return None
+    coords = coords.tolist()
     for k in np.flatnonzero(is_int).tolist():
         coords[k] = int(coords[k])
     xy = iter(coords)
     vertices = iter(list(zip(xy, xy)))
     rings = iter([tuple(islice(vertices, m)) for m in vertices_per])
-    truths = iter(classes)
+    truths = iter(classes.tolist())
     return [Parcel._trusted(pid, tuple(islice(rings, r)),
                             frozenset(islice(truths, t)))
             for pid, r, t in zip(ids, rings_per, truth_per)]
@@ -438,22 +423,13 @@ def write_parcel_entry(entry, data: bytes, taxonomy: Taxonomy,
     is_int = [type(c) is int for c in coords]
     if any(flag and abs(c) > _EXACT_INT for flag, c in zip(is_int, coords)):
         return
-
-    def fill(out) -> None:
-        out.put(_parcel_key(data, taxonomy))
-        out.put(struct.pack("<4Q", len(parcels), len(rings), len(coords) // 2,
-                            sum(len(p.truth) for p in parcels)))
-        out.texts([p.id for p in parcels])
-        for counts in ([len(p.rings) for p in parcels],
-                       [len(p.truth) for p in parcels],
-                       [len(ring) for ring in rings],
-                       [c for p in parcels for c in p.truth]):
-            out.put(np.array(counts, dtype="<u4").tobytes())
-        out.align(8)
-        out.put(np.array(coords, dtype="<f8").tobytes())
-        out.put(np.array(is_int, dtype="?").tobytes())
-
-    write_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION, fill)
+    counts = ([len(p.rings) for p in parcels], [len(p.truth) for p in parcels],
+              [len(ring) for ring in rings],
+              [c for p in parcels for c in p.truth])
+    write_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION, [
+        np.frombuffer(_parcel_key(data, taxonomy), dtype="u1"),
+        [p.id for p in parcels], *(np.array(c, dtype="<u4") for c in counts),
+        np.array(coords, dtype="<f8"), np.array(is_int, dtype="?")])
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +707,9 @@ def assignments_from_jsonl(text: str, source="assignments") -> list[Assignment]:
         image = jsonl_id(obj, "image", source, lineno)
         parcel = jsonl_id(obj, "parcel", source, lineno)
         mode = jsonl_field(obj, "mode", source, lineno)
+        if mode not in ("inside", "dilated"):
+            raise JSONLinesError(f"{source}:{lineno}: mode must be 'inside' or"
+                                 f" 'dilated', got {mode!r}")
         if image not in by_image:
             by_image[image] = {}
             order.append(image)

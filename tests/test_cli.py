@@ -406,6 +406,20 @@ def test_prediction_image_that_is_not_a_string_rejected(tmp_path, value, kind):
         p.read_predictions()
 
 
+@pytest.mark.parametrize("value,kind", [
+    ("[1]", "list"), ('"x"', "str"), ("1.5", "float"), ("true", "bool")])
+def test_prediction_pred_that_is_not_a_class_index_rejected(tmp_path, value,
+                                                            kind):
+    p = Pipeline({"seed": "1", "out_dir": str(tmp_path)})
+    p.predictions_path.write_text(
+        '{"provenance": {}}\n{"image": "i", "pred": ' + value + '}\n',
+        encoding="utf-8")
+    with pytest.raises(JSONLinesError,
+                       match=f"^{re.escape(str(p.predictions_path))}:2:"
+                             f" pred must be a class index, got {kind}$"):
+        p.read_predictions()
+
+
 def test_map_rejects_cut_assignments(tmp_path, capsys):
     path = write_config(tmp_path)
     run(path, "all")

@@ -653,6 +653,17 @@ def test_assignment_row_lacking_a_field_rejected(row, key):
         assignments_from_jsonl(text, "src")
 
 
+@pytest.mark.parametrize("mode", ['"bogus"', '"Inside"', "null", "1",
+                                  '["inside"]'])
+def test_assignment_mode_that_is_not_inside_or_dilated_rejected(mode):
+    text = ('{"provenance": {}}\n'
+            '{"image": "i", "parcel": "P", "mode": ' + mode + "}\n")
+    with pytest.raises(JSONLinesError,
+                       match="^src:2: mode must be 'inside' or 'dilated',"
+                             " got "):
+        assignments_from_jsonl(text, "src")
+
+
 @pytest.mark.parametrize("key", ["image", "parcel"])
 @pytest.mark.parametrize("value,kind", [
     ("[1]", "list"), ('{"a": "P"}', "dict"), ("5", "int")])

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from landuse import cli, geodata
+from landuse import cli, entry as entries, geodata
 from landuse.cli import Pipeline
 from landuse.geodata import (GeoJSONParseError, ParcelValidationError,
                              parse_parcels, read_parcel_entry,
@@ -280,6 +280,23 @@ def test_entry_of_another_version_or_kind_is_a_miss(valid_entry, monkeypatch):
     table = p.out_dir / "t.lutab"
     table.write_bytes(whole.replace(b"LUPAR", b"LUTAB", 1))
     assert read_parcel_entry(table, data, TAX) is None
+
+
+@pytest.mark.parametrize("k", [2, 4])   # rings per parcel, vertices per ring
+def test_counts_that_do_not_sum_to_the_items_are_a_miss(valid_entry, tmp_path,
+                                                        k):
+    p, entry, whole, parcels = valid_entry
+    magic, version = geodata.PARCEL_ENTRY_MAGIC, geodata.PARCEL_ENTRY_VERSION
+    entry.write_bytes(whole)
+    items = entries.read_entry(entry, magic, version)
+    assert items[2].tolist() == [len(q.rings) for q in parcels]
+    assert items[4].tolist() == [len(r) for q in parcels for r in q.rings]
+    items[k] = items[k].copy()
+    items[k][0] -= 1
+    off = tmp_path / "off.lupar"
+    entries.write_entry(off, magic, version, items)
+    assert entries.read_entry(off, magic, version) is not None
+    assert_miss_then_rewritten(valid_entry, off.read_bytes())
 
 
 # ---------------------------------------------------------------------------

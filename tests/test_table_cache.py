@@ -1,13 +1,14 @@
 """The table cache behind ``load_manifest(..., cache=entry)``: a hit gives
 the decoded table bit for bit, and anything else is a miss that decodes."""
 
+import hashlib
 import json
 import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from landuse import dataset
+from landuse import dataset, entry as entries
 from landuse.dataset import (ManifestError, load_manifest, read_entry,
                              write_feature_file)
 from landuse.taxonomy import Taxonomy, builtin_taxonomy
@@ -276,3 +277,26 @@ def test_entry_of_another_version_is_a_miss(valid_entry, monkeypatch):
     path, entry, whole, table = valid_entry
     entry.write_bytes(whole)
     assert read_entry(entry, path, TAX) is None
+
+
+def test_items_whose_lengths_disagree_are_a_miss(valid_entry, tmp_path):
+    path, entry, whole, table = valid_entry
+    entry.write_bytes(whole)
+    magic, version = dataset.ENTRY_MAGIC, dataset.ENTRY_VERSION
+    items = entries.read_entry(entry, magic, version)
+    assert items[8].tolist() == table.lon.tolist()
+    items[8] = items[8][:-1]   # lon one shorter than the ids
+    short = tmp_path / "short.lutab"
+    entries.write_entry(short, magic, version, items)
+    assert entries.read_entry(short, magic, version) is not None
+    assert_miss_then_rewritten(valid_entry, short.read_bytes())
+
+
+@pytest.mark.parametrize("code", [b",", b"O", b"xx", b"\xff"])
+def test_item_of_a_dtype_numpy_cannot_read_is_a_miss(valid_entry, code):
+    whole = valid_entry[2]
+    # the first float64 item, lon, gets another dtype code and a valid sha256
+    body = whole[:-32].replace(b"<f8".ljust(8, b"\0"), code.ljust(8, b"\0"),
+                               1)
+    assert body != whole[:-32]
+    assert_miss_then_rewritten(valid_entry, body + hashlib.sha256(body).digest())
