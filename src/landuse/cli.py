@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .adaptive import GateConfig, adaptive_finetune
+from .adaptive import GateConfig, adaptive_finetune, default_finetune_schedule
 from .atomic import write_atomic
 from .classifier import Schedule, init_model, load_model, save_model, train
 from .dataset import ManifestError, load_manifest
@@ -28,10 +28,10 @@ from .evaluation import image_accuracy, mapping_metrics, per_class_report
 # that traces which wrap them still find it
 from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # noqa: F401
                              predict_image, predict_table)
-from .geodata import (GeoPoint, JSONLinesError, assign, assignments_from_jsonl,
-                      assignments_to_jsonl, encode_json, iter_jsonl,
-                      jsonl_field, jsonl_id, parse_parcels, read_parcel_entry,
-                      write_parcel_entry)
+from .geodata import (DEFAULT_DILATION_M, GeoPoint, JSONLinesError, assign,
+                      assignments_from_jsonl, assignments_to_jsonl,
+                      encode_json, iter_jsonl, jsonl_field, jsonl_id,
+                      parse_parcels, read_parcel_entry, write_parcel_entry)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 SUBCOMMANDS = ("filter", "train", "adapt", "predict", "map", "eval",
@@ -125,6 +125,13 @@ class Pipeline:
             raise ConfigError(f"config key {key!r}: expected an integer,"
                               f" got {value!r}") from None
 
+    def b(self, key: str, default: bool) -> bool:
+        value = self.cfg.get(key, str(default))
+        if value.lower() not in ("true", "false"):
+            raise ConfigError(f"config key {key!r}: expected true or false,"
+                              f" got {value!r}")
+        return value.lower() == "true"
+
     @property
     def level(self) -> Level:
         value = self.cfg.get("level", "fine")
@@ -140,29 +147,31 @@ class Pipeline:
         return {"config_sha256": self.hash, "seed": self.seed}
 
     def train_schedule(self, stream_index: int) -> Schedule:
+        d = Schedule()
         return Schedule(
-            initial_lr=self.f("train.lr", 0.01),
-            decay_factor=self.f("train.decay_factor", 10.0),
-            decay_every=self.i("train.decay_every", 5),
-            total_epochs=self.i("train.epochs", 12),
-            batch_size=self.i("train.batch_size", 256),
+            initial_lr=self.f("train.lr", d.initial_lr),
+            decay_factor=self.f("train.decay_factor", d.decay_factor),
+            decay_every=self.i("train.decay_every", d.decay_every),
+            total_epochs=self.i("train.epochs", d.total_epochs),
+            batch_size=self.i("train.batch_size", d.batch_size),
             seed=self.seed + 1000 * (stream_index + 1),
-            domain_ratio=self.f("train.domain_ratio", 0.5),
-            momentum=self.f("train.momentum", 0.0),
-            weight_decay=self.f("train.weight_decay", 0.0))
+            domain_ratio=self.f("train.domain_ratio", d.domain_ratio),
+            momentum=self.f("train.momentum", d.momentum),
+            weight_decay=self.f("train.weight_decay", d.weight_decay))
 
     def gate_config(self, stream_index: int) -> GateConfig:
+        d, ft, gate = Schedule(), default_finetune_schedule(), GateConfig()
         schedule = Schedule(
-            initial_lr=self.f("finetune.lr", 1e-5),
-            decay_factor=self.f("finetune.decay_factor", 10.0),
-            decay_every=self.i("finetune.decay_every", 1),
-            total_epochs=self.i("finetune.epochs", 4),
+            initial_lr=self.f("finetune.lr", ft.initial_lr),
+            decay_factor=self.f("finetune.decay_factor", ft.decay_factor),
+            decay_every=self.i("finetune.decay_every", ft.decay_every),
+            total_epochs=self.i("finetune.epochs", ft.total_epochs),
             batch_size=self.i("finetune.batch_size",
-                              self.i("train.batch_size", 256)),
+                              self.i("train.batch_size", d.batch_size)),
             seed=self.seed + 1000 * (stream_index + 1) + 500,
-            domain_ratio=self.f("train.domain_ratio", 0.5))
-        mode = self.cfg.get("gate.mode", "hard")
-        threshold = self.f("gate.threshold", 0.5)
+            domain_ratio=self.f("train.domain_ratio", d.domain_ratio))
+        mode = self.cfg.get("gate.mode", gate.mode)
+        threshold = self.f("gate.threshold", gate.threshold)
         try:
             return GateConfig(mode=mode, threshold=threshold, schedule=schedule)
         except ValueError as e:
@@ -294,7 +303,7 @@ def cmd_filter(p: Pipeline) -> None:
     records = [(table.ids[k], GeoPoint(lon[k], lat[k]))
                for k in np.flatnonzero(table.has_geo).tolist()]
     assignments = assign(records, p.load_parcels(),
-                         dilation_m=p.f("dilation_m", 5.0))
+                         dilation_m=p.f("dilation_m", DEFAULT_DILATION_M))
     p._write_jsonl(p.assignments_path, assignments_to_jsonl(assignments))
 
 
@@ -319,7 +328,7 @@ def cmd_adapt(p: Pipeline) -> None:
 
 
 def cmd_predict(p: Pipeline) -> None:
-    use_adapted = p.cfg.get("predict.use_adapted", "true").lower() != "false"
+    use_adapted = p.b("predict.use_adapted", True)
     models = {}
     for stream in p.streams:
         path = p.model_path(stream, adapted=use_adapted)
@@ -358,10 +367,10 @@ def cmd_eval(p: Pipeline) -> None:
         raise ManifestError(
             f"{p.path('map_manifest')}: {len(unlabeled)} of {len(predictions)}"
             f" predicted images have no label (first: {unlabeled[0]})")
-    include = p.cfg.get("eval.include_untruthed", "false").lower() == "true"
     level = p.level
-    report = mapping_metrics(assignments, predictions, parcels, p.taxonomy,
-                             level=level, include_untruthed=include)
+    report = mapping_metrics(
+        assignments, predictions, parcels, p.taxonomy, level=level,
+        include_untruthed=p.b("eval.include_untruthed", False))
     accuracy = None
     if not unlabeled:
         rolled_preds = {i: p.taxonomy.roll_up(c, level)
@@ -416,7 +425,7 @@ COMMANDS = {
 
 def cmd_all(p: Pipeline) -> None:
     for name in ("synth", "filter", "train", "adapt", "predict", "map", "eval"):
-        if name == "synth" and p.cfg.get("all.skip_synth", "false").lower() == "true":
+        if name == "synth" and p.b("all.skip_synth", False):
             continue
         COMMANDS[name](p)
 

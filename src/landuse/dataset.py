@@ -210,7 +210,8 @@ def load_manifest(path, taxonomy: Taxonomy | None = None,
 
 def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     """The table of a manifest, and the ``features_ref`` paths it uses in
-    the order first met."""
+    the order first met, each with the sha256 its sidecar had just before
+    it was read."""
     with open(path, "rb") as f:
         capacity = sum(1 for _ in f)
     ids: list[str] = []
@@ -220,8 +221,8 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     lon, lat = np.zeros(capacity), np.zeros(capacity)
     has_geo = np.zeros(capacity, dtype=bool)
     mats: dict[str, np.ndarray] = {}   # rows stay zero until written
-    sidecars: dict[str, tuple[dict[str, int], np.ndarray]] = {}
-    used_refs: dict[str, None] = {}   # in the order first met
+    sidecars: dict[str, tuple[dict[str, int], np.ndarray, bytes]] = {}
+    used_refs: dict[str, bytes] = {}   # in the order first met
 
     def nonfinite(rows: int) -> ManifestError | None:
         """The error for the first of the first ``rows`` records that has
@@ -276,15 +277,18 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
                 if not isinstance(ref, str):
                     fail(k, ManifestError(f"record {rid}: features_ref of stream"
                                           f" {stream} must be a path, got {ref!r}"))
-                used_refs.setdefault(ref)
                 refpath = str(path.parent / ref)
                 if refpath not in sidecars:
+                    # hashed first: the key is never newer than the rows
+                    digest = file_sha256(refpath)
                     try:
                         ref_ids, X = read_feature_file(refpath)
                     except ManifestError as e:
                         fail(k, e)
-                    sidecars[refpath] = ({r: i for i, r in enumerate(ref_ids)}, X)
-                index, X = sidecars[refpath]
+                    sidecars[refpath] = ({r: i for i, r in enumerate(ref_ids)},
+                                         X, digest)
+                index, X, digest = sidecars[refpath]
+                used_refs.setdefault(ref, digest)
                 if rid not in index:
                     fail(k, ManifestError(
                         f"record {rid}: not found in feature file {ref}"))
@@ -339,7 +343,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     return ManifestTable(
         ids=tuple(ids), domain=np.array(domains, dtype=str),
         label=label[:n], features={s: M[:n] for s, M in mats.items()},
-        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n]), list(used_refs)
+        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n]), used_refs
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +405,18 @@ def _write_entry(entry, path: Path, taxonomy: Taxonomy | None, refs,
                  table: ManifestTable, digest: bytes | None) -> None:
     """Write the entry for a decoded table. Nothing is written if the
     manifest no longer has the bytes ``digest`` it had before the decode,
-    or if the entry cannot be written: the cache then misses next time,
-    which costs a decode and nothing else."""
+    or a sidecar the bytes it had before it was read (the values of
+    ``refs``), or if the entry cannot be written: the cache then misses
+    next time, which costs a decode and nothing else."""
     try:
         key = _cache_key(path, taxonomy, refs)
     except OSError:
         return
-    if digest is None or not key.startswith(digest):
+    if digest is None or key != b"".join(
+            [digest, classes_sha256(taxonomy), *refs.values()]):
         return
     write_entry(entry, ENTRY_MAGIC, ENTRY_VERSION, [
-        np.frombuffer(key, dtype="u1"), refs, list(table.ids),
+        np.frombuffer(key, dtype="u1"), list(refs), list(table.ids),
         list(table.features),
         np.array([M.shape[1] for M in table.features.values()], dtype="<u8"),
         table.domain.astype("S1"), table.has_geo.astype("?"),

@@ -15,6 +15,7 @@ import csv
 import io
 from dataclasses import dataclass
 
+from .fusion_mapping import aggregate_parcels
 from .taxonomy import Level, Taxonomy
 
 
@@ -79,7 +80,8 @@ def mapping_metrics(assignments, predictions: dict[str, int], parcels,
     predictions are rolled up to ``level`` before scoring. Parcels with an
     empty truth set are excluded from every count unless
     ``include_untruthed`` is set, in which case their mappings still count
-    toward the prediction total (and are never correct).
+    toward the prediction total (and are never correct). The mappings
+    are the votes ``aggregate_parcels`` counts for the map.
     """
     truth_by_parcel = {}
     for parcel in parcels:
@@ -94,25 +96,18 @@ def mapping_metrics(assignments, predictions: dict[str, int], parcels,
     correct_count = [0] * n
     recalled: set[tuple[str, int]] = set()
 
-    for a in assignments:
-        try:
-            pred = predictions[a.image_id]
-        except KeyError:
-            raise ValueError(f"no prediction for image {a.image_id}") from None
-        pred = taxonomy.roll_up(pred, level)
-        for parcel_id, _mode in a.pairs():
-            truth = truth_by_parcel.get(parcel_id)
-            if truth is None:
-                if include_untruthed:
-                    total_mappings += 1
-                    pred_count[pred] += 1
+    for pp in aggregate_parcels(assignments, predictions):
+        truth = truth_by_parcel.get(pp.parcel_id)
+        for fine, k in pp.histogram.items():
+            pred = taxonomy.roll_up(fine, level)
+            if truth is None and not include_untruthed:
                 continue
-            total_mappings += 1
-            pred_count[pred] += 1
-            if pred in truth:
-                correct += 1
-                correct_count[pred] += 1
-                recalled.add((parcel_id, pred))
+            total_mappings += k
+            pred_count[pred] += k
+            if truth is not None and pred in truth:
+                correct += k
+                correct_count[pred] += k
+                recalled.add((pp.parcel_id, pred))
 
     gt_pairs = [(pid, c) for pid, truth in truth_by_parcel.items()
                 for c in truth]

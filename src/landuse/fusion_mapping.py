@@ -72,18 +72,9 @@ def predict_table(models: dict[str, SoftmaxModel], table: ManifestTable,
                   weights: dict[str, float]):
     """Fused predictions for every record of a table, one forward per
     stream: (argmax class index per record, ``(N, n)`` fused scores).
-    Row ``k`` agrees with ``predict_image`` on ``table[k]``; the sum is
-    ``fuse``'s, taken one stream at a time so that two score matrices are
-    held at most."""
-    _check_weights(weights, models)
-    fused = None
-    for stream, model in models.items():
-        P = forward(model, table.stream(stream))
-        P *= weights[stream]
-        if fused is None:
-            fused = P
-        else:
-            fused += P
+    Row ``k`` agrees with ``predict_image`` on ``table[k]``."""
+    fused = fuse({stream: forward(model, table.stream(stream))
+                  for stream, model in models.items()}, weights)
     return np.argmax(fused, axis=-1), fused
 
 

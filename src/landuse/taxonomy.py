@@ -204,29 +204,26 @@ class Taxonomy:
 
     @classmethod
     def from_text(cls, text: str) -> "Taxonomy":
-        top, middle, fine = [], [], []
-        fine_to_middle, middle_to_top = [], []
+        """The hierarchy ``to_text`` writes, built by ``from_nested``."""
+        hierarchy = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             if not raw.strip():
                 continue
             indent = len(raw) - len(raw.lstrip(" "))
             name = raw.strip()
             if indent == 0:
-                top.append(name)
+                hierarchy.append((name, []))
             elif indent == 2:
-                if not top:
+                if not hierarchy:
                     raise TaxonomyError(f"line {lineno}: middle class before any top class")
-                middle.append(name)
-                middle_to_top.append(len(top) - 1)
+                hierarchy[-1][1].append((name, []))
             elif indent == 4:
-                if not middle:
+                if not hierarchy or not hierarchy[-1][1]:
                     raise TaxonomyError(f"line {lineno}: fine class before any middle class")
-                fine.append(name)
-                fine_to_middle.append(len(middle) - 1)
+                hierarchy[-1][1][-1][1].append(name)
             else:
                 raise TaxonomyError(f"line {lineno}: bad indentation {indent}")
-        return cls(tuple(fine), tuple(middle), tuple(top),
-                   tuple(fine_to_middle), tuple(middle_to_top))
+        return cls.from_nested(hierarchy)
 
     @classmethod
     def from_nested(cls, hierarchy) -> "Taxonomy":

@@ -10,7 +10,7 @@ from _oracles import finite_difference_grads
 from landuse.classifier import (MODEL_MAGIC, ModelIOError, Schedule,
                                 SoftmaxModel, accuracy, forward, init_model,
                                 load_model, loss_grad, save_model, train)
-from landuse.dataset import ManifestTable
+from landuse.dataset import ManifestTable, stratified_batches
 from landuse.synth import blob_split
 
 
@@ -235,6 +235,31 @@ def test_loss_non_increasing_full_batch():
         m.W -= sched.lr_at(epoch) * gW
         m.b -= sched.lr_at(epoch) * gb
     assert all(b <= a + 1e-3 for a, b in zip(losses, losses[1:]))
+
+
+def test_momentum_and_weight_decay_match_a_hand_loop():
+    train_set, _ = blob_split(3, 60, 0, 4, seed=4, mixed_domains=True)
+    sched = Schedule(total_epochs=3, batch_size=16, seed=3, initial_lr=0.1,
+                     decay_every=2, momentum=0.9, weight_decay=0.01)
+    got = train(init_model(3, 4, "object"), train_set, sched).model
+
+    m = init_model(3, 4, "object")
+    vW, vb = np.zeros_like(m.W), np.zeros_like(m.b)
+    X, y = train_set.stream("object"), train_set.label
+    for epoch in range(sched.total_epochs):
+        for idx in stratified_batches(train_set.domain, sched.batch_size,
+                                      sched.domain_ratio,
+                                      seed=sched.seed + epoch):
+            _, gW, gb = loss_grad(m, X[idx], y[idx], np.ones(len(idx)))
+            vW = sched.momentum * vW + (gW + sched.weight_decay * m.W)
+            vb = sched.momentum * vb + (gb + sched.weight_decay * m.b)
+            m.W -= sched.lr_at(epoch) * vW
+            m.b -= sched.lr_at(epoch) * vb
+    assert np.array_equal(got.W, m.W) and np.array_equal(got.b, m.b)
+    plain = train(init_model(3, 4, "object"), train_set,
+                  Schedule(total_epochs=3, batch_size=16, seed=3,
+                           initial_lr=0.1, decay_every=2)).model
+    assert not np.allclose(plain.W, m.W)
 
 
 def test_accuracy_empty_is_zero():

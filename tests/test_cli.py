@@ -1,15 +1,20 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from landuse import cli
+from landuse.adaptive import GateConfig, default_finetune_schedule
 from landuse.atomic import atomic_output, write_atomic
+from landuse.classifier import Schedule
 from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
                          main, parse_config_text)
 from landuse.dataset import read_entry
 from landuse.evaluation import image_accuracy
-from landuse.geodata import JSONLinesError, read_parcel_entry
+from landuse.geodata import (DEFAULT_DILATION_M, JSONLinesError,
+                             read_parcel_entry)
 from landuse.taxonomy import Level, builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -80,6 +85,12 @@ def test_load_config_requires_seed(tmp_path):
      "config key 'level': expected one of fine, middle, top, got 'bogus'"),
     ("gate.mode=both", "config keys gate.mode='both', gate.threshold=0.5:"
                        " unknown gate mode 'both'"),
+    ("eval.include_untruthed=yes",
+     "config key 'eval.include_untruthed': expected true or false, got 'yes'"),
+    ("predict.use_adapted=0",
+     "config key 'predict.use_adapted': expected true or false, got '0'"),
+    ("all.skip_synth=1",
+     "config key 'all.skip_synth': expected true or false, got '1'"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, override, message):
     path = write_config(tmp_path)
@@ -94,7 +105,8 @@ VALUE_KEYS = ("seed", "level", "dilation_m", "streams", "fusion.weights",
               "train.decay_every", "train.epochs", "train.batch_size",
               "train.domain_ratio", "train.momentum", "train.weight_decay",
               "finetune.lr", "finetune.epochs", "finetune.batch_size",
-              "synth.grid", "synth.noise", "predict.use_adapted")
+              "synth.grid", "synth.noise", "predict.use_adapted",
+              "eval.include_untruthed", "all.skip_synth")
 
 
 @settings(max_examples=300, deadline=None,
@@ -112,9 +124,31 @@ def test_any_override_loads_or_is_a_config_error(tmp_path, key, value):
         p = Pipeline(load_config(str(path), [f"{key}={value}"]))
         p.train_schedule(0), p.gate_config(0), p.fusion_weights()
         p.level, p.provenance, p.f("dilation_m", 5.0)
-        p.f(key, 0.0), p.i(key, 0)
+        p.f(key, 0.0), p.i(key, 0), p.b(key, False)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("value,want", [("true", True), ("TRUE", True),
+                                        ("False", False), ("false", False)])
+def test_switch_reads_true_or_false_in_any_case(value, want):
+    p = Pipeline({"seed": "1", "eval.include_untruthed": value})
+    assert p.b("eval.include_untruthed", not want) is want
+    assert p.b("all.skip_synth", want) is want  # unset: the default
+
+
+def test_unset_keys_take_the_library_defaults(tmp_path, monkeypatch):
+    p = Pipeline({"seed": "1"})
+    assert p.train_schedule(0) == replace(Schedule(), seed=1001)
+    assert p.gate_config(1) == replace(
+        GateConfig(), schedule=replace(default_finetune_schedule(), seed=2501))
+    seen = []
+    monkeypatch.setattr(cli, "assign", lambda records, parcels, dilation_m:
+                        seen.append(dilation_m) or [])
+    path = write_config(tmp_path)
+    run(path, "synth")
+    run(path, "filter")
+    assert seen == [DEFAULT_DILATION_M]
 
 
 def test_config_hash_properties():

@@ -1,13 +1,15 @@
 import csv
 import io
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landuse.evaluation import (PER_CLASS_COLUMNS, image_accuracy,
                                 mapping_metrics, per_class_report)
 from landuse.geodata import Assignment, Parcel
-from landuse.taxonomy import Level, builtin_taxonomy
+from landuse.taxonomy import Level, TaxonomyError, builtin_taxonomy
 
 TAX = builtin_taxonomy()
 
@@ -105,6 +107,89 @@ def test_missing_prediction_raises():
     parcels = [parcel("P1", "bank")]
     with pytest.raises(ValueError, match="i1"):
         mapping_metrics([A("i1", "P1")], {}, parcels, TAX)
+
+
+def test_missing_prediction_is_reported_before_a_bad_pred():
+    parcels = [parcel("P1", "bank")]
+    with pytest.raises(ValueError, match="no prediction for image i2"):
+        mapping_metrics([A("i1", "P1"), A("i2", "P1")], {"i1": 45}, parcels,
+                        TAX)
+
+
+@pytest.mark.parametrize("include", [False, True])
+def test_pred_out_of_range_on_an_untruthed_parcel_raises(include):
+    parcels = [parcel("P1", "bank"), parcel("P2")]
+    with pytest.raises(TaxonomyError, match="fine index 45 out of range"):
+        mapping_metrics([A("i1", "P2")], {"i1": 45}, parcels, TAX,
+                        include_untruthed=include)
+
+
+def per_pair_counts(assignments, predictions, parcels, level,
+                    include_untruthed):
+    """The counts of ``mapping_metrics`` taken one (image, parcel) pair at
+    a time: (correct, mappings, mappings per class, correct per class,
+    recalled (parcel, class) records)."""
+    truth = {p.id: {TAX.roll_up(c, level) for c in p.truth}
+             for p in parcels if p.truth}
+    correct = mappings = 0
+    pred_count, correct_count = Counter(), Counter()
+    recalled = set()
+    for a in assignments:
+        pred = TAX.roll_up(predictions[a.image_id], level)
+        for parcel_id, _mode in a.pairs():
+            classes = truth.get(parcel_id)
+            if classes is None and not include_untruthed:
+                continue
+            mappings += 1
+            pred_count[pred] += 1
+            if classes is not None and pred in classes:
+                correct += 1
+                correct_count[pred] += 1
+                recalled.add((parcel_id, pred))
+    return correct, mappings, pred_count, correct_count, recalled
+
+
+@st.composite
+def vote_cases(draw):
+    """(parcels, assignments, predictions): truths and predictions drawn
+    from one small pool of fine classes, so that many pairs are correct;
+    parcels with no truth, images in several parcels, and assignments to
+    a parcel id that is not in ``parcels``."""
+    pool = st.sampled_from(draw(st.lists(st.integers(0, 44), min_size=1,
+                                         max_size=6, unique=True)))
+    parcels = [Parcel(id=f"P{k}", rings=(SQUARE,),
+                      truth=draw(st.frozensets(pool, max_size=3)))
+               for k in range(draw(st.integers(1, 5)))]
+    ids = [p.id for p in parcels] + ["elsewhere"]
+    assignments, predictions = [], {}
+    for i in range(draw(st.integers(0, 12))):
+        pids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3,
+                             unique=True))
+        assignments.append(Assignment(image_id=f"i{i}", modes={
+            pid: draw(st.sampled_from(("inside", "dilated"))) for pid in pids}))
+        predictions[f"i{i}"] = draw(pool)
+    return parcels, assignments, predictions
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=vote_cases(), level=st.sampled_from(Level),
+       include=st.booleans())
+def test_mapping_metrics_equal_per_pair_counts(case, level, include):
+    parcels, assignments, predictions = case
+    r = mapping_metrics(assignments, predictions, parcels, TAX, level=level,
+                        include_untruthed=include)
+    correct, mappings, pred_count, correct_count, recalled = per_pair_counts(
+        assignments, predictions, parcels, level, include)
+    assert (r.correct, r.predictions) == (correct, mappings)
+    assert r.precision == (correct / mappings if mappings else 0.0)
+    assert r.recall == (len(recalled) / r.gt_records if r.gt_records else 0.0)
+    for c in range(TAX.n_classes(level)):
+        m = r.per_class.get(c)
+        assert (m.predictions if m else 0) == pred_count[c]
+        if pred_count[c]:
+            assert m.precision == correct_count[c] / pred_count[c]
+        if m and m.support:
+            assert m.recall == sum(k == c for _, k in recalled) / m.support
 
 
 def test_metrics_permutation_invariant():

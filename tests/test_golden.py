@@ -1,9 +1,10 @@
-"""Golden bytes of the indented JSON artifacts.
+"""Golden bytes of the indented JSON artifacts and the per-class table.
 
 ``landuse map`` and ``landuse eval`` run on small hand-written inputs, and
-the sha256 of ``map.geojson`` and ``report.json`` must equal the digests
-below, which were taken from ``json.dumps(..., indent=2)`` output. A
-change to how these artifacts are written must keep their bytes.
+the sha256 of ``map.geojson``, ``report.json`` and ``per_class.csv`` must
+equal the digests below. The JSON digests were taken from
+``json.dumps(..., indent=2)`` output. A change to how these artifacts are
+written, or to how their counts are made, must keep their bytes.
 
 The ``ascii`` case holds only what orjson writes as json does. The
 ``escaped`` case holds what it writes otherwise: a class name with a
@@ -87,12 +88,16 @@ DIGESTS = {
             "3d4690dc704aafc62bc7a77bf5f012b9a92865f0f6eb02adc24c6677cc7d9781",
         "report.json":
             "250df41b116df0945122774e753544de656c588b57fae5e5220c31042422e7c2",
+        "per_class.csv":
+            "11483151252192f642e33a41837f800fc76207d346ab78650487bfd9ecc94a79",
     },
     "escaped": {
         "map.geojson":
             "1b6825ad357d278e7fd46540d3a4a47b04d43d6ea94c89e45cdbdd6429eb469b",
         "report.json":
             "62a8d2f37d3a45775ed267945ddba4ac7007e94fa3caf5f9ebe2b11de36bc71c",
+        "per_class.csv":
+            "56857f8bac78193dbab6586666103866b29b477c5e373936b1d795c50098e29d",
     },
 }
 

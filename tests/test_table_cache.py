@@ -167,6 +167,30 @@ def test_sidecar_byte_changed_is_a_miss_and_rewrites(tmp_path):
     assert_same_table(read_entry(entry, path, TAX), load_manifest(path, TAX))
 
 
+def test_sidecar_rewritten_after_its_read_writes_no_entry(tmp_path,
+                                                         monkeypatch):
+    """The entry's key holds each sidecar's digest from before its read, so
+    a sidecar that changes after the read cannot key the rows read."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    sidecar = path.parent / "scene.lufv"
+    read = dataset.read_feature_file
+
+    def read_then_rewrite(refpath):
+        rows = read(refpath)
+        flip_byte(sidecar, len(sidecar.read_bytes()) - 1)
+        return rows
+
+    monkeypatch.setattr(dataset, "read_feature_file", read_then_rewrite)
+    old = load_manifest(path, TAX, cache=entry)
+    monkeypatch.undo()
+    assert not entry.exists()
+    table = load_manifest(path, TAX)
+    assert table.features["scene"][1, 2] != old.features["scene"][1, 2]
+    assert_same_table(load_manifest(path, TAX, cache=entry), table)
+    assert_same_table(read_entry(entry, path, TAX), table)
+
+
 def test_other_taxonomy_is_a_miss_and_rewrites(tmp_path):
     path = small_manifest(tmp_path)
     entry = tmp_path / "m.lutab"

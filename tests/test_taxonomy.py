@@ -85,6 +85,10 @@ def test_from_text_rejects_bad_indent():
 def test_from_text_rejects_orphan_fine():
     with pytest.raises(TaxonomyError):
         Taxonomy.from_text("Top\n    fine_without_middle\n")
+    # a top class with no middle class of its own: f2 is not M1's
+    with pytest.raises(TaxonomyError,
+                       match="line 5: fine class before any middle class"):
+        Taxonomy.from_text("T1\n  M1\n    f1\nT2\n    f2\n")
 
 
 def test_duplicate_names_rejected():
