@@ -87,7 +87,11 @@ class Pipeline:
         self.base = Path(cfg.get("_config_dir", "."))
         out = os.environ.get("LANDUSE_OUT_DIR") or cfg.get("out_dir", "out")
         self.out_dir = self._resolve(out)
-        self.streams = [s for s in self.cfg.get("streams", "object,scene").split(",") if s]
+        spec = self.cfg.get("streams", "object,scene")
+        self.streams = [s for s in spec.split(",") if s]
+        if not self.streams or len(set(self.streams)) < len(self.streams):
+            raise ConfigError(f"config key 'streams': expected distinct stream"
+                              f" names, got {spec!r}")
         taxonomy_path = cfg.get("taxonomy")
         if taxonomy_path:
             self.taxonomy = Taxonomy.from_text(
@@ -259,38 +263,31 @@ class Pipeline:
 
     def read_assignments(self):
         path = self.assignments_path
-        return assignments_from_jsonl(_jsonl_text(path), path)
+        with open(path, "rb") as f:
+            return assignments_from_jsonl(f, path)
 
     def read_predictions(self) -> dict[str, int]:
         path = self.predictions_path
         preds = {}
-        for lineno, obj in iter_jsonl(_jsonl_text(path), path):
-            if "image" not in obj:
-                continue  # provenance header line
-            image = jsonl_id(obj, "image", path, lineno)
-            if image in preds:
-                raise JSONLinesError(
-                    f"{path}:{lineno}: repeated image id {image}")
-            pred = jsonl_field(obj, "pred", path, lineno)
-            if type(pred) is not int:
-                raise JSONLinesError(f"{path}:{lineno}: pred must be a class"
-                                     f" index, got {type(pred).__name__}")
-            preds[image] = pred
+        with open(path, "rb") as f:
+            for lineno, obj in iter_jsonl(f, path):
+                if "image" not in obj:
+                    continue  # provenance header line
+                image = jsonl_id(obj, "image", path, lineno)
+                if image in preds:
+                    raise JSONLinesError(
+                        f"{path}:{lineno}: repeated image id {image}")
+                pred = jsonl_field(obj, "pred", path, lineno)
+                if type(pred) is not int:
+                    raise JSONLinesError(f"{path}:{lineno}: pred must be a class"
+                                         f" index, got {type(pred).__name__}")
+                preds[image] = pred
         return preds
 
     def _write_jsonl(self, path: Path, body: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         header = json.dumps({"provenance": self.provenance})
         write_atomic(path, header + "\n" + body)
-
-
-def _jsonl_text(path: Path) -> str:
-    """The text of a JSON-lines artifact; bytes that are not UTF-8 raise
-    ``JSONLinesError`` naming the file."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise JSONLinesError(f"{path}: not UTF-8: {e.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +384,29 @@ def cmd_eval(p: Pipeline) -> None:
                                   image_labels=labels))
 
 
+#: config key -> (``synth.make_city`` keyword, number type); a key the
+#: config leaves unset keeps make_city's default
+SYNTH_KEYS = {
+    "synth.classes": ("n_classes", int),
+    "synth.grid": ("grid", int),
+    "synth.images_per_parcel": ("images_per_parcel", int),
+    "synth.geo_sigma_m": ("geo_sigma_m", float),
+    "synth.train_per_class": ("train_per_class", int),
+    "synth.val_per_class": ("val_per_class", int),
+    "synth.dim": ("dim", int),
+    "synth.noise": ("noise_rate", float),
+    "synth.separation": ("separation", float),
+    "synth.spread": ("spread", float),
+    "synth.feature_scale": ("feature_scale", float),
+}
+
+
 def cmd_synth(p: Pipeline) -> None:
     data_dir = p.path("parcels").parent
-    paths = synth.make_city(
-        data_dir, p.taxonomy, seed=p.seed,
-        n_classes=p.i("synth.classes", 8),
-        grid=p.i("synth.grid", 4),
-        images_per_parcel=p.i("synth.images_per_parcel", 6),
-        geo_sigma_m=p.f("synth.geo_sigma_m", 10.0),
-        train_per_class=p.i("synth.train_per_class", 40),
-        val_per_class=p.i("synth.val_per_class", 10),
-        dim=p.i("synth.dim", 16),
-        noise_rate=p.f("synth.noise", 0.3),
-        separation=p.f("synth.separation", 3.0),
-        spread=p.f("synth.spread", 1.0),
-        feature_scale=p.f("synth.feature_scale", 1.0),
-        streams=tuple(p.streams))
+    given = {keyword: p.i(key, None) if kind is int else p.f(key, None)
+             for key, (keyword, kind) in SYNTH_KEYS.items() if key in p.cfg}
+    paths = synth.make_city(data_dir, p.taxonomy, seed=p.seed,
+                            streams=tuple(p.streams), **given)
     for key in ("parcels", "train_manifest", "val_manifest", "map_manifest"):
         short = {"parcels": "parcels", "train_manifest": "train",
                  "val_manifest": "val", "map_manifest": "map"}[key]

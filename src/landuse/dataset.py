@@ -3,17 +3,17 @@
 Records carry precomputed per-stream feature vectors instead of pixels; the
 vectors stand in for frozen pretrained feature extractors. Manifests are
 JSON-lines, optionally referencing a binary sidecar feature file (format
-``LUFV1``) instead of inlining the floats. Each line is decoded by
-``geodata.decode_json``: the object ``json.loads`` gives, decoded by orjson
-where that is the same. One load gives a ``ManifestTable``: one column per
-field and one ``(N, D)`` matrix per stream, so training, gating and
-prediction index whole matrices. A load given a cache entry decodes the
-JSON only when the entry does not hold the table for the same inputs.
+``LUFV1``) instead of inlining the floats. The lines are read by
+``geodata.iter_jsonl``, which reads the stage artifacts too, so every
+JSON-lines file follows one set of rules for blank lines, line ends, UTF-8
+and JSON. One load gives a ``ManifestTable``: one column per field and one
+``(N, D)`` matrix per stream, so training, gating and prediction index
+whole matrices. A load given a cache entry decodes the JSON only when the
+entry does not hold the table for the same inputs.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
@@ -25,7 +25,7 @@ import numpy as np
 
 from .entry import (classes_sha256, file_sha256, read_entry as read_items,
                     write_entry)
-from .geodata import GeoPoint, decode_json
+from .geodata import GeoPoint, JSONLinesError, iter_jsonl
 from .taxonomy import Taxonomy, TaxonomyError
 
 FEATURE_FILE_MAGIC = b"LUFV1"
@@ -224,12 +224,12 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     sidecars: dict[str, tuple[dict[str, int], np.ndarray, bytes]] = {}
     used_refs: dict[str, bytes] = {}   # in the order first met
 
-    def nonfinite(rows: int) -> ManifestError | None:
-        """The error for the first of the first ``rows`` records that has
-        a non-finite feature, naming its first such stream."""
+    def nonfinite() -> ManifestError | None:
+        """The error for the first record read that has a non-finite
+        feature, naming its first such stream."""
         bad = []
         for stream, M in mats.items():
-            hits = np.flatnonzero(~np.isfinite(M[:rows]).all(axis=1))
+            hits = np.flatnonzero(~np.isfinite(M[:len(ids)]).all(axis=1))
             if hits.size:
                 bad.append((hits[0], stream))
         if not bad:
@@ -237,109 +237,97 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
         k, stream = min(bad, key=lambda t: t[0])
         return ManifestError(f"record {ids[k]}: non-finite value in stream {stream}")
 
-    def fail(k: int, error: Exception):
-        # a non-finite value in an earlier record, or earlier in record k,
-        # is met first
-        raise nonfinite(k + 1) or error
-
     with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            k = len(ids)
-            try:
-                obj = decode_json(line)
-            except json.JSONDecodeError as e:
-                fail(k, ManifestError(f"{path}:{lineno}: bad JSON: {e.msg}"))
-            except UnicodeDecodeError as e:
-                fail(k, ManifestError(f"{path}:{lineno}: not UTF-8: {e.reason}"))
-            if not isinstance(obj, dict):
-                fail(k, ManifestError(f"{path}:{lineno}: expected a JSON object,"
-                                      f" got {type(obj).__name__}"))
-            if "id" not in obj:
-                continue  # provenance header line
-            rid = str(obj["id"])
-            ids.append(rid)
-            if rid in seen:
-                fail(k, ManifestError(f"{path}:{lineno}: repeated record id {rid}"))
-            seen.add(rid)
-            domain = obj.get("domain", DOMAIN_A)
-            if domain not in (DOMAIN_A, DOMAIN_B):
-                fail(k, ManifestError(f"record {rid}: unknown domain {domain!r}"))
+        try:
+            for lineno, obj in iter_jsonl(f, path):
+                if "id" not in obj:
+                    continue  # provenance header line
+                k = len(ids)
+                rid = str(obj["id"])
+                ids.append(rid)
+                if rid in seen:
+                    raise ManifestError(f"{path}:{lineno}: repeated record id {rid}")
+                seen.add(rid)
+                domain = obj.get("domain", DOMAIN_A)
+                if domain not in (DOMAIN_A, DOMAIN_B):
+                    raise ManifestError(f"record {rid}: unknown domain {domain!r}")
 
-            inline, refs = obj.get("features") or {}, obj.get("features_ref") or {}
-            for key, value in (("features", inline), ("features_ref", refs)):
-                if not isinstance(value, dict):
-                    fail(k, ManifestError(f"record {rid}: {key} must be an"
-                                          f" object, got {type(value).__name__}"))
-            row = dict(inline)
-            for stream, ref in refs.items():
-                if not isinstance(ref, str):
-                    fail(k, ManifestError(f"record {rid}: features_ref of stream"
-                                          f" {stream} must be a path, got {ref!r}"))
-                refpath = str(path.parent / ref)
-                if refpath not in sidecars:
-                    # hashed first: the key is never newer than the rows
-                    digest = file_sha256(refpath)
-                    try:
+                inline = obj.get("features") or {}
+                refs = obj.get("features_ref") or {}
+                for key, value in (("features", inline), ("features_ref", refs)):
+                    if not isinstance(value, dict):
+                        raise ManifestError(f"record {rid}: {key} must be an"
+                                            f" object, got {type(value).__name__}")
+                row = dict(inline)
+                for stream, ref in refs.items():
+                    if not isinstance(ref, str):
+                        raise ManifestError(f"record {rid}: features_ref of stream"
+                                            f" {stream} must be a path, got {ref!r}")
+                    refpath = str(path.parent / ref)
+                    if refpath not in sidecars:
+                        # hashed first: the key is never newer than the rows
+                        digest = file_sha256(refpath)
                         ref_ids, X = read_feature_file(refpath)
-                    except ManifestError as e:
-                        fail(k, e)
-                    sidecars[refpath] = ({r: i for i, r in enumerate(ref_ids)},
-                                         X, digest)
-                index, X, digest = sidecars[refpath]
-                used_refs.setdefault(ref, digest)
-                if rid not in index:
-                    fail(k, ManifestError(
-                        f"record {rid}: not found in feature file {ref}"))
-                row[stream] = X[index[rid]]
-            if not row:
-                fail(k, ManifestError(f"record {rid}: no features"))
-            if k and row.keys() != mats.keys():
-                lacking = [s for s in mats if s not in row]
-                extra = [s for s in row if s not in mats]
-                fail(k, ManifestError(missing_stream(rid, lacking[0]) if lacking
-                                      else missing_stream(ids[0], extra[0])))
-            for stream, vec in row.items():
-                if stream not in mats:  # the first record fixes the dimension
-                    d = len(vec) if isinstance(vec, (list, np.ndarray)) else 0
-                    mats[stream] = np.zeros((capacity, d))
-                M = mats[stream]
-                try:
-                    if len(vec) != M.shape[1]:  # numpy would broadcast [x]
-                        raise ValueError
-                    M[k] = vec
-                except (ValueError, TypeError, OverflowError):
-                    fail(k, ManifestError(_row_fault(rid, stream, vec, M.shape[1])))
+                        sidecars[refpath] = ({r: i for i, r in enumerate(ref_ids)},
+                                             X, digest)
+                    index, X, digest = sidecars[refpath]
+                    used_refs.setdefault(ref, digest)
+                    if rid not in index:
+                        raise ManifestError(
+                            f"record {rid}: not found in feature file {ref}")
+                    row[stream] = X[index[rid]]
+                if not row:
+                    raise ManifestError(f"record {rid}: no features")
+                if k and row.keys() != mats.keys():
+                    lacking = [s for s in mats if s not in row]
+                    extra = [s for s in row if s not in mats]
+                    raise ManifestError(missing_stream(rid, lacking[0]) if lacking
+                                        else missing_stream(ids[0], extra[0]))
+                for stream, vec in row.items():
+                    if stream not in mats:  # the first record fixes the dimension
+                        d = len(vec) if isinstance(vec, (list, np.ndarray)) else 0
+                        mats[stream] = np.zeros((capacity, d))
+                    M = mats[stream]
+                    try:
+                        if len(vec) != M.shape[1]:  # numpy would broadcast [x]
+                            raise ValueError
+                        M[k] = vec
+                    except (ValueError, TypeError, OverflowError):
+                        raise ManifestError(
+                            _row_fault(rid, stream, vec, M.shape[1])) from None
 
-            value = obj.get("label")
-            if isinstance(value, str):
-                if taxonomy is None:
-                    fail(k, ManifestError(
-                        f"record {rid}: string label {value!r} needs a taxonomy"))
-                try:
+                value = obj.get("label")
+                if isinstance(value, str):
+                    if taxonomy is None:
+                        raise ManifestError(
+                            f"record {rid}: string label {value!r} needs a taxonomy")
                     value = taxonomy.index(value)
-                except TaxonomyError as e:
-                    fail(k, e)
-            if value is not None:
-                top = (len(taxonomy.fine_classes) if taxonomy
-                       else np.iinfo(label.dtype).max)
-                if not (isinstance(value, int) and 0 <= value < top):
-                    fail(k, ManifestError(f"record {rid}: label {value} out of range"))
-                label[k] = value
-            if "lon" in obj and "lat" in obj:
-                try:
-                    GeoPoint(obj["lon"], obj["lat"])
-                except (ValueError, TypeError):
-                    fail(k, ManifestError(f"record {rid}: bad coordinates"
-                                          f" ({obj['lon']!r}, {obj['lat']!r})"))
-                lon[k], lat[k], has_geo[k] = obj["lon"], obj["lat"], True
-            domains.append(domain)
+                if value is not None:
+                    top = (len(taxonomy.fine_classes) if taxonomy
+                           else np.iinfo(label.dtype).max)
+                    if not (isinstance(value, int) and 0 <= value < top):
+                        raise ManifestError(
+                            f"record {rid}: label {value} out of range")
+                    label[k] = value
+                if "lon" in obj and "lat" in obj:
+                    try:
+                        GeoPoint(obj["lon"], obj["lat"])
+                    except (ValueError, TypeError):
+                        raise ManifestError(
+                            f"record {rid}: bad coordinates"
+                            f" ({obj['lon']!r}, {obj['lat']!r})") from None
+                    lon[k], lat[k], has_geo[k] = obj["lon"], obj["lat"], True
+                domains.append(domain)
+        except (JSONLinesError, ManifestError, TaxonomyError) as e:
+            error = ManifestError(str(e)) if isinstance(e, JSONLinesError) else e
+            # a non-finite value in an earlier record, or earlier in this
+            # one, is met first
+            raise nonfinite() or error
 
-    n = len(ids)
-    error = nonfinite(n)
+    error = nonfinite()
     if error:
         raise error
+    n = len(ids)
     return ManifestTable(
         ids=tuple(ids), domain=np.array(domains, dtype=str),
         label=label[:n], features={s: M[:n] for s, M in mats.items()},

@@ -436,36 +436,23 @@ def write_parcel_entry(entry, data: bytes, taxonomy: Taxonomy,
 # containment
 
 
-def _point_on_ring(ring, x: float, y: float) -> bool:
-    for i in range(len(ring) - 1):
-        (x1, y1), (x2, y2) = ring[i], ring[i + 1]
-        if (min(x1, x2) <= x <= max(x1, x2)
-                and min(y1, y2) <= y <= max(y1, y2)
-                and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)):
-            return True
-    return False
-
-
-def _crossings(ring, x: float, y: float) -> int:
-    count = 0
-    for i in range(len(ring) - 1):
-        (x1, y1), (x2, y2) = ring[i], ring[i + 1]
-        if (y1 > y) != (y2 > y):
-            xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xcross:
-                count += 1
-    return count
-
-
 def contains(parcel: Parcel, p: GeoPoint) -> bool:
     """Even-odd containment in lon/lat space. Points exactly on any ring
     edge count as inside; points inside holes do not."""
     x, y = p.lon, p.lat
+    inside = False
     for ring in parcel.rings:
-        if _point_on_ring(ring, x, y):
-            return True
-    crossings = sum(_crossings(ring, x, y) for ring in parcel.rings)
-    return crossings % 2 == 1
+        for i in range(len(ring) - 1):
+            (x1, y1), (x2, y2) = ring[i], ring[i + 1]
+            if (min(x1, x2) <= x <= max(x1, x2)
+                    and min(y1, y2) <= y <= max(y1, y2)
+                    and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)):
+                return True
+            if (y1 > y) != (y2 > y):
+                xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+                if x < xcross:
+                    inside = not inside
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -679,29 +666,39 @@ def decode_json(line):
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
-def iter_jsonl(text: str, source):
-    """(line number, object) for each non-blank line of a JSON-lines text.
-    Lines end at a line feed only: other Unicode line ends, such as U+2028,
-    may stand raw inside a JSON string. A line that is not JSON, a cut last
-    line say, or that is JSON but not an object raises ``JSONLinesError``
-    naming ``source`` and the line."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
+def iter_jsonl(lines, source):
+    """(line number, object) for each non-blank line of JSON lines: the
+    lines of a file opened in binary, or a ``str``, which is read as its
+    UTF-8 bytes. Lines end at a line feed only: other Unicode line ends,
+    such as U+2028, may stand raw inside a JSON string. A blank line is
+    one ``bytes.strip`` empties, so only ASCII whitespace is blank. A line
+    that is not UTF-8 (as a ``str`` holding a lone surrogate is not), not
+    JSON (a cut last line, say), or JSON but not an object raises
+    ``JSONLinesError`` naming ``source`` and the line."""
+    if isinstance(lines, str):
+        lines = lines.encode("utf-8", "surrogatepass").split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = decode_json(line)
         except json.JSONDecodeError as e:
             raise JSONLinesError(f"{source}:{lineno}: bad JSON: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise JSONLinesError(
+                f"{source}:{lineno}: not UTF-8: {e.reason}") from None
         if not isinstance(obj, dict):
             raise JSONLinesError(f"{source}:{lineno}: expected a JSON object,"
                                  f" got {type(obj).__name__}")
         yield lineno, obj
 
 
-def assignments_from_jsonl(text: str, source="assignments") -> list[Assignment]:
+def assignments_from_jsonl(lines, source="assignments") -> list[Assignment]:
+    """The assignments in JSON lines, read by ``iter_jsonl``; a pair of
+    image and parcel given twice raises ``JSONLinesError``."""
     by_image: dict[str, dict[str, str]] = {}
     order: list[str] = []
-    for lineno, obj in iter_jsonl(text, source):
+    for lineno, obj in iter_jsonl(lines, source):
         if "image" not in obj:
             continue  # provenance header line
         image = jsonl_id(obj, "image", source, lineno)
@@ -713,6 +710,9 @@ def assignments_from_jsonl(text: str, source="assignments") -> list[Assignment]:
         if image not in by_image:
             by_image[image] = {}
             order.append(image)
+        elif parcel in by_image[image]:
+            raise JSONLinesError(f"{source}:{lineno}: repeated pair of image"
+                                 f" {image} and parcel {parcel}")
         by_image[image][parcel] = mode
     return [Assignment(image_id=i, modes=by_image[i]) for i in order]
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_output, write_atomic
 from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
 from .geodata import METERS_PER_DEGREE, encode_json
 from .taxonomy import Taxonomy
@@ -208,33 +209,30 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
                       lat0 + (y0 + parcel_size_m / 2) * dlat)
             parcel_info.append((pid, truth, center))
     parcels_path = out_dir / "parcels.geojson"
-    parcels_path.write_text(encode_json(
-        {"type": "FeatureCollection", "features": features}) + "\n",
-        encoding="utf-8")
+    write_atomic(parcels_path, encode_json(
+        {"type": "FeatureCollection", "features": features}) + "\n")
 
-    # train / val manifests
+    # train / val manifests, each row written as it is drawn
     def write_manifest(path, rows):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_output(path) as f:
             for row in rows:
-                f.write(json.dumps(row) + "\n")
+                f.write(json.dumps(row).encode("utf-8") + b"\n")
 
     def training_rows(prefix, per_class, noise):
-        rows = []
         i = 0
         for _ in range(per_class):
             for cls in range(n_classes):
                 label = cls
                 if rng.random() < noise:
                     label = int((cls + rng.integers(1, n_classes)) % n_classes)
-                rows.append({
+                yield {
                     "id": f"{prefix}{i:06d}",
                     "domain": DOMAIN_A if i % 2 == 0 else DOMAIN_B,
                     "label": taxonomy.fine_classes[label],
                     "features": {s: [float(v) for v in vec]
                                  for s, vec in features_for(cls).items()},
-                })
+                }
                 i += 1
-        return rows
 
     train_path = out_dir / "train.jsonl"
     val_path = out_dir / "val.jsonl"
@@ -242,24 +240,25 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     write_manifest(val_path, training_rows("v", val_per_class, 0.0))
 
     # map manifest: geotagged images near parcel centers
-    rows = []
-    i = 0
-    for pid, truth, (clon, clat) in parcel_info:
-        for _ in range(images_per_parcel):
-            cls = int(rng.choice(truth))
-            dx, dy = rng.normal(scale=geo_sigma_m, size=2)
-            rows.append({
-                "id": f"m{i:06d}",
-                "domain": DOMAIN_B,
-                "lon": _round_coord(clon + dx * dlon),
-                "lat": _round_coord(clat + dy * dlat),
-                "label": taxonomy.fine_classes[cls],
-                "features": {s: [float(v) for v in vec]
-                             for s, vec in features_for(cls).items()},
-            })
-            i += 1
+    def map_rows():
+        i = 0
+        for pid, truth, (clon, clat) in parcel_info:
+            for _ in range(images_per_parcel):
+                cls = int(rng.choice(truth))
+                dx, dy = rng.normal(scale=geo_sigma_m, size=2)
+                yield {
+                    "id": f"m{i:06d}",
+                    "domain": DOMAIN_B,
+                    "lon": _round_coord(clon + dx * dlon),
+                    "lat": _round_coord(clat + dy * dlat),
+                    "label": taxonomy.fine_classes[cls],
+                    "features": {s: [float(v) for v in vec]
+                                 for s, vec in features_for(cls).items()},
+                }
+                i += 1
+
     map_path = out_dir / "map.jsonl"
-    write_manifest(map_path, rows)
+    write_manifest(map_path, map_rows())
 
     return {"parcels": parcels_path, "train": train_path, "val": val_path,
             "map": map_path}

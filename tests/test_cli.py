@@ -91,6 +91,10 @@ def test_load_config_requires_seed(tmp_path):
      "config key 'predict.use_adapted': expected true or false, got '0'"),
     ("all.skip_synth=1",
      "config key 'all.skip_synth': expected true or false, got '1'"),
+    ("streams=", "config key 'streams': expected distinct stream names,"
+                 " got ''"),
+    ("streams=object,object", "config key 'streams': expected distinct"
+                              " stream names, got 'object,object'"),
 ])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, override, message):
     path = write_config(tmp_path)
@@ -149,6 +153,27 @@ def test_unset_keys_take_the_library_defaults(tmp_path, monkeypatch):
     run(path, "synth")
     run(path, "filter")
     assert seen == [DEFAULT_DILATION_M]
+
+
+def test_synth_passes_only_the_keys_the_config_sets(tmp_path, monkeypatch):
+    seen = []
+    make_city = cli.synth.make_city
+    monkeypatch.setattr(cli.synth, "make_city", lambda *args, **kwargs:
+                        seen.append(kwargs) or make_city(*args, **kwargs))
+    path = write_config(tmp_path)
+    run(path, "synth", "synth.noise=0.25", "synth.geo_sigma_m=12")
+    # an unset key, synth.spread say, leaves make_city its own default
+    assert [{k: (v, type(v)) for k, v in kw.items()} for kw in seen] == [{
+        "seed": (5, int), "streams": (("object", "scene"), tuple),
+        "grid": (3, int), "n_classes": (5, int),
+        "train_per_class": (12, int), "val_per_class": (4, int),
+        "dim": (8, int), "noise_rate": (0.25, float),
+        "geo_sigma_m": (12.0, float)}]
+
+
+def test_empty_stream_names_are_skipped():
+    assert Pipeline({"seed": "1", "streams": "object,,scene"}).streams == [
+        "object", "scene"]
 
 
 def test_config_hash_properties():
@@ -416,6 +441,28 @@ def test_map_rejects_cut_or_repeated_predictions(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: JSONLinesError: {preds}:{len(lines) + 1}: repeated image id"
         f" {image}\n")
+
+
+def test_jsonl_artifact_not_utf8_names_its_line(tmp_path):
+    p = Pipeline({"seed": "1", "out_dir": str(tmp_path)})
+    p.predictions_path.write_bytes(b'{"provenance": {}}\n'
+                                   b'{"image": "i", "pred": 0}\n'
+                                   b'{"image": "j\xff", "pred": 0}\n')
+    with pytest.raises(JSONLinesError,
+                       match=f"^{re.escape(str(p.predictions_path))}:3:"
+                             " not UTF-8: invalid start byte$"):
+        p.read_predictions()
+
+
+def test_prediction_line_of_non_ascii_whitespace_is_bad_json(tmp_path):
+    p = Pipeline({"seed": "1", "out_dir": str(tmp_path)})
+    p.predictions_path.write_text(
+        '{"provenance": {}}\n \u00a0\n{"image": "i", "pred": 0}\n',
+        encoding="utf-8")
+    with pytest.raises(JSONLinesError,
+                       match=f"^{re.escape(str(p.predictions_path))}:2:"
+                             " bad JSON: "):
+        p.read_predictions()
 
 
 def test_prediction_row_lacking_pred_rejected(tmp_path):

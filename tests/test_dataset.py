@@ -359,6 +359,17 @@ def test_first_non_finite_record_named_whatever_its_stream(tmp_path, first):
     write_lines(path, rows)
     with pytest.raises(ManifestError, match="^record r1: non-finite"):
         load_manifest(path, TAX)
+    del rows[3]["features_ref"]
+    rows[3]["label"] = "no_such_class"
+    write_lines(path, rows)
+    with pytest.raises(ManifestError, match="^record r1: non-finite"):
+        load_manifest(path, TAX)
+    del rows[3]["label"]
+    write_lines(path, rows)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write('{"id": "r4", "features": \n')
+    with pytest.raises(ManifestError, match="^record r1: non-finite"):
+        load_manifest(path, TAX)
 
 
 def test_feature_file_header_beyond_file_size(tmp_path):

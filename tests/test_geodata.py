@@ -683,6 +683,49 @@ def test_jsonl_line_nested_too_deeply_rejected():
         list(iter_jsonl(text, "src"))
 
 
+def test_repeated_assignment_pair_rejected():
+    text = ('{"provenance": {}}\n'
+            '{"image": "i", "parcel": "P", "mode": "inside"}\n'
+            '{"image": "i", "parcel": "Q", "mode": "inside"}\n'
+            '{"image": "i", "parcel": "P", "mode": "dilated"}\n')
+    with pytest.raises(JSONLinesError,
+                       match="^src:4: repeated pair of image i and parcel P$"):
+        assignments_from_jsonl(text, "src")
+    # the same parcel for another image is no repeat
+    out = assignments_from_jsonl(text.replace('"i", "parcel": "P", "mode": "d',
+                                              '"j", "parcel": "P", "mode": "d'),
+                                 "src")
+    assert [(a.image_id, a.modes) for a in out] == [
+        ("i", {"P": "inside", "Q": "inside"}), ("j", {"P": "dilated"})]
+
+
+def test_jsonl_lone_surrogate_in_text_is_not_utf8():
+    text = '{"provenance": {}}\n{"image": "i\ud800"}\n'
+    with pytest.raises(JSONLinesError, match="^src:2: not UTF-8: "):
+        list(iter_jsonl(text, "src"))
+
+
+#: JSON lines, blank lines of ASCII whitespace, and lines with a raw
+#: character past ASCII
+JSONL_LINES = st.one_of(
+    st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=4),
+                    max_size=3).map(lambda d: json.dumps(d, ensure_ascii=False)),
+    st.text(alphabet=" \t\r\x0b\x0c", max_size=3))
+
+
+@given(lines=st.lists(JSONL_LINES, max_size=6), end=st.sampled_from(["", "\n"]))
+def test_iter_jsonl_over_a_binary_file_reads_as_over_its_text(tmp_path_factory,
+                                                              lines, end):
+    text = "\n".join(lines) + end
+    path = tmp_path_factory.mktemp("j") / "x.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "rb") as f:
+        from_file = list(iter_jsonl(f, "src"))
+    assert from_file == list(iter_jsonl(text, "src"))
+    assert [obj for _, obj in from_file] == [
+        json.loads(line) for line in lines if line.strip()]
+
+
 # ---------------------------------------------------------------------------
 # JSON decoding against json.loads
 

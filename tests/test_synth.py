@@ -1,5 +1,9 @@
-import numpy as np
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
+from landuse import synth
 from landuse.classifier import Schedule, init_model, train
 from landuse.dataset import DOMAIN_A, DOMAIN_B, load_manifest
 from landuse.geodata import parse_parcels
@@ -88,3 +92,20 @@ def test_make_city_ids_unique_past_ten_columns(tmp_path):
     ids = [p.id for p in parse_parcels(paths["parcels"].read_text(), TAX)]
     assert len(set(ids)) == 121
     assert ids[:2] == ["P0000", "P0001"]
+
+
+def test_make_city_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
+    dumps = synth.json.dumps
+    calls = []
+
+    def failing_dumps(row):
+        calls.append(row)
+        if len(calls) == 30:
+            raise RuntimeError("cut")
+        return dumps(row)
+
+    monkeypatch.setattr(synth, "json", SimpleNamespace(dumps=failing_dumps))
+    with pytest.raises(RuntimeError, match="cut"):
+        make_city(tmp_path, TAX, seed=1)
+    # the parcels were written whole before the first manifest began
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["parcels.geojson"]
