@@ -47,15 +47,19 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    cfg = {}
+    cfg, where = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in where:
+            raise ConfigError(f"config line {lineno}: key {key!r} already set"
+                              f" on line {where[key]}")
+        where[key] = lineno
+        cfg[key] = value
     return cfg
 
 
@@ -198,7 +202,10 @@ class Pipeline:
                 weight = math.nan
             if not math.isfinite(weight):
                 raise ConfigError(f"fusion.weights: bad weight in {part!r}")
-            weights[stream.strip()] = weight
+            stream = stream.strip()
+            if stream in weights:
+                raise ConfigError(f"fusion.weights: stream {stream!r} given twice")
+            weights[stream] = weight
         return weights
 
     # -- artifact paths --------------------------------------------------

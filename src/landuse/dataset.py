@@ -14,6 +14,7 @@ entry does not hold the table for the same inputs.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -26,7 +27,7 @@ import numpy as np
 from .entry import (classes_sha256, file_sha256, read_entry as read_items,
                     write_entry)
 from .geodata import GeoPoint, JSONLinesError, iter_jsonl
-from .taxonomy import Taxonomy, TaxonomyError
+from .taxonomy import Taxonomy
 
 FEATURE_FILE_MAGIC = b"LUFV1"
 
@@ -112,20 +113,24 @@ def write_feature_file(path, vectors: dict[str, np.ndarray]) -> None:
             f.write(np.asarray(vec, dtype="<f4").tobytes())
 
 
-def read_feature_file(path) -> tuple[list[str], np.ndarray]:
-    """Read an LUFV1 file in one pass: its ids and an ``(N, D)`` float64
-    matrix holding row ``k`` for ``ids[k]``. An id that is not UTF-8 or
-    that repeats, and bytes after the last row, raise ``ManifestError``."""
+def read_feature_file(path) -> tuple[list[str], np.ndarray, bytes]:
+    """Read an LUFV1 file in one pass: its ids, an ``(N, D)`` float64
+    matrix holding row ``k`` for ``ids[k]``, and the sha256 of the bytes
+    read. An id that is not UTF-8 or that repeats, and bytes after the last
+    row, raise ``ManifestError``."""
+    sha = hashlib.sha256()
     with open(path, "rb") as f:
         magic = f.read(len(FEATURE_FILE_MAGIC))
         if magic != FEATURE_FILE_MAGIC:
             raise ManifestError(
                 f"{path}: bad magic {magic!r}, expected {FEATURE_FILE_MAGIC!r}")
+        sha.update(magic)
 
         def read(n):
             buf = f.read(n)
             if len(buf) < n:
                 raise ManifestError(f"{path}: truncated feature file")
+            sha.update(buf)
             return buf
 
         count, d = struct.unpack("<II", read(8))
@@ -150,7 +155,7 @@ def read_feature_file(path) -> tuple[list[str], np.ndarray]:
         if extra:
             raise ManifestError(
                 f"{path}: {extra} bytes after the last of {count} rows")
-        return ids, X
+        return ids, X, sha.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +188,40 @@ def load_manifest(path, taxonomy: Taxonomy | None = None,
     pointing at LUFV1 sidecar files (paths relative to the manifest).
     String labels are resolved to fine class indices via the taxonomy.
     Ids must not repeat, and every record must carry the first record's
-    streams. Each row goes straight into its stream's matrix, and the
-    matrices are checked for non-finite values as a whole; the error raised
-    is the one a record-by-record check meets first.
+    streams. Each row goes straight into its stream's matrix, and each
+    fault raises on the record where it is met, so the error is the one a
+    record-by-record check meets first.
 
     ``cache`` names a table-cache entry (see ``read_entry``). When it holds
     this manifest's table, keyed by the bytes of the manifest, of its
     sidecars and by the taxonomy, that table is returned without decoding;
     otherwise the manifest is decoded as above and, if that succeeds, the
-    entry is rewritten. Either way the table is the same, bit for bit, and
-    a manifest that fails to decode raises what it raises without a cache.
+    entry is rewritten, keyed by the bytes the decode read. Either way the
+    table is the same, bit for bit, and a manifest that fails to decode
+    raises what it raises without a cache.
     """
     path = Path(path)
     if cache is None:
         return _decode_manifest(path, taxonomy)[0]
     table = read_entry(cache, path, taxonomy)
     if table is None:
-        try:
-            digest = file_sha256(path)
-        except OSError:
-            digest = None  # the decode raises its own error
-        table, refs = _decode_manifest(path, taxonomy)
-        _write_entry(cache, path, taxonomy, refs, table, digest)
+        table, digest, refs = _decode_manifest(path, taxonomy)
+        _write_entry(cache, taxonomy, table, digest, refs)
     return table
 
 
+def _hashed(lines, sha):
+    """The items of ``lines``, each fed to ``sha`` as it passes."""
+    for line in lines:
+        sha.update(line)
+        yield line
+
+
 def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
-    """The table of a manifest, and the ``features_ref`` paths it uses in
-    the order first met, each with the sha256 its sidecar had just before
-    it was read."""
+    """The table of a manifest, decoded in one forward pass; the sha256 of
+    the bytes decoded; and the ``features_ref`` paths used, in the order
+    first met, each with the sha256 of the sidecar bytes read. A manifest
+    that outgrows its first line count while it is read raises."""
     with open(path, "rb") as f:
         capacity = sum(1 for _ in f)
     ids: list[str] = []
@@ -223,26 +233,16 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     mats: dict[str, np.ndarray] = {}   # rows stay zero until written
     sidecars: dict[str, tuple[dict[str, int], np.ndarray, bytes]] = {}
     used_refs: dict[str, bytes] = {}   # in the order first met
-
-    def nonfinite() -> ManifestError | None:
-        """The error for the first record read that has a non-finite
-        feature, naming its first such stream."""
-        bad = []
-        for stream, M in mats.items():
-            hits = np.flatnonzero(~np.isfinite(M[:len(ids)]).all(axis=1))
-            if hits.size:
-                bad.append((hits[0], stream))
-        if not bad:
-            return None
-        k, stream = min(bad, key=lambda t: t[0])
-        return ManifestError(f"record {ids[k]}: non-finite value in stream {stream}")
+    sha = hashlib.sha256()
 
     with open(path, "rb") as f:
         try:
-            for lineno, obj in iter_jsonl(f, path):
+            for lineno, obj in iter_jsonl(_hashed(f, sha), path):
                 if "id" not in obj:
                     continue  # provenance header line
                 k = len(ids)
+                if k == capacity:
+                    raise ManifestError(f"{path}: changed while it was read")
                 rid = str(obj["id"])
                 ids.append(rid)
                 if rid in seen:
@@ -265,9 +265,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
                                             f" {stream} must be a path, got {ref!r}")
                     refpath = str(path.parent / ref)
                     if refpath not in sidecars:
-                        # hashed first: the key is never newer than the rows
-                        digest = file_sha256(refpath)
-                        ref_ids, X = read_feature_file(refpath)
+                        ref_ids, X, digest = read_feature_file(refpath)
                         sidecars[refpath] = ({r: i for i, r in enumerate(ref_ids)},
                                              X, digest)
                     index, X, digest = sidecars[refpath]
@@ -295,6 +293,9 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
                     except (ValueError, TypeError, OverflowError):
                         raise ManifestError(
                             _row_fault(rid, stream, vec, M.shape[1])) from None
+                    if not np.isfinite(M[k]).all():
+                        raise ManifestError(
+                            f"record {rid}: non-finite value in stream {stream}")
 
                 value = obj.get("label")
                 if isinstance(value, str):
@@ -318,20 +319,14 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
                             f" ({obj['lon']!r}, {obj['lat']!r})") from None
                     lon[k], lat[k], has_geo[k] = obj["lon"], obj["lat"], True
                 domains.append(domain)
-        except (JSONLinesError, ManifestError, TaxonomyError) as e:
-            error = ManifestError(str(e)) if isinstance(e, JSONLinesError) else e
-            # a non-finite value in an earlier record, or earlier in this
-            # one, is met first
-            raise nonfinite() or error
+        except JSONLinesError as e:
+            raise ManifestError(str(e)) from None
 
-    error = nonfinite()
-    if error:
-        raise error
     n = len(ids)
     return ManifestTable(
         ids=tuple(ids), domain=np.array(domains, dtype=str),
         label=label[:n], features={s: M[:n] for s, M in mats.items()},
-        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n]), used_refs
+        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n]), sha.digest(), used_refs
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,8 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
 #
 # A cache entry holds one decoded manifest table as the items of ``entry``:
 # the key (the sha256 of the manifest bytes, of the taxonomy's fine-class
-# list and of each sidecar, in the order of the sidecar paths), the sidecar
+# list and of each sidecar, in the order of the sidecar paths, each file's
+# taken from the bytes the decode read), the sidecar
 # paths as written in the manifest, the ids, the stream names and their
 # dimensions, then the domain, has_geo, label, lon and lat columns and each
 # stream's matrix. The entry holds no path of its own, so equal inputs give
@@ -389,20 +385,13 @@ def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable |
         has_geo=has_geo.copy())
 
 
-def _write_entry(entry, path: Path, taxonomy: Taxonomy | None, refs,
-                 table: ManifestTable, digest: bytes | None) -> None:
-    """Write the entry for a decoded table. Nothing is written if the
-    manifest no longer has the bytes ``digest`` it had before the decode,
-    or a sidecar the bytes it had before it was read (the values of
-    ``refs``), or if the entry cannot be written: the cache then misses
-    next time, which costs a decode and nothing else."""
-    try:
-        key = _cache_key(path, taxonomy, refs)
-    except OSError:
-        return
-    if digest is None or key != b"".join(
-            [digest, classes_sha256(taxonomy), *refs.values()]):
-        return
+def _write_entry(entry, taxonomy: Taxonomy | None, table: ManifestTable,
+                 digest: bytes, refs) -> None:
+    """Write the entry for a table, keyed by the sha256 ``digest`` of the
+    manifest bytes decoded and those of the sidecar bytes read (the values
+    of ``refs``), so no load of other bytes hits it. An entry that cannot
+    be written costs the next load a decode and nothing else."""
+    key = b"".join([digest, classes_sha256(taxonomy), *refs.values()])
     write_entry(entry, ENTRY_MAGIC, ENTRY_VERSION, [
         np.frombuffer(key, dtype="u1"), list(refs), list(table.ids),
         list(table.features),

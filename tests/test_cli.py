@@ -65,6 +65,21 @@ def test_parse_config_rejects_bare_word():
         parse_config_text("nonsense\n")
 
 
+def test_parse_config_rejects_a_key_set_twice():
+    with pytest.raises(ConfigError) as e:
+        parse_config_text("seed=1\ntrain.lr=0.1\ntrain.lr=0.5\n")
+    assert str(e.value) == "config line 3: key 'train.lr' already set on line 2"
+    with pytest.raises(ConfigError, match="line 4: key 'a' already set on line 1"):
+        parse_config_text("a=1\n# a=2\n\n a = 3\n")
+
+
+def test_override_replaces_a_value_from_the_file(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("seed=1\ntrain.lr=0.1\n")
+    cfg = load_config(str(path), ["train.lr=0.5", "train.lr=0.25"])
+    assert cfg["train.lr"] == "0.25"
+
+
 def test_load_config_requires_seed(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a=1\n")
@@ -416,6 +431,8 @@ def test_eval_without_labels_reports_null_accuracy(tmp_path):
     ("object:0.5,scene", "bad part 'scene'"),
     ("object:half,scene:0.5", "bad weight in 'object:half'"),
     ("object:nan,scene:0.5", "bad weight in 'object:nan'"),
+    ("object:0.1,scene:0.5,object:0.5", "stream 'object' given twice"),
+    ("object:0.5,scene:0.5,object:0.9", "stream 'object' given twice"),
 ])
 def test_malformed_fusion_weights(spec, bad):
     p = Pipeline({"seed": "1", "fusion.weights": spec})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -85,10 +86,17 @@ def test_feature_file_round_trip(tmp_path):
     vectors = {f"id{i}": np.arange(6, dtype=np.float64) + i for i in range(5)}
     path = tmp_path / "f.lufv"
     write_feature_file(path, vectors)
-    ids, X = read_feature_file(path)
+    ids, X, _ = read_feature_file(path)
     assert ids == list(vectors)
     assert X.dtype == np.float64 and X.flags.c_contiguous
     np.testing.assert_allclose(X, np.array(list(vectors.values())), atol=1e-6)
+
+
+def test_feature_file_digest_is_the_sha256_of_its_bytes(tmp_path):
+    path = tmp_path / "f.lufv"
+    write_feature_file(path, {"a": np.ones(3), "b": np.zeros(3)})
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    assert read_feature_file(path)[2] == digest
 
 
 def test_feature_file_bad_magic(tmp_path):
@@ -119,7 +127,7 @@ def test_feature_file_round_trip_exact_and_every_prefix_rejected(tmp_path,
     path = tmp_path / "f.lufv"
     write_feature_file(path, vectors)
     whole = path.read_bytes()
-    ids, X = read_feature_file(path)
+    ids, X, _ = read_feature_file(path)
     assert ids == list(vectors)
     want = np.array(list(vectors.values()), dtype=np.float32).astype(np.float64)
     assert X.dtype == np.float64 and X.shape == want.shape

@@ -167,9 +167,9 @@ def test_sidecar_byte_changed_is_a_miss_and_rewrites(tmp_path):
     assert_same_table(read_entry(entry, path, TAX), load_manifest(path, TAX))
 
 
-def test_sidecar_rewritten_after_its_read_writes_no_entry(tmp_path,
-                                                         monkeypatch):
-    """The entry's key holds each sidecar's digest from before its read, so
+def test_sidecar_rewritten_after_its_read_is_never_hit(tmp_path,
+                                                       monkeypatch):
+    """The entry's key holds the digest of each sidecar's bytes as read, so
     a sidecar that changes after the read cannot key the rows read."""
     path = small_manifest(tmp_path)
     entry = tmp_path / "m.lutab"
@@ -184,11 +184,89 @@ def test_sidecar_rewritten_after_its_read_writes_no_entry(tmp_path,
     monkeypatch.setattr(dataset, "read_feature_file", read_then_rewrite)
     old = load_manifest(path, TAX, cache=entry)
     monkeypatch.undo()
-    assert not entry.exists()
+    assert read_entry(entry, path, TAX) is None
     table = load_manifest(path, TAX)
     assert table.features["scene"][1, 2] != old.features["scene"][1, 2]
     assert_same_table(load_manifest(path, TAX, cache=entry), table)
     assert_same_table(read_entry(entry, path, TAX), table)
+
+
+def test_sidecar_changed_and_restored_around_its_read_is_never_hit(
+        tmp_path, monkeypatch):
+    """A sidecar that holds other bytes only while it is read keys its
+    entry by those bytes, so the restored sidecar misses and decodes."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    sidecar = path.parent / "scene.lufv"
+    last = len(sidecar.read_bytes()) - 1   # the last float's top byte
+    read = dataset.read_feature_file
+
+    def change_read_restore(refpath):
+        flip_byte(sidecar, last)
+        rows = read(refpath)
+        flip_byte(sidecar, last)
+        return rows
+
+    monkeypatch.setattr(dataset, "read_feature_file", change_read_restore)
+    seen = load_manifest(path, TAX, cache=entry)
+    monkeypatch.undo()
+    table = load_manifest(path, TAX)
+    assert seen.features["scene"][1, 2] != table.features["scene"][1, 2]
+    assert read_entry(entry, path, TAX) is None
+    assert_same_table(load_manifest(path, TAX, cache=entry), table)
+    assert_same_table(read_entry(entry, path, TAX), table)
+
+
+def test_manifest_changed_and_restored_during_the_decode_is_never_hit(
+        tmp_path, monkeypatch):
+    """A manifest rewritten with as many lines once its decode has begun,
+    and restored once it ends, keys the entry by the bytes decoded."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    text = path.read_text(encoding="utf-8")
+    changed = text.replace("0.5", "0.7")
+    assert changed != text and changed.count("\n") == text.count("\n")
+    iter_jsonl = dataset.iter_jsonl
+
+    def change_decode_restore(lines, source):
+        path.write_text(changed, encoding="utf-8")
+        yield from iter_jsonl(lines, source)
+        path.write_text(text, encoding="utf-8")
+
+    monkeypatch.setattr(dataset, "iter_jsonl", change_decode_restore)
+    seen = load_manifest(path, TAX, cache=entry)
+    monkeypatch.undo()
+    assert seen.features["object"][0, 0] == 0.7
+    table = load_manifest(path, TAX)
+    assert table.features["object"][0, 0] == 0.5
+    assert read_entry(entry, path, TAX) is None
+    assert_same_table(load_manifest(path, TAX, cache=entry), table)
+    assert_same_table(read_entry(entry, path, TAX), table)
+
+
+def test_manifest_grown_during_the_decode_raises(tmp_path, monkeypatch):
+    """The matrices are sized by a line count taken before the decode; a
+    manifest that outgrows it while it is read raises ``ManifestError``
+    naming the file, and writes no entry."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    more = "".join(json.dumps({"id": f"x{i}", "features": {
+        "object": [1.0, 2.0], "scene": [1.0, 2.0, 3.0]}}) + "\n"
+        for i in range(2))
+    iter_jsonl = dataset.iter_jsonl
+
+    def grow_then_decode(lines, source):
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(more)
+        yield from iter_jsonl(lines, source)
+
+    monkeypatch.setattr(dataset, "iter_jsonl", grow_then_decode)
+    with pytest.raises(ManifestError) as e:
+        load_manifest(path, TAX, cache=entry)
+    monkeypatch.undo()
+    assert str(e.value) == f"{path}: changed while it was read"
+    assert not entry.exists()
+    assert len(load_manifest(path, TAX)) == 4
 
 
 def test_other_taxonomy_is_a_miss_and_rewrites(tmp_path):
