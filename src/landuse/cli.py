@@ -410,17 +410,17 @@ SYNTH_KEYS = {
 
 def cmd_synth(p: Pipeline) -> None:
     data_dir = p.path("parcels").parent
+    # a config pointing anywhere else fails before a file is written
+    for key, short in (("parcels", "parcels"), ("train_manifest", "train"),
+                       ("val_manifest", "val"), ("map_manifest", "map")):
+        wrote = data_dir / synth.CITY_FILES[short]
+        if key in p.cfg and p.path(key).resolve() != wrote.resolve():
+            raise ConfigError(f"synth wrote {wrote}, but config {key} points"
+                              f" at {p.path(key)}")
     given = {keyword: p.i(key, None) if kind is int else p.f(key, None)
              for key, (keyword, kind) in SYNTH_KEYS.items() if key in p.cfg}
-    paths = synth.make_city(data_dir, p.taxonomy, seed=p.seed,
-                            streams=tuple(p.streams), **given)
-    for key in ("parcels", "train_manifest", "val_manifest", "map_manifest"):
-        short = {"parcels": "parcels", "train_manifest": "train",
-                 "val_manifest": "val", "map_manifest": "map"}[key]
-        if key in p.cfg and p.path(key).resolve() != paths[short].resolve():
-            raise ConfigError(
-                f"synth wrote {paths[short]}, but config {key} points at"
-                f" {p.path(key)}")
+    synth.make_city(data_dir, p.taxonomy, seed=p.seed,
+                    streams=tuple(p.streams), **given)
 
 
 COMMANDS = {

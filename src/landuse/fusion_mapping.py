@@ -50,9 +50,12 @@ def fuse(scores: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray
     shapes = {np.shape(v) for v in scores.values()}
     if len(shapes) != 1:
         raise ValueError(f"score length mismatch: {sorted(shapes)}")
-    out = np.zeros(shapes.pop())
+    shape = shapes.pop()
+    out, product = np.zeros(shape), np.empty(shape)
     for stream, vec in scores.items():
-        out += weights[stream] * np.asarray(vec, dtype=np.float64)
+        np.multiply(weights[stream], np.asarray(vec, dtype=np.float64),
+                    out=product)
+        out += product
     return out
 
 

@@ -560,14 +560,16 @@ def assignments_to_jsonl(assignments) -> str:
 # ---------------------------------------------------------------------------
 # JSON text
 #
-# ``decode_json`` and ``encode_json`` are one contract: the program's JSON
-# reader and its writer of indented JSON each give what the standard
-# ``json`` module gives (``json.loads(text)``, ``json.dumps(value,
-# indent=2)``). Each lets orjson do the work wherever orjson's result is
-# known to be the same, and falls back to ``json`` for the rest; there is
-# no option to choose. The writer is exact. The reader differs in the two
-# ways its docstring names: an integer literal past 64 bits nested inside
-# a value, and a text nested past json's recursion limit.
+# ``decode_json``, ``encode_json`` and ``encode_floats`` are one contract:
+# the program's JSON reader, its writer of indented JSON and its writer of
+# feature vectors each give what the standard ``json`` module gives
+# (``json.loads(text)``, ``json.dumps(value, indent=2)``,
+# ``json.dumps(vec.tolist())``). Each lets orjson do the work wherever
+# orjson's result is known to be the same, and falls back to ``json`` for
+# the rest; there is no option to choose. The writers are exact. The reader
+# differs in the two ways its docstring names: an integer literal past 64
+# bits nested inside a value, and a text nested past json's recursion
+# limit.
 
 
 def encode_json(value) -> str:
@@ -597,6 +599,29 @@ def encode_json(value) -> str:
         except orjson.JSONEncodeError:
             pass
     return json.dumps(value, indent=2)
+
+
+def encode_floats(vec: np.ndarray) -> bytes:
+    """``json.dumps(vec.tolist()).encode()`` of a 1-D float64 array,
+    written by orjson wherever that gives the same text.
+
+    orjson writes the vector when every value is zero or of magnitude in
+    [1e-4, 1e16), the floats ``encode_json`` lets orjson write, and json
+    puts ``", "`` where orjson puts ``","``. json writes every other
+    vector (one holding NaN, an infinity, ``1e-05`` or ``1e+16``, say),
+    one of another dtype, whose values orjson writes at that precision,
+    and any vector orjson refuses, such as a slice that is not contiguous.
+    """
+    mag = np.abs(vec)
+    if (vec.dtype == np.float64
+            and (((mag >= _PLAIN_FLOAT_MIN) & (mag < _PLAIN_FLOAT_MAX))
+                 | (vec == 0.0)).all()):
+        try:
+            return orjson.dumps(vec, option=orjson.OPT_SERIALIZE_NUMPY
+                                ).replace(b",", b", ")
+        except orjson.JSONEncodeError:
+            pass
+    return json.dumps(vec.tolist()).encode()
 
 
 def _orjson_writes_as_json(value, depth: int) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import atomic_output, write_atomic
 from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
-from .geodata import METERS_PER_DEGREE, encode_json
+from .geodata import METERS_PER_DEGREE, encode_floats, encode_json
 from .taxonomy import Taxonomy
 
 
@@ -144,6 +144,11 @@ def complementary_stream_split(n_classes: int, n_train: int, n_val: int,
 # synthetic city
 
 
+#: the files ``make_city`` writes, by the keys of the paths it returns
+CITY_FILES = {"parcels": "parcels.geojson", "train": "train.jsonl",
+              "val": "val.jsonl", "map": "map.jsonl"}
+
+
 def _round_coord(x: float) -> float:
     return round(float(x), 10)
 
@@ -159,16 +164,22 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
               streams=("object", "scene"),
               origin=(-122.42, 37.75)) -> dict[str, Path]:
     """Write a complete synthetic city: parcels.geojson plus train/val/map
-    JSON-lines manifests. Returns the paths keyed by artifact name.
+    JSON-lines manifests, named in ``CITY_FILES``. Returns the paths keyed
+    by artifact name.
 
     Parcels form a ``grid x grid`` lattice of squares, each with one or two
     ground-truth classes drawn from the first ``n_classes`` fine classes.
     Map images sit near their parcel's center with Gaussian geotag noise,
     so a fraction of them land in the gap and exercise the dilated and
     dropped paths of geo-filtering.
+
+    Each manifest line is the ``json.dumps`` of its record, ``features``
+    last. The feature vectors stay the arrays drawn and are written by
+    ``geodata.encode_floats``, which gives the same bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {key: out_dir / name for key, name in CITY_FILES.items()}
     rng = np.random.default_rng(seed)
     n_classes = min(n_classes, len(taxonomy.fine_classes))
     means = {s: _class_means(rng, n_classes, dim, separation) for s in streams}
@@ -208,15 +219,23 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
             center = (lon0 + (x0 + parcel_size_m / 2) * dlon,
                       lat0 + (y0 + parcel_size_m / 2) * dlat)
             parcel_info.append((pid, truth, center))
-    parcels_path = out_dir / "parcels.geojson"
-    write_atomic(parcels_path, encode_json(
+    write_atomic(paths["parcels"], encode_json(
         {"type": "FeatureCollection", "features": features}) + "\n")
 
-    # train / val manifests, each row written as it is drawn
+    # train / val manifests, each row written as it is drawn; a row's
+    # features come last, so its line is the json.dumps of the rest with
+    # the feature object put in before the closing brace
+    keys = {s: json.dumps(s).encode("utf-8") + b": " for s in streams}
+
     def write_manifest(path, rows):
         with atomic_output(path) as f:
             for row in rows:
-                f.write(json.dumps(row).encode("utf-8") + b"\n")
+                vecs = row.pop("features")
+                f.write(json.dumps(row)[:-1].encode("utf-8")
+                        + b', "features": {'
+                        + b", ".join(keys[s] + encode_floats(vec)
+                                     for s, vec in vecs.items())
+                        + b"}}\n")
 
     def training_rows(prefix, per_class, noise):
         i = 0
@@ -229,15 +248,13 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
                     "id": f"{prefix}{i:06d}",
                     "domain": DOMAIN_A if i % 2 == 0 else DOMAIN_B,
                     "label": taxonomy.fine_classes[label],
-                    "features": {s: [float(v) for v in vec]
-                                 for s, vec in features_for(cls).items()},
+                    "features": features_for(cls),
                 }
                 i += 1
 
-    train_path = out_dir / "train.jsonl"
-    val_path = out_dir / "val.jsonl"
-    write_manifest(train_path, training_rows("t", train_per_class, noise_rate))
-    write_manifest(val_path, training_rows("v", val_per_class, 0.0))
+    write_manifest(paths["train"],
+                   training_rows("t", train_per_class, noise_rate))
+    write_manifest(paths["val"], training_rows("v", val_per_class, 0.0))
 
     # map manifest: geotagged images near parcel centers
     def map_rows():
@@ -252,13 +269,9 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
                     "lon": _round_coord(clon + dx * dlon),
                     "lat": _round_coord(clat + dy * dlat),
                     "label": taxonomy.fine_classes[cls],
-                    "features": {s: [float(v) for v in vec]
-                                 for s, vec in features_for(cls).items()},
+                    "features": features_for(cls),
                 }
                 i += 1
 
-    map_path = out_dir / "map.jsonl"
-    write_manifest(map_path, map_rows())
-
-    return {"parcels": parcels_path, "train": train_path, "val": val_path,
-            "map": map_path}
+    write_manifest(paths["map"], map_rows())
+    return paths

@@ -186,6 +186,23 @@ def test_synth_passes_only_the_keys_the_config_sets(tmp_path, monkeypatch):
         "geo_sigma_m": (12.0, float)}]
 
 
+def test_synth_to_other_paths_fails_before_writing(tmp_path, capsys):
+    path = write_config(tmp_path)
+    bad = ("seed=6", "train_manifest=other/train.jsonl")
+    assert main(["synth", "--config", str(path), *bad]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: synth wrote {tmp_path / 'data' / 'train.jsonl'},"
+        f" but config train_manifest points at"
+        f" {tmp_path / 'other' / 'train.jsonl'}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+    # a city already written stays as it was, byte for byte
+    run(path, "synth")
+    before = {f: f.read_bytes() for f in (tmp_path / "data").iterdir()}
+    assert main(["synth", "--config", str(path), *bad]) == 1
+    assert {f: f.read_bytes() for f in (tmp_path / "data").iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "data"]
+
+
 def test_empty_stream_names_are_skipped():
     assert Pipeline({"seed": "1", "streams": "object,,scene"}).streams == [
         "object", "scene"]

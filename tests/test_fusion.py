@@ -120,6 +120,27 @@ def test_fuse_leaves_its_inputs_alone():
     np.testing.assert_array_equal(a, [0.6, 0.4])
 
 
+@pytest.mark.parametrize("shape", [(5,), (40, 7)])
+def test_fuse_equals_the_weighted_sum_bitwise(shape):
+    rng = np.random.default_rng(9)
+    streams = ("object", "scene", "extra")
+    for _ in range(20):
+        scores = {s: rng.normal(scale=10.0 ** rng.integers(-3, 4), size=shape)
+                  for s in streams}
+        for vec in scores.values():
+            vec[..., 0] = -0.0  # the sum from zeros makes this +0.0
+        raw = rng.random(3)
+        weights = dict(zip(streams, (raw / raw.sum()).tolist()))
+        given = {s: v.copy() for s, v in scores.items()}
+        want = np.zeros(shape)
+        for s in streams:
+            want += weights[s] * scores[s]
+        got = fuse(scores, weights)
+        assert got.tobytes() == want.tobytes()
+        for s in streams:
+            assert scores[s].tobytes() == given[s].tobytes()
+
+
 def test_predict_table_equals_predict_image_per_row():
     rng = np.random.default_rng(4)
     n, N = 6, 200

@@ -4,7 +4,9 @@ import random
 import re
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -16,7 +18,8 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, decode_json,
-                             encode_json, iter_jsonl, parse_parcels)
+                             encode_floats, encode_json, iter_jsonl,
+                             parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -926,3 +929,61 @@ def test_encode_json_circular_value_raises_jsons_error():
     member["self"] = [member]
     with pytest.raises(ValueError, match="^Circular reference detected$"):
         encode_json({"a": member})
+
+
+# ---------------------------------------------------------------------------
+# feature vectors
+
+
+def dumped(vec: np.ndarray) -> bytes:
+    return json.dumps(vec.tolist()).encode()
+
+
+#: full-width float64 vectors (NaNs, infinities and subnormals included),
+#: vectors of floats orjson writes as json does, and such vectors with edge
+#: floats among them, so that both writers are drawn
+float_vectors = (st.lists(floats, max_size=40)
+                 | st.lists(plain_floats, max_size=40)
+                 | st.lists(plain_floats | st.sampled_from(EDGE_FLOATS),
+                            max_size=40))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(float_vectors)
+def test_encode_floats_matches_json_dumps(values):
+    vec = np.array(values, dtype=np.float64)
+    assert encode_floats(vec) == dumped(vec)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0], [-0.0], [5e-324, -5e-324, 2.2250738585072009e-308],
+    [1.5, 2.2250738585072014e-308], [1e-4, -1e-4],
+    [float(np.nextafter(1e-4, 0))], [3.0, float(np.nextafter(1e-4, 0))],
+    [1e16], [float(np.nextafter(1e16, 0))],
+    [-float(np.nextafter(1e16, 0)), 1.0], [1.0, math.nan], [math.inf, 2.0],
+    [-math.inf], [], [1e-05, 1e+16, 0.1],
+], ids=repr)
+def test_encode_floats_edge_vectors(values):
+    vec = np.array(values, dtype=np.float64)
+    assert encode_floats(vec) == dumped(vec)
+
+
+def test_encode_floats_non_contiguous_slice_and_other_dtypes():
+    base = np.linspace(-3.0, 3.0, 13)
+    assert encode_floats(base[::2]) == dumped(base[::2])
+    assert encode_floats(base[::-1]) == dumped(base[::-1])
+    single = np.array([0.1, 2.5], dtype=np.float32)
+    assert encode_floats(single) == dumped(single)
+
+
+def test_encode_floats_writes_plain_vectors_with_orjson(monkeypatch):
+    written = []
+    monkeypatch.setattr(geodata, "json", SimpleNamespace(
+        dumps=lambda value: written.append(value) or json.dumps(value)))
+    plain = np.array([0.25, -0.0, 1e-4, -9999999999999998.0])
+    assert encode_floats(plain) == dumped(plain)
+    assert written == []
+    for edge in (1e-5, 1e16, math.nan):
+        vec = np.array([0.25, edge])
+        assert encode_floats(vec) == dumped(vec)
+    assert len(written) == 3

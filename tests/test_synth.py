@@ -1,3 +1,5 @@
+import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -109,3 +111,46 @@ def test_make_city_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
         make_city(tmp_path, TAX, seed=1)
     # the parcels were written whole before the first manifest began
     assert sorted(p.name for p in tmp_path.iterdir()) == ["parcels.geojson"]
+
+
+#: a learn_wide-shaped city (45 classes, 256-dim features), kept small
+WIDE_CITY = dict(n_classes=45, dim=256, grid=3, images_per_parcel=3,
+                 train_per_class=2, val_per_class=1, noise_rate=0.4,
+                 feature_scale=7.0)
+
+#: sha256 of each file make_city writes; each default city holds one
+#: vector that the standard json writer must write
+CITY_SHA256 = {
+    ("default", 7): {
+        "parcels": "0499f528222ffbffe3cbe5eb7033f39a6a0517c2b74802af37c1df724769e413",
+        "train": "3539af6e267f98638afdbc0559f68d42d82827500bf9ca02cd448984df740f0f",
+        "val": "11bcd74ee3243ddab88893948fb36d80f366d1600c214388d58cafe2ba60c2c9",
+        "map": "fca73f80217e015247786fde1f23740153b8df260f53c5b3c216a92e279b0a34"},
+    ("default", 11): {
+        "parcels": "bda4072e61bc33432a6dae6a7fb971161dc1119e4703d43a1f56af9bc74ba03a",
+        "train": "e0bfbfb4c532f7c5cbed65e7be56d4a6939db18fcf252f27bafd5b9a8cdc2188",
+        "val": "f62b03dfdcd900ce179b9912e280660eb3a74b5b777c5df0992e7cd46bbfbdd8",
+        "map": "d5e333e087c197a5a5ef721f6eca8e04ba24d3787c4da707383aa20a29b64a9d"},
+    ("wide", 7): {
+        "parcels": "5b1833f0009b80e5b289e12404b9c302917f28e5acdc62ccc95739bbd9b2ce70",
+        "train": "323b249041fe4478d91e9438c262b8d3d070bc229f3bc0a3026f12e07fe848f6",
+        "val": "e5966e01ed2d386f62f879acd7bc340f0ad523dee827959a69d9cab9ca5fc3fd",
+        "map": "38d5ef58883491fcf0a7d9c2928e47745a3678e1463057daefe0fa94f2b890ed"},
+    ("wide", 11): {
+        "parcels": "e36f001a49d77bf439187a22895d7e24e2febf5995752fa6e23d72f7ac7c81af",
+        "train": "ebe6c67d1402ee1ed88f1fe2cd8b4ae3cd668b4798a223b0844f538dc5918130",
+        "val": "f6782d2478026df60c84d55cf89623018577da9b100dc355c422be5695f0dbb0",
+        "map": "0b33109376cad41f684346366288de97966cad26aeab29b3c70c71bd62e1f54c"},
+}
+
+
+@pytest.mark.parametrize("city, seed", sorted(CITY_SHA256))
+def test_make_city_bytes_pinned(tmp_path, city, seed):
+    kwargs = WIDE_CITY if city == "wide" else {}
+    paths = make_city(tmp_path, TAX, seed=seed, **kwargs)
+    got = {key: hashlib.sha256(path.read_bytes()).hexdigest()
+           for key, path in paths.items()}
+    assert got == CITY_SHA256[city, seed]
+    for key in ("train", "val", "map"):
+        for line in paths[key].read_text(encoding="utf-8").splitlines():
+            assert line == json.dumps(json.loads(line))
