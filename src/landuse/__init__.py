@@ -12,8 +12,7 @@ from .fusion_mapping import ParcelPrediction, aggregate_parcels, \
     equal_weights, export_map, fuse, predict_image, predict_table
 from .geodata import Assignment, GeoPoint, Parcel, assign, \
     boundary_distance_m, contains, parse_parcels
-from .synth import blob_split, complementary_stream_split, make_city, \
-    noisy_web_split
+from .synth import complementary_stream_split, make_city, noisy_web_split
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 __all__ = [
@@ -25,6 +24,6 @@ __all__ = [
     "aggregate_parcels", "equal_weights", "export_map", "fuse",
     "predict_image", "predict_table", "Assignment", "GeoPoint", "Parcel",
     "assign", "boundary_distance_m", "contains", "parse_parcels",
-    "blob_split", "complementary_stream_split", "make_city",
-    "noisy_web_split", "Level", "Taxonomy", "builtin_taxonomy",
+    "complementary_stream_split", "make_city", "noisy_web_split", "Level",
+    "Taxonomy", "builtin_taxonomy",
 ]

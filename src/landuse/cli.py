@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,12 +29,9 @@ from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # no
                              predict_image, predict_table)
 from .geodata import (DEFAULT_DILATION_M, GeoPoint, JSONLinesError, assign,
                       assignments_from_jsonl, assignments_to_jsonl,
-                      encode_json, iter_jsonl, jsonl_field, jsonl_id,
-                      parse_parcels, read_parcel_entry, write_parcel_entry)
+                      encode_json, jsonl_rows, jsonl_value, parse_parcels,
+                      read_parcel_entry, write_parcel_entry)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
-
-SUBCOMMANDS = ("filter", "train", "adapt", "predict", "map", "eval",
-               "synth", "all")
 
 
 class ConfigError(ValueError):
@@ -69,7 +65,8 @@ def load_config(path: str, overrides) -> dict[str, str]:
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
-        key, value = item.split("=", 1)
+        # split and stripped as a line of the file is
+        key, value = (part.strip() for part in item.split("=", 1))
         cfg[key] = value
     if "seed" not in cfg:
         raise ConfigError("config must set a seed")
@@ -89,8 +86,7 @@ class Pipeline:
         self.seed = self.i("seed", None)
         self.hash = config_hash(cfg)
         self.base = Path(cfg.get("_config_dir", "."))
-        out = os.environ.get("LANDUSE_OUT_DIR") or cfg.get("out_dir", "out")
-        self.out_dir = self._resolve(out)
+        self.out_dir = self._resolve(cfg.get("out_dir", "out"))
         spec = self.cfg.get("streams", "object,scene")
         self.streams = [s for s in spec.split(",") if s]
         if not self.streams or len(set(self.streams)) < len(self.streams):
@@ -277,18 +273,12 @@ class Pipeline:
         path = self.predictions_path
         preds = {}
         with open(path, "rb") as f:
-            for lineno, obj in iter_jsonl(f, path):
-                if "image" not in obj:
-                    continue  # provenance header line
-                image = jsonl_id(obj, "image", path, lineno)
+            for lineno, obj in jsonl_rows(f, path):
+                image = jsonl_value(obj, "image", str, path, lineno)
                 if image in preds:
                     raise JSONLinesError(
                         f"{path}:{lineno}: repeated image id {image}")
-                pred = jsonl_field(obj, "pred", path, lineno)
-                if type(pred) is not int:
-                    raise JSONLinesError(f"{path}:{lineno}: pred must be a class"
-                                         f" index, got {type(pred).__name__}")
-                preds[image] = pred
+                preds[image] = jsonl_value(obj, "pred", int, path, lineno)
         return preds
 
     def _write_jsonl(self, path: Path, body: str) -> None:
@@ -415,37 +405,38 @@ def cmd_synth(p: Pipeline) -> None:
                        ("val_manifest", "val"), ("map_manifest", "map")):
         wrote = data_dir / synth.CITY_FILES[short]
         if key in p.cfg and p.path(key).resolve() != wrote.resolve():
-            raise ConfigError(f"synth wrote {wrote}, but config {key} points"
-                              f" at {p.path(key)}")
+            raise ConfigError(f"synth would write {wrote}, but config {key}"
+                              f" points at {p.path(key)}")
     given = {keyword: p.i(key, None) if kind is int else p.f(key, None)
              for key, (keyword, kind) in SYNTH_KEYS.items() if key in p.cfg}
     synth.make_city(data_dir, p.taxonomy, seed=p.seed,
                     streams=tuple(p.streams), **given)
 
 
+#: the stages, in the order ``landuse all`` runs them
 COMMANDS = {
+    "synth": cmd_synth,
     "filter": cmd_filter,
     "train": cmd_train,
     "adapt": cmd_adapt,
     "predict": cmd_predict,
     "map": cmd_map,
     "eval": cmd_eval,
-    "synth": cmd_synth,
 }
 
 
 def cmd_all(p: Pipeline) -> None:
-    for name in ("synth", "filter", "train", "adapt", "predict", "map", "eval"):
+    for name, command in COMMANDS.items():
         if name == "synth" and p.b("all.skip_synth", False):
             continue
-        COMMANDS[name](p)
+        command(p)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="landuse",
         description="Land-use mapping pipeline over geotagged image features.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=[*COMMANDS, "all"])
     parser.add_argument("--config", required=True, help="key=value config file")
     parser.add_argument("overrides", nargs="*", metavar="key=value",
                         help="config overrides")
@@ -453,10 +444,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         pipeline = Pipeline(cfg)
-        if args.subcommand == "all":
-            cmd_all(pipeline)
-        else:
-            COMMANDS[args.subcommand](pipeline)
+        COMMANDS.get(args.subcommand, cmd_all)(pipeline)
     except Exception as e:  # noqa: BLE001 - single-line machine-parsable exit
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
 import struct
 from dataclasses import dataclass
@@ -114,48 +113,51 @@ def write_feature_file(path, vectors: dict[str, np.ndarray]) -> None:
 
 
 def read_feature_file(path) -> tuple[list[str], np.ndarray, bytes]:
-    """Read an LUFV1 file in one pass: its ids, an ``(N, D)`` float64
+    """Read an LUFV1 file with one read: its ids, an ``(N, D)`` float64
     matrix holding row ``k`` for ``ids[k]``, and the sha256 of the bytes
-    read. An id that is not UTF-8 or that repeats, and bytes after the last
-    row, raise ``ManifestError``."""
-    sha = hashlib.sha256()
+    read. A cut row, an id that is not UTF-8 or that repeats, and bytes
+    after the last row raise ``ManifestError``."""
     with open(path, "rb") as f:
-        magic = f.read(len(FEATURE_FILE_MAGIC))
-        if magic != FEATURE_FILE_MAGIC:
-            raise ManifestError(
-                f"{path}: bad magic {magic!r}, expected {FEATURE_FILE_MAGIC!r}")
-        sha.update(magic)
+        buf = f.read()
+    magic = buf[:len(FEATURE_FILE_MAGIC)]
+    if magic != FEATURE_FILE_MAGIC:
+        raise ManifestError(
+            f"{path}: bad magic {magic!r}, expected {FEATURE_FILE_MAGIC!r}")
+    pos = len(magic)
 
-        def read(n):
-            buf = f.read(n)
-            if len(buf) < n:
-                raise ManifestError(f"{path}: truncated feature file")
-            sha.update(buf)
-            return buf
-
-        count, d = struct.unpack("<II", read(8))
-        # every row holds a length field and d floats at least
-        if count * (4 + 4 * d) > os.fstat(f.fileno()).st_size - f.tell():
+    def take(n):
+        """The offset of the next ``n`` bytes, which are then passed."""
+        nonlocal pos
+        if len(buf) - pos < n:
             raise ManifestError(f"{path}: truncated feature file")
-        ids = []
-        seen = set()
-        X = np.empty((count, d))
-        for k in range(count):
-            (idlen,) = struct.unpack("<I", read(4))
-            try:
-                rid = read(idlen).decode("utf-8")
-            except UnicodeDecodeError:
-                raise ManifestError(f"{path}: row {k}: id is not UTF-8") from None
-            if rid in seen:
-                raise ManifestError(f"{path}: row {k}: repeated id {rid}")
-            seen.add(rid)
-            ids.append(rid)
-            X[k] = np.frombuffer(read(4 * d), dtype="<f4")
-        extra = os.fstat(f.fileno()).st_size - f.tell()
-        if extra:
-            raise ManifestError(
-                f"{path}: {extra} bytes after the last of {count} rows")
-        return ids, X, sha.digest()
+        pos += n
+        return pos - n
+
+    count, d = struct.unpack_from("<II", buf, take(8))
+    # every row holds a length field and d floats at least
+    if count * (4 + 4 * d) > len(buf) - pos:
+        raise ManifestError(f"{path}: truncated feature file")
+    ids = []
+    seen = set()
+    offsets = []   # where each row's floats start
+    for k in range(count):
+        (idlen,) = struct.unpack_from("<I", buf, take(4))
+        start = take(idlen)
+        try:
+            rid = buf[start:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ManifestError(f"{path}: row {k}: id is not UTF-8") from None
+        if rid in seen:
+            raise ManifestError(f"{path}: row {k}: repeated id {rid}")
+        seen.add(rid)
+        ids.append(rid)
+        offsets.append(take(4 * d))
+    if pos < len(buf):
+        raise ManifestError(
+            f"{path}: {len(buf) - pos} bytes after the last of {count} rows")
+    index = np.array(offsets, dtype=np.intp)[:, None] + np.arange(4 * d)
+    X = np.frombuffer(buf, dtype="u1")[index].view("<f4").astype(np.float64)
+    return ids, X, hashlib.sha256(buf).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +221,9 @@ def _hashed(lines, sha):
 
 def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     """The table of a manifest, decoded in one forward pass; the sha256 of
-    the bytes decoded; and the ``features_ref`` paths used, in the order
-    first met, each with the sha256 of the sidecar bytes read. A manifest
-    that outgrows its first line count while it is read raises."""
+    the bytes decoded; and the ``features_ref`` paths used, as written and
+    in the order first met, each with the sha256 of the sidecar bytes read.
+    A manifest that outgrows its first line count while it is read raises."""
     with open(path, "rb") as f:
         capacity = sum(1 for _ in f)
     ids: list[str] = []
@@ -232,7 +234,6 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     has_geo = np.zeros(capacity, dtype=bool)
     mats: dict[str, np.ndarray] = {}   # rows stay zero until written
     sidecars: dict[str, tuple[dict[str, int], np.ndarray, bytes]] = {}
-    used_refs: dict[str, bytes] = {}   # in the order first met
     sha = hashlib.sha256()
 
     with open(path, "rb") as f:
@@ -263,13 +264,11 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
                     if not isinstance(ref, str):
                         raise ManifestError(f"record {rid}: features_ref of stream"
                                             f" {stream} must be a path, got {ref!r}")
-                    refpath = str(path.parent / ref)
-                    if refpath not in sidecars:
-                        ref_ids, X, digest = read_feature_file(refpath)
-                        sidecars[refpath] = ({r: i for i, r in enumerate(ref_ids)},
-                                             X, digest)
-                    index, X, digest = sidecars[refpath]
-                    used_refs.setdefault(ref, digest)
+                    if ref not in sidecars:
+                        ref_ids, X, digest = read_feature_file(path.parent / ref)
+                        sidecars[ref] = ({r: i for i, r in enumerate(ref_ids)},
+                                         X, digest)
+                    index, X, _ = sidecars[ref]
                     if rid not in index:
                         raise ManifestError(
                             f"record {rid}: not found in feature file {ref}")
@@ -326,7 +325,8 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
     return ManifestTable(
         ids=tuple(ids), domain=np.array(domains, dtype=str),
         label=label[:n], features={s: M[:n] for s, M in mats.items()},
-        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n]), sha.digest(), used_refs
+        lon=lon[:n], lat=lat[:n], has_geo=has_geo[:n]), sha.digest(), {
+            ref: digest for ref, (_, _, digest) in sidecars.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .fusion_mapping import aggregate_parcels
 from .taxonomy import Level, Taxonomy
@@ -41,22 +41,11 @@ class MappingReport:
     per_class: dict[int, ClassMetrics]
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level.value,
-            "correct": self.correct,
-            "predictions": self.predictions,
-            "gt_records": self.gt_records,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1_micro": self.f1_micro,
-            "f1_macro": self.f1_macro,
-            "per_class": {
-                str(c): {"precision": m.precision, "recall": m.recall,
-                         "f1": m.f1, "support": m.support,
-                         "predictions": m.predictions}
-                for c, m in sorted(self.per_class.items())
-            },
-        }
+        """The fields in order; ``per_class`` keyed by ``str(c)``, sorted."""
+        out = asdict(self)
+        out["level"] = self.level.value
+        out["per_class"] = {str(c): m for c, m in sorted(out["per_class"].items())}
+        return out
 
 
 def image_accuracy(predictions: dict[str, int], labels: dict[str, int]) -> float:

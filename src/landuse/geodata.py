@@ -718,17 +718,24 @@ def iter_jsonl(lines, source):
         yield lineno, obj
 
 
+def jsonl_rows(lines, source):
+    """(line number, row) for each row of a stage artifact, read by
+    ``iter_jsonl``: every object but the provenance header, which is an
+    object whose one key is ``provenance``."""
+    for lineno, obj in iter_jsonl(lines, source):
+        if len(obj) != 1 or "provenance" not in obj:
+            yield lineno, obj
+
+
 def assignments_from_jsonl(lines, source="assignments") -> list[Assignment]:
-    """The assignments in JSON lines, read by ``iter_jsonl``; a pair of
+    """The assignments in JSON lines, read by ``jsonl_rows``; a pair of
     image and parcel given twice raises ``JSONLinesError``."""
     by_image: dict[str, dict[str, str]] = {}
     order: list[str] = []
-    for lineno, obj in iter_jsonl(lines, source):
-        if "image" not in obj:
-            continue  # provenance header line
-        image = jsonl_id(obj, "image", source, lineno)
-        parcel = jsonl_id(obj, "parcel", source, lineno)
-        mode = jsonl_field(obj, "mode", source, lineno)
+    for lineno, obj in jsonl_rows(lines, source):
+        image = jsonl_value(obj, "image", str, source, lineno)
+        parcel = jsonl_value(obj, "parcel", str, source, lineno)
+        mode = jsonl_value(obj, "mode", None, source, lineno)
         if mode not in ("inside", "dilated"):
             raise JSONLinesError(f"{source}:{lineno}: mode must be 'inside' or"
                                  f" 'dilated', got {mode!r}")
@@ -742,20 +749,16 @@ def assignments_from_jsonl(lines, source="assignments") -> list[Assignment]:
     return [Assignment(image_id=i, modes=by_image[i]) for i in order]
 
 
-def jsonl_field(obj: dict, key: str, source, lineno: int):
-    """``obj[key]`` of a JSON-lines row; a row lacking it raises
+def jsonl_value(obj: dict, key: str, kind: type | None, source, lineno: int):
+    """``obj[key]`` of a JSON-lines row: an image or parcel id if ``kind``
+    is ``str``, a class index if it is ``int``, anything if it is None. A
+    row lacking the key, or holding another type there, raises
     ``JSONLinesError`` naming ``source`` and the line."""
     if key not in obj:
         raise JSONLinesError(f"{source}:{lineno}: row lacks {key!r}")
-    return obj[key]
-
-
-def jsonl_id(obj: dict, key: str, source, lineno: int) -> str:
-    """The image or parcel id ``obj[key]`` of a JSON-lines row; a row
-    lacking it, or holding anything but a string there, raises
-    ``JSONLinesError`` naming ``source`` and the line."""
-    value = jsonl_field(obj, key, source, lineno)
-    if type(value) is not str:
-        raise JSONLinesError(f"{source}:{lineno}: {key} must be a string,"
+    value = obj[key]
+    if kind is not None and type(value) is not kind:
+        what = "a string" if kind is str else "a class index"
+        raise JSONLinesError(f"{source}:{lineno}: {key} must be {what},"
                              f" got {type(value).__name__}")
     return value

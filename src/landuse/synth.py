@@ -47,31 +47,6 @@ def _table(prefix, labels, features, mixed_domains) -> ManifestTable:
         lon=np.zeros(n), lat=np.zeros(n), has_geo=np.zeros(n, dtype=bool))
 
 
-def _sample_blob(rng, means, n_classes, n_records, spread, feature_scale,
-                 noise_rate, stream, mixed_domains, id_prefix):
-    true = np.arange(n_records) % n_classes
-    X = means[true] + spread * rng.normal(size=(n_records, means.shape[1]))
-    X *= feature_scale
-    labels = _flip_labels(rng, true, n_classes, noise_rate)
-    return _table(id_prefix, labels, {stream: X}, mixed_domains)
-
-
-def blob_split(n_classes: int, n_train: int, n_val: int, dim: int, *,
-               noise_rate: float = 0.0, seed: int = 0,
-               separation: float = 3.0, spread: float = 1.0,
-               feature_scale: float = 1.0, stream: str = "object",
-               mixed_domains: bool = False):
-    """(noisy train, clean validation) drawn from the same class geometry."""
-    rng = np.random.default_rng(seed)
-    means = _class_means(rng, n_classes, dim, separation)
-    train = _sample_blob(rng, means, n_classes, n_train, spread,
-                         feature_scale, noise_rate, stream, mixed_domains,
-                         "train")
-    val = _sample_blob(rng, means, n_classes, n_val, spread, feature_scale,
-                       0.0, stream, mixed_domains, "val")
-    return train, val
-
-
 def noisy_web_split(n_classes: int, n_train: int, n_val: int, dim: int, *,
                     noise_rate: float = 0.3, seed: int = 0,
                     separation: float = 3.0, core_spread: float = 0.5,

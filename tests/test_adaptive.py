@@ -8,7 +8,7 @@ from landuse.adaptive import (HARD, SOFT, GateConfig, adaptive_finetune,
                               default_finetune_schedule, discard_probability,
                               gate_weights)
 from landuse.classifier import Schedule, init_model
-from landuse.synth import blob_split
+from landuse.synth import noisy_web_split
 
 
 def distribution(values):
@@ -152,7 +152,9 @@ def test_default_schedule_values():
 
 
 def test_threshold_zero_freezes_model():
-    train_set, _ = blob_split(3, 60, 0, 4, seed=1, mixed_domains=True)
+    train_set, _ = noisy_web_split(
+        3, 60, 0, 4, noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
+        feature_scale=1.0, seed=1, mixed_domains=True)
     m = init_model(3, 4, "object")
     m.W += 0.5
     cfg = GateConfig(mode=HARD, threshold=0.0,
@@ -163,8 +165,9 @@ def test_threshold_zero_freezes_model():
 
 
 def test_finetune_deterministic():
-    train_set, _ = blob_split(3, 90, 0, 4, seed=4, separation=4.0,
-                              mixed_domains=True)
+    train_set, _ = noisy_web_split(
+        3, 90, 0, 4, noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
+        feature_scale=1.0, seed=4, separation=4.0, mixed_domains=True)
     sched = Schedule(initial_lr=0.05, total_epochs=3, batch_size=10, seed=3)
     base = init_model(3, 4, "object")
     cfg = GateConfig(mode=SOFT, schedule=sched)

@@ -11,7 +11,7 @@ from landuse.classifier import (MODEL_MAGIC, ModelIOError, Schedule,
                                 SoftmaxModel, accuracy, forward, init_model,
                                 load_model, loss_grad, save_model, train)
 from landuse.dataset import ManifestTable, stratified_batches
-from landuse.synth import blob_split
+from landuse.synth import noisy_web_split
 
 
 def table(rows, labels, stream="object"):
@@ -205,8 +205,9 @@ def test_step_decay_values():
 
 
 def test_separable_blobs_train_above_95():
-    train_set, val_set = blob_split(2, 400, 200, 8, seed=5, separation=4.0,
-                                    mixed_domains=True)
+    train_set, val_set = noisy_web_split(
+        2, 400, 200, 8, noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
+        feature_scale=1.0, seed=5, separation=4.0, mixed_domains=True)
     sched = Schedule(total_epochs=5, batch_size=32, seed=5, initial_lr=0.1)
     result = train(init_model(2, 8, "object"), train_set, sched,
                    validation=val_set)
@@ -215,7 +216,9 @@ def test_separable_blobs_train_above_95():
 
 
 def test_training_deterministic():
-    train_set, _ = blob_split(3, 120, 0, 6, seed=2, mixed_domains=True)
+    train_set, _ = noisy_web_split(
+        3, 120, 0, 6, noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
+        feature_scale=1.0, seed=2, mixed_domains=True)
     sched = Schedule(total_epochs=3, batch_size=16, seed=7)
     m1 = train(init_model(3, 6, "object"), train_set, sched).model
     m2 = train(init_model(3, 6, "object"), train_set, sched).model
@@ -223,7 +226,9 @@ def test_training_deterministic():
 
 
 def test_loss_non_increasing_full_batch():
-    train_set, _ = blob_split(3, 90, 0, 6, seed=3, separation=2.0)
+    train_set, _ = noisy_web_split(
+        3, 90, 0, 6, noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
+        feature_scale=1.0, seed=3, separation=2.0)
     sched = Schedule(total_epochs=8, batch_size=90, seed=0, initial_lr=0.05,
                      domain_ratio=1.0)
     m = init_model(3, 6, "object")
@@ -238,7 +243,9 @@ def test_loss_non_increasing_full_batch():
 
 
 def test_momentum_and_weight_decay_match_a_hand_loop():
-    train_set, _ = blob_split(3, 60, 0, 4, seed=4, mixed_domains=True)
+    train_set, _ = noisy_web_split(
+        3, 60, 0, 4, noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
+        feature_scale=1.0, seed=4, mixed_domains=True)
     sched = Schedule(total_epochs=3, batch_size=16, seed=3, initial_lr=0.1,
                      decay_every=2, momentum=0.9, weight_decay=0.01)
     got = train(init_model(3, 4, "object"), train_set, sched).model

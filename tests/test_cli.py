@@ -1,6 +1,8 @@
+import ast
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -80,12 +82,40 @@ def test_override_replaces_a_value_from_the_file(tmp_path):
     assert cfg["train.lr"] == "0.25"
 
 
+def test_override_is_split_and_stripped_as_a_file_line_is(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("seed=1\n")
+    item = " train.epochs = 1 "
+    cfg = load_config(str(path), [item])
+    assert parse_config_text(item) == {"train.epochs": "1"}
+    assert cfg["train.epochs"] == "1" and " train.epochs" not in cfg
+    assert Pipeline(cfg).train_schedule(0).total_epochs == 1
+    assert config_hash(cfg) == config_hash(
+        load_config(str(path), ["train.epochs=1"]))
+
+
 def test_load_config_requires_seed(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a=1\n")
     with pytest.raises(ConfigError, match="seed"):
         load_config(str(path), [])
     assert load_config(str(path), ["seed=3"])["seed"] == "3"
+
+
+def test_no_module_reads_the_environment():
+    """The config file and its overrides are the only settings: no module
+    of the package names ``os.environ`` or ``os.getenv``, however got."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        assert not names & banned, f"{path.name}: {sorted(names & banned)}"
 
 
 @pytest.mark.parametrize("override,message", [
@@ -191,9 +221,9 @@ def test_synth_to_other_paths_fails_before_writing(tmp_path, capsys):
     bad = ("seed=6", "train_manifest=other/train.jsonl")
     assert main(["synth", "--config", str(path), *bad]) == 1
     assert capsys.readouterr().err == (
-        f"error: ConfigError: synth wrote {tmp_path / 'data' / 'train.jsonl'},"
-        f" but config train_manifest points at"
-        f" {tmp_path / 'other' / 'train.jsonl'}\n")
+        f"error: ConfigError: synth would write"
+        f" {tmp_path / 'data' / 'train.jsonl'}, but config train_manifest"
+        f" points at {tmp_path / 'other' / 'train.jsonl'}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
     # a city already written stays as it was, byte for byte
     run(path, "synth")
@@ -290,15 +320,6 @@ def test_eval_top_level_rolls_up(tmp_path):
         {i: TAX.roll_up(c, Level.TOP) for i, c in preds.items()},
         {i: TAX.roll_up(c, Level.TOP) for i, c in labels.items()})
     assert report["image_accuracy"] == pytest.approx(want)
-
-
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
-    run(path, "synth")
-    run(path, "filter")
-    monkeypatch.setenv("LANDUSE_OUT_DIR", str(tmp_path / "elsewhere"))
-    run(path, "filter")
-    assert (tmp_path / "elsewhere" / "assignments.jsonl").exists()
 
 
 def test_rerun_subcommand_byte_identical(tmp_path):
@@ -607,3 +628,46 @@ def test_every_prefix_of_a_jsonl_artifact_reads_or_is_typed(
             assert str(e).startswith(f"{target}:"), e
         else:  # whole rows only
             assert got == full[:len(got)]
+
+
+@pytest.mark.parametrize("name", ["assignments.jsonl", "predictions.jsonl"])
+def test_artifact_row_lacking_image_is_not_taken_for_the_header(
+        finished_run, tmp_path, name):
+    """Only an object whose one key is ``provenance`` is the header; a row
+    whose ``image`` key is misspelt fails map and eval, naming its line."""
+    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)))
+    for artifact in ("assignments.jsonl", "predictions.jsonl"):
+        (tmp_path / artifact).write_bytes(
+            (finished_run.out_dir / artifact).read_bytes())
+    target = tmp_path / name
+    lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].replace('"image"', '"imgae"', 1)
+    target.write_text("".join(lines), encoding="utf-8")
+    for command in (cli.cmd_map, cli.cmd_eval):
+        with pytest.raises(JSONLinesError,
+                           match=f"^{re.escape(str(target))}:3:"
+                                 " row lacks 'image'$"):
+            command(p)
+
+
+def test_all_runs_the_stages_in_commands_order(tmp_path, monkeypatch):
+    calls = []
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            lambda p, name=name: calls.append(name))
+    path = write_config(tmp_path)
+    run(path, "all")
+    assert calls == list(cli.COMMANDS) == ["synth", "filter", "train",
+                                           "adapt", "predict", "map", "eval"]
+    calls.clear()
+    run(path, "all", "all.skip_synth=true")
+    assert calls == list(cli.COMMANDS)[1:]
+
+
+def test_subcommand_choices_are_the_stages_and_all(capsys):
+    with pytest.raises(SystemExit):
+        main(["bogus", "--config", "c.txt"])
+    err = capsys.readouterr().err
+    choices = re.search(r"invalid choice: 'bogus' \(choose from (.*)\)", err)
+    assert choices, err
+    assert re.findall(r"'?(\w+)'?", choices.group(1)) == [*cli.COMMANDS, "all"]

@@ -1,12 +1,15 @@
 import csv
 import io
+import json
 import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landuse.evaluation import (PER_CLASS_COLUMNS, image_accuracy,
+from landuse.evaluation import (PER_CLASS_COLUMNS, ClassMetrics,
+                                MappingReport, image_accuracy,
                                 mapping_metrics, per_class_report)
 from landuse.geodata import Assignment, Parcel
 from landuse.taxonomy import Level, TaxonomyError, builtin_taxonomy
@@ -90,6 +93,19 @@ def test_empty_case():
     parcels = [parcel("P1", "bank")]
     r = mapping_metrics([], {}, parcels, TAX)
     assert r.precision == 0.0 and r.recall == 0.0 and r.f1_micro == 0.0
+
+
+def test_report_json_follows_the_field_order():
+    parcels = [parcel("P1", TAX.fine_classes[12]),
+               parcel("P2", TAX.fine_classes[3])]
+    report = mapping_metrics([A("i1", "P1"), A("i2", "P2")],
+                             {"i1": 12, "i2": 3}, parcels, TAX)
+    out = json.loads(json.dumps(report.to_json()))
+    assert list(out) == [f.name for f in fields(MappingReport)]
+    assert out["level"] == "fine"
+    assert list(out["per_class"]) == ["3", "12"]  # by index, not as text
+    assert all(list(m) == [f.name for f in fields(ClassMetrics)]
+               for m in out["per_class"].values())
 
 
 def test_untruthed_parcels_excluded_by_default():

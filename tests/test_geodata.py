@@ -481,6 +481,20 @@ def test_assignments_reader_skips_header():
     assert len(out) == 1 and out[0].modes == {"P": "inside"}
 
 
+@pytest.mark.parametrize("row", [
+    '{}', '{"imgae": "i", "parcel": "P", "mode": "inside"}',
+    '{"provenance": {}, "parcel": "P", "mode": "inside"}'])
+def test_assignments_header_is_only_the_lone_provenance_object(row):
+    text = '{"provenance": {}}\n' + row + "\n"
+    with pytest.raises(JSONLinesError, match="^src:2: row lacks 'image'$"):
+        assignments_from_jsonl(text, "src")
+
+
+def test_assignment_row_with_a_provenance_key_is_a_row():
+    row = '{"provenance": {}, "image": "i", "parcel": "P", "mode": "inside"}'
+    assert [a.image_id for a in assignments_from_jsonl(row)] == ["i"]
+
+
 def test_star_ring_parcels_validate():
     # the random generator must produce simple rings, or the oracle test
     # would silently cover less than it claims; with an angular gap over

@@ -9,7 +9,7 @@ from landuse import synth
 from landuse.classifier import Schedule, init_model, train
 from landuse.dataset import DOMAIN_A, DOMAIN_B, load_manifest
 from landuse.geodata import parse_parcels
-from landuse.synth import (blob_split, complementary_stream_split, make_city,
+from landuse.synth import (complementary_stream_split, make_city,
                            noisy_web_split)
 from landuse.taxonomy import builtin_taxonomy
 
@@ -17,18 +17,22 @@ TAX = builtin_taxonomy()
 
 
 def test_blob_split_balanced_and_seeded():
-    a, _ = blob_split(4, 40, 0, 8, seed=3, mixed_domains=True)
-    b, _ = blob_split(4, 40, 0, 8, seed=3, mixed_domains=True)
+    kw = dict(noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
+              feature_scale=1.0, seed=3)
+    a, _ = noisy_web_split(4, 40, 0, 8, **kw, mixed_domains=True)
+    b, _ = noisy_web_split(4, 40, 0, 8, **kw, mixed_domains=True)
     assert [r.id for r in a] == [r.id for r in b]
     assert all(np.array_equal(x.features["object"], y.features["object"])
                for x, y in zip(a, b))
     assert sum(1 for r in a if r.domain == DOMAIN_A) == 20
-    labels = [r.label for r in blob_split(4, 40, 0, 8, seed=3)[0]]
+    labels = [r.label for r in noisy_web_split(4, 40, 0, 8, **kw)[0]]
     assert sorted(set(labels)) == [0, 1, 2, 3]
 
 
 def test_blob_split_noise_rate():
-    train_set, val_set = blob_split(5, 2000, 500, 8, noise_rate=0.3, seed=1)
+    train_set, val_set = noisy_web_split(5, 2000, 500, 8, noise_rate=0.3,
+                                         core_spread=1.0, faded_fraction=0.0,
+                                         feature_scale=1.0, seed=1)
     flipped = sum(1 for i, r in enumerate(train_set) if r.label != i % 5)
     assert 0.25 < flipped / len(train_set) < 0.35
     assert all(r.label == i % 5 for i, r in enumerate(val_set))

@@ -330,6 +330,31 @@ def test_unwritable_entry_does_not_fail_the_load(tmp_path):
     assert_same_table(table, load_manifest(path, TAX))
 
 
+def test_sidecar_named_two_ways_gives_one_table_and_a_hit(tmp_path):
+    """A sidecar referenced as ``a.lufv`` and as ``./a.lufv`` fills the
+    rows of both, and the entry, keyed by both spellings, hits next."""
+    vectors = {"r0": [0.5, -1.0], "r1": [2.0, 0.25]}
+    write_feature_file(tmp_path / "a.lufv", vectors)
+    refs = ("a.lufv", "./a.lufv")
+    path, inline = tmp_path / "m.jsonl", tmp_path / "inline.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": rid, "features_ref": {"object": ref}}) + "\n"
+        for rid, ref in zip(vectors, refs)), encoding="utf-8")
+    inline.write_text("".join(
+        json.dumps({"id": rid, "features": {"object": vec}}) + "\n"
+        for rid, vec in vectors.items()), encoding="utf-8")
+    want = load_manifest(inline, TAX)
+    entry = tmp_path / "m.lutab"
+    assert_same_table(load_manifest(path, TAX, cache=entry), want)
+    items = entries.read_entry(entry, dataset.ENTRY_MAGIC,
+                               dataset.ENTRY_VERSION)
+    assert list(items[1]) == list(refs)
+    written = entry.read_bytes()
+    assert_same_table(read_entry(entry, path, TAX), want)
+    assert_same_table(load_manifest(path, TAX, cache=entry), want)
+    assert entry.read_bytes() == written
+
+
 # ---------------------------------------------------------------------------
 # cut and garbled entries
 
