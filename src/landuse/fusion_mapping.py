@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import SoftmaxModel, forward
 from .dataset import ImageRecord, ManifestTable, missing_stream
-from .geodata import Parcel, encode_json, parcel_geometry
+from .geodata import Parcel, encode_json, parcel_geometry, plain_coordinates
 from .taxonomy import Level, Taxonomy
 
 
@@ -120,13 +120,14 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
     ``geodata.encode_json``: orjson writes it unless the map holds a
     value that orjson writes otherwise, such as a non-ASCII class name or
     a coordinate below 1e-4 in magnitude, and json then writes it all.
+    The coordinates are checked in one pass (``plain_coordinates``), not
+    walked value by value.
     """
     by_id = {pp.parcel_id: pp for pp in parcel_predictions}
+    mapped = [parcel for parcel in parcels if parcel.id in by_id]
     features = []
-    for parcel in parcels:
-        pp = by_id.get(parcel.id)
-        if pp is None:
-            continue
+    for parcel in mapped:
+        pp = by_id[parcel.id]
         rolled = taxonomy.roll_up(pp.majority, level)
         features.append({
             "type": "Feature",
@@ -143,4 +144,6 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
     doc = {"type": "FeatureCollection", "features": features}
     if provenance is not None:
         doc["provenance"] = provenance
-    return encode_json(doc) + "\n"
+    checked = ([f["geometry"]["coordinates"] for f in features]
+               if plain_coordinates(mapped) else ())
+    return encode_json(doc, checked) + "\n"

@@ -12,7 +12,11 @@ containment test only on parcels whose box holds it, and the exact distance
 test only on parcels whose box, padded by the buffer, holds it. The pad is
 the buffer in degrees at the box-centre latitude of the parcel's own
 distance frame, widened by a small relative slack, so that rounding can
-only add candidates and the result equals the all-pairs one.
+only add candidates and the result equals the all-pairs one. The padded
+boxes are indexed in a uniform grid, so a point tests only the boxes of
+its own cell and the few boxes too large for the grid: on a city of
+parcels of similar size, the cost per point does not grow with the
+number of parcels.
 
 Ring validation finds self-intersections by sweep-and-prune over the edges'
 bounding boxes: sorted by min x, each edge is tested only against earlier
@@ -42,6 +46,13 @@ DEFAULT_DILATION_M = 5.0
 
 #: relative widening of the buffer pad, far above float rounding error
 _PAD_SLACK = 1e-9
+
+#: a box spanning this many grid cells along an axis is not indexed
+_GRID_MAX_SPAN = 8
+
+#: the smallest grid cell in degrees (about 0.1 mm); it keeps a point's
+#: cell finite, since a longitude over it is at most 1.8e11
+_GRID_MIN_CELL = 1e-9
 
 #: orjson reads an integer literal past 64 bits as a float, which is at
 #: least this large in magnitude
@@ -352,6 +363,18 @@ def parcel_geometry(parcel: Parcel) -> dict:
     }
 
 
+def plain_coordinates(parcels) -> bool:
+    """Whether ``encode_json`` may leave the coordinates of ``parcels``
+    unwalked: each is a float or an int, and zero or of magnitude in
+    [1e-4, 1e16), so orjson writes it as json does. One check covers every
+    coordinate. An int of 1e16 or more fails it, though orjson writes
+    such an int as json does; the walk then decides."""
+    coords = list(chain.from_iterable(chain.from_iterable(
+        chain.from_iterable(p.rings for p in parcels))))
+    return (set(map(type, coords)) <= {float, int}
+            and _plain_floats(np.array(coords, dtype=np.float64)))
+
+
 # ---------------------------------------------------------------------------
 # parcel entry
 #
@@ -438,20 +461,25 @@ def write_parcel_entry(entry, data: bytes, taxonomy: Taxonomy,
 
 def contains(parcel: Parcel, p: GeoPoint) -> bool:
     """Even-odd containment in lon/lat space. Points exactly on any ring
-    edge count as inside; points inside holes do not."""
+    edge count as inside; points inside holes do not.
+
+    One pass over each ring, carrying the previous vertex. An edge whose
+    y-range misses the point can neither hold it nor cross its ray, so
+    only the edges whose y-range holds it run the edge and crossing tests.
+    """
     x, y = p.lon, p.lat
     inside = False
     for ring in parcel.rings:
-        for i in range(len(ring) - 1):
-            (x1, y1), (x2, y2) = ring[i], ring[i + 1]
-            if (min(x1, x2) <= x <= max(x1, x2)
-                    and min(y1, y2) <= y <= max(y1, y2)
-                    and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)):
-                return True
-            if (y1 > y) != (y2 > y):
-                xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-                if x < xcross:
+        x1, y1 = ring[0]
+        for x2, y2 in islice(ring, 1, None):
+            if y1 <= y <= y2 or y2 <= y <= y1:
+                if ((x1 <= x <= x2 or x2 <= x <= x1)
+                        and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)):
+                    return True
+                if ((y1 > y) != (y2 > y)
+                        and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1)):
                     inside = not inside
+            x1, y1 = x2, y2
     return inside
 
 
@@ -480,33 +508,36 @@ def _check_planar(p: GeoPoint) -> None:
 
 def boundary_distance_m(parcel: Parcel, p: GeoPoint) -> float:
     """Minimum distance in meters from a point to the parcel boundary,
-    measured in a planar frame centered on the parcel's bounding box."""
+    measured in a planar frame centered on the parcel's bounding box.
+
+    One pass over each ring converts each vertex to the frame once and
+    carries it to the next edge; a degenerate edge (two equal vertices)
+    is skipped. The clamp of the projection onto an edge and the running
+    minimum are written as conditionals: ``min(1.0, t)`` is
+    ``t if t < 1.0 else 1.0``, NaN included."""
     _check_planar(p)
     lon0, lat0, coslat = _local_frame(parcel)
-
-    def to_xy(lon, lat):
-        return ((lon - lon0) * coslat * METERS_PER_DEGREE,
-                (lat - lat0) * METERS_PER_DEGREE)
-
-    px, py = to_xy(p.lon, p.lat)
+    px = (p.lon - lon0) * coslat * METERS_PER_DEGREE
+    py = (p.lat - lat0) * METERS_PER_DEGREE
     best = math.inf
     for ring in parcel.rings:
-        for i in range(len(ring) - 1):
-            if ring[i] == ring[i + 1]:
-                continue  # degenerate edge
-            ax, ay = to_xy(*ring[i])
-            bx, by = to_xy(*ring[i + 1])
-            best = min(best, _point_segment_distance(px, py, ax, ay, bx, by))
+        lon1, lat1 = ring[0]
+        ax = (lon1 - lon0) * coslat * METERS_PER_DEGREE
+        ay = (lat1 - lat0) * METERS_PER_DEGREE
+        for lon2, lat2 in islice(ring, 1, None):
+            bx = (lon2 - lon0) * coslat * METERS_PER_DEGREE
+            by = (lat2 - lat0) * METERS_PER_DEGREE
+            if lon2 != lon1 or lat2 != lat1:
+                dx, dy = bx - ax, by - ay
+                t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+                t = t if t < 1.0 else 1.0
+                t = t if t > 0.0 else 0.0
+                d = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+                best = d if d < best else best
+            lon1, lat1, ax, ay = lon2, lat2, bx, by
     if best is math.inf:
         raise ValueError(f"parcel {parcel.id}: all edges are degenerate")
     return best
-
-
-def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
-    dx, dy = bx - ax, by - ay
-    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-    t = max(0.0, min(1.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +550,40 @@ def assign(records, parcels, dilation_m: float = DEFAULT_DILATION_M) -> list[Ass
     Containment wins: a point inside one or more parcels is assigned to all
     of them. Only points inside no parcel are matched against the dilated
     boundaries. Records matching nothing are dropped. Output is sorted by
-    image id and independent of parcel list order.
+    image id and independent of parcel list order; each record's parcels
+    are in parcel list order.
     """
     if not (math.isfinite(dilation_m) and dilation_m >= 0):
         raise ValueError(f"dilation_m must be finite and >= 0, got {dilation_m}")
+    boxes, padded, grid = _parcel_index(parcels, dilation_m)
+    x0, y0, x1, y1 = boxes
+    dx0, dy0, dx1, dy1 = padded
+    cell_w, cell_h, cells, large = grid
+    ids = [pc.id for pc in parcels]
+    out = []
+    for image_id, point in records:
+        x, y = point.lon, point.lat
+        near = cells.get((math.floor(x / cell_w), math.floor(y / cell_h)), ())
+        if large:
+            near = sorted([*near, *large])
+        modes = {ids[k]: "inside" for k in near
+                 if x0[k] <= x <= x1[k] and y0[k] <= y <= y1[k]
+                 and contains(parcels[k], point)}
+        if not modes and parcels:
+            _check_planar(point)
+            modes = {ids[k]: "dilated" for k in near
+                     if dx0[k] <= x <= dx1[k] and dy0[k] <= y <= dy1[k]
+                     and boundary_distance_m(parcels[k], point) <= dilation_m}
+        if modes:
+            out.append(Assignment(image_id=image_id, modes=modes))
+    out.sort(key=lambda a: a.image_id)
+    return out
+
+
+def _parcel_index(parcels, dilation_m: float):
+    """The boxes of ``parcels`` and their boxes padded by the buffer, each
+    as four lists (min lon, min lat, max lon, max lat), and the grid over
+    them that ``_grid_index`` builds."""
     boxes = np.array([_bbox(pc) for pc in parcels], dtype=np.float64)
     x0, y0, x1, y1 = boxes.reshape(-1, 4).T.copy()
     # buffer in degrees, in the frame boundary_distance_m measures in
@@ -530,21 +591,51 @@ def assign(records, parcels, dilation_m: float = DEFAULT_DILATION_M) -> list[Ass
     pad_lon = pad_lat / np.cos(np.radians((y0 + y1) / 2.0))
     dx0, dx1 = x0 - pad_lon, x1 + pad_lon
     dy0, dy1 = y0 - pad_lat, y1 + pad_lat
-    out = []
-    for image_id, point in records:
-        x, y = point.lon, point.lat
-        hits = np.flatnonzero((x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1))
-        modes = {parcels[k].id: "inside" for k in hits.tolist()
-                 if contains(parcels[k], point)}
-        if not modes and parcels:
-            _check_planar(point)
-            near = np.flatnonzero((dx0 <= x) & (x <= dx1) & (dy0 <= y) & (y <= dy1))
-            modes = {parcels[k].id: "dilated" for k in near.tolist()
-                     if boundary_distance_m(parcels[k], point) <= dilation_m}
-        if modes:
-            out.append(Assignment(image_id=image_id, modes=modes))
-    out.sort(key=lambda a: a.image_id)
-    return out
+    # the grid holds each padded box, and the box itself where a box centre
+    # past 90 degrees latitude makes the pad negative
+    grid = _grid_index(np.fmin(x0, dx0).tolist(), dy0.tolist(),
+                       np.fmax(x1, dx1).tolist(), dy1.tolist())
+    return ([a.tolist() for a in (x0, y0, x1, y1)],
+            [a.tolist() for a in (dx0, dy0, dx1, dy1)], grid)
+
+
+def _grid_index(lo_x, lo_y, hi_x, hi_y):
+    """A uniform grid over boxes: (cell width, cell height, the box indices
+    meeting each cell, the indices of boxes too large for the grid).
+
+    A cell is the median box: the median width by the median height, each
+    taken from a sorted list. Cell ``(i, j)`` holds the points with
+    ``floor(x / cell width) == i`` and ``floor(y / cell height) == j``.
+    Rounded division and ``floor`` are both monotone, so a point inside a
+    box lies in one of the cells that box meets, and probing the point's
+    cell alone finds every box that holds it. A box spanning
+    ``_GRID_MAX_SPAN`` cells or more along an axis (or an infinite one) is
+    not indexed: every probe checks it. All index lists are ascending.
+    """
+    cell_w = _median_cell([b - a for a, b in zip(lo_x, hi_x)])
+    cell_h = _median_cell([b - a for a, b in zip(lo_y, hi_y)])
+    cells: dict[tuple[int, int], list[int]] = {}
+    large = []
+    for k, (ax, ay, bx, by) in enumerate(zip(lo_x, lo_y, hi_x, hi_y)):
+        i0, i1, j0, j1 = ax / cell_w, bx / cell_w, ay / cell_h, by / cell_h
+        # NaN and infinities fail this test, so the floors below are finite
+        if not (i1 - i0 < _GRID_MAX_SPAN and j1 - j0 < _GRID_MAX_SPAN):
+            large.append(k)
+            continue
+        for i in range(math.floor(i0), math.floor(i1) + 1):
+            for j in range(math.floor(j0), math.floor(j1) + 1):
+                cells.setdefault((i, j), []).append(k)
+    return cell_w, cell_h, cells, large
+
+
+def _median_cell(sizes: list[float]) -> float:
+    """The median of box sizes (each from 0 to inf) by a sorted list, the
+    upper one of an even count, and at least ``_GRID_MIN_CELL``. Any
+    positive cell gives the same assignments; ``np.median`` would import
+    ``numpy.ma`` into every stage process."""
+    if not sizes:
+        return 1.0
+    return max(sorted(sizes)[len(sizes) // 2], _GRID_MIN_CELL)
 
 
 def assignments_to_jsonl(assignments) -> str:
@@ -572,7 +663,7 @@ def assignments_to_jsonl(assignments) -> str:
 # limit.
 
 
-def encode_json(value) -> str:
+def encode_json(value, checked=()) -> str:
     """``json.dumps(value, indent=2)``, written by orjson wherever that
     gives the same text.
 
@@ -592,8 +683,12 @@ def encode_json(value) -> str:
     json writes every other value, and any value orjson refuses, so json's
     text and exceptions hold: a circular value, where the walk stops at
     the depth bound, raises json's ``ValueError``.
+
+    ``checked`` names containers inside ``value`` whose members the caller
+    has already found to be such values, as ``plain_coordinates`` finds a
+    map's coordinate lists to be; the walk does not enter them.
     """
-    if _orjson_writes_as_json(value, 0):
+    if _orjson_writes_as_json(value, 0, {id(c) for c in checked}):
         try:
             return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
         except orjson.JSONEncodeError:
@@ -612,10 +707,7 @@ def encode_floats(vec: np.ndarray) -> bytes:
     one of another dtype, whose values orjson writes at that precision,
     and any vector orjson refuses, such as a slice that is not contiguous.
     """
-    mag = np.abs(vec)
-    if (vec.dtype == np.float64
-            and (((mag >= _PLAIN_FLOAT_MIN) & (mag < _PLAIN_FLOAT_MAX))
-                 | (vec == 0.0)).all()):
+    if vec.dtype == np.float64 and _plain_floats(vec):
         try:
             return orjson.dumps(vec, option=orjson.OPT_SERIALIZE_NUMPY
                                 ).replace(b",", b", ")
@@ -624,9 +716,18 @@ def encode_floats(vec: np.ndarray) -> bytes:
     return json.dumps(vec.tolist()).encode()
 
 
-def _orjson_writes_as_json(value, depth: int) -> bool:
+def _plain_floats(vec: np.ndarray) -> bool:
+    """Whether every value of ``vec`` is zero or of magnitude in
+    [1e-4, 1e16), as the floats orjson writes as json does are."""
+    mag = np.abs(vec)
+    return bool((((mag >= _PLAIN_FLOAT_MIN) & (mag < _PLAIN_FLOAT_MAX))
+                 | (mag == 0.0)).all())
+
+
+def _orjson_writes_as_json(value, depth: int, checked: set[int]) -> bool:
     """Whether orjson writes ``value``, inside ``depth`` containers, as
-    json does; see ``encode_json``."""
+    json does; a container whose ``id`` is in ``checked`` is taken as it
+    is. See ``encode_json``."""
     kind = type(value)
     if kind is float:
         return (value == 0.0
@@ -635,7 +736,7 @@ def _orjson_writes_as_json(value, depth: int) -> bool:
         return value.isascii() and "\x7f" not in value
     if kind is int:
         return _ORJSON_INT_MIN <= value < _ORJSON_INT_END
-    if kind is bool or value is None:
+    if kind is bool or value is None or id(value) in checked:
         return True
     if depth == _ORJSON_DEPTH:
         return False
@@ -649,7 +750,7 @@ def _orjson_writes_as_json(value, depth: int) -> bool:
     else:
         return False
     for member in members:
-        if not _orjson_writes_as_json(member, depth + 1):
+        if not _orjson_writes_as_json(member, depth + 1, checked):
             return False
     return True
 

@@ -1,6 +1,8 @@
 import ast
 import json
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -298,6 +300,22 @@ def test_artifact_headers_carry_provenance(tmp_path):
     for name in ("assignments.jsonl", "predictions.jsonl"):
         first_line = (tmp_path / "out" / name).read_text().splitlines()[0]
         assert json.loads(first_line)["provenance"]["seed"] == 5
+
+
+def test_all_leaves_numpy_ma_unimported(tmp_path):
+    """numpy imports ``numpy.ma`` lazily, on the first use of a function
+    such as ``np.median``; that adds about 1.2 MB to every stage process.
+    A fresh interpreter that runs ``landuse all`` must not import it."""
+    path = write_config(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r})\n"
+              "from landuse.cli import main\n"
+              f"assert main(['all', '--config', {str(path)!r}]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_eval_top_level_rolls_up(tmp_path):

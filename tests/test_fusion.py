@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -263,3 +264,56 @@ def test_export_round_trips_through_parser():
     again = parse_parcels(text, TAX)
     assert [p.id for p in again] == ["P"]
     assert again[0].rings == (SQUARE,)
+
+
+def square_at(x0, y0, side):
+    return ((x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side),
+            (x0, y0))
+
+
+@pytest.mark.parametrize("rings,provenance", [
+    ((SQUARE,), None),
+    ((square_at(0, 0, 1),), None),                    # JSON integers
+    ((square_at(-0.0, 0.0, 1.0),), None),             # negative zero
+    ((square_at(1e-5, 0.5, 1.0),), None),             # json writes 1e-05
+    ((square_at(1e16, 0.5, 1e16),), None),            # json writes 1e+16
+    ((square_at(5e-324, 0.5, 1.0),), None),           # subnormal
+    ((square_at(10 ** 17, 0, 10 ** 17),), None),      # int orjson writes
+    ((square_at(2 ** 70, 0, 2 ** 70),), None),        # int orjson refuses
+    ((SQUARE,), {"seed": 3, "scale": 1e-5}),
+    ((SQUARE, square_at(0.25, 0.25, 1e-5)), None),    # a hole of odd values
+])
+def test_export_text_is_json_dumps_for_any_coordinates(rings, provenance):
+    parcels = [Parcel(id="P", rings=rings),
+               Parcel(id="Q", rings=(square_at(2.0, 2.0, 0.5),))]
+    preds = [ParcelPrediction(parcel_id=pid, histogram={0: 1}, majority=0,
+                              support=1) for pid in ("P", "Q")]
+    text = export_map(parcels, preds, TAX, provenance=provenance)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    doc = json.loads(text)
+    assert doc["features"][0]["geometry"]["coordinates"] == \
+        [[list(v) for v in ring] for ring in rings]
+
+
+def test_export_does_not_walk_plain_coordinates(monkeypatch):
+    """The coordinates are checked in one pass; the value-by-value walk
+    of ``encode_json`` visits the same number of values however many
+    vertices the parcels have."""
+    from landuse import geodata
+    walked = []
+    real = geodata._orjson_writes_as_json
+
+    def counting(value, depth, checked):
+        walked.append(value)
+        return real(value, depth, checked)
+
+    monkeypatch.setattr(geodata, "_orjson_writes_as_json", counting)
+    pp = ParcelPrediction(parcel_id="P", histogram={0: 1}, majority=0, support=1)
+    counts = []
+    for n in (4, 100):
+        ring = [(2 + math.cos(2 * math.pi * k / n),
+                 2 + math.sin(2 * math.pi * k / n)) for k in range(n)]
+        walked.clear()
+        export_map([Parcel(id="P", rings=(tuple(ring + ring[:1]),))], [pp], TAX)
+        counts.append(len(walked))
+    assert counts[0] == counts[1]

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -609,6 +610,283 @@ def test_assign_matches_all_pairs_oracle(city):
     got = [(a.image_id, list(a.modes.items()))
            for a in assign(records, parcels, dilation_m)]
     assert got == oracle_assign(records, parcels, dilation_m)
+
+
+# ---------------------------------------------------------------------------
+# the containment and distance kernels against their plain per-edge form
+#
+# ``oracle_assign`` runs the library's own kernels, so it cannot see a change
+# in them. These are the kernels written edge by edge with ``min`` and
+# ``max``, frozen: the one-pass loops must give the same bool and the very
+# same float.
+
+
+def reference_contains(parcel, p):
+    x, y = p.lon, p.lat
+    inside = False
+    for ring in parcel.rings:
+        for i in range(len(ring) - 1):
+            (x1, y1), (x2, y2) = ring[i], ring[i + 1]
+            if (min(x1, x2) <= x <= max(x1, x2)
+                    and min(y1, y2) <= y <= max(y1, y2)
+                    and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)):
+                return True
+            if (y1 > y) != (y2 > y):
+                xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+                if x < xcross:
+                    inside = not inside
+    return inside
+
+
+def reference_boundary_distance_m(parcel, p):
+    if abs(p.lat) >= 85.0:
+        raise ValueError(f"latitude {p.lat} too close to the poles")
+    xs = [v[0] for ring in parcel.rings for v in ring]
+    ys = [v[1] for ring in parcel.rings for v in ring]
+    lon0 = (min(xs) + max(xs)) / 2.0
+    lat0 = (min(ys) + max(ys)) / 2.0
+    coslat = math.cos(math.radians(lat0))
+
+    def to_xy(lon, lat):
+        return ((lon - lon0) * coslat * METERS_PER_DEGREE,
+                (lat - lat0) * METERS_PER_DEGREE)
+
+    px, py = to_xy(p.lon, p.lat)
+    best = math.inf
+    for ring in parcel.rings:
+        for i in range(len(ring) - 1):
+            if ring[i] == ring[i + 1]:
+                continue
+            ax, ay = to_xy(*ring[i])
+            bx, by = to_xy(*ring[i + 1])
+            dx, dy = bx - ax, by - ay
+            t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+            t = max(0.0, min(1.0, t))
+            best = min(best, math.hypot(px - (ax + t * dx), py - (ay + t * dy)))
+    if best is math.inf:
+        raise ValueError(f"parcel {parcel.id}: all edges are degenerate")
+    return best
+
+
+def assert_kernels_match_reference(parcel, points):
+    for p in points:
+        assert contains(parcel, p) == reference_contains(parcel, p), (parcel, p)
+        got = boundary_distance_m(parcel, p)
+        want = reference_boundary_distance_m(parcel, p)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), \
+            (parcel, p, got, want)
+
+
+def repeat_vertices(rng, ring):
+    """The ring with one to three of its vertices given twice in a row,
+    which makes degenerate edges; the kernels do not need a valid ring."""
+    ring = list(ring)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(ring))
+        ring.insert(k, ring[k])
+    return tuple(ring)
+
+
+def edge_points(rng, parcel):
+    """Vertices, points on edges (by interpolation, so some are on the
+    edge exactly and some a rounding off it) and points one float step
+    off a vertex."""
+    pts = []
+    for ring in parcel.rings:
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+            t = rng.choice((0.5, 0.25, rng.random()))
+            pts += [(x1, y1), (x1 + t * (x2 - x1), y1 + t * (y2 - y1)),
+                    (math.nextafter(x1, math.inf), y1),
+                    (x1, math.nextafter(y1, -math.inf))]
+    return [GeoPoint(x, y) for x, y in pts]
+
+
+@settings(max_examples=120, deadline=None)
+@given(geo_cities(), st.integers(0, 2**32 - 1))
+def test_kernels_equal_their_per_edge_form(city, seed):
+    parcels, records, _dilation_m = city
+    rng = random.Random(seed)
+    points = [p for _, p in records]
+    for parcel in parcels:
+        repeated = Parcel._trusted(
+            parcel.id, tuple(repeat_vertices(rng, r) for r in parcel.rings),
+            parcel.truth)
+        for variant in (parcel, repeated):
+            assert_kernels_match_reference(
+                variant, points + edge_points(rng, variant))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(3, 8),
+       st.integers(3, 8), st.booleans())
+def test_kernels_equal_their_per_edge_form_on_integer_rings(x0, y0, w, h, holed):
+    """Integer vertices and points on a half-unit lattice: every point on
+    an edge or a hole's edge is on it exactly."""
+    outer = ((x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h), (x0, y0))
+    hole = ((x0 + 1, y0 + 1), (x0 + 1, y0 + h - 1), (x0 + w - 1, y0 + h - 1),
+            (x0 + w - 1, y0 + 1), (x0 + 1, y0 + 1))
+    parcel = Parcel(id="Z", rings=(outer, hole) if holed else (outer,))
+    points = [GeoPoint(i / 2, j / 2)
+              for i in range(2 * x0 - 2, 2 * (x0 + w) + 3)
+              for j in range(2 * y0 - 2, 2 * (y0 + h) + 3)]
+    assert_kernels_match_reference(parcel, points)
+
+
+# ---------------------------------------------------------------------------
+# the grid behind assign
+
+
+def assigned(records, parcels, dilation_m):
+    return [(a.image_id, list(a.modes.items()))
+            for a in assign(records, parcels, dilation_m)]
+
+
+def unit_squares(n, x0=0.0):
+    return [square_parcel(f"S{k}", x0=x0 + k) for k in range(n)]
+
+
+def grid_of(parcels, dilation_m):
+    """The cell width, cell height, cells and large list of the grid that
+    ``assign`` builds over ``parcels``."""
+    return geodata._parcel_index(parcels, dilation_m)[2]
+
+
+def test_grid_probe_on_a_cell_boundary():
+    parcels = unit_squares(5)
+    cell_w, cell_h, _cells, large = grid_of(parcels, 0.0)
+    assert (cell_w, cell_h, large) == (1.0, 1.0, [])
+    # on the cell boundaries x = 1, x = 2 and y = 1, which are edges too
+    records = [("a", GeoPoint(1.0, 0.5)), ("b", GeoPoint(2.0, 1.0)),
+               ("c", GeoPoint(3.0, 0.0)), ("d", GeoPoint(4.5, 1.0))]
+    got = assigned(records, parcels, 0.0)
+    assert got == [("a", [("S0", "inside"), ("S1", "inside")]),
+                   ("b", [("S1", "inside"), ("S2", "inside")]),
+                   ("c", [("S2", "inside"), ("S3", "inside")]),
+                   ("d", [("S4", "inside")])]
+    assert got == oracle_assign(records, parcels, 0.0)
+
+
+def test_grid_probe_on_a_cell_boundary_with_a_buffer():
+    parcels = [square_parcel(f"S{k}", side=1e-3, x0=k * 1.5e-3, y0=45.0)
+               for k in range(6)]
+    cell_w, cell_h, _cells, _large = grid_of(parcels, 25.0)
+    records = [(f"i{i}{j}", GeoPoint(i * cell_w, j * cell_h))
+               for i in range(-1, 8) for j in range(math.floor(45.0 / cell_h) - 1,
+                                                    math.floor(45.0 / cell_h) + 3)]
+    got = assigned(records, parcels, 25.0)
+    assert got == oracle_assign(records, parcels, 25.0)
+    assert any(modes for _, modes in got)
+
+
+@pytest.mark.parametrize("big_at", [0, 3, 6])
+def test_grid_parcel_spanning_many_cells_is_checked_by_every_probe(big_at):
+    small = [square_parcel(f"s{k}", side=1e-3, x0=0.3 + 2e-3 * k, y0=0.3)
+             for k in range(6)]
+    big = square_parcel("B", side=1.0)
+    parcels = small[:big_at] + [big] + small[big_at:]
+    assert grid_of(parcels, DEFAULT_DILATION_M)[3] == [big_at]
+    records = [("in_both", GeoPoint(0.3005, 0.3005)),
+               ("edge_of_both", GeoPoint(0.3, 0.3)),
+               ("in_big", GeoPoint(0.9, 0.9)),
+               ("near_big", GeoPoint(1.00001, 0.5)),
+               ("near_small", GeoPoint(0.30101, 0.3005)),
+               ("far", GeoPoint(3.0, 3.0))]
+    got = assigned(records, parcels, DEFAULT_DILATION_M)
+    assert got == oracle_assign(records, parcels, DEFAULT_DILATION_M)
+    modes = dict(got)
+    order = [p.id for p in parcels]
+    assert sorted(modes["in_both"], key=lambda m: order.index(m[0])) \
+        == modes["in_both"]
+    assert sorted(modes["in_both"]) == [("B", "inside"), ("s0", "inside")]
+    assert modes["in_big"] == [("B", "inside")]
+    assert "far" not in modes
+
+
+def test_grid_points_outside_the_grid_match_nothing_but_large_parcels():
+    parcels = unit_squares(3, x0=10.0)
+    records = [("west", GeoPoint(-179.5, 0.5)), ("east", GeoPoint(179.5, 0.5)),
+               ("south", GeoPoint(10.5, -84.0)), ("north", GeoPoint(10.5, 84.0)),
+               ("in", GeoPoint(10.5, 0.5))]
+    assert assigned(records, parcels, DEFAULT_DILATION_M) == [
+        ("in", [("S0", "inside")])]
+    wide = parcels + [Parcel(id="W", rings=(((-170.0, -10.0), (170.0, -10.0),
+                                             (170.0, 10.0), (-170.0, 10.0),
+                                             (-170.0, -10.0)),))]
+    got = assigned(records[:2] + records[4:], wide, DEFAULT_DILATION_M)
+    assert got == [("in", [("S0", "inside"), ("W", "inside")])]
+    assert got == oracle_assign(records[:2] + records[4:], wide, DEFAULT_DILATION_M)
+
+
+def test_grid_holds_boxes_that_a_negative_pad_narrows():
+    """Parcel latitudes are not range-checked, and a box centred past 90
+    degrees gets a negative longitude pad: its padded box is narrower than
+    the box, or inverted, yet a point inside the box is inside the parcel."""
+    parcels = [Parcel(id=f"N{k}", rings=(((k, 89.5), (k + 1, 89.5), (k + 1, 91),
+                                          (k, 91), (k, 89.5)),))
+               for k in range(4)]
+    records = [(f"i{k}", GeoPoint(k + 0.5, 89.9)) for k in range(4)]
+    records.append(("edge", GeoPoint(2.0, 89.6)))
+    got = assigned(records, parcels, 1000.0)
+    assert got == oracle_assign(records, parcels, 1000.0)
+    assert dict(got)["edge"] == [("N1", "inside"), ("N2", "inside")]
+
+
+def test_grid_over_no_parcels():
+    assert geodata._grid_index([], [], [], []) == (1.0, 1.0, {}, [])
+    assert assign([("x", GeoPoint(0.5, 0.5))], []) == []
+
+
+def test_grid_over_boxes_of_zero_width():
+    """Three collinear vertices make a ring that validates and has a box of
+    zero width; with no buffer the median cell would be empty."""
+    parcels = [Parcel(id=f"V{k}", rings=(((k, 0.0), (k, 1.0), (k, 2.0),
+                                          (k, 0.0)),)) for k in range(3)]
+    assert grid_of(parcels, 0.0)[0] == geodata._GRID_MIN_CELL
+    records = [("on", GeoPoint(1.0, 0.5)), ("off", GeoPoint(1.5, 0.5)),
+               ("end", GeoPoint(2.0, 2.0))]
+    got = assigned(records, parcels, 0.0)
+    assert got == [("end", [("V2", "inside")]), ("on", [("V1", "inside")])]
+    assert got == oracle_assign(records, parcels, 0.0)
+
+
+def test_grid_with_no_buffer_indexes_the_boxes_themselves():
+    rng = random.Random(5)
+    parcels = [Parcel(id=f"p{k}", rings=(star_ring(
+        rng, 0.004 * (k % 8), 0.004 * (k // 8), 0.0005, 0.002, 9),))
+        for k in range(40)]
+    records = [(f"i{n}", GeoPoint(rng.uniform(-0.003, 0.033),
+                                  rng.uniform(-0.003, 0.023)))
+               for n in range(400)]
+    records += [(f"v{k}", GeoPoint(*pc.exterior[0])) for k, pc in enumerate(parcels)]
+    got = assigned(records, parcels, 0.0)
+    assert got == oracle_assign(records, parcels, 0.0)
+    assert all(mode == "inside" for _, modes in got for _, mode in modes)
+
+
+def test_assign_tests_containment_once_per_pair_whose_box_holds_the_point(
+        monkeypatch):
+    rng = random.Random(8)
+    parcels = [Parcel(id=f"p{k}", rings=(star_ring(
+        rng, 0.003 * (k % 10), 0.003 * (k // 10), 0.0005, 0.0025, 10),))
+        for k in range(100)]
+    parcels.append(square_parcel("B", side=0.05, x0=-0.01, y0=-0.01))
+    records = [(f"i{n}", GeoPoint(rng.uniform(-0.02, 0.05),
+                                  rng.uniform(-0.02, 0.05)))
+               for n in range(1000)]
+    calls = Counter()
+    real = geodata.contains
+
+    def counting(parcel, point):
+        calls[parcel.id, point] += 1
+        return real(parcel, point)
+
+    monkeypatch.setattr(geodata, "contains", counting)
+    assign(records, parcels, DEFAULT_DILATION_M)
+    boxes = {pc.id: geodata._bbox(pc) for pc in parcels}
+    want = Counter({(pid, p): 1 for _, p in records
+                    for pid, (x0, y0, x1, y1) in boxes.items()
+                    if x0 <= p.lon <= x1 and y0 <= p.lat <= y1})
+    assert calls == want
 
 
 def test_assignments_cut_line_names_source_and_line():
