@@ -82,6 +82,8 @@ def config_hash(cfg: dict[str, str]) -> str:
 
 class Pipeline:
     def __init__(self, cfg: dict[str, str]):
+        if bad := [k for k in cfg if k not in KEYS and not k.startswith("_")]:
+            raise ConfigError(f"unknown config key {bad[0]!r}")
         self.cfg = cfg
         self.seed = self.i("seed", None)
         self.hash = config_hash(cfg)
@@ -269,6 +271,17 @@ class Pipeline:
         with open(path, "rb") as f:
             return assignments_from_jsonl(f, path)
 
+    def load_mapping(self):
+        """(parcels, assignments); an unknown parcel raises JSONLinesError."""
+        parcels, assignments = self.load_parcels(), self.read_assignments()
+        known = {pc.id for pc in parcels}
+        for a in assignments:
+            if not a.modes.keys() <= known:
+                gone = min(a.modes.keys() - known)
+                raise JSONLinesError(f"{self.assignments_path}: image"
+                                     f" {a.image_id}: unknown parcel {gone}")
+        return parcels, assignments
+
     def read_predictions(self) -> dict[str, int]:
         path = self.predictions_path
         preds = {}
@@ -340,8 +353,7 @@ def cmd_predict(p: Pipeline) -> None:
 
 
 def cmd_map(p: Pipeline) -> None:
-    parcels = p.load_parcels()
-    assignments = p.read_assignments()
+    parcels, assignments = p.load_mapping()
     parcel_preds = aggregate_parcels(assignments, p.read_predictions())
     write_atomic(p.out_dir / "map.geojson",
                  export_map(parcels, parcel_preds, p.taxonomy, p.level,
@@ -349,8 +361,7 @@ def cmd_map(p: Pipeline) -> None:
 
 
 def cmd_eval(p: Pipeline) -> None:
-    parcels = p.load_parcels()
-    assignments = p.read_assignments()
+    parcels, assignments = p.load_mapping()
     predictions = p.read_predictions()
     table = p.load_split("map_manifest")
     labels = {rid: c for rid, c in zip(table.ids, table.label.tolist())
@@ -396,6 +407,16 @@ SYNTH_KEYS = {
     "synth.spread": ("spread", float),
     "synth.feature_scale": ("feature_scale", float),
 }
+
+#: every key a config may set; keys starting with ``_`` are internal
+KEYS = {"seed", "out_dir", "streams", "taxonomy", "parcels", "train_manifest",
+        "val_manifest", "map_manifest", "dilation_m", "level", "gate.mode",
+        "gate.threshold", "fusion.weights", "predict.use_adapted",
+        "eval.include_untruthed", "all.skip_synth", "train.lr", "train.epochs",
+        "train.decay_factor", "train.decay_every", "train.batch_size",
+        "train.domain_ratio", "train.momentum", "train.weight_decay",
+        "finetune.lr", "finetune.epochs", "finetune.decay_factor",
+        "finetune.decay_every", "finetune.batch_size", *SYNTH_KEYS}
 
 
 def cmd_synth(p: Pipeline) -> None:

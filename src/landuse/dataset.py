@@ -19,6 +19,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -346,11 +347,10 @@ ENTRY_MAGIC = b"LUTAB"
 ENTRY_VERSION = 2
 
 
-def _cache_key(path: Path, taxonomy: Taxonomy | None, refs) -> bytes:
-    """The digests an entry for ``path`` is keyed by, the manifest's first;
-    reading a file that is gone raises ``OSError``."""
-    return b"".join([file_sha256(path), classes_sha256(taxonomy),
-                     *(file_sha256(path.parent / ref) for ref in refs)])
+def _cache_key(digest: bytes, taxonomy: Taxonomy | None,
+               sidecar_digests) -> bytes:
+    """An entry's key: the manifest's, taxonomy's and sidecars' digests."""
+    return b"".join([digest, classes_sha256(taxonomy), *sidecar_digests])
 
 
 def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable | None:
@@ -367,8 +367,10 @@ def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable |
         return None
     (key, refs, ids, streams, dims, domain, has_geo, label, lon, lat,
      *mats) = items
+    path = Path(path)
     try:
-        if key.tobytes() != _cache_key(Path(path), taxonomy, refs):
+        if key.tobytes() != _cache_key(file_sha256(path), taxonomy, (
+                file_sha256(path.parent / ref) for ref in refs)):
             return None
     except OSError:
         return None
@@ -391,7 +393,7 @@ def _write_entry(entry, taxonomy: Taxonomy | None, table: ManifestTable,
     manifest bytes decoded and those of the sidecar bytes read (the values
     of ``refs``), so no load of other bytes hits it. An entry that cannot
     be written costs the next load a decode and nothing else."""
-    key = b"".join([digest, classes_sha256(taxonomy), *refs.values()])
+    key = _cache_key(digest, taxonomy, refs.values())
     write_entry(entry, ENTRY_MAGIC, ENTRY_VERSION, [
         np.frombuffer(key, dtype="u1"), list(refs), list(table.ids),
         list(table.features),
@@ -412,10 +414,10 @@ def stratified_batches(domains, batch_size: int, domain_ratio: float,
     domain per record), with a fixed per-batch domain ratio.
 
     Each full batch holds ``round(batch_size * domain_ratio)`` domain-A
-    records, the rest domain-B. The shorter domain recycles with a fresh
-    shuffle; the epoch ends when the longer domain is exhausted, and the
-    final partial batch is dropped. Too few records for one full batch
-    raise rather than give an epoch with no batches.
+    records, then the domain-B rest. Each domain draws from copies of its
+    records, a copy shuffled when its first record is drawn; the epoch
+    ends when the longer domain is exhausted, the partial batch dropped.
+    Too few records for one full batch raise rather than give no batches.
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
@@ -439,28 +441,14 @@ def stratified_batches(domains, batch_size: int, domain_ratio: float,
             f" records, but batch_size {batch_size} takes {n_a} A + {n_b} B")
     rng = random.Random(seed)
 
-    def drawer(pool, per_batch):
-        queue: list[int] = []
+    def shuffled(pool):
+        while True:
+            fresh = pool[:]
+            rng.shuffle(fresh)
+            yield fresh
 
-        def draw():
-            nonlocal queue
-            while len(queue) < per_batch:
-                fresh = pool[:]
-                rng.shuffle(fresh)
-                queue.extend(fresh)
-            take, queue = queue[:per_batch], queue[per_batch:]
-            return take
-
-        return draw
-
-    draw_a = drawer(pool_a, n_a)
-    draw_b = drawer(pool_b, n_b)
-    batches = []
-    for _ in range(n_batches):
-        idx = []
-        if n_a:
-            idx.extend(draw_a())
-        if n_b:
-            idx.extend(draw_b())
-        batches.append(np.array(idx, dtype=np.intp))
-    return batches
+    draw_a = chain.from_iterable(shuffled(pool_a))
+    draw_b = chain.from_iterable(shuffled(pool_b))
+    return [np.array([*islice(draw_a, n_a), *islice(draw_b, n_b)],
+                     dtype=np.intp)
+            for _ in range(n_batches)]

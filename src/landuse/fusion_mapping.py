@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import SoftmaxModel, forward
 from .dataset import ImageRecord, ManifestTable, missing_stream
-from .geodata import Parcel, encode_json, parcel_geometry, plain_coordinates
+from .geodata import encode_json, plain_coordinates
 from .taxonomy import Level, Taxonomy
 
 
@@ -132,7 +132,8 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
         features.append({
             "type": "Feature",
             "id": parcel.id,
-            "geometry": parcel_geometry(parcel),
+            "geometry": {"type": "Polygon", "coordinates": [
+                [list(v) for v in ring] for ring in parcel.rings]},
             "properties": {
                 "parcel": parcel.id,
                 "landuse_pred": taxonomy.name(rolled, level),

@@ -91,6 +91,8 @@ class GeoPoint:
     lat: float
 
     def __post_init__(self):
+        if isinstance(self.lon, bool) or isinstance(self.lat, bool):
+            raise TypeError(f"boolean coordinate ({self.lon}, {self.lat})")
         if not (math.isfinite(self.lon) and math.isfinite(self.lat)):
             raise ValueError(f"non-finite coordinate ({self.lon}, {self.lat})")
         if not -180.0 <= self.lon <= 180.0:
@@ -124,14 +126,6 @@ class Parcel:
         object.__setattr__(parcel, "rings", rings)
         object.__setattr__(parcel, "truth", truth)
         return parcel
-
-    @property
-    def exterior(self):
-        return self.rings[0]
-
-    @property
-    def holes(self):
-        return self.rings[1:]
 
 
 @dataclass(frozen=True)
@@ -355,14 +349,6 @@ def _member_object(feature: dict, key: str, fid: str) -> dict:
     return value
 
 
-def parcel_geometry(parcel: Parcel) -> dict:
-    """GeoJSON geometry dict for a parcel (always a Polygon)."""
-    return {
-        "type": "Polygon",
-        "coordinates": [[list(v) for v in ring] for ring in parcel.rings],
-    }
-
-
 def plain_coordinates(parcels) -> bool:
     """Whether ``encode_json`` may leave the coordinates of ``parcels``
     unwalked: each is a float or an int, and zero or of magnitude in
@@ -494,13 +480,6 @@ def _bbox(parcel: Parcel):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _local_frame(parcel: Parcel):
-    x0, y0, x1, y1 = _bbox(parcel)
-    lon0 = (x0 + x1) / 2.0
-    lat0 = (y0 + y1) / 2.0
-    return lon0, lat0, math.cos(math.radians(lat0))
-
-
 def _check_planar(p: GeoPoint) -> None:
     if abs(p.lat) >= 85.0:
         raise ValueError(f"latitude {p.lat} too close to the poles for the planar frame")
@@ -516,7 +495,10 @@ def boundary_distance_m(parcel: Parcel, p: GeoPoint) -> float:
     minimum are written as conditionals: ``min(1.0, t)`` is
     ``t if t < 1.0 else 1.0``, NaN included."""
     _check_planar(p)
-    lon0, lat0, coslat = _local_frame(parcel)
+    x0, y0, x1, y1 = _bbox(parcel)
+    lon0 = (x0 + x1) / 2.0
+    lat0 = (y0 + y1) / 2.0
+    coslat = math.cos(math.radians(lat0))
     px = (p.lon - lon0) * coslat * METERS_PER_DEGREE
     py = (p.lat - lat0) * METERS_PER_DEGREE
     best = math.inf

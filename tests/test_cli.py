@@ -149,6 +149,45 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, override, message)
     assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
 
 
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, where):
+    path = write_config(tmp_path, "train.epoch=1\n" if where == "file" else "")
+    overrides = ["train.epoch=1"] if where == "override" else []
+    assert main(["train", "--config", str(path), *overrides]) == 1
+    assert capsys.readouterr().err == \
+        "error: ConfigError: unknown config key 'train.epoch'\n"
+    assert not (tmp_path / "out").exists()
+
+
+class ReadKeys(dict):
+    """A config that records every key looked up in it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def test_the_keys_the_stages_read_are_the_config_keys(tmp_path):
+    cfg = ReadKeys(load_config(str(write_config(tmp_path)), []))
+    p = Pipeline(cfg)
+    cli.cmd_all(p)
+    p.train_schedule(0), p.gate_config(0), p.fusion_weights(), p.level
+    read = {key for key in cfg.read if not key.startswith("_")}
+    assert sorted(read) == sorted(cli.KEYS)
+
+
 #: keys whose value the accessors parse; keys naming files are left out, as
 #: a missing file is an ``OSError`` when it is opened, not a bad value
 VALUE_KEYS = ("seed", "level", "dilation_m", "streams", "fusion.weights",
@@ -689,3 +728,21 @@ def test_subcommand_choices_are_the_stages_and_all(capsys):
     choices = re.search(r"invalid choice: 'bogus' \(choose from (.*)\)", err)
     assert choices, err
     assert re.findall(r"'?(\w+)'?", choices.group(1)) == [*cli.COMMANDS, "all"]
+
+
+@pytest.mark.parametrize("stage", ["map", "eval"])
+def test_assignment_to_an_unknown_parcel_fails_the_stage(finished_run,
+                                                         tmp_path, stage):
+    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)))
+    (tmp_path / "predictions.jsonl").write_bytes(
+        (finished_run.out_dir / "predictions.jsonl").read_bytes())
+    lines = (finished_run.out_dir / "assignments.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[5])
+    lines[5] = json.dumps(dict(row, parcel="P_gone")) + "\n"
+    (tmp_path / "assignments.jsonl").write_text("".join(lines),
+                                                encoding="utf-8")
+    message = (f"{tmp_path / 'assignments.jsonl'}: image {row['image']}:"
+               f" unknown parcel P_gone")
+    with pytest.raises(JSONLinesError, match=re.escape(message)):
+        cli.COMMANDS[stage](p)

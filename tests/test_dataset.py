@@ -326,6 +326,16 @@ def test_bad_coordinates_rejected(tmp_path, lon, lat):
         load_manifest(path, TAX)
 
 
+@pytest.mark.parametrize("lon,lat", [(True, 0.5), (0.5, False)])
+def test_boolean_coordinate_rejected_as_the_oracle_does(tmp_path, lon, lat):
+    path = tmp_path / "m.jsonl"
+    write_lines(path, [{"id": "a", "lon": lon, "lat": lat,
+                        "features": {"o": [1.0]}}])
+    message = f"record a: bad coordinates ({lon!r}, {lat!r})"
+    assert outcome(load_manifest, path)[1] == (ManifestError, message)
+    assert outcome(oracle_load_manifest, path)[1] == (ManifestError, message)
+
+
 def test_table_columns(tmp_path):
     path = tmp_path / "m.jsonl"
     rows = [manifest_row(i, domain="AB"[i % 2]) for i in range(3)]
@@ -584,5 +594,37 @@ def test_batch_indices_match_oracle_record_batches(seed, n_a, n_b, size, ratio):
                for k, d in enumerate(domains)]
     got = stratified_batches(domains, size, ratio, seed=seed)
     want = oracle_stratified_batches(records, size, ratio, seed=seed)
+    assert [[records[k].id for k in idx] for idx in got] == \
+        [[r.id for r in batch] for batch in want]
+
+
+pool_size = st.integers(0, 3) | st.integers(0, 60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_a=pool_size, n_b=pool_size, size=st.integers(2, 20),
+       ratio=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32))
+def test_batches_match_the_oracle_on_drawn_configs(n_a, n_b, size, ratio,
+                                                   seed):
+    """Pools may be smaller than a half-batch, so one draw reshuffles its
+    pool several times."""
+    rng = random.Random(seed)
+    domains = [DOMAIN_A] * n_a + [DOMAIN_B] * n_b
+    rng.shuffle(domains)
+    take_a = int(round(size * ratio))
+    take_b = size - take_a
+    if ((take_a and not n_a) or (take_b and not n_b)
+            or not max(n_a // take_a if take_a else 0,
+                       n_b // take_b if take_b else 0)):
+        # a missing domain or no full batch; the oracle assumes neither
+        with pytest.raises(ValueError):
+            stratified_batches(domains, size, ratio, seed=seed)
+        return
+    records = [ImageRecord(id=f"r{k}", domain=d, features={})
+               for k, d in enumerate(domains)]
+    got = stratified_batches(domains, size, ratio, seed=seed)
+    want = oracle_stratified_batches(records, size, ratio, seed=seed)
+    assert all(idx.dtype == np.intp for idx in got)
     assert [[records[k].id for k in idx] for idx in got] == \
         [[r.id for r in batch] for batch in want]

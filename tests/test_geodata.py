@@ -376,15 +376,21 @@ def meter_square(side_m=100.0, lon0=-122.42, lat0=LAT0, pid="SQ",
     return Parcel(id=pid, rings=(ring,), truth=truth), dlon, dlat, latc
 
 
+@pytest.mark.parametrize("lon,lat", [(True, 0.5), (0.5, False)])
+def test_boolean_coordinate_is_not_a_number(lon, lat):
+    with pytest.raises(TypeError, match="boolean coordinate"):
+        GeoPoint(lon, lat)
+
+
 def test_distance_zero_at_vertex():
     p, _, _, _ = meter_square()
-    v = p.exterior[0]
+    v = p.rings[0][0]
     assert boundary_distance_m(p, GeoPoint(*v)) == 0.0
 
 
 def test_distance_4m_east_of_edge_midpoint():
     p, dlon, dlat, latc = meter_square()
-    lon0, lat0 = p.exterior[0]
+    lon0, lat0 = p.rings[0][0]
     east = 4.0 / (METERS_PER_DEGREE * math.cos(math.radians(latc)))
     pt = GeoPoint(lon0 + dlon + east, lat0 + dlat / 2)
     assert boundary_distance_m(p, pt) == pytest.approx(4.0, abs=0.1)
@@ -392,7 +398,7 @@ def test_distance_4m_east_of_edge_midpoint():
 
 def test_distance_center_of_square():
     p, dlon, dlat, _ = meter_square()
-    lon0, lat0 = p.exterior[0]
+    lon0, lat0 = p.rings[0][0]
     center = GeoPoint(lon0 + dlon / 2, lat0 + dlat / 2)
     assert boundary_distance_m(p, center) == pytest.approx(50.0, abs=0.5)
 
@@ -411,7 +417,7 @@ def city_fixture():
     a, dlon, dlat, latc = meter_square(pid="A")
     b, _, _, _ = meter_square(pid="B", lon0=-122.42 + 3 * dlon)
     east = 1.0 / (METERS_PER_DEGREE * math.cos(math.radians(latc)))
-    lon0, lat0 = a.exterior[0]
+    lon0, lat0 = a.rings[0][0]
     inside = ("in", GeoPoint(lon0 + dlon / 2, lat0 + dlat / 2))
     near = ("near", GeoPoint(lon0 + dlon + 4 * east, lat0 + dlat / 2))
     far = ("far", GeoPoint(lon0 + dlon + 6 * east, lat0 + dlat / 2))
@@ -437,7 +443,7 @@ def test_assign_zero_dilation_containment_only():
 def test_assign_monotone_in_dilation():
     parcels, records = city_fixture()
     rng = random.Random(7)
-    lon0, lat0 = parcels[0].exterior[0]
+    lon0, lat0 = parcels[0].rings[0][0]
     for i in range(200):
         records.append((f"r{i}", GeoPoint(lon0 + rng.uniform(-3e-3, 3e-3),
                                           lat0 + rng.uniform(-3e-3, 3e-3))))
@@ -857,7 +863,7 @@ def test_grid_with_no_buffer_indexes_the_boxes_themselves():
     records = [(f"i{n}", GeoPoint(rng.uniform(-0.003, 0.033),
                                   rng.uniform(-0.003, 0.023)))
                for n in range(400)]
-    records += [(f"v{k}", GeoPoint(*pc.exterior[0])) for k, pc in enumerate(parcels)]
+    records += [(f"v{k}", GeoPoint(*pc.rings[0][0])) for k, pc in enumerate(parcels)]
     got = assigned(records, parcels, 0.0)
     assert got == oracle_assign(records, parcels, 0.0)
     assert all(mode == "inside" for _, modes in got for _, mode in modes)
