@@ -61,7 +61,6 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str, overrides) -> dict[str, str]:
     cfg = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    cfg["_config_dir"] = str(Path(path).resolve().parent)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
@@ -74,20 +73,21 @@ def load_config(path: str, overrides) -> dict[str, str]:
 
 
 def config_hash(cfg: dict[str, str]) -> str:
-    payload = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg)
-                        if not k.startswith("_"))
+    payload = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
     # an argument that is not UTF-8 reaches Python as lone surrogates
     return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class Pipeline:
-    def __init__(self, cfg: dict[str, str]):
-        if bad := [k for k in cfg if k not in KEYS and not k.startswith("_")]:
+    """The stages of a config, whose relative paths lie under ``base``."""
+
+    def __init__(self, cfg: dict[str, str], base: Path = Path(".")):
+        if bad := [k for k in cfg if k not in KEYS]:
             raise ConfigError(f"unknown config key {bad[0]!r}")
         self.cfg = cfg
         self.seed = self.i("seed", None)
         self.hash = config_hash(cfg)
-        self.base = Path(cfg.get("_config_dir", "."))
+        self.base = base
         self.out_dir = self._resolve(cfg.get("out_dir", "out"))
         spec = self.cfg.get("streams", "object,scene")
         self.streams = [s for s in spec.split(",") if s]
@@ -96,8 +96,14 @@ class Pipeline:
                               f" names, got {spec!r}")
         taxonomy_path = cfg.get("taxonomy")
         if taxonomy_path:
-            self.taxonomy = Taxonomy.from_text(
-                self._resolve(taxonomy_path).read_text(encoding="utf-8"))
+            path = self._resolve(taxonomy_path)
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, ValueError) as e:  # ValueError: a NUL, say
+                reason = getattr(e, "strerror", None) or e
+                raise ConfigError(f"config key 'taxonomy': cannot read"
+                                  f" {path}: {reason}") from None
+            self.taxonomy = Taxonomy.from_text(text)
         else:
             self.taxonomy = builtin_taxonomy()
 
@@ -336,12 +342,8 @@ def cmd_adapt(p: Pipeline) -> None:
 
 def cmd_predict(p: Pipeline) -> None:
     use_adapted = p.b("predict.use_adapted", True)
-    models = {}
-    for stream in p.streams:
-        path = p.model_path(stream, adapted=use_adapted)
-        if use_adapted and not path.exists():
-            path = p.model_path(stream)
-        models[stream] = load_model(path)
+    models = {stream: load_model(p.model_path(stream, adapted=use_adapted))
+              for stream in p.streams}
     table = p.load_split("map_manifest")
     preds = (predict_table(models, table, p.fusion_weights())[0].tolist()
              if len(table) else [])
@@ -408,7 +410,7 @@ SYNTH_KEYS = {
     "synth.feature_scale": ("feature_scale", float),
 }
 
-#: every key a config may set; keys starting with ``_`` are internal
+#: every key a config may set
 KEYS = {"seed", "out_dir", "streams", "taxonomy", "parcels", "train_manifest",
         "val_manifest", "map_manifest", "dilation_m", "level", "gate.mode",
         "gate.threshold", "fusion.weights", "predict.use_adapted",
@@ -464,7 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_intermixed_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        pipeline = Pipeline(cfg)
+        pipeline = Pipeline(cfg, Path(args.config).resolve().parent)
         COMMANDS.get(args.subcommand, cmd_all)(pipeline)
     except Exception as e:  # noqa: BLE001 - single-line machine-parsable exit
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -182,8 +182,7 @@ def _row_fault(rid: str, stream: str, vec, d: int) -> str:
             f" expected {d}")
 
 
-def load_manifest(path, taxonomy: Taxonomy | None = None,
-                  cache=None) -> ManifestTable:
+def load_manifest(path, taxonomy: Taxonomy, cache=None) -> ManifestTable:
     """Load and validate a JSON-lines manifest into one table.
 
     Each line: ``{"id", "lon"?, "lat"?, "domain", "label"?,
@@ -220,7 +219,7 @@ def _hashed(lines, sha):
         yield line
 
 
-def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
+def _decode_manifest(path: Path, taxonomy: Taxonomy):
     """The table of a manifest, decoded in one forward pass; the sha256 of
     the bytes decoded; and the ``features_ref`` paths used, as written and
     in the order first met, each with the sha256 of the sidecar bytes read.
@@ -299,14 +298,10 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy | None):
 
                 value = obj.get("label")
                 if isinstance(value, str):
-                    if taxonomy is None:
-                        raise ManifestError(
-                            f"record {rid}: string label {value!r} needs a taxonomy")
                     value = taxonomy.index(value)
                 if value is not None:
-                    top = (len(taxonomy.fine_classes) if taxonomy
-                           else np.iinfo(label.dtype).max)
-                    if not (isinstance(value, int) and 0 <= value < top):
+                    top = len(taxonomy.fine_classes)
+                    if not (type(value) is int and 0 <= value < top):
                         raise ManifestError(
                             f"record {rid}: label {value} out of range")
                     label[k] = value
@@ -347,13 +342,12 @@ ENTRY_MAGIC = b"LUTAB"
 ENTRY_VERSION = 2
 
 
-def _cache_key(digest: bytes, taxonomy: Taxonomy | None,
-               sidecar_digests) -> bytes:
+def _cache_key(digest: bytes, taxonomy: Taxonomy, sidecar_digests) -> bytes:
     """An entry's key: the manifest's, taxonomy's and sidecars' digests."""
     return b"".join([digest, classes_sha256(taxonomy), *sidecar_digests])
 
 
-def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable | None:
+def read_entry(entry, path, taxonomy: Taxonomy) -> ManifestTable | None:
     """The table cache entry ``entry`` holds for manifest ``path``, or None.
 
     None is a miss: no readable entry, one that is cut short, garbled or
@@ -387,7 +381,7 @@ def read_entry(entry, path, taxonomy: Taxonomy | None = None) -> ManifestTable |
         has_geo=has_geo.copy())
 
 
-def _write_entry(entry, taxonomy: Taxonomy | None, table: ManifestTable,
+def _write_entry(entry, taxonomy: Taxonomy, table: ManifestTable,
                  digest: bytes, refs) -> None:
     """Write the entry for a table, keyed by the sha256 ``digest`` of the
     manifest bytes decoded and those of the sidecar bytes read (the values

@@ -46,9 +46,9 @@ def file_sha256(path) -> bytes:
 
 
 def classes_sha256(taxonomy) -> bytes:
-    """sha256 of a taxonomy's fine-class list as JSON (``null`` for none):
-    the part of a taxonomy that names and numbers classes."""
-    classes = list(taxonomy.fine_classes) if taxonomy else None
+    """sha256 of a taxonomy's fine-class list as JSON: the part of a
+    taxonomy that names and numbers classes."""
+    classes = list(taxonomy.fine_classes)
     return hashlib.sha256(json.dumps(classes).encode("utf-8")).digest()
 
 

@@ -114,7 +114,7 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
 
     The majority label is rolled up to the requested level; the full fine
     histogram is kept in the properties so mixed-use parcels stay visible.
-    Geometry is copied verbatim from the input parcels. A ``provenance``
+    Geometry is the input parcels' rings, written verbatim. A ``provenance``
     given becomes the collection's last member. The text is
     ``json.dumps(collection, indent=2)`` and a line feed, written by
     ``geodata.encode_json``: orjson writes it unless the map holds a
@@ -132,8 +132,7 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
         features.append({
             "type": "Feature",
             "id": parcel.id,
-            "geometry": {"type": "Polygon", "coordinates": [
-                [list(v) for v in ring] for ring in parcel.rings]},
+            "geometry": {"type": "Polygon", "coordinates": parcel.rings},
             "properties": {
                 "parcel": parcel.id,
                 "landuse_pred": taxonomy.name(rolled, level),
@@ -145,6 +144,5 @@ def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
     doc = {"type": "FeatureCollection", "features": features}
     if provenance is not None:
         doc["provenance"] = provenance
-    checked = ([f["geometry"]["coordinates"] for f in features]
-               if plain_coordinates(mapped) else ())
+    checked = [p.rings for p in mapped] if plain_coordinates(mapped) else ()
     return encode_json(doc, checked) + "\n"

@@ -814,7 +814,6 @@ def assignments_from_jsonl(lines, source="assignments") -> list[Assignment]:
     """The assignments in JSON lines, read by ``jsonl_rows``; a pair of
     image and parcel given twice raises ``JSONLinesError``."""
     by_image: dict[str, dict[str, str]] = {}
-    order: list[str] = []
     for lineno, obj in jsonl_rows(lines, source):
         image = jsonl_value(obj, "image", str, source, lineno)
         parcel = jsonl_value(obj, "parcel", str, source, lineno)
@@ -822,14 +821,12 @@ def assignments_from_jsonl(lines, source="assignments") -> list[Assignment]:
         if mode not in ("inside", "dilated"):
             raise JSONLinesError(f"{source}:{lineno}: mode must be 'inside' or"
                                  f" 'dilated', got {mode!r}")
-        if image not in by_image:
-            by_image[image] = {}
-            order.append(image)
-        elif parcel in by_image[image]:
+        modes = by_image.setdefault(image, {})
+        if parcel in modes:
             raise JSONLinesError(f"{source}:{lineno}: repeated pair of image"
                                  f" {image} and parcel {parcel}")
-        by_image[image][parcel] = mode
-    return [Assignment(image_id=i, modes=by_image[i]) for i in order]
+        modes[parcel] = mode
+    return [Assignment(image_id=i, modes=m) for i, m in by_image.items()]
 
 
 def jsonl_value(obj: dict, key: str, kind: type | None, source, lineno: int):

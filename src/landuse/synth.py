@@ -129,15 +129,12 @@ def _round_coord(x: float) -> float:
 
 
 def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
-              n_classes: int = 8, grid: int = 4,
-              parcel_size_m: float = 80.0, gap_m: float = 20.0,
-              images_per_parcel: int = 6, geo_sigma_m: float = 10.0,
-              train_per_class: int = 40, val_per_class: int = 10,
-              dim: int = 16, noise_rate: float = 0.3,
+              n_classes: int = 8, grid: int = 4, images_per_parcel: int = 6,
+              geo_sigma_m: float = 10.0, train_per_class: int = 40,
+              val_per_class: int = 10, dim: int = 16, noise_rate: float = 0.3,
               separation: float = 3.0, spread: float = 1.0,
               feature_scale: float = 1.0,
-              streams=("object", "scene"),
-              origin=(-122.42, 37.75)) -> dict[str, Path]:
+              streams=("object", "scene")) -> dict[str, Path]:
     """Write a complete synthetic city: parcels.geojson plus train/val/map
     JSON-lines manifests, named in ``CITY_FILES``. Returns the paths keyed
     by artifact name.
@@ -159,10 +156,10 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     n_classes = min(n_classes, len(taxonomy.fine_classes))
     means = {s: _class_means(rng, n_classes, dim, separation) for s in streams}
 
-    lon0, lat0 = origin
+    lon0, lat0 = -122.42, 37.75
+    parcel_size_m, step_m = 80.0, 100.0   # 20 m gaps between parcels
     dlat = 1.0 / METERS_PER_DEGREE
     dlon = dlat / math.cos(math.radians(lat0))
-    step_m = parcel_size_m + gap_m
 
     def features_for(cls):
         return {s: (means[s][cls]

@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -159,6 +160,47 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys, where):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("item", ["_config_dir=/x", "_x=1"])
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_underscore_key_is_an_unknown_config_key(tmp_path, capsys, item,
+                                                 where):
+    path = write_config(tmp_path, item + "\n" if where == "file" else "")
+    overrides = [item] if where == "override" else []
+    assert main(["train", "--config", str(path), *overrides]) == 1
+    key = item.split("=")[0]
+    assert capsys.readouterr().err == \
+        f"error: ConfigError: unknown config key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_relative_paths_lie_under_the_config_directory(tmp_path,
+                                                       monkeypatch):
+    write_config(tmp_path)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    run(Path("..") / "cfg.txt", "synth")
+    run(Path("..") / "cfg.txt", "filter")
+    assert (tmp_path / "data" / "map.jsonl").exists()
+    assert (tmp_path / "out" / "assignments.jsonl").exists()
+    assert list(elsewhere.iterdir()) == []
+
+
+@pytest.mark.parametrize("value,reason", [
+    ("missing.txt", "No such file or directory"),
+    ("folder", "Is a directory"),
+    ("tax\0.txt", "embedded null byte"),
+])
+def test_unreadable_taxonomy_is_a_config_error(tmp_path, capsys, value,
+                                               reason):
+    (tmp_path / "folder").mkdir()
+    path = write_config(tmp_path, f"taxonomy={value}\n")
+    assert main(["filter", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: config key 'taxonomy': cannot read"
+        f" {tmp_path / value}: {reason}\n")
+
+
 class ReadKeys(dict):
     """A config that records every key looked up in it."""
 
@@ -181,11 +223,10 @@ class ReadKeys(dict):
 
 def test_the_keys_the_stages_read_are_the_config_keys(tmp_path):
     cfg = ReadKeys(load_config(str(write_config(tmp_path)), []))
-    p = Pipeline(cfg)
+    p = Pipeline(cfg, tmp_path)
     cli.cmd_all(p)
     p.train_schedule(0), p.gate_config(0), p.fusion_weights(), p.level
-    read = {key for key in cfg.read if not key.startswith("_")}
-    assert sorted(read) == sorted(cli.KEYS)
+    assert sorted(cfg.read) == sorted(cli.KEYS)
 
 
 #: keys whose value the accessors parse; keys naming files are left out, as
@@ -211,7 +252,7 @@ def test_any_override_loads_or_is_a_config_error(tmp_path, key, value):
     path = tmp_path / "c.txt"
     path.write_text("seed=1\n", encoding="utf-8")
     try:
-        p = Pipeline(load_config(str(path), [f"{key}={value}"]))
+        p = Pipeline(load_config(str(path), [f"{key}={value}"]), tmp_path)
         p.train_schedule(0), p.gate_config(0), p.fusion_weights()
         p.level, p.provenance, p.f("dilation_m", 5.0)
         p.f(key, 0.0), p.i(key, 0), p.b(key, False)
@@ -281,7 +322,7 @@ def test_empty_stream_names_are_skipped():
 
 def test_config_hash_properties():
     a = {"x": "1", "y": "2"}
-    b = {"y": "2", "x": "1", "_config_dir": "/elsewhere"}
+    b = {"y": "2", "x": "1"}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({"x": "1", "y": "3"})
 
@@ -400,7 +441,7 @@ def test_out_dir_holds_the_artifacts_and_one_entry_per_manifest(tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert len(names) == 17
     assert [n for n in names if n.endswith(".lutab")] == list(ENTRIES)
-    p = Pipeline(load_config(str(path), []))
+    p = Pipeline(load_config(str(path), []), tmp_path)
     for name in ENTRIES:
         key = name.removesuffix(".lutab")
         assert read_entry(out / name, p.path(key), p.taxonomy) is not None
@@ -654,7 +695,7 @@ def finished_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("done")
     path = write_config(root)
     run(path, "all")
-    return Pipeline(load_config(str(path), []))
+    return Pipeline(load_config(str(path), []), root)
 
 
 def raw_utf8(data: bytes) -> bytes:
@@ -672,7 +713,8 @@ def raw_utf8(data: bytes) -> bytes:
 def test_every_prefix_of_a_jsonl_artifact_reads_or_is_typed(
         finished_run, tmp_path, name, rows, variant):
     whole = variant((finished_run.out_dir / name).read_bytes())
-    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)))
+    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)),
+                 finished_run.base)
     target = tmp_path / name
     target.write_bytes(whole)
     full = rows(p)
@@ -692,7 +734,8 @@ def test_artifact_row_lacking_image_is_not_taken_for_the_header(
         finished_run, tmp_path, name):
     """Only an object whose one key is ``provenance`` is the header; a row
     whose ``image`` key is misspelt fails map and eval, naming its line."""
-    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)))
+    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)),
+                 finished_run.base)
     for artifact in ("assignments.jsonl", "predictions.jsonl"):
         (tmp_path / artifact).write_bytes(
             (finished_run.out_dir / artifact).read_bytes())
@@ -733,7 +776,8 @@ def test_subcommand_choices_are_the_stages_and_all(capsys):
 @pytest.mark.parametrize("stage", ["map", "eval"])
 def test_assignment_to_an_unknown_parcel_fails_the_stage(finished_run,
                                                          tmp_path, stage):
-    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)))
+    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)),
+                 finished_run.base)
     (tmp_path / "predictions.jsonl").write_bytes(
         (finished_run.out_dir / "predictions.jsonl").read_bytes())
     lines = (finished_run.out_dir / "assignments.jsonl").read_text(
@@ -746,3 +790,33 @@ def test_assignment_to_an_unknown_parcel_fails_the_stage(finished_run,
                f" unknown parcel P_gone")
     with pytest.raises(JSONLinesError, match=re.escape(message)):
         cli.COMMANDS[stage](p)
+
+
+def copied_run(finished_run, tmp_path):
+    """The config file of a copy of the finished run's directory."""
+    shutil.copytree(finished_run.base, tmp_path / "run")
+    return tmp_path / "run" / "cfg.txt"
+
+
+def test_predict_without_an_adapted_model_names_it(finished_run, tmp_path,
+                                                   capsys):
+    path = copied_run(finished_run, tmp_path)
+    gone = path.parent / "out" / "model_scene_adapted.lusm"
+    gone.unlink()
+    assert main(["predict", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: FileNotFoundError: [Errno 2]"
+                                       f" No such file or directory: '{gone}'\n")
+
+
+def test_predict_reads_the_base_models_when_told_to(finished_run, tmp_path,
+                                                    monkeypatch):
+    path = copied_run(finished_run, tmp_path)
+    out = path.parent / "out"
+    for model in out.glob("model_*_adapted.lusm"):
+        model.unlink()
+    read = []
+    load_model = cli.load_model
+    monkeypatch.setattr(cli, "load_model",
+                        lambda model: read.append(model) or load_model(model))
+    run(path, "predict", "predict.use_adapted=false")
+    assert read == [out / "model_object.lusm", out / "model_scene.lusm"]

@@ -206,15 +206,24 @@ def test_malformed_json_line_rejected(tmp_path, line, message):
         load_manifest(path, TAX)
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_label_that_is_not_an_integer_is_out_of_range(tmp_path, value):
+    path = tmp_path / "m.jsonl"
+    write_lines(path, [{"id": "a", "label": value, "features": {"o": [1.0]}}])
+    with pytest.raises(ManifestError,
+                       match=f"^record a: label {value} out of range$"):
+        load_manifest(path, TAX)
+
+
 def test_big_integers_read_exactly(tmp_path):
     path = tmp_path / "m.jsonl"
     big = 10 ** 25
     write_lines(path, [{"id": big, "features": {"o": [big, 1.0]}},
                        {"id": "b", "label": big, "features": {"o": [1.0, 2.0]}}])
     with pytest.raises(ManifestError, match=f"^record b: label {big} out of range$"):
-        load_manifest(path)
+        load_manifest(path, TAX)
     write_lines(path, [{"id": big, "features": {"o": [big, 1.0]}}])
-    table = load_manifest(path)
+    table = load_manifest(path, TAX)
     assert table.ids == (str(big),)
     assert table.stream("o").tolist() == [[float(big), 1.0]]
 

@@ -136,8 +136,8 @@ def write_parcels(root, coordinates=None, landuse=("bakery",)):
 
 
 def pipeline(root, out="out", **extra):
-    return Pipeline({"seed": "1", "_config_dir": str(root),
-                     "parcels": "data/parcels.geojson", "out_dir": out, **extra})
+    return Pipeline({"seed": "1", "parcels": "data/parcels.geojson",
+                     "out_dir": out, **extra}, root)
 
 
 @pytest.fixture

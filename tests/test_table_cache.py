@@ -278,13 +278,12 @@ def test_other_taxonomy_is_a_miss_and_rewrites(tmp_path):
     name = TAX.fine_classes[0]
     other = Taxonomy.from_text(text.replace(name, name + "_x"))
     assert other.fine_classes != TAX.fine_classes
-    for taxonomy in (other, None):
-        assert read_entry(entry, path, taxonomy) is None
-        load_manifest(path, taxonomy, cache=entry)
-        assert entry.read_bytes() != before
-        assert read_entry(entry, path, TAX) is None
-        load_manifest(path, TAX, cache=entry)
-        assert entry.read_bytes() == before
+    assert read_entry(entry, path, other) is None
+    load_manifest(path, other, cache=entry)
+    assert entry.read_bytes() != before
+    assert read_entry(entry, path, TAX) is None
+    load_manifest(path, TAX, cache=entry)
+    assert entry.read_bytes() == before
 
 
 def test_missing_sidecar_is_a_miss_that_raises_as_without_a_cache(tmp_path):
