@@ -8,8 +8,8 @@ from .dataset import ImageRecord, ManifestTable, load_manifest, \
     stratified_batches
 from .evaluation import MappingReport, image_accuracy, mapping_metrics, \
     per_class_report
-from .fusion_mapping import ParcelPrediction, aggregate_parcels, \
-    equal_weights, export_map, fuse, predict_image, predict_table
+from .fusion_mapping import aggregate_parcels, equal_weights, export_map, \
+    fuse, predict_image, predict_table
 from .geodata import Assignment, GeoPoint, Parcel, assign, \
     boundary_distance_m, contains, parse_parcels
 from .synth import complementary_stream_split, make_city, noisy_web_split
@@ -20,7 +20,7 @@ __all__ = [
     "Schedule", "SoftmaxModel", "forward", "init_model", "load_model",
     "loss_grad", "save_model", "train", "ImageRecord", "ManifestTable",
     "load_manifest", "stratified_batches", "MappingReport", "image_accuracy",
-    "mapping_metrics", "per_class_report", "ParcelPrediction",
+    "mapping_metrics", "per_class_report",
     "aggregate_parcels", "equal_weights", "export_map", "fuse",
     "predict_image", "predict_table", "Assignment", "GeoPoint", "Parcel",
     "assign", "boundary_distance_m", "contains", "parse_parcels",

@@ -29,8 +29,8 @@ from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # no
                              predict_image, predict_table)
 from .geodata import (DEFAULT_DILATION_M, GeoPoint, JSONLinesError, assign,
                       assignments_from_jsonl, assignments_to_jsonl,
-                      encode_json, jsonl_rows, jsonl_value, parse_parcels,
-                      read_parcel_entry, write_parcel_entry)
+                      encode_json, encode_row, jsonl_rows, jsonl_value,
+                      parse_parcels, read_parcel_entry, write_parcel_entry)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
 
@@ -290,6 +290,7 @@ class Pipeline:
 
     def read_predictions(self) -> dict[str, int]:
         path = self.predictions_path
+        n = len(self.taxonomy.fine_classes)
         preds = {}
         with open(path, "rb") as f:
             for lineno, obj in jsonl_rows(f, path):
@@ -297,7 +298,11 @@ class Pipeline:
                 if image in preds:
                     raise JSONLinesError(
                         f"{path}:{lineno}: repeated image id {image}")
-                preds[image] = jsonl_value(obj, "pred", int, path, lineno)
+                pred = jsonl_value(obj, "pred", int, path, lineno)
+                if not 0 <= pred < n:
+                    raise JSONLinesError(f"{path}:{lineno}: pred {pred} out of"
+                                         f" range [0, {n})")
+                preds[image] = pred
         return preds
 
     def _write_jsonl(self, path: Path, body: str) -> None:
@@ -347,7 +352,7 @@ def cmd_predict(p: Pipeline) -> None:
     table = p.load_split("map_manifest")
     preds = (predict_table(models, table, p.fusion_weights())[0].tolist()
              if len(table) else [])
-    lines = [json.dumps({"image": rid, "pred": k,
+    lines = [encode_row({"image": rid, "pred": k,
                          "class": p.taxonomy.fine_classes[k]})
              for rid, k in zip(table.ids, preds)]
     p._write_jsonl(p.predictions_path,
@@ -356,10 +361,10 @@ def cmd_predict(p: Pipeline) -> None:
 
 def cmd_map(p: Pipeline) -> None:
     parcels, assignments = p.load_mapping()
-    parcel_preds = aggregate_parcels(assignments, p.read_predictions())
+    votes = aggregate_parcels(assignments, p.read_predictions(), parcels,
+                              p.taxonomy)
     write_atomic(p.out_dir / "map.geojson",
-                 export_map(parcels, parcel_preds, p.taxonomy, p.level,
-                            p.provenance))
+                 export_map(parcels, votes, p.taxonomy, p.level, p.provenance))
 
 
 def cmd_eval(p: Pipeline) -> None:
@@ -380,11 +385,9 @@ def cmd_eval(p: Pipeline) -> None:
         include_untruthed=p.b("eval.include_untruthed", False))
     accuracy = None
     if not unlabeled:
-        rolled_preds = {i: p.taxonomy.roll_up(c, level)
-                        for i, c in predictions.items()}
-        rolled_labels = {i: p.taxonomy.roll_up(c, level)
-                         for i, c in labels.items()}
-        accuracy = image_accuracy(rolled_preds, rolled_labels)
+        up = p.taxonomy.roll_up_index(level)
+        accuracy = image_accuracy({i: up[c] for i, c in predictions.items()},
+                                  {i: up[c] for i, c in labels.items()})
     out = {"provenance": p.provenance, "image_accuracy": accuracy,
            "mapping": report.to_json()}
     write_atomic(p.out_dir / "report.json", encode_json(out) + "\n")

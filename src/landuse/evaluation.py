@@ -15,6 +15,8 @@ import csv
 import io
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .fusion_mapping import aggregate_parcels
 from .taxonomy import Level, Taxonomy
 
@@ -69,51 +71,31 @@ def mapping_metrics(assignments, predictions: dict[str, int], parcels,
     predictions are rolled up to ``level`` before scoring. Parcels with an
     empty truth set are excluded from every count unless
     ``include_untruthed`` is set, in which case their mappings still count
-    toward the prediction total (and are never correct). The mappings
-    are the votes ``aggregate_parcels`` counts for the map.
-    """
-    truth_by_parcel = {}
-    for parcel in parcels:
-        if parcel.truth:
-            truth_by_parcel[parcel.id] = frozenset(
-                taxonomy.roll_up(c, level) for c in parcel.truth)
-
+    toward the prediction total (and are never correct), as do votes on a
+    parcel id not in ``parcels``. The mappings are the votes
+    ``aggregate_parcels`` counts for the map."""
     n = taxonomy.n_classes(level)
-    correct = 0
-    total_mappings = 0
-    pred_count = [0] * n
-    correct_count = [0] * n
-    recalled: set[tuple[str, int]] = set()
-
-    for pp in aggregate_parcels(assignments, predictions):
-        truth = truth_by_parcel.get(pp.parcel_id)
-        for fine, k in pp.histogram.items():
-            pred = taxonomy.roll_up(fine, level)
-            if truth is None and not include_untruthed:
-                continue
-            total_mappings += k
-            pred_count[pred] += k
-            if truth is not None and pred in truth:
-                correct += k
-                correct_count[pred] += k
-                recalled.add((pp.parcel_id, pred))
-
-    gt_pairs = [(pid, c) for pid, truth in truth_by_parcel.items()
-                for c in truth]
-    support = [0] * n
-    recalled_count = [0] * n
-    for pid, c in gt_pairs:
-        support[c] += 1
-        if (pid, c) in recalled:
-            recalled_count[c] += 1
+    up = taxonomy.roll_up_index(level)
+    onto = np.eye(n, dtype=np.int64)[list(up.values())]
+    votes = aggregate_parcels(assignments, predictions, parcels, taxonomy) @ onto
+    truth = np.zeros((len(parcels), n), dtype=bool)
+    for k, parcel in enumerate(parcels):
+        truth[k, [taxonomy.roll_up(c, level) for c in parcel.truth]] = True
+    hits = votes[:len(parcels)] * truth
+    if not include_untruthed:
+        votes = votes[:len(parcels)][truth.any(axis=1)]
+    # Python ints, so that each ratio is the float the per-vote counts gave
+    pred_count, correct_count, support, recalled_count = (
+        m.sum(axis=0).tolist() for m in (votes, hits, truth, hits > 0))
+    total_mappings, correct = sum(pred_count), sum(correct_count)
+    gt_records, recalled = sum(support), sum(recalled_count)
 
     precision = correct / total_mappings if total_mappings else 0.0
-    recall = len(recalled) / len(gt_pairs) if gt_pairs else 0.0
+    recall = recalled / gt_records if gt_records else 0.0
     f1_micro = (2 * precision * recall / (precision + recall)
                 if precision + recall > 0 else 0.0)
 
     per_class = {}
-    macro_f1s = []
     for c in range(n):
         if support[c] == 0 and pred_count[c] == 0:
             continue
@@ -125,13 +107,12 @@ def mapping_metrics(assignments, predictions: dict[str, int], parcels,
         per_class[c] = ClassMetrics(precision=p_c, recall=r_c, f1=f1_c,
                                     support=support[c],
                                     predictions=pred_count[c])
-        if support[c] > 0:
-            macro_f1s.append(f1_c)
+    macro_f1s = [m.f1 for m in per_class.values() if m.support > 0]
     f1_macro = sum(macro_f1s) / len(macro_f1s) if macro_f1s else 0.0
 
     return MappingReport(level=level, correct=correct,
                          predictions=total_mappings,
-                         gt_records=len(gt_pairs), precision=precision,
+                         gt_records=gt_records, precision=precision,
                          recall=recall, f1_micro=f1_micro, f1_macro=f1_macro,
                          per_class=per_class)
 
@@ -156,10 +137,11 @@ def per_class_report(report: MappingReport, taxonomy: Taxonomy,
     img_correct = [0] * n
     img_total = [0] * n
     if image_predictions and image_labels:
+        up = taxonomy.roll_up_index(level)
         for image_id, pred in image_predictions.items():
-            label = taxonomy.roll_up(image_labels[image_id], level)
+            label = up[image_labels[image_id]]
             img_total[label] += 1
-            img_correct[label] += taxonomy.roll_up(pred, level) == label
+            img_correct[label] += up[pred] == label
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -8,15 +8,12 @@ index everywhere, for reproducibility.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classifier import SoftmaxModel, forward
 from .dataset import ImageRecord, ManifestTable, missing_stream
-from .geodata import encode_json, plain_coordinates
-from .taxonomy import Level, Taxonomy
+from .geodata import encode_json, plain_coordinates, plain_strings
+from .taxonomy import Level, Taxonomy, TaxonomyError
 
 
 def equal_weights(streams) -> dict[str, float]:
@@ -33,14 +30,6 @@ def _check_weights(weights: dict[str, float], streams) -> None:
     if set(streams) != set(weights):
         raise ValueError(
             f"streams {sorted(streams)} do not match weights {sorted(weights)}")
-
-
-@dataclass(frozen=True)
-class ParcelPrediction:
-    parcel_id: str
-    histogram: dict[int, int]
-    majority: int
-    support: int
 
 
 def fuse(scores: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray:
@@ -81,68 +70,65 @@ def predict_table(models: dict[str, SoftmaxModel], table: ManifestTable,
     return np.argmax(fused, axis=-1), fused
 
 
-def aggregate_parcels(assignments, predictions: dict[str, int]) -> list[ParcelPrediction]:
-    """Majority vote per parcel over its assigned images' predictions.
-
-    Parcels with no assigned images are omitted. An image assigned to
-    several parcels votes once in each.
-    """
-    histograms: dict[str, Counter] = {}
-    for a in assignments:
-        try:
-            pred = predictions[a.image_id]
-        except KeyError:
-            raise ValueError(f"no prediction for image {a.image_id}") from None
-        for parcel_id, _mode in a.pairs():
-            histograms.setdefault(parcel_id, Counter())[pred] += 1
-    out = []
-    for parcel_id in sorted(histograms):
-        hist = histograms[parcel_id]
-        top = max(hist.values())
-        majority = min(c for c, k in hist.items() if k == top)
-        out.append(ParcelPrediction(
-            parcel_id=parcel_id,
-            histogram=dict(sorted(hist.items())),
-            majority=majority,
-            support=sum(hist.values())))
-    return out
+def aggregate_parcels(assignments, predictions: dict[str, int], parcels,
+                      taxonomy: Taxonomy) -> np.ndarray:
+    """The votes as an int64 ``(P, n)`` matrix: row ``k`` counts parcel
+    ``k``'s votes by fine class, and an image votes once in each of its
+    parcels. A row's majority is its ``argmax`` (ties go to the lowest
+    index) and its support the row sum. A parcel id not in ``parcels``
+    gets a row after theirs, in the order the assignments first name it.
+    An image with no prediction raises first, in assignment order; then a
+    prediction outside the fine classes raises ``TaxonomyError``."""
+    try:
+        preds = [predictions[a.image_id] for a in assignments]
+    except KeyError as e:
+        raise ValueError(f"no prediction for image {e.args[0]}") from None
+    n = len(taxonomy.fine_classes)
+    if bad := [c for c in preds if not 0 <= c < n]:
+        raise TaxonomyError(f"fine index {bad[0]} out of range [0, {n})")
+    row = {parcel.id: k for k, parcel in enumerate(parcels)}
+    cells = [row.setdefault(parcel_id, len(row)) * n + c
+             for a, c in zip(assignments, preds) for parcel_id in a.modes]
+    return np.bincount(np.array(cells, dtype=np.int64),
+                       minlength=len(row) * n).reshape(len(row), n)
 
 
-def export_map(parcels, parcel_predictions, taxonomy: Taxonomy,
+def export_map(parcels, votes: np.ndarray, taxonomy: Taxonomy,
                level: Level = Level.FINE, provenance: dict | None = None) -> str:
-    """GeoJSON FeatureCollection of predicted parcels.
-
-    The majority label is rolled up to the requested level; the full fine
-    histogram is kept in the properties so mixed-use parcels stay visible.
-    Geometry is the input parcels' rings, written verbatim. A ``provenance``
-    given becomes the collection's last member. The text is
-    ``json.dumps(collection, indent=2)`` and a line feed, written by
-    ``geodata.encode_json``: orjson writes it unless the map holds a
-    value that orjson writes otherwise, such as a non-ASCII class name or
-    a coordinate below 1e-4 in magnitude, and json then writes it all.
-    The coordinates are checked in one pass (``plain_coordinates``), not
-    walked value by value.
-    """
-    by_id = {pp.parcel_id: pp for pp in parcel_predictions}
-    mapped = [parcel for parcel in parcels if parcel.id in by_id]
-    features = []
-    for parcel in mapped:
-        pp = by_id[parcel.id]
-        rolled = taxonomy.roll_up(pp.majority, level)
-        features.append({
-            "type": "Feature",
-            "id": parcel.id,
-            "geometry": {"type": "Polygon", "coordinates": parcel.rings},
-            "properties": {
-                "parcel": parcel.id,
-                "landuse_pred": taxonomy.name(rolled, level),
-                "support": pp.support,
-                "histogram": {taxonomy.name(c): k
-                              for c, k in pp.histogram.items()},
-            },
-        })
+    """GeoJSON FeatureCollection of the parcels with votes in ``votes``
+    (``aggregate_parcels``; rows past the parcels are not drawn). The
+    majority label is rolled up to ``level``; the fine histogram is kept
+    in the properties so mixed-use parcels stay visible. Geometry is the
+    parcels' rings, verbatim. A ``provenance`` given is the last member.
+    The text is ``json.dumps(collection, indent=2)`` and a line feed, by
+    ``geodata.encode_json``; its walk skips the rings if ``plain_coordinates``
+    passes, and whole features if ``plain_strings`` passes as well."""
+    votes = votes[:len(parcels)]
+    histograms: dict[int, dict[str, int]] = {}
+    rows, cols = np.nonzero(votes)
+    fine = taxonomy.fine_classes
+    for k, c, count in zip(rows.tolist(), cols.tolist(),
+                           votes[rows, cols].tolist()):
+        histograms.setdefault(k, {})[fine[c]] = count
+    up, names = taxonomy.roll_up_index(level), taxonomy.classes(level)
+    majority = votes.argmax(axis=1).tolist()
+    support = votes.sum(axis=1).tolist()
+    mapped = [parcels[k] for k in histograms]
+    features = [{
+        "type": "Feature",
+        "id": parcel.id,
+        "geometry": {"type": "Polygon", "coordinates": parcel.rings},
+        "properties": {
+            "parcel": parcel.id,
+            "landuse_pred": names[up[majority[k]]],
+            "support": support[k],
+            "histogram": histogram,
+        },
+    } for parcel, (k, histogram) in zip(mapped, histograms.items())]
     doc = {"type": "FeatureCollection", "features": features}
     if provenance is not None:
         doc["provenance"] = provenance
-    checked = [p.rings for p in mapped] if plain_coordinates(mapped) else ()
+    checked = [p.rings for p in mapped] if plain_coordinates(mapped) else []
+    if checked and plain_strings([p.id for p in mapped] + [*fine, *names]):
+        checked = [features]  # the rest of each is ints and ASCII literals
     return encode_json(doc, checked) + "\n"

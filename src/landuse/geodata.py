@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -361,6 +362,12 @@ def plain_coordinates(parcels) -> bool:
             and _plain_floats(np.array(coords, dtype=np.float64)))
 
 
+def plain_strings(strings) -> bool:
+    """Whether ``encode_json`` may skip ``strings``: all ASCII without DEL."""
+    text = "".join(strings)
+    return text.isascii() and "\x7f" not in text
+
+
 # ---------------------------------------------------------------------------
 # parcel entry
 #
@@ -485,9 +492,9 @@ def _check_planar(p: GeoPoint) -> None:
         raise ValueError(f"latitude {p.lat} too close to the poles for the planar frame")
 
 
-def boundary_distance_m(parcel: Parcel, p: GeoPoint) -> float:
+def boundary_distance_m(parcel: Parcel, p: GeoPoint, box=None) -> float:
     """Minimum distance in meters from a point to the parcel boundary,
-    measured in a planar frame centered on the parcel's bounding box.
+    in a planar frame centered on its bounding box ``box`` (or ``_bbox``).
 
     One pass over each ring converts each vertex to the frame once and
     carries it to the next edge; a degenerate edge (two equal vertices)
@@ -495,7 +502,7 @@ def boundary_distance_m(parcel: Parcel, p: GeoPoint) -> float:
     minimum are written as conditionals: ``min(1.0, t)`` is
     ``t if t < 1.0 else 1.0``, NaN included."""
     _check_planar(p)
-    x0, y0, x1, y1 = _bbox(parcel)
+    x0, y0, x1, y1 = _bbox(parcel) if box is None else box
     lon0 = (x0 + x1) / 2.0
     lat0 = (y0 + y1) / 2.0
     coslat = math.cos(math.radians(lat0))
@@ -537,7 +544,7 @@ def assign(records, parcels, dilation_m: float = DEFAULT_DILATION_M) -> list[Ass
     """
     if not (math.isfinite(dilation_m) and dilation_m >= 0):
         raise ValueError(f"dilation_m must be finite and >= 0, got {dilation_m}")
-    boxes, padded, grid = _parcel_index(parcels, dilation_m)
+    boxes, padded, grid, bboxes = _parcel_index(parcels, dilation_m)
     x0, y0, x1, y1 = boxes
     dx0, dy0, dx1, dy1 = padded
     cell_w, cell_h, cells, large = grid
@@ -555,7 +562,8 @@ def assign(records, parcels, dilation_m: float = DEFAULT_DILATION_M) -> list[Ass
             _check_planar(point)
             modes = {ids[k]: "dilated" for k in near
                      if dx0[k] <= x <= dx1[k] and dy0[k] <= y <= dy1[k]
-                     and boundary_distance_m(parcels[k], point) <= dilation_m}
+                     and boundary_distance_m(parcels[k], point, bboxes[k])
+                     <= dilation_m}
         if modes:
             out.append(Assignment(image_id=image_id, modes=modes))
     out.sort(key=lambda a: a.image_id)
@@ -564,9 +572,10 @@ def assign(records, parcels, dilation_m: float = DEFAULT_DILATION_M) -> list[Ass
 
 def _parcel_index(parcels, dilation_m: float):
     """The boxes of ``parcels`` and their boxes padded by the buffer, each
-    as four lists (min lon, min lat, max lon, max lat), and the grid over
-    them that ``_grid_index`` builds."""
-    boxes = np.array([_bbox(pc) for pc in parcels], dtype=np.float64)
+    as four lists of floats (min lon, min lat, max lon, max lat), the grid
+    over them that ``_grid_index`` builds, and each parcel's ``_bbox``."""
+    bboxes = [_bbox(pc) for pc in parcels]
+    boxes = np.array(bboxes, dtype=np.float64)
     x0, y0, x1, y1 = boxes.reshape(-1, 4).T.copy()
     # buffer in degrees, in the frame boundary_distance_m measures in
     pad_lat = dilation_m / METERS_PER_DEGREE * (1.0 + _PAD_SLACK)
@@ -578,7 +587,7 @@ def _parcel_index(parcels, dilation_m: float):
     grid = _grid_index(np.fmin(x0, dx0).tolist(), dy0.tolist(),
                        np.fmax(x1, dx1).tolist(), dy1.tolist())
     return ([a.tolist() for a in (x0, y0, x1, y1)],
-            [a.tolist() for a in (dx0, dy0, dx1, dy1)], grid)
+            [a.tolist() for a in (dx0, dy0, dx1, dy1)], grid, bboxes)
 
 
 def _grid_index(lo_x, lo_y, hi_x, hi_y):
@@ -622,27 +631,26 @@ def _median_cell(sizes: list[float]) -> float:
 
 def assignments_to_jsonl(assignments) -> str:
     """One JSON object per (image, parcel) pair."""
-    lines = []
-    for a in assignments:
-        for parcel_id, mode in a.pairs():
-            lines.append(json.dumps(
-                {"image": a.image_id, "parcel": parcel_id, "mode": mode}))
+    lines = [encode_row({"image": a.image_id, "parcel": parcel_id,
+                         "mode": mode})
+             for a in assignments for parcel_id, mode in a.pairs()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
 # JSON text
 #
-# ``decode_json``, ``encode_json`` and ``encode_floats`` are one contract:
-# the program's JSON reader, its writer of indented JSON and its writer of
-# feature vectors each give what the standard ``json`` module gives
-# (``json.loads(text)``, ``json.dumps(value, indent=2)``,
-# ``json.dumps(vec.tolist())``). Each lets orjson do the work wherever
-# orjson's result is known to be the same, and falls back to ``json`` for
-# the rest; there is no option to choose. The writers are exact. The reader
-# differs in the two ways its docstring names: an integer literal past 64
-# bits nested inside a value, and a text nested past json's recursion
-# limit.
+# ``decode_json``, ``encode_json``, ``encode_row`` and ``encode_floats`` are
+# one contract: the program's JSON reader, its writer of indented JSON, its
+# writer of JSON-lines rows and its writer of feature vectors each give what
+# the standard ``json`` module gives (``json.loads(text)``,
+# ``json.dumps(value, indent=2)``, ``json.dumps(row)``,
+# ``json.dumps(vec.tolist())``). Each writes the text itself, or lets orjson
+# do the work, wherever the result is known to be the same, and falls back
+# to ``json`` for the rest; there is no option to choose. The writers are
+# exact. The reader differs in the two ways its docstring names: an integer
+# literal past 64 bits nested inside a value, and a text nested past json's
+# recursion limit.
 
 
 def encode_json(value, checked=()) -> str:
@@ -676,6 +684,21 @@ def encode_json(value, checked=()) -> str:
         except orjson.JSONEncodeError:
             pass
     return json.dumps(value, indent=2)
+
+
+#: the value types ``encode_row`` writes, by the functions json uses
+_ROW_VALUES = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def encode_row(row: dict) -> str:
+    """``json.dumps(row)``, written as json writes a row of ``str`` keys
+    and ``str`` or ``int`` values; ``json.dumps`` writes any other row."""
+    try:
+        return "{" + ", ".join([
+            f"{encode_basestring_ascii(key)}: {_ROW_VALUES[type(value)](value)}"
+            for key, value in row.items()]) + "}"
+    except (KeyError, TypeError):
+        return json.dumps(row)
 
 
 def encode_floats(vec: np.ndarray) -> bytes:
@@ -765,7 +788,8 @@ def decode_json(line):
             members = obj
         else:
             members = (obj,)
-        if not any(type(v) is float and abs(v) >= _INT64_BOUND for v in members):
+        if float not in map(type, members) or not any(
+                type(v) is float and abs(v) >= _INT64_BOUND for v in members):
             return obj
     text = line if isinstance(line, str) else line.decode("utf-8")
     try:

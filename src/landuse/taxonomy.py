@@ -185,6 +185,11 @@ class Taxonomy:
             return middle
         return self.middle_to_top[middle]
 
+    def roll_up_index(self, target: Level) -> dict[int, int]:
+        """``{c: roll_up(c, target)}`` for every fine class ``c``."""
+        return {c: self.roll_up(c, target)
+                for c in range(len(self.fine_classes))}
+
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:

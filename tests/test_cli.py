@@ -792,6 +792,27 @@ def test_assignment_to_an_unknown_parcel_fails_the_stage(finished_run,
         cli.COMMANDS[stage](p)
 
 
+@pytest.mark.parametrize("stage", ["map", "eval"])
+@pytest.mark.parametrize("pred", [-1, 45, 99, 2 ** 70])
+def test_prediction_out_of_range_fails_the_stage_naming_its_line(
+        finished_run, tmp_path, stage, pred):
+    """A class index outside the taxonomy fails map and eval at its line,
+    also for an image that no assignment names."""
+    p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)),
+                 finished_run.base)
+    (tmp_path / "assignments.jsonl").write_bytes(
+        (finished_run.out_dir / "assignments.jsonl").read_bytes())
+    preds = tmp_path / "predictions.jsonl"
+    lines = (finished_run.out_dir / "predictions.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    preds.write_text("".join(lines) + json.dumps(
+        {"image": "unassigned", "pred": pred}) + "\n", encoding="utf-8")
+    message = (f"{preds}:{len(lines) + 1}: pred {pred} out of range"
+               f" [0, {len(TAX.fine_classes)})")
+    with pytest.raises(JSONLinesError, match=f"^{re.escape(message)}$"):
+        cli.COMMANDS[stage](p)
+
+
 def copied_run(finished_run, tmp_path):
     """The config file of a copy of the finished run's directory."""
     shutil.copytree(finished_run.base, tmp_path / "run")

@@ -297,6 +297,15 @@ def test_report_bank_row():
     assert rows["bank"]["image_accuracy"] == "1.000000"
 
 
+@pytest.mark.parametrize("labels,preds", [({"i1": -1}, {"i1": 0}),
+                                          ({"i1": 0}, {"i1": 45})])
+def test_report_rejects_a_class_index_out_of_range(labels, preds):
+    parcels, assignments, predictions = hand_fixture()
+    r = mapping_metrics(assignments, predictions, parcels, TAX)
+    with pytest.raises(KeyError):
+        per_class_report(r, TAX, image_predictions=preds, image_labels=labels)
+
+
 def test_report_zero_support_recall_empty():
     parcels, assignments, predictions = hand_fixture()
     r = mapping_metrics(assignments, predictions, parcels, TAX)

@@ -1,16 +1,18 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landuse.classifier import SoftmaxModel, init_model
 from landuse.dataset import ImageRecord, ManifestTable
-from landuse.fusion_mapping import (ParcelPrediction, aggregate_parcels,
-                                    equal_weights, export_map, fuse,
-                                    predict_image, predict_table)
+from landuse.fusion_mapping import (aggregate_parcels, equal_weights,
+                                    export_map, fuse, predict_image,
+                                    predict_table)
 from landuse.geodata import Assignment, Parcel, parse_parcels
-from landuse.taxonomy import Level, builtin_taxonomy
+from landuse.taxonomy import Level, TaxonomyError, builtin_taxonomy
 
 TAX = builtin_taxonomy()
 EQ = equal_weights(["object", "scene"])
@@ -171,39 +173,53 @@ def test_predict_table_missing_stream():
 # ---------------------------------------------------------------------------
 # parcel aggregation
 
+SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
+
 
 def A(image_id, *parcel_ids):
     return Assignment(image_id=image_id,
                       modes={p: "inside" for p in parcel_ids})
 
 
+def squares(*ids):
+    return [Parcel(id=pid, rings=(SQUARE,)) for pid in ids]
+
+
+def histogram(row):
+    return {c: k for c, k in enumerate(row.tolist()) if k}
+
+
 def test_majority_and_support():
     restaurant, bar = TAX.index("restaurant"), TAX.index("bar")
     assignments = [A(f"i{k}", "P1") for k in range(4)]
     preds = {"i0": restaurant, "i1": restaurant, "i2": restaurant, "i3": bar}
-    (pp,) = aggregate_parcels(assignments, preds)
-    assert pp.majority == restaurant
-    assert pp.support == 4
-    assert pp.histogram == {restaurant: 3, bar: 1}
+    votes = aggregate_parcels(assignments, preds, squares("P1"), TAX)
+    assert votes.dtype == np.int64 and votes.shape == (1, 45)
+    assert votes[0].argmax() == restaurant
+    assert votes[0].sum() == 4
+    assert histogram(votes[0]) == {restaurant: 3, bar: 1}
 
 
 def test_tie_breaks_to_lowest_index():
-    preds = {"i0": 2, "i1": 2, "i2": 5, "i3": 5}
-    (pp,) = aggregate_parcels([A(f"i{k}", "P") for k in range(4)], preds)
-    assert pp.majority == 2
+    preds = {"i0": 5, "i1": 2, "i2": 5, "i3": 2}
+    votes = aggregate_parcels([A(f"i{k}", "P") for k in range(4)], preds,
+                              squares("P"), TAX)
+    assert votes[0].argmax() == 2
 
 
 def test_multi_parcel_image_votes_in_each():
-    out = aggregate_parcels([A("i0", "P1", "P2")], {"i0": 3})
-    assert [pp.parcel_id for pp in out] == ["P1", "P2"]
-    assert all(pp.histogram == {3: 1} for pp in out)
+    votes = aggregate_parcels([A("i0", "P1", "P2")], {"i0": 3},
+                              squares("P1", "P2", "P3"), TAX)
+    assert [histogram(row) for row in votes] == [{3: 1}, {3: 1}, {}]
 
 
 def test_aggregate_order_invariant():
     assignments = [A("i0", "P1"), A("i1", "P2"), A("i2", "P1")]
     preds = {"i0": 1, "i1": 2, "i2": 3}
-    assert aggregate_parcels(assignments, preds) == \
-        aggregate_parcels(list(reversed(assignments)), preds)
+    parcels = squares("P1", "P2")
+    np.testing.assert_array_equal(
+        aggregate_parcels(assignments, preds, parcels, TAX),
+        aggregate_parcels(list(reversed(assignments)), preds, parcels, TAX))
 
 
 def test_support_sums_to_assignment_pairs():
@@ -211,45 +227,104 @@ def test_support_sums_to_assignment_pairs():
     assignments = [A(f"i{k}", *(f"P{j}" for j in rng.choice(6, size=rng.integers(1, 4), replace=False)))
                    for k in range(40)]
     preds = {f"i{k}": int(rng.integers(0, 45)) for k in range(40)}
-    out = aggregate_parcels(assignments, preds)
+    votes = aggregate_parcels(assignments, preds,
+                              squares(*(f"P{j}" for j in range(6))), TAX)
     pairs = sum(len(a.modes) for a in assignments)
-    assert sum(pp.support for pp in out) == pairs
+    assert votes.sum(axis=1).sum() == pairs
+
+
+def test_unknown_parcel_ids_get_rows_after_the_parcels():
+    votes = aggregate_parcels([A("i0", "X"), A("i1", "P", "Y"), A("i2", "X")],
+                              {"i0": 1, "i1": 2, "i2": 3}, squares("P", "Q"),
+                              TAX)
+    assert [histogram(row) for row in votes] == [
+        {2: 1}, {}, {1: 1, 3: 1}, {2: 1}]
 
 
 def test_missing_prediction_names_image():
     with pytest.raises(ValueError, match="i9"):
-        aggregate_parcels([A("i9", "P")], {})
+        aggregate_parcels([A("i9", "P")], {}, squares("P"), TAX)
+
+
+@pytest.mark.parametrize("pred", [-1, 45, 2 ** 70])
+def test_prediction_out_of_range_raises_before_counting(pred):
+    with pytest.raises(TaxonomyError, match=f"fine index {pred} out of range"):
+        aggregate_parcels([A("i0", "P"), A("i1", "P")], {"i0": 3, "i1": pred},
+                          squares("P"), TAX)
+    with pytest.raises(ValueError, match="no prediction for image i2"):
+        aggregate_parcels([A("i1", "P"), A("i2", "P")], {"i1": pred},
+                          squares("P"), TAX)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_parcels=st.integers(0, 4), data=st.data())
+def test_votes_equal_per_pair_counts(n_parcels, data):
+    """Row ``k`` is the ``Counter`` of parcel ``k``'s votes, one per
+    (image, parcel) pair, and its argmax the lowest-index majority."""
+    ids = [f"P{k}" for k in range(n_parcels)]
+    assignments, preds = [], {}
+    for i in range(data.draw(st.integers(0, 12))):
+        pids = data.draw(st.lists(st.sampled_from(ids + ["elsewhere"]),
+                                  min_size=1, max_size=3, unique=True))
+        assignments.append(A(f"i{i}", *pids))
+        preds[f"i{i}"] = data.draw(st.sampled_from([0, 1, 7, 44]))
+    votes = aggregate_parcels(assignments, preds, squares(*ids), TAX)
+    counts = {pid: Counter() for pid in ids}
+    for a in assignments:
+        for pid, _mode in a.pairs():
+            counts.setdefault(pid, Counter())[preds[a.image_id]] += 1
+    assert [histogram(row) for row in votes] == [
+        dict(sorted(h.items())) for h in counts.values()]
+    for row, h in zip(votes, counts.values()):
+        if h:
+            top = max(h.values())
+            assert row.argmax() == min(c for c, k in h.items() if k == top)
 
 
 # ---------------------------------------------------------------------------
 # map export
 
-SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
+
+def one_vote_each(n):
+    """Votes of ``n`` parcels that each hold one vote for class 0."""
+    votes = np.zeros((n, 45), dtype=np.int64)
+    votes[:, 0] = 1
+    return votes
 
 
 def test_export_rolls_up_to_top():
     parcel = Parcel(id="P", rings=(SQUARE,))
-    pp = ParcelPrediction(parcel_id="P",
-                          histogram={TAX.index("bakery"): 2},
-                          majority=TAX.index("bakery"), support=2)
-    doc = json.loads(export_map([parcel], [pp], TAX, Level.TOP))
+    votes = np.zeros((1, 45), dtype=np.int64)
+    votes[0, TAX.index("bakery")] = 2
+    doc = json.loads(export_map([parcel], votes, TAX, Level.TOP))
     (feature,) = doc["features"]
     assert feature["properties"]["landuse_pred"] == "General sales or services"
+    assert feature["properties"]["support"] == 2
     assert feature["properties"]["histogram"] == {"bakery": 2}
     assert feature["geometry"]["coordinates"] == [[list(v) for v in SQUARE]]
 
 
 def test_export_empty_predictions():
-    parcel = Parcel(id="P", rings=(SQUARE,))
-    doc = json.loads(export_map([parcel], [], TAX))
+    parcels = squares("P", "Q")
+    votes = aggregate_parcels([], {}, parcels, TAX)
+    assert votes.shape == (2, 45) and not votes.any()
+    doc = json.loads(export_map(parcels, votes, TAX))
     assert doc == {"type": "FeatureCollection", "features": []}
+
+
+def test_export_draws_only_parcels_with_votes_in_parcel_order():
+    parcels = squares("P", "Q", "R")
+    votes = aggregate_parcels([A("i0", "R", "X"), A("i1", "P")],
+                              {"i0": 4, "i1": 9}, parcels, TAX)
+    doc = json.loads(export_map(parcels, votes, TAX))
+    assert [f["id"] for f in doc["features"]] == ["P", "R"]
+    assert [f["properties"]["histogram"] for f in doc["features"]] == [
+        {TAX.name(9): 1}, {TAX.name(4): 1}]
 
 
 def test_export_puts_provenance_last():
     parcel = Parcel(id="P", rings=(SQUARE,))
-    pp = ParcelPrediction(parcel_id="P", histogram={0: 1}, majority=0,
-                          support=1)
-    text = export_map([parcel], [pp], TAX, provenance={"seed": 3})
+    text = export_map([parcel], one_vote_each(1), TAX, provenance={"seed": 3})
     doc = json.loads(text)
     assert list(doc) == ["type", "features", "provenance"]
     assert doc["provenance"] == {"seed": 3}
@@ -258,9 +333,7 @@ def test_export_puts_provenance_last():
 
 def test_export_round_trips_through_parser():
     parcel = Parcel(id="P", rings=(SQUARE,))
-    pp = ParcelPrediction(parcel_id="P", histogram={0: 1}, majority=0,
-                          support=1)
-    text = export_map([parcel], [pp], TAX)
+    text = export_map([parcel], one_vote_each(1), TAX)
     again = parse_parcels(text, TAX)
     assert [p.id for p in again] == ["P"]
     assert again[0].rings == (SQUARE,)
@@ -286,19 +359,25 @@ def square_at(x0, y0, side):
 def test_export_text_is_json_dumps_for_any_coordinates(rings, provenance):
     parcels = [Parcel(id="P", rings=rings),
                Parcel(id="Q", rings=(square_at(2.0, 2.0, 0.5),))]
-    preds = [ParcelPrediction(parcel_id=pid, histogram={0: 1}, majority=0,
-                              support=1) for pid in ("P", "Q")]
-    text = export_map(parcels, preds, TAX, provenance=provenance)
+    text = export_map(parcels, one_vote_each(2), TAX, provenance=provenance)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     doc = json.loads(text)
     assert doc["features"][0]["geometry"]["coordinates"] == \
         [[list(v) for v in ring] for ring in rings]
 
 
-def test_export_does_not_walk_plain_coordinates(monkeypatch):
-    """The coordinates are checked in one pass; the value-by-value walk
-    of ``encode_json`` visits the same number of values however many
-    vertices the parcels have."""
+@pytest.mark.parametrize("pid", ["Zürich", "del\x7f", "line\u2028end",
+                                 "lone\udc80", 'q"\\\x01'])
+def test_export_text_is_json_dumps_for_any_parcel_id(pid):
+    parcels = squares("P", pid)
+    text = export_map(parcels, one_vote_each(2), TAX)
+    doc = json.loads(text)
+    assert [f["properties"]["parcel"] for f in doc["features"]] == ["P", pid]
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
+def counting_walk(monkeypatch):
+    """The values ``encode_json``'s walk visits, as a list that fills."""
     from landuse import geodata
     walked = []
     real = geodata._orjson_writes_as_json
@@ -308,12 +387,35 @@ def test_export_does_not_walk_plain_coordinates(monkeypatch):
         return real(value, depth, checked)
 
     monkeypatch.setattr(geodata, "_orjson_writes_as_json", counting)
-    pp = ParcelPrediction(parcel_id="P", histogram={0: 1}, majority=0, support=1)
+    return walked
+
+
+def test_export_does_not_walk_plain_coordinates(monkeypatch):
+    """The coordinates are checked in one pass; the value-by-value walk
+    of ``encode_json`` visits the same number of values however many
+    vertices the parcels have."""
+    walked = counting_walk(monkeypatch)
     counts = []
     for n in (4, 100):
         ring = [(2 + math.cos(2 * math.pi * k / n),
                  2 + math.sin(2 * math.pi * k / n)) for k in range(n)]
         walked.clear()
-        export_map([Parcel(id="P", rings=(tuple(ring + ring[:1]),))], [pp], TAX)
+        export_map([Parcel(id="P", rings=(tuple(ring + ring[:1]),))],
+                   one_vote_each(1), TAX)
+        counts.append(len(walked))
+    assert counts[0] == counts[1]
+
+
+def test_export_does_not_walk_plain_properties(monkeypatch):
+    """The parcel ids and class names are checked once; the walk visits
+    the same number of values however many classes a parcel's histogram
+    holds."""
+    walked = counting_walk(monkeypatch)
+    counts = []
+    for classes in (1, 45):
+        votes = np.zeros((1, 45), dtype=np.int64)
+        votes[0, :classes] = 1
+        walked.clear()
+        export_map(squares("P"), votes, TAX)
         counts.append(len(walked))
     assert counts[0] == counts[1]

@@ -19,8 +19,8 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, decode_json,
-                             encode_floats, encode_json, iter_jsonl,
-                             parse_parcels)
+                             encode_floats, encode_json, encode_row,
+                             iter_jsonl, parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -1227,6 +1227,28 @@ def test_encode_json_circular_value_raises_jsons_error():
     member["self"] = [member]
     with pytest.raises(ValueError, match="^Circular reference detected$"):
         encode_json({"a": member})
+
+
+#: integers of up to json's 4300 digits, and past them, where both raise
+row_ints = ints | st.integers(-10 ** 4300, 10 ** 4300) | st.sampled_from(
+    [10 ** 4299, -10 ** 4299, 10 ** 4300 - 1, 10 ** 4300])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.dictionaries(texts, texts | row_ints, max_size=6))
+def test_encode_row_matches_json_dumps_and_reads_back(row):
+    assert encoded(encode_row, row) == encoded(json.dumps, row)
+    if encoded(json.dumps, row) is not ValueError:
+        assert list(iter_jsonl(encode_row(row) + "\n", "rows")) == [(1, row)]
+
+
+@pytest.mark.parametrize("row", [
+    {}, {"a": True}, {"a": None}, {"a": 1.5}, {"a": math.nan},
+    {"a": Name("n")}, {"a": [1, "b"]}, {"a": {"b": 1}}, {1: "a"},
+    {None: 1}, {Name("k"): 1}, {"a": 1, "b": False}, {"a": Point(1.0)},
+], ids=repr)
+def test_encode_row_writes_other_types_as_json_does(row):
+    assert encoded(encode_row, row) == encoded(json.dumps, row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Golden bytes of the indented JSON artifacts and the per-class table.
+"""Golden bytes of the stage artifacts.
 
 ``landuse map`` and ``landuse eval`` run on small hand-written inputs, and
 the sha256 of ``map.geojson``, ``report.json`` and ``per_class.csv`` must
 equal the digests below. The JSON digests were taken from
-``json.dumps(..., indent=2)`` output. A change to how these artifacts are
-written, or to how their counts are made, must keep their bytes.
+``json.dumps(..., indent=2)`` output. ``landuse filter`` and ``landuse
+predict`` run on hand-written parcels, manifest and model, and the sha256
+of ``assignments.jsonl`` and ``predictions.jsonl`` must equal digests
+taken from rows written by ``json.dumps``. A change to how these artifacts
+are written, or to how their counts are made, must keep their bytes.
 
 The ``ascii`` case holds only what orjson writes as json does. The
 ``escaped`` case holds what it writes otherwise: a class name with a
@@ -15,8 +18,10 @@ non-ASCII letter, which json escapes, and a vertex coordinate below
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from landuse.classifier import SoftmaxModel, save_model
 from landuse.cli import main
 
 HEADER = '{"provenance": {"config_sha256": "hand-written", "seed": 0}}\n'
@@ -140,3 +145,59 @@ def test_map_and_report_bytes_are_pinned(tmp_path, name, case):
                (tmp_path / "out" / artifact).read_bytes()).hexdigest()
            for artifact in DIGESTS[name]}
     assert got == DIGESTS[name]
+
+
+# ids holding a non-ASCII letter, a quote, a backslash, a control
+# character and U+2028, which the JSON-lines writers escape
+ROWS_PARCELS = [
+    feature("Zürich", [square(0.0, 0.0, 0.001)], ["café"]),
+    feature('q"uote', [square(0.0005, 0.0, 0.001)], ["house"]),
+    feature("back\\slash", [square(0.003, 0.0, 0.001)], ["office"]),
+    feature("ctl\x01", [square(0.005, 0.0, 0.001)], []),
+    feature("line\u2028sep", [square(0.007, 0.0, 0.001)], ["park"]),
+]
+
+#: id -> (lon, lat, features): one image in two parcels, one in a
+#: parcel's buffer, one dropped
+ROWS_IMAGES = {
+    "img-ä": (0.0002, 0.0005, [1.0, 0.0]),
+    'img"q': (0.0007, 0.0005, [0.0, 1.0]),
+    "img\\b": (0.0035, 0.0005, [-1.0, 0.5]),
+    "img\x02": (0.00298, 0.0005, [0.5, -1.0]),
+    "img\u2028": (0.0075, 0.0005, [-1.0, -1.0]),
+    "ctl-é": (0.0055, 0.0005, [2.0, 2.0]),
+    "far": (0.02, 0.02, [0.0, 0.0]),
+}
+
+ROWS_DIGESTS = {
+    "assignments.jsonl":
+        "30b265bd34abdf1d5622e40bbb0d7a6dc7868e38cdc9bbbf88e6819bd7c3e264",
+    "predictions.jsonl":
+        "43be38bf666042798f8838aa3dd8301dd8070ecbe851c1eb7b3a72b0442ad033",
+}
+
+
+def test_filter_and_predict_bytes_are_pinned(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    out.mkdir()
+    (data / "parcels.geojson").write_text(json.dumps(
+        {"type": "FeatureCollection", "features": ROWS_PARCELS}),
+        encoding="utf-8")
+    (data / "map.jsonl").write_text("".join(
+        json.dumps({"id": rid, "lon": lon, "lat": lat,
+                    "features": {"object": vec}}) + "\n"
+        for rid, (lon, lat, vec) in ROWS_IMAGES.items()), encoding="utf-8")
+    (data / "taxonomy.txt").write_text(TAXONOMY, encoding="utf-8")
+    W = np.array([[2.0, 0.0], [0.0, 2.0], [-2.0, 1.0], [1.0, -2.0]])
+    save_model(SoftmaxModel(W=W, b=np.zeros(4), stream="object"),
+               out / "model_object_adapted.lusm")
+    path = tmp_path / "cfg.txt"
+    path.write_text("seed=0\nstreams=object\nparcels=data/parcels.geojson\n"
+                    "map_manifest=data/map.jsonl\ntaxonomy=data/taxonomy.txt\n"
+                    "out_dir=out\n", encoding="utf-8")
+    for subcommand in ("filter", "predict"):
+        assert main([subcommand, "--config", str(path)]) == 0
+    got = {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+           for artifact in ROWS_DIGESTS}
+    assert got == ROWS_DIGESTS

@@ -43,6 +43,16 @@ def test_fine_roll_up_is_identity(tax):
         assert tax.roll_up(i, Level.FINE) == i
 
 
+@pytest.mark.parametrize("level", list(Level))
+def test_roll_up_index_is_roll_up_of_each_fine_class(tax, level):
+    up = tax.roll_up_index(level)
+    assert list(up) == list(range(len(tax.fine_classes)))
+    assert all(up[c] == tax.roll_up(c, level) for c in up)
+    for bad in (-1, len(tax.fine_classes)):
+        with pytest.raises(KeyError):
+            up[bad]
+
+
 def test_composition_consistency(tax):
     # top ancestor must factor through the middle level
     for i in range(45):
