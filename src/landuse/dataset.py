@@ -189,6 +189,8 @@ def load_manifest(path, taxonomy: Taxonomy, cache=None) -> ManifestTable:
     "features": {stream: [floats]}}`` or ``"features_ref": {stream: path}``
     pointing at LUFV1 sidecar files (paths relative to the manifest).
     String labels are resolved to fine class indices via the taxonomy.
+    A line whose one key is ``provenance`` is a header and is skipped; any
+    other line lacking ``id`` raises.
     Ids must not repeat, and every record must carry the first record's
     streams. Each row goes straight into its stream's matrix, and each
     fault raises on the record where it is met, so the error is the one a
@@ -240,7 +242,9 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
         try:
             for lineno, obj in iter_jsonl(_hashed(f, sha), path):
                 if "id" not in obj:
-                    continue  # provenance header line
+                    if len(obj) == 1 and "provenance" in obj:
+                        continue  # the provenance header
+                    raise ManifestError(f"{path}:{lineno}: row lacks 'id'")
                 k = len(ids)
                 if k == capacity:
                     raise ManifestError(f"{path}: changed while it was read")
@@ -339,7 +343,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
 # or the decode do.
 
 ENTRY_MAGIC = b"LUTAB"
-ENTRY_VERSION = 2
+ENTRY_VERSION = 3
 
 
 def _cache_key(digest: bytes, taxonomy: Taxonomy, sidecar_digests) -> bytes:

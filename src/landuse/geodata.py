@@ -359,7 +359,7 @@ def plain_coordinates(parcels) -> bool:
     coords = list(chain.from_iterable(chain.from_iterable(
         chain.from_iterable(p.rings for p in parcels))))
     return (set(map(type, coords)) <= {float, int}
-            and _plain_floats(np.array(coords, dtype=np.float64)))
+            and bool(_plain_floats(np.array(coords, dtype=np.float64))))
 
 
 def plain_strings(strings) -> bool:
@@ -640,14 +640,14 @@ def assignments_to_jsonl(assignments) -> str:
 # ---------------------------------------------------------------------------
 # JSON text
 #
-# ``decode_json``, ``encode_json``, ``encode_row`` and ``encode_floats`` are
-# one contract: the program's JSON reader, its writer of indented JSON, its
-# writer of JSON-lines rows and its writer of feature vectors each give what
-# the standard ``json`` module gives (``json.loads(text)``,
+# ``decode_json``, ``encode_json``, ``encode_row`` and ``encode_float_rows``
+# are one contract: the program's JSON reader, its writer of indented JSON,
+# its writer of JSON-lines rows and its writer of feature vectors each give
+# what the standard ``json`` module gives (``json.loads(text)``,
 # ``json.dumps(value, indent=2)``, ``json.dumps(row)``,
-# ``json.dumps(vec.tolist())``). Each writes the text itself, or lets orjson
-# do the work, wherever the result is known to be the same, and falls back
-# to ``json`` for the rest; there is no option to choose. The writers are
+# ``json.dumps(vec.tolist())`` of each row). Each writes the text itself, or
+# lets orjson do the work, wherever the result is known to be the same, and
+# falls back to ``json`` for the rest; there is no option to choose. The writers are
 # exact. The reader differs in the two ways its docstring names: an integer
 # literal past 64 bits nested inside a value, and a text nested past json's
 # recursion limit.
@@ -686,33 +686,58 @@ def encode_json(value, checked=()) -> str:
     return json.dumps(value, indent=2)
 
 
+def _finite_float(value: float) -> str:
+    """json's text for a finite float, ``float.__repr__``; a non-finite
+    one raises ``ValueError``, and json writes it (``NaN``, ``Infinity``)."""
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return float.__repr__(value)
+
+
 #: the value types ``encode_row`` writes, by the functions json uses
-_ROW_VALUES = {str: encode_basestring_ascii, int: int.__repr__}
+_ROW_VALUES = {str: encode_basestring_ascii, int: int.__repr__,
+               float: _finite_float}
 
 
 def encode_row(row: dict) -> str:
     """``json.dumps(row)``, written as json writes a row of ``str`` keys
-    and ``str`` or ``int`` values; ``json.dumps`` writes any other row."""
+    and ``str``, ``int`` or finite ``float`` values; ``json.dumps`` writes
+    any other row."""
     try:
         return "{" + ", ".join([
             f"{encode_basestring_ascii(key)}: {_ROW_VALUES[type(value)](value)}"
             for key, value in row.items()]) + "}"
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError):
         return json.dumps(row)
 
 
 def encode_floats(vec: np.ndarray) -> bytes:
-    """``json.dumps(vec.tolist()).encode()`` of a 1-D float64 array,
-    written by orjson wherever that gives the same text.
+    """``json.dumps(vec.tolist()).encode()`` of a 1-D array: the one row
+    of ``encode_float_rows``."""
+    return encode_float_rows(vec.reshape(1, -1))[0]
 
-    orjson writes the vector when every value is zero or of magnitude in
-    [1e-4, 1e16), the floats ``encode_json`` lets orjson write, and json
-    puts ``", "`` where orjson puts ``","``. json writes every other
-    vector (one holding NaN, an infinity, ``1e-05`` or ``1e+16``, say),
-    one of another dtype, whose values orjson writes at that precision,
-    and any vector orjson refuses, such as a slice that is not contiguous.
+
+def encode_float_rows(rows: np.ndarray) -> list[bytes]:
+    """``json.dumps(vec.tolist()).encode()`` of each row ``vec`` of a 2-D
+    array, written by orjson wherever that gives the same text.
+
+    One test over the whole array finds the rows whose values are all zero
+    or of magnitude in [1e-4, 1e16), the floats ``encode_json`` lets orjson
+    write. orjson writes each such row of a float64 array, and json puts
+    ``", "`` where orjson puts ``","``. json writes every other row (one
+    holding NaN, an infinity, ``1e-05`` or ``1e+16``, say), every row of
+    another dtype, whose values orjson writes at that precision, and any
+    row orjson refuses, such as a slice that is not contiguous.
     """
-    if vec.dtype == np.float64 and _plain_floats(vec):
+    plain = (_plain_floats(rows).tolist() if rows.dtype == np.float64
+             else [False] * len(rows))
+    return [_float_text(vec, ok) for vec, ok in zip(rows, plain)]
+
+
+def _float_text(vec: np.ndarray, plain: bool) -> bytes:
+    """One row of ``encode_float_rows``: orjson's text, with json's
+    separator, if ``plain`` and orjson takes ``vec``; json's otherwise."""
+    if plain:
         try:
             return orjson.dumps(vec, option=orjson.OPT_SERIALIZE_NUMPY
                                 ).replace(b",", b", ")
@@ -721,12 +746,13 @@ def encode_floats(vec: np.ndarray) -> bytes:
     return json.dumps(vec.tolist()).encode()
 
 
-def _plain_floats(vec: np.ndarray) -> bool:
-    """Whether every value of ``vec`` is zero or of magnitude in
-    [1e-4, 1e16), as the floats orjson writes as json does are."""
-    mag = np.abs(vec)
-    return bool((((mag >= _PLAIN_FLOAT_MIN) & (mag < _PLAIN_FLOAT_MAX))
-                 | (mag == 0.0)).all())
+def _plain_floats(values: np.ndarray) -> np.ndarray:
+    """Whether every value along the last axis of ``values`` is zero or of
+    magnitude in [1e-4, 1e16), as the floats orjson writes as json does
+    are."""
+    mag = np.abs(values)
+    return (((mag >= _PLAIN_FLOAT_MIN) & (mag < _PLAIN_FLOAT_MAX))
+            | (mag == 0.0)).all(axis=-1)
 
 
 def _orjson_writes_as_json(value, depth: int, checked: set[int]) -> bool:

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_output, write_atomic
 from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
-from .geodata import METERS_PER_DEGREE, encode_floats, encode_json
+from .geodata import (METERS_PER_DEGREE, encode_float_rows, encode_json,
+                      encode_row)
 from .taxonomy import Taxonomy
 
 
@@ -146,8 +148,11 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     dropped paths of geo-filtering.
 
     Each manifest line is the ``json.dumps`` of its record, ``features``
-    last. The feature vectors stay the arrays drawn and are written by
-    ``geodata.encode_floats``, which gives the same bytes.
+    last. The rows are written as they are drawn, in blocks of
+    ``max(1, 2048 // dim)``: each row's head (every key but ``features``)
+    by ``geodata.encode_row``, and each stream's vectors by one
+    ``geodata.encode_float_rows`` per block over the stacked arrays drawn;
+    both give json's bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,20 +199,22 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     write_atomic(paths["parcels"], encode_json(
         {"type": "FeatureCollection", "features": features}) + "\n")
 
-    # train / val manifests, each row written as it is drawn; a row's
-    # features come last, so its line is the json.dumps of the rest with
-    # the feature object put in before the closing brace
+    # train / val manifests, written in blocks of rows as they are drawn;
+    # a row is its head and its feature vectors, which come last, so its
+    # line is the head's text with the feature object put in before the
+    # closing brace
     keys = {s: json.dumps(s).encode("utf-8") + b": " for s in streams}
+    block = max(1, 2048 // max(dim, 1))   # about 2048 floats per stream
 
     def write_manifest(path, rows):
         with atomic_output(path) as f:
-            for row in rows:
-                vecs = row.pop("features")
-                f.write(json.dumps(row)[:-1].encode("utf-8")
-                        + b', "features": {'
-                        + b", ".join(keys[s] + encode_floats(vec)
-                                     for s, vec in vecs.items())
-                        + b"}}\n")
+            while chunk := list(islice(rows, block)):
+                texts = {s: encode_float_rows(np.array([v[s] for _, v in chunk]))
+                         for s in keys}
+                f.write(b"".join(
+                    encode_row(head)[:-1].encode("utf-8") + b', "features": {'
+                    + b", ".join(keys[s] + texts[s][i] for s in keys) + b"}}\n"
+                    for i, (head, _) in enumerate(chunk)))
 
     def training_rows(prefix, per_class, noise):
         i = 0
@@ -220,8 +227,7 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
                     "id": f"{prefix}{i:06d}",
                     "domain": DOMAIN_A if i % 2 == 0 else DOMAIN_B,
                     "label": taxonomy.fine_classes[label],
-                    "features": features_for(cls),
-                }
+                }, features_for(cls)
                 i += 1
 
     write_manifest(paths["train"],
@@ -233,7 +239,7 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
         i = 0
         for pid, truth, (clon, clat) in parcel_info:
             for _ in range(images_per_parcel):
-                cls = int(rng.choice(truth))
+                cls = truth[int(rng.integers(len(truth)))]
                 dx, dy = rng.normal(scale=geo_sigma_m, size=2)
                 yield {
                     "id": f"m{i:06d}",
@@ -241,8 +247,7 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
                     "lon": _round_coord(clon + dx * dlon),
                     "lat": _round_coord(clat + dy * dlat),
                     "label": taxonomy.fine_classes[cls],
-                    "features": features_for(cls),
-                }
+                }, features_for(cls)
                 i += 1
 
     write_manifest(paths["map"], map_rows())

@@ -189,8 +189,10 @@ def oracle_load_manifest(path, taxonomy=None) -> list[ImageRecord]:
     Within a record: a repeated id, the domain, its features (sidecar ids),
     that it has any, that it carries the first record's streams, then per
     stream a vector, finite and of the first record's dimension, then the
-    label, then the coordinates. A stream the first record lacks is
-    reported for the first record.
+    label (an integer in range, or a class name), then the coordinates. A
+    stream the first record lacks is reported for the first record. A line
+    without ``id`` is skipped if its one key is ``provenance`` and raises
+    otherwise.
     """
     path = Path(path)
     sidecars, records, dims, seen = {}, [], {}, set()
@@ -203,7 +205,9 @@ def oracle_load_manifest(path, taxonomy=None) -> list[ImageRecord]:
             except json.JSONDecodeError as e:
                 raise ManifestError(f"{path}:{lineno}: bad JSON: {e.msg}") from None
             if "id" not in obj:
-                continue
+                if len(obj) == 1 and "provenance" in obj:
+                    continue
+                raise ManifestError(f"{path}:{lineno}: row lacks 'id'")
             rid = str(obj["id"])
             if rid in seen:
                 raise ManifestError(f"{path}:{lineno}: repeated record id {rid}")
@@ -252,7 +256,8 @@ def oracle_load_manifest(path, taxonomy=None) -> list[ImageRecord]:
                         f"record {rid}: string label {label!r} needs a taxonomy")
                 label = taxonomy.index(label)
             if label is not None and taxonomy is not None:
-                if not 0 <= label < len(taxonomy.fine_classes):
+                if type(label) is not int or not (
+                        0 <= label < len(taxonomy.fine_classes)):
                     raise ManifestError(f"record {rid}: label {label} out of range")
             geo = None
             if "lon" in obj and "lat" in obj:
@@ -272,13 +277,19 @@ def oracle_load_manifest(path, taxonomy=None) -> list[ImageRecord]:
 
 def oracle_stratified_batches(records, batch_size, domain_ratio, seed):
     """Batches as tuples of records: per-domain pools of records, each
-    reshuffled from a copy whenever it runs short, A before B in a batch."""
+    reshuffled from a copy whenever it runs short, A before B in a batch.
+    A batch that needs a domain the records lack, or records too few for
+    one full batch, raise ``ValueError``."""
     n_a = int(round(batch_size * domain_ratio))
     n_b = batch_size - n_a
     pools = {DOMAIN_A: [r for r in records if r.domain == DOMAIN_A],
              DOMAIN_B: [r for r in records if r.domain == DOMAIN_B]}
+    if (n_a and not pools[DOMAIN_A]) or (n_b and not pools[DOMAIN_B]):
+        raise ValueError("a batch needs a domain the records lack")
     n_batches = max(len(pools[DOMAIN_A]) // n_a if n_a else 0,
                     len(pools[DOMAIN_B]) // n_b if n_b else 0)
+    if not n_batches:
+        raise ValueError("no full batch")
     rng = random.Random(seed)
     queues = {DOMAIN_A: [], DOMAIN_B: []}
 

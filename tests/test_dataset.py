@@ -82,6 +82,18 @@ def test_provenance_header_skipped(tmp_path):
     assert len(load_manifest(path, TAX)) == 1
 
 
+@pytest.mark.parametrize("line", [
+    {"idd": "r1", "features": {"object": [0.1] * 4}},
+    {}, {"provenance": {"seed": 1}, "note": "x"}, {"provenance_": {}},
+], ids=repr)
+def test_row_lacking_id_raises_as_the_oracle_does(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    write_lines(path, [manifest_row(0), line])
+    message = f"{path}:2: row lacks 'id'"
+    assert outcome(load_manifest, path)[1] == (ManifestError, message)
+    assert outcome(oracle_load_manifest, path)[1] == (ManifestError, message)
+
+
 def test_feature_file_round_trip(tmp_path):
     vectors = {f"id{i}": np.arange(6, dtype=np.float64) + i for i in range(5)}
     path = tmp_path / "f.lufv"
@@ -350,7 +362,7 @@ def test_table_columns(tmp_path):
     rows = [manifest_row(i, domain="AB"[i % 2]) for i in range(3)]
     rows[1]["lon"], rows[1]["lat"] = 10.0, 20.0
     del rows[2]["label"]
-    write_lines(path, [{"provenance": {}}] + rows + [{}])
+    write_lines(path, [{"provenance": {}}] + rows)
     t = load_manifest(path, TAX)
     assert t.ids == ("r0", "r1", "r2")
     assert t.domain.tolist() == ["A", "B", "A"]
@@ -432,11 +444,13 @@ def manifests(draw):
         row = {"id": f"r{i}"}
         if draw(st.booleans()):
             row["domain"] = draw(st.sampled_from("AB"))
-        label = draw(st.sampled_from(("name", "int", "none")))
+        label = draw(st.sampled_from(("name", "int", "bool", "none")))
         if label == "name":
             row["label"] = draw(st.sampled_from(TAX.fine_classes[:5]))
         elif label == "int":
             row["label"] = draw(st.integers(0, 44))
+        elif label == "bool":
+            row["label"] = draw(st.booleans())
         if draw(st.booleans()):
             row["lon"] = draw(st.floats(-180, 180))
             row["lat"] = draw(st.floats(-90, 90))
@@ -621,19 +635,15 @@ def test_batches_match_the_oracle_on_drawn_configs(n_a, n_b, size, ratio,
     rng = random.Random(seed)
     domains = [DOMAIN_A] * n_a + [DOMAIN_B] * n_b
     rng.shuffle(domains)
-    take_a = int(round(size * ratio))
-    take_b = size - take_a
-    if ((take_a and not n_a) or (take_b and not n_b)
-            or not max(n_a // take_a if take_a else 0,
-                       n_b // take_b if take_b else 0)):
-        # a missing domain or no full batch; the oracle assumes neither
+    records = [ImageRecord(id=f"r{k}", domain=d, features={})
+               for k, d in enumerate(domains)]
+    try:
+        want = oracle_stratified_batches(records, size, ratio, seed=seed)
+    except ValueError:  # a missing domain or no full batch
         with pytest.raises(ValueError):
             stratified_batches(domains, size, ratio, seed=seed)
         return
-    records = [ImageRecord(id=f"r{k}", domain=d, features={})
-               for k, d in enumerate(domains)]
     got = stratified_batches(domains, size, ratio, seed=seed)
-    want = oracle_stratified_batches(records, size, ratio, seed=seed)
     assert all(idx.dtype == np.intp for idx in got)
     assert [[records[k].id for k in idx] for idx in got] == \
         [[r.id for r in batch] for batch in want]

@@ -19,7 +19,8 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, decode_json,
-                             encode_floats, encode_json, encode_row,
+                             encode_float_rows, encode_floats, encode_json,
+                             encode_row,
                              iter_jsonl, parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
 
@@ -1232,13 +1233,19 @@ def test_encode_json_circular_value_raises_jsons_error():
 #: integers of up to json's 4300 digits, and past them, where both raise
 row_ints = ints | st.integers(-10 ** 4300, 10 ** 4300) | st.sampled_from(
     [10 ** 4299, -10 ** 4299, 10 ** 4300 - 1, 10 ** 4300])
+#: floats json writes by ``float.__repr__`` (-0.0, subnormals, 1e-05 and
+#: 1e+16 among them) and those it does not (NaN and the infinities)
+row_floats = floats | st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, math.nan,
+                                       math.inf, -math.inf])
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.dictionaries(texts, texts | row_ints, max_size=6))
+@given(st.dictionaries(texts, texts | row_ints | row_floats | st.booleans(),
+                       max_size=6))
 def test_encode_row_matches_json_dumps_and_reads_back(row):
     assert encoded(encode_row, row) == encoded(json.dumps, row)
-    if encoded(json.dumps, row) is not ValueError:
+    nan = any(type(v) is float and math.isnan(v) for v in row.values())
+    if encoded(json.dumps, row) is not ValueError and not nan:
         assert list(iter_jsonl(encode_row(row) + "\n", "rows")) == [(1, row)]
 
 
@@ -1249,6 +1256,20 @@ def test_encode_row_matches_json_dumps_and_reads_back(row):
 ], ids=repr)
 def test_encode_row_writes_other_types_as_json_does(row):
     assert encoded(encode_row, row) == encoded(json.dumps, row)
+
+
+def test_encode_row_writes_finite_floats_itself(monkeypatch):
+    written = []
+    monkeypatch.setattr(geodata, "json", SimpleNamespace(
+        dumps=lambda value: written.append(value) or json.dumps(value)))
+    row = {"id": "m000001", "lon": -122.4196071822, "lat": 37.75, "z": -0.0,
+           "sub": 5e-324, "small": 1e-5, "big": 1e16, "n": 3}
+    assert encode_row(row) == json.dumps(row)
+    assert written == []
+    for value in (math.nan, math.inf, -math.inf, True):
+        assert encode_row({"a": 1.5, "b": value}) == json.dumps(
+            {"a": 1.5, "b": value})
+    assert len(written) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1294,6 +1315,41 @@ def test_encode_floats_non_contiguous_slice_and_other_dtypes():
     assert encode_floats(base[::-1]) == dumped(base[::-1])
     single = np.array([0.1, 2.5], dtype=np.float32)
     assert encode_floats(single) == dumped(single)
+
+
+#: the floats orjson would write otherwise than json, and zero
+EDGE_CELLS = st.sampled_from([0.0, 1e-5, 1e16, math.nan, math.inf])
+
+
+@st.composite
+def float_matrices(draw):
+    """(k, d) float64 matrices whose rows are plain, or plain values mixed
+    with edge cells."""
+    k, d = draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    row = (st.lists(plain_floats, min_size=d, max_size=d)
+           | st.lists(plain_floats | EDGE_CELLS, min_size=d, max_size=d))
+    return np.array(draw(st.lists(row, min_size=k, max_size=k)),
+                    dtype=np.float64).reshape(k, d)
+
+
+@settings(max_examples=500, deadline=None)
+@given(float_matrices())
+def test_encode_float_rows_matches_json_dumps_row_by_row(matrix):
+    assert encode_float_rows(matrix) == [dumped(vec) for vec in matrix]
+
+
+def test_encode_float_rows_leaves_json_the_rows_orjson_writes_otherwise(
+        monkeypatch):
+    written = []
+    monkeypatch.setattr(geodata, "json", SimpleNamespace(
+        dumps=lambda value: written.append(value) or json.dumps(value)))
+    matrix = np.array([[0.25, -0.0], [0.25, 1e-5], [1e-4, 2.0],
+                       [math.nan, 1.0], [1e16, 0.0]])
+    assert encode_float_rows(matrix) == [dumped(vec) for vec in matrix]
+    assert [json.dumps(v) for v in written] == [
+        "[0.25, 1e-05]", "[NaN, 1.0]", "[1e+16, 0.0]"]
+    single = matrix.astype(np.float32)
+    assert encode_float_rows(single) == [dumped(vec) for vec in single]
 
 
 def test_encode_floats_writes_plain_vectors_with_orjson(monkeypatch):

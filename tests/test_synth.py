@@ -1,6 +1,5 @@
 import hashlib
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,16 +100,16 @@ def test_make_city_ids_unique_past_ten_columns(tmp_path):
 
 
 def test_make_city_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
-    dumps = synth.json.dumps
+    encode_row = synth.encode_row
     calls = []
 
-    def failing_dumps(row):
+    def failing_encode_row(row):
         calls.append(row)
         if len(calls) == 30:
             raise RuntimeError("cut")
-        return dumps(row)
+        return encode_row(row)
 
-    monkeypatch.setattr(synth, "json", SimpleNamespace(dumps=failing_dumps))
+    monkeypatch.setattr(synth, "encode_row", failing_encode_row)
     with pytest.raises(RuntimeError, match="cut"):
         make_city(tmp_path, TAX, seed=1)
     # the parcels were written whole before the first manifest began
@@ -122,9 +121,19 @@ WIDE_CITY = dict(n_classes=45, dim=256, grid=3, images_per_parcel=3,
                  train_per_class=2, val_per_class=1, noise_rate=0.4,
                  feature_scale=7.0)
 
+#: the city of the benchmark's city_dense workload
+DENSE_CITY = dict(n_classes=16, grid=16, images_per_parcel=6,
+                  geo_sigma_m=25.0, dim=16, train_per_class=40,
+                  val_per_class=10)
+
 #: sha256 of each file make_city writes; each default city holds one
 #: vector that the standard json writer must write
 CITY_SHA256 = {
+    ("dense", 7): {
+        "parcels": "8da5f600d1e59d4511d9885ba0d388dae48c33e7c416569707b022836e72ba52",
+        "train": "7361540036afd4cd1aaf126e4a04e7d32bbc76e08fbf5974425f1cc3629c6e57",
+        "val": "5a13ba7e16317bf610b33a126f5afe5f166a4c6d2a23755e8088d53a295194e0",
+        "map": "18da2c0455fcacc73d3bd441a70280f9240e66ec1cbcfb2875e9379c4dc61036"},
     ("default", 7): {
         "parcels": "0499f528222ffbffe3cbe5eb7033f39a6a0517c2b74802af37c1df724769e413",
         "train": "3539af6e267f98638afdbc0559f68d42d82827500bf9ca02cd448984df740f0f",
@@ -150,7 +159,7 @@ CITY_SHA256 = {
 
 @pytest.mark.parametrize("city, seed", sorted(CITY_SHA256))
 def test_make_city_bytes_pinned(tmp_path, city, seed):
-    kwargs = WIDE_CITY if city == "wide" else {}
+    kwargs = {"wide": WIDE_CITY, "dense": DENSE_CITY}.get(city, {})
     paths = make_city(tmp_path, TAX, seed=seed, **kwargs)
     got = {key: hashlib.sha256(path.read_bytes()).hexdigest()
            for key, path in paths.items()}
@@ -158,3 +167,17 @@ def test_make_city_bytes_pinned(tmp_path, city, seed):
     for key in ("train", "val", "map"):
         for line in paths[key].read_text(encoding="utf-8").splitlines():
             assert line == json.dumps(json.loads(line))
+
+
+@pytest.mark.parametrize("n_truth", [1, 2])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_one_integer_draw_picks_as_choice_does(n_truth, seed):
+    """A map image's class, one integer draw, leaves the generator where
+    ``rng.choice(truth)`` leaves it, with other draws in between."""
+    truth = [3, 9][:n_truth]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(500):
+        assert truth[int(ours.integers(len(truth)))] == theirs.choice(truth)
+        assert ours.normal(size=2).tolist() == theirs.normal(size=2).tolist()
+    assert ours.random() == theirs.random()
+
