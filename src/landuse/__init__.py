@@ -5,7 +5,7 @@ from .adaptive import GateConfig, adaptive_finetune, discard_probability, \
 from .classifier import Schedule, SoftmaxModel, forward, init_model, \
     load_model, loss_grad, save_model, train
 from .dataset import ImageRecord, ManifestTable, load_manifest, \
-    stratified_batches
+    stratified_batches, write_feature_file
 from .evaluation import MappingReport, image_accuracy, mapping_metrics, \
     per_class_report
 from .fusion_mapping import aggregate_parcels, equal_weights, export_map, \
@@ -19,8 +19,8 @@ __all__ = [
     "GateConfig", "adaptive_finetune", "discard_probability", "gate_weights",
     "Schedule", "SoftmaxModel", "forward", "init_model", "load_model",
     "loss_grad", "save_model", "train", "ImageRecord", "ManifestTable",
-    "load_manifest", "stratified_batches", "MappingReport", "image_accuracy",
-    "mapping_metrics", "per_class_report",
+    "load_manifest", "stratified_batches", "write_feature_file",
+    "MappingReport", "image_accuracy", "mapping_metrics", "per_class_report",
     "aggregate_parcels", "equal_weights", "export_map", "fuse",
     "predict_image", "predict_table", "Assignment", "GeoPoint", "Parcel",
     "assign", "boundary_distance_m", "contains", "parse_parcels",

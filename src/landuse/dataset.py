@@ -3,13 +3,13 @@
 Records carry precomputed per-stream feature vectors instead of pixels; the
 vectors stand in for frozen pretrained feature extractors. Manifests are
 JSON-lines, optionally referencing a binary sidecar feature file (format
-``LUFV1``) instead of inlining the floats. The lines are read by
-``geodata.iter_jsonl``, which reads the stage artifacts too, so every
-JSON-lines file follows one set of rules for blank lines, line ends, UTF-8
-and JSON. One load gives a ``ManifestTable``: one column per field and one
-``(N, D)`` matrix per stream, so training, gating and prediction index
-whole matrices. A load given a cache entry decodes the JSON only when the
-entry does not hold the table for the same inputs.
+``LUFV1``) instead of inlining the floats. The rows are read by
+``geodata.jsonl_rows``, which reads the stage artifacts too, so every
+JSON-lines file follows one set of rules for blank lines, line ends, UTF-8,
+JSON and the provenance header. One load gives a ``ManifestTable``: one
+column per field and one ``(N, D)`` matrix per stream, so training, gating
+and prediction index whole matrices. A load given a cache entry decodes
+the JSON only when the entry does not hold the table for the same inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .entry import (classes_sha256, file_sha256, read_entry as read_items,
                     write_entry)
-from .geodata import GeoPoint, JSONLinesError, iter_jsonl
+from .geodata import GeoPoint, JSONLinesError, jsonl_rows
 from .taxonomy import Taxonomy
 
 FEATURE_FILE_MAGIC = b"LUFV1"
@@ -240,10 +240,8 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
 
     with open(path, "rb") as f:
         try:
-            for lineno, obj in iter_jsonl(_hashed(f, sha), path):
+            for lineno, obj in jsonl_rows(_hashed(f, sha), path):
                 if "id" not in obj:
-                    if len(obj) == 1 and "provenance" in obj:
-                        continue  # the provenance header
                     raise ManifestError(f"{path}:{lineno}: row lacks 'id'")
                 k = len(ids)
                 if k == capacity:

@@ -71,9 +71,8 @@ def mapping_metrics(assignments, predictions: dict[str, int], parcels,
     predictions are rolled up to ``level`` before scoring. Parcels with an
     empty truth set are excluded from every count unless
     ``include_untruthed`` is set, in which case their mappings still count
-    toward the prediction total (and are never correct), as do votes on a
-    parcel id not in ``parcels``. The mappings are the votes
-    ``aggregate_parcels`` counts for the map."""
+    toward the prediction total (and are never correct). The mappings are
+    the votes ``aggregate_parcels`` counts for the map."""
     n = taxonomy.n_classes(level)
     up = taxonomy.roll_up_index(level)
     onto = np.eye(n, dtype=np.int64)[list(up.values())]
@@ -81,9 +80,9 @@ def mapping_metrics(assignments, predictions: dict[str, int], parcels,
     truth = np.zeros((len(parcels), n), dtype=bool)
     for k, parcel in enumerate(parcels):
         truth[k, [taxonomy.roll_up(c, level) for c in parcel.truth]] = True
-    hits = votes[:len(parcels)] * truth
+    hits = votes * truth
     if not include_untruthed:
-        votes = votes[:len(parcels)][truth.any(axis=1)]
+        votes = votes[truth.any(axis=1)]
     # Python ints, so that each ratio is the float the per-vote counts gave
     pred_count, correct_count, support, recalled_count = (
         m.sum(axis=0).tolist() for m in (votes, hits, truth, hits > 0))

@@ -75,10 +75,9 @@ def aggregate_parcels(assignments, predictions: dict[str, int], parcels,
     """The votes as an int64 ``(P, n)`` matrix: row ``k`` counts parcel
     ``k``'s votes by fine class, and an image votes once in each of its
     parcels. A row's majority is its ``argmax`` (ties go to the lowest
-    index) and its support the row sum. A parcel id not in ``parcels``
-    gets a row after theirs, in the order the assignments first name it.
-    An image with no prediction raises first, in assignment order; then a
-    prediction outside the fine classes raises ``TaxonomyError``."""
+    index) and its support the row sum. An image with no prediction
+    raises first, in assignment order; then a prediction outside the fine
+    classes raises ``TaxonomyError``; then a parcel id not in ``parcels``."""
     try:
         preds = [predictions[a.image_id] for a in assignments]
     except KeyError as e:
@@ -87,23 +86,25 @@ def aggregate_parcels(assignments, predictions: dict[str, int], parcels,
     if bad := [c for c in preds if not 0 <= c < n]:
         raise TaxonomyError(f"fine index {bad[0]} out of range [0, {n})")
     row = {parcel.id: k for k, parcel in enumerate(parcels)}
-    cells = [row.setdefault(parcel_id, len(row)) * n + c
-             for a, c in zip(assignments, preds) for parcel_id in a.modes]
+    try:
+        cells = [row[parcel_id] * n + c
+                 for a, c in zip(assignments, preds) for parcel_id in a.modes]
+    except KeyError as e:
+        raise ValueError(f"unknown parcel {e.args[0]}") from None
     return np.bincount(np.array(cells, dtype=np.int64),
-                       minlength=len(row) * n).reshape(len(row), n)
+                       minlength=len(parcels) * n).reshape(len(parcels), n)
 
 
 def export_map(parcels, votes: np.ndarray, taxonomy: Taxonomy,
                level: Level = Level.FINE, provenance: dict | None = None) -> str:
     """GeoJSON FeatureCollection of the parcels with votes in ``votes``
-    (``aggregate_parcels``; rows past the parcels are not drawn). The
-    majority label is rolled up to ``level``; the fine histogram is kept
-    in the properties so mixed-use parcels stay visible. Geometry is the
-    parcels' rings, verbatim. A ``provenance`` given is the last member.
-    The text is ``json.dumps(collection, indent=2)`` and a line feed, by
-    ``geodata.encode_json``; its walk skips the rings if ``plain_coordinates``
-    passes, and whole features if ``plain_strings`` passes as well."""
-    votes = votes[:len(parcels)]
+    (``aggregate_parcels``). The majority label is rolled up to ``level``;
+    the fine histogram is kept in the properties so mixed-use parcels stay
+    visible. Geometry is the parcels' rings, verbatim. A ``provenance``
+    given is the last member. The text is ``json.dumps(collection,
+    indent=2)`` and a line feed, by ``geodata.encode_json``; its walk skips
+    the rings if ``plain_coordinates`` passes, and whole features if
+    ``plain_strings`` passes as well."""
     histograms: dict[int, dict[str, int]] = {}
     rows, cols = np.nonzero(votes)
     fine = taxonomy.fine_classes

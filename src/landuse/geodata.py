@@ -711,12 +711,6 @@ def encode_row(row: dict) -> str:
         return json.dumps(row)
 
 
-def encode_floats(vec: np.ndarray) -> bytes:
-    """``json.dumps(vec.tolist()).encode()`` of a 1-D array: the one row
-    of ``encode_float_rows``."""
-    return encode_float_rows(vec.reshape(1, -1))[0]
-
-
 def encode_float_rows(rows: np.ndarray) -> list[bytes]:
     """``json.dumps(vec.tolist()).encode()`` of each row ``vec`` of a 2-D
     array, written by orjson wherever that gives the same text.

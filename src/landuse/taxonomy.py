@@ -23,96 +23,75 @@ class Level(Enum):
     TOP = "top"
 
 
-# (top, [(middle, [fine, ...]), ...]) in canonical enumeration order.
-_HIERARCHY = [
-    ("Residence or accommodation functions", [
-        ("Hotels, motels, or other accommodation services", [
-            "lodging",
-        ]),
-    ]),
-    ("General sales or services", [
-        ("Retail sales or service", [
-            "bicycle_store",
-            "car_service",
-            "department_store",
-            "home_goods_store",
-            "book_store",
-            "clothing_store",
-            "jewelry_store",
-            "shoe_store",
-            "bakery",
-            "pharmacy",
-            "shopping_mall",
-        ]),
-        ("Finance and Insurance", [
-            "bank",
-        ]),
-        ("Business, professional, scientific, and technical services", [
-            "post_office",
-            "travel_agency",
-            "veterinary_care",
-        ]),
-        ("Food services", [
-            "restaurant",
-            "coffee_house",
-            "night_club",
-            "bar",
-        ]),
-        ("Personal services", [
-            "hair_care",
-        ]),
-    ]),
-    ("Transportation, communication, information, and utilities", [
-        ("Transportation service", [
-            "bus_station",
-            "subway_station",
-            "train_station",
-            "parking",
-        ]),
-        ("Communications and information", [
-            "library",
-        ]),
-    ]),
-    ("Arts, entertainment and recreation", [
-        ("Performing arts or supporting establishment", [
-            "art_gallery",
-            "movie_theater",
-            "stadium",
-        ]),
-        ("Museums and other special purpose recreational institutions", [
-            "aquarium",
-            "museum",
-            "zoo",
-        ]),
-        ("Amusement, sports, or recreation establishment", [
-            "park",
-            "amusement_park",
-            "gym",
-        ]),
-    ]),
-    ("Education, public admin, health care and other institution", [
-        ("Educational services", [
-            "school",
-            "university",
-        ]),
-        ("Public administration", [
-            "city_hall",
-            "courthouse",
-            "local_government_office",
-        ]),
-        ("Public safety", [
-            "fire_station",
-            "police_station",
-        ]),
-        ("Health and human services", [
-            "hospital",
-        ]),
-        ("Religious institutions", [
-            "church",
-            "temple",
-        ]),
-    ]),
-]
+# Taxonomy text (see ``Taxonomy.from_text``) in canonical enumeration order.
+_HIERARCHY = """\
+Residence or accommodation functions
+  Hotels, motels, or other accommodation services
+    lodging
+General sales or services
+  Retail sales or service
+    bicycle_store
+    car_service
+    department_store
+    home_goods_store
+    book_store
+    clothing_store
+    jewelry_store
+    shoe_store
+    bakery
+    pharmacy
+    shopping_mall
+  Finance and Insurance
+    bank
+  Business, professional, scientific, and technical services
+    post_office
+    travel_agency
+    veterinary_care
+  Food services
+    restaurant
+    coffee_house
+    night_club
+    bar
+  Personal services
+    hair_care
+Transportation, communication, information, and utilities
+  Transportation service
+    bus_station
+    subway_station
+    train_station
+    parking
+  Communications and information
+    library
+Arts, entertainment and recreation
+  Performing arts or supporting establishment
+    art_gallery
+    movie_theater
+    stadium
+  Museums and other special purpose recreational institutions
+    aquarium
+    museum
+    zoo
+  Amusement, sports, or recreation establishment
+    park
+    amusement_park
+    gym
+Education, public admin, health care and other institution
+  Educational services
+    school
+    university
+  Public administration
+    city_hall
+    courthouse
+    local_government_office
+  Public safety
+    fire_station
+    police_station
+  Health and human services
+    hospital
+  Religious institutions
+    church
+    temple
+"""
 
 
 @dataclass(frozen=True)
@@ -209,39 +188,29 @@ class Taxonomy:
 
     @classmethod
     def from_text(cls, text: str) -> "Taxonomy":
-        """The hierarchy ``to_text`` writes, built by ``from_nested``."""
-        hierarchy = []
+        """The hierarchy ``to_text`` writes. A fine class belongs to the
+        last middle class above it, which must be under the current top."""
+        top, middle, fine = [], [], []
+        fine_to_middle, middle_to_top = [], []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             if not raw.strip():
                 continue
             indent = len(raw) - len(raw.lstrip(" "))
             name = raw.strip()
             if indent == 0:
-                hierarchy.append((name, []))
+                top.append(name)
             elif indent == 2:
-                if not hierarchy:
+                if not top:
                     raise TaxonomyError(f"line {lineno}: middle class before any top class")
-                hierarchy[-1][1].append((name, []))
+                middle.append(name)
+                middle_to_top.append(len(top) - 1)
             elif indent == 4:
-                if not hierarchy or not hierarchy[-1][1]:
+                if not middle_to_top or middle_to_top[-1] != len(top) - 1:
                     raise TaxonomyError(f"line {lineno}: fine class before any middle class")
-                hierarchy[-1][1][-1][1].append(name)
+                fine.append(name)
+                fine_to_middle.append(len(middle) - 1)
             else:
                 raise TaxonomyError(f"line {lineno}: bad indentation {indent}")
-        return cls.from_nested(hierarchy)
-
-    @classmethod
-    def from_nested(cls, hierarchy) -> "Taxonomy":
-        top, middle, fine = [], [], []
-        fine_to_middle, middle_to_top = [], []
-        for top_name, middles in hierarchy:
-            top.append(top_name)
-            for middle_name, fines in middles:
-                middle.append(middle_name)
-                middle_to_top.append(len(top) - 1)
-                for fine_name in fines:
-                    fine.append(fine_name)
-                    fine_to_middle.append(len(middle) - 1)
         return cls(tuple(fine), tuple(middle), tuple(top),
                    tuple(fine_to_middle), tuple(middle_to_top))
 
@@ -249,7 +218,7 @@ class Taxonomy:
 @lru_cache(maxsize=1)
 def builtin_taxonomy() -> Taxonomy:
     """The canonical 5/16/45 hierarchy."""
-    tax = Taxonomy.from_nested(_HIERARCHY)
+    tax = Taxonomy.from_text(_HIERARCHY)
     assert len(tax.top_classes) == 5
     assert len(tax.middle_classes) == 16
     assert len(tax.fine_classes) == 45

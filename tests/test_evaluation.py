@@ -169,14 +169,13 @@ def per_pair_counts(assignments, predictions, parcels, level,
 def vote_cases(draw):
     """(parcels, assignments, predictions): truths and predictions drawn
     from one small pool of fine classes, so that many pairs are correct;
-    parcels with no truth, images in several parcels, and assignments to
-    a parcel id that is not in ``parcels``."""
+    parcels with no truth and images in several parcels."""
     pool = st.sampled_from(draw(st.lists(st.integers(0, 44), min_size=1,
                                          max_size=6, unique=True)))
     parcels = [Parcel(id=f"P{k}", rings=(SQUARE,),
                       truth=draw(st.frozensets(pool, max_size=3)))
                for k in range(draw(st.integers(1, 5)))]
-    ids = [p.id for p in parcels] + ["elsewhere"]
+    ids = [p.id for p in parcels]
     assignments, predictions = [], {}
     for i in range(draw(st.integers(0, 12))):
         pids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from landuse.classifier import SoftmaxModel, init_model
 from landuse.dataset import ImageRecord, ManifestTable
+from landuse.evaluation import mapping_metrics
 from landuse.fusion_mapping import (aggregate_parcels, equal_weights,
                                     export_map, fuse, predict_image,
                                     predict_table)
@@ -233,12 +234,16 @@ def test_support_sums_to_assignment_pairs():
     assert votes.sum(axis=1).sum() == pairs
 
 
-def test_unknown_parcel_ids_get_rows_after_the_parcels():
-    votes = aggregate_parcels([A("i0", "X"), A("i1", "P", "Y"), A("i2", "X")],
-                              {"i0": 1, "i1": 2, "i2": 3}, squares("P", "Q"),
-                              TAX)
-    assert [histogram(row) for row in votes] == [
-        {2: 1}, {}, {1: 1, 3: 1}, {2: 1}]
+def test_unknown_parcel_id_raises_after_the_prediction_checks():
+    assignments = [A("i0", "P"), A("i1", "Q", "X"), A("i2", "Y")]
+    parcels, preds = squares("P", "Q"), {"i0": 1, "i1": 2, "i2": 3}
+    for score in (aggregate_parcels, mapping_metrics):
+        with pytest.raises(ValueError, match="^unknown parcel X$"):
+            score(assignments, preds, parcels, TAX)
+    with pytest.raises(ValueError, match="no prediction for image i2"):
+        aggregate_parcels(assignments, {"i0": 1, "i1": 2}, parcels, TAX)
+    with pytest.raises(TaxonomyError, match="fine index 45 out of range"):
+        aggregate_parcels(assignments, {**preds, "i2": 45}, parcels, TAX)
 
 
 def test_missing_prediction_names_image():
@@ -263,16 +268,16 @@ def test_votes_equal_per_pair_counts(n_parcels, data):
     (image, parcel) pair, and its argmax the lowest-index majority."""
     ids = [f"P{k}" for k in range(n_parcels)]
     assignments, preds = [], {}
-    for i in range(data.draw(st.integers(0, 12))):
-        pids = data.draw(st.lists(st.sampled_from(ids + ["elsewhere"]),
-                                  min_size=1, max_size=3, unique=True))
+    for i in range(data.draw(st.integers(0, 12 if ids else 0))):
+        pids = data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                  max_size=3, unique=True))
         assignments.append(A(f"i{i}", *pids))
         preds[f"i{i}"] = data.draw(st.sampled_from([0, 1, 7, 44]))
     votes = aggregate_parcels(assignments, preds, squares(*ids), TAX)
     counts = {pid: Counter() for pid in ids}
     for a in assignments:
         for pid, _mode in a.pairs():
-            counts.setdefault(pid, Counter())[preds[a.image_id]] += 1
+            counts[pid][preds[a.image_id]] += 1
     assert [histogram(row) for row in votes] == [
         dict(sorted(h.items())) for h in counts.values()]
     for row, h in zip(votes, counts.values()):
@@ -314,7 +319,7 @@ def test_export_empty_predictions():
 
 def test_export_draws_only_parcels_with_votes_in_parcel_order():
     parcels = squares("P", "Q", "R")
-    votes = aggregate_parcels([A("i0", "R", "X"), A("i1", "P")],
+    votes = aggregate_parcels([A("i0", "R"), A("i1", "P")],
                               {"i0": 4, "i1": 9}, parcels, TAX)
     doc = json.loads(export_map(parcels, votes, TAX))
     assert [f["id"] for f in doc["features"]] == ["P", "R"]

@@ -19,7 +19,7 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, decode_json,
-                             encode_float_rows, encode_floats, encode_json,
+                             encode_float_rows, encode_json,
                              encode_row,
                              iter_jsonl, parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
@@ -1280,6 +1280,11 @@ def dumped(vec: np.ndarray) -> bytes:
     return json.dumps(vec.tolist()).encode()
 
 
+def one_row(vec):
+    """``encode_float_rows`` of the one row ``vec``."""
+    return encode_float_rows(vec.reshape(1, -1))[0]
+
+
 #: full-width float64 vectors (NaNs, infinities and subnormals included),
 #: vectors of floats orjson writes as json does, and such vectors with edge
 #: floats among them, so that both writers are drawn
@@ -1293,7 +1298,7 @@ float_vectors = (st.lists(floats, max_size=40)
 @given(float_vectors)
 def test_encode_floats_matches_json_dumps(values):
     vec = np.array(values, dtype=np.float64)
-    assert encode_floats(vec) == dumped(vec)
+    assert one_row(vec) == dumped(vec)
 
 
 @pytest.mark.parametrize("values", [
@@ -1306,15 +1311,15 @@ def test_encode_floats_matches_json_dumps(values):
 ], ids=repr)
 def test_encode_floats_edge_vectors(values):
     vec = np.array(values, dtype=np.float64)
-    assert encode_floats(vec) == dumped(vec)
+    assert one_row(vec) == dumped(vec)
 
 
 def test_encode_floats_non_contiguous_slice_and_other_dtypes():
     base = np.linspace(-3.0, 3.0, 13)
-    assert encode_floats(base[::2]) == dumped(base[::2])
-    assert encode_floats(base[::-1]) == dumped(base[::-1])
+    assert one_row(base[::2]) == dumped(base[::2])
+    assert one_row(base[::-1]) == dumped(base[::-1])
     single = np.array([0.1, 2.5], dtype=np.float32)
-    assert encode_floats(single) == dumped(single)
+    assert one_row(single) == dumped(single)
 
 
 #: the floats orjson would write otherwise than json, and zero
@@ -1357,9 +1362,9 @@ def test_encode_floats_writes_plain_vectors_with_orjson(monkeypatch):
     monkeypatch.setattr(geodata, "json", SimpleNamespace(
         dumps=lambda value: written.append(value) or json.dumps(value)))
     plain = np.array([0.25, -0.0, 1e-4, -9999999999999998.0])
-    assert encode_floats(plain) == dumped(plain)
+    assert one_row(plain) == dumped(plain)
     assert written == []
     for edge in (1e-5, 1e16, math.nan):
         vec = np.array([0.25, edge])
-        assert encode_floats(vec) == dumped(vec)
+        assert one_row(vec) == dumped(vec)
     assert len(written) == 3

@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every top-level function or class of the package is named outside its own
+body or exported.
 
 Names listed in the module's ``__all__``, ``from __future__`` imports and
-import statements whose first line carries ``# noqa: F401`` are exempt."""
+import statements whose first line carries ``# noqa: F401`` are exempt
+from the first check; names in ``landuse.__all__`` from the second."""
 
 import ast
 from pathlib import Path
@@ -60,3 +63,48 @@ def f():
                          ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_definitions(sources: dict[str, str], exported) -> list[str]:
+    """``module: name`` for each top-level ``def`` or ``class`` in
+    ``sources`` (module name to text) that is not in ``exported`` and that
+    no code outside its own body names, as a name or an attribute."""
+    defined, named = [], {}
+    for module, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((module, i, node.name))
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name) else
+                        sub.attr if isinstance(sub, ast.Attribute) else None)
+                named.setdefault(name, set()).add((module, i))
+    return [f"{module}: {name}" for module, i, name in defined
+            if name not in exported
+            and not named.get(name, set()) - {(module, i)}]
+
+
+def test_dead_code_checker_finds_only_unnamed_definitions():
+    a = """\
+import b
+
+def used_in_b(): pass
+def recursive(): return recursive()
+def exported(): pass
+class Unused:
+    def method(self): return Unused
+def called_at_top(): pass
+called_at_top()
+"""
+    b = """\
+from a import recursive
+def caller(x): return x.used_in_b()
+"""
+    assert unnamed_definitions({"a": a, "b": b}, {"exported"}) == [
+        "a: recursive", "a: Unused", "b: caller"]
+
+
+def test_every_definition_is_named_or_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_definitions(sources, landuse.__all__) == []

@@ -226,14 +226,14 @@ def test_manifest_changed_and_restored_during_the_decode_is_never_hit(
     text = path.read_text(encoding="utf-8")
     changed = text.replace("0.5", "0.7")
     assert changed != text and changed.count("\n") == text.count("\n")
-    iter_jsonl = dataset.iter_jsonl
+    jsonl_rows = dataset.jsonl_rows
 
     def change_decode_restore(lines, source):
         path.write_text(changed, encoding="utf-8")
-        yield from iter_jsonl(lines, source)
+        yield from jsonl_rows(lines, source)
         path.write_text(text, encoding="utf-8")
 
-    monkeypatch.setattr(dataset, "iter_jsonl", change_decode_restore)
+    monkeypatch.setattr(dataset, "jsonl_rows", change_decode_restore)
     seen = load_manifest(path, TAX, cache=entry)
     monkeypatch.undo()
     assert seen.features["object"][0, 0] == 0.7
@@ -253,14 +253,14 @@ def test_manifest_grown_during_the_decode_raises(tmp_path, monkeypatch):
     more = "".join(json.dumps({"id": f"x{i}", "features": {
         "object": [1.0, 2.0], "scene": [1.0, 2.0, 3.0]}}) + "\n"
         for i in range(2))
-    iter_jsonl = dataset.iter_jsonl
+    jsonl_rows = dataset.jsonl_rows
 
     def grow_then_decode(lines, source):
         with open(path, "a", encoding="utf-8") as f:
             f.write(more)
-        yield from iter_jsonl(lines, source)
+        yield from jsonl_rows(lines, source)
 
-    monkeypatch.setattr(dataset, "iter_jsonl", grow_then_decode)
+    monkeypatch.setattr(dataset, "jsonl_rows", grow_then_decode)
     with pytest.raises(ManifestError) as e:
         load_manifest(path, TAX, cache=entry)
     monkeypatch.undo()

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from landuse import taxonomy
 from landuse.taxonomy import Level, Taxonomy, TaxonomyError, builtin_taxonomy
 
 
@@ -87,6 +88,34 @@ def test_text_round_trip(tax):
     assert again.to_text() == text
 
 
+def test_builtin_hierarchy_is_taxonomy_text(tax):
+    assert taxonomy._HIERARCHY == tax.to_text()
+
+
+@given(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=4))
+def test_from_text_numbers_classes_in_text_order(hierarchy):
+    """``hierarchy[t][m]`` fine classes under the ``m``-th middle class of
+    top class ``t``; tops and middles may hold nothing."""
+    top, middle, fine, lines = [], [], [], []
+    fine_to_middle, middle_to_top = [], []
+    for t, middles in enumerate(hierarchy):
+        top.append(f"T{t}")
+        lines.append(top[-1])
+        for n_fine in middles:
+            middle.append(f"M{len(middle)}")
+            middle_to_top.append(t)
+            lines.append("  " + middle[-1])
+            for _ in range(n_fine):
+                fine.append(f"f{len(fine)}")
+                fine_to_middle.append(len(middle) - 1)
+                lines.append("    " + fine[-1])
+    text = "\n".join(lines) + "\n"
+    tax = Taxonomy.from_text(text)
+    assert tax == Taxonomy(tuple(fine), tuple(middle), tuple(top),
+                           tuple(fine_to_middle), tuple(middle_to_top))
+    assert tax.to_text() == text
+
+
 def test_from_text_rejects_bad_indent():
     with pytest.raises(TaxonomyError, match="indentation"):
         Taxonomy.from_text("Top\n   oddly_indented\n")
@@ -99,6 +128,12 @@ def test_from_text_rejects_orphan_fine():
     with pytest.raises(TaxonomyError,
                        match="line 5: fine class before any middle class"):
         Taxonomy.from_text("T1\n  M1\n    f1\nT2\n    f2\n")
+
+
+def test_from_text_rejects_orphan_middle():
+    with pytest.raises(TaxonomyError,
+                       match="^line 2: middle class before any top class$"):
+        Taxonomy.from_text("\n  M1\n    f1\nT1\n")
 
 
 def test_duplicate_names_rejected():
