@@ -272,21 +272,12 @@ class Pipeline:
         write_atomic(path.with_suffix(".lusm.meta.json"),
                      encode_json(meta) + "\n")
 
-    def read_assignments(self):
-        path = self.assignments_path
-        with open(path, "rb") as f:
-            return assignments_from_jsonl(f, path)
-
     def load_mapping(self):
         """(parcels, assignments); an unknown parcel raises JSONLinesError."""
-        parcels, assignments = self.load_parcels(), self.read_assignments()
-        known = {pc.id for pc in parcels}
-        for a in assignments:
-            if not a.modes.keys() <= known:
-                gone = min(a.modes.keys() - known)
-                raise JSONLinesError(f"{self.assignments_path}: image"
-                                     f" {a.image_id}: unknown parcel {gone}")
-        return parcels, assignments
+        parcels, path = self.load_parcels(), self.assignments_path
+        with open(path, "rb") as f:
+            return parcels, assignments_from_jsonl(
+                f, path, {pc.id for pc in parcels})
 
     def read_predictions(self) -> dict[str, int]:
         path = self.predictions_path

@@ -137,7 +137,7 @@ class Assignment:
     ``"dilated"`` (within the boundary buffer)."""
 
     image_id: str
-    modes: dict[str, str] = field(compare=False)
+    modes: dict[str, str] = field(hash=False)
 
     @property
     def parcel_ids(self):
@@ -818,15 +818,17 @@ def decode_json(line):
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
-def iter_jsonl(lines, source):
-    """(line number, object) for each non-blank line of JSON lines: the
-    lines of a file opened in binary, or a ``str``, which is read as its
-    UTF-8 bytes. Lines end at a line feed only: other Unicode line ends,
-    such as U+2028, may stand raw inside a JSON string. A blank line is
-    one ``bytes.strip`` empties, so only ASCII whitespace is blank. A line
-    that is not UTF-8 (as a ``str`` holding a lone surrogate is not), not
-    JSON (a cut last line, say), or JSON but not an object raises
-    ``JSONLinesError`` naming ``source`` and the line."""
+def jsonl_rows(lines, source):
+    """(line number, row) for each row of JSON lines: the lines of a file
+    opened in binary, or a ``str``, which is read as its UTF-8 bytes. A row
+    is an object on a non-blank line, except the provenance header, which
+    is an object whose one key is ``provenance``. Lines end at a line feed
+    only: other Unicode line ends, such as U+2028, may stand raw inside a
+    JSON string. A blank line is one ``bytes.strip`` empties, so only ASCII
+    whitespace is blank. A line that is not UTF-8 (as a ``str`` holding a
+    lone surrogate is not), not JSON (a cut last line, say), or JSON but
+    not an object raises ``JSONLinesError`` naming ``source`` and the
+    line."""
     if isinstance(lines, str):
         lines = lines.encode("utf-8", "surrogatepass").split(b"\n")
     for lineno, line in enumerate(lines, start=1):
@@ -842,21 +844,14 @@ def iter_jsonl(lines, source):
         if not isinstance(obj, dict):
             raise JSONLinesError(f"{source}:{lineno}: expected a JSON object,"
                                  f" got {type(obj).__name__}")
-        yield lineno, obj
-
-
-def jsonl_rows(lines, source):
-    """(line number, row) for each row of a stage artifact, read by
-    ``iter_jsonl``: every object but the provenance header, which is an
-    object whose one key is ``provenance``."""
-    for lineno, obj in iter_jsonl(lines, source):
         if len(obj) != 1 or "provenance" not in obj:
             yield lineno, obj
 
 
-def assignments_from_jsonl(lines, source="assignments") -> list[Assignment]:
+def assignments_from_jsonl(lines, source, parcel_ids) -> list[Assignment]:
     """The assignments in JSON lines, read by ``jsonl_rows``; a pair of
-    image and parcel given twice raises ``JSONLinesError``."""
+    image and parcel given twice, or a parcel not in ``parcel_ids``,
+    raises ``JSONLinesError``."""
     by_image: dict[str, dict[str, str]] = {}
     for lineno, obj in jsonl_rows(lines, source):
         image = jsonl_value(obj, "image", str, source, lineno)
@@ -869,6 +864,9 @@ def assignments_from_jsonl(lines, source="assignments") -> list[Assignment]:
         if parcel in modes:
             raise JSONLinesError(f"{source}:{lineno}: repeated pair of image"
                                  f" {image} and parcel {parcel}")
+        if parcel not in parcel_ids:
+            raise JSONLinesError(f"{source}:{lineno}: image {image}:"
+                                 f" unknown parcel {parcel}")
         modes[parcel] = mode
     return [Assignment(image_id=i, modes=m) for i, m in by_image.items()]
 

@@ -52,16 +52,16 @@ def _table(prefix, labels, features, mixed_domains) -> ManifestTable:
 def noisy_web_split(n_classes: int, n_train: int, n_val: int, dim: int, *,
                     noise_rate: float = 0.3, seed: int = 0,
                     separation: float = 3.0, core_spread: float = 0.5,
-                    faded_fraction: float = 0.4, faded_gain: float = 0.05,
-                    faded_spread: float = 0.8, feature_scale: float = 24.0,
-                    stream: str = "object", mixed_domains: bool = False):
-    """(noisy train, clean validation) mimicking a web-scraped corpus.
+                    faded_fraction: float = 0.4, feature_scale: float = 24.0,
+                    mixed_domains: bool = False):
+    """(noisy train, clean validation) mimicking a web-scraped corpus, in
+    one stream, ``object``.
 
     Besides uniform label flips, a ``faded_fraction`` of the training
     samples carries almost no class signal: their class mean is scaled by
-    ``faded_gain`` so they sit near the origin, dominated by isotropic
-    noise. At high ``dim`` that noise is nearly orthogonal to the span of
-    the class means, so a trained model scores these samples close to
+    0.05 so they sit near the origin, dominated by isotropic noise of
+    spread 0.8. At high ``dim`` that noise is nearly orthogonal to the span
+    of the class means, so a trained model scores these samples close to
     uniform while still being confident on the core samples. They stand in
     for the off-topic images that dominate loosely labeled web data.
 
@@ -75,12 +75,12 @@ def noisy_web_split(n_classes: int, n_train: int, n_val: int, dim: int, *,
     def sample(n, noise, prefix, cores_only):
         true = np.arange(n) % n_classes
         faded = rng.random(n) < (0.0 if cores_only else faded_fraction)
-        gain = np.where(faded, faded_gain, 1.0)
-        spread = np.where(faded, faded_spread, core_spread)
+        gain = np.where(faded, 0.05, 1.0)
+        spread = np.where(faded, 0.8, core_spread)
         X = (gain[:, None] * means[true]
              + spread[:, None] * rng.normal(size=(n, dim))) * feature_scale
         labels = _flip_labels(rng, true, n_classes, noise)
-        return _table(prefix, labels, {stream: X}, mixed_domains)
+        return _table(prefix, labels, {"object": X}, mixed_domains)
 
     train = sample(n_train, noise_rate, "train", cores_only=False)
     val = sample(n_val, 0.0, "val", cores_only=True)
@@ -88,20 +88,20 @@ def noisy_web_split(n_classes: int, n_train: int, n_val: int, dim: int, *,
 
 
 def complementary_stream_split(n_classes: int, n_train: int, n_val: int,
-                               dim: int, *, seed: int = 0,
-                               separation: float = 3.0, spread: float = 1.0,
-                               streams=("object", "scene")):
+                               dim: int, *, seed: int = 0):
     """Two-stream records where each stream separates only half the classes.
 
-    The first stream collapses the means of the upper half of the classes
-    onto a single point, the second stream collapses the lower half, so
-    each stream alone is partially informative and fusion recovers both.
+    Each stream's class means lie at distance 3 from the origin, under
+    unit isotropic noise. The first stream, ``object``, collapses the means
+    of the upper half of the classes onto a single point, the second,
+    ``scene``, collapses the lower half, so each stream alone is partially
+    informative and fusion recovers both.
     """
     rng = np.random.default_rng(seed)
     half = n_classes // 2
     means = {}
-    for k, stream in enumerate(streams):
-        m = _class_means(rng, n_classes, dim, separation)
+    for k, stream in enumerate(("object", "scene")):
+        m = _class_means(rng, n_classes, dim, 3.0)
         if k == 0:
             m[half:] = m[half]
         else:
@@ -110,8 +110,8 @@ def complementary_stream_split(n_classes: int, n_train: int, n_val: int,
 
     def sample(n, prefix):
         true = np.arange(n) % n_classes
-        feats = {s: means[s][true] + spread * rng.normal(size=(n, dim))
-                 for s in streams}
+        feats = {s: m[true] + rng.normal(size=(n, dim))
+                 for s, m in means.items()}
         return _table(prefix, true, feats, mixed_domains=False)
 
     return sample(n_train, "train"), sample(n_val, "val")

@@ -705,7 +705,7 @@ def raw_utf8(data: bytes) -> bytes:
 
 @pytest.mark.parametrize("name,rows", [
     ("assignments.jsonl",
-     lambda p: [(a.image_id, *pair) for a in p.read_assignments()
+     lambda p: [(a.image_id, *pair) for a in p.load_mapping()[1]
                 for pair in a.pairs()]),
     ("predictions.jsonl", lambda p: list(p.read_predictions().items())),
 ])
@@ -786,7 +786,7 @@ def test_assignment_to_an_unknown_parcel_fails_the_stage(finished_run,
     lines[5] = json.dumps(dict(row, parcel="P_gone")) + "\n"
     (tmp_path / "assignments.jsonl").write_text("".join(lines),
                                                 encoding="utf-8")
-    message = (f"{tmp_path / 'assignments.jsonl'}: image {row['image']}:"
+    message = (f"{tmp_path / 'assignments.jsonl'}:6: image {row['image']}:"
                f" unknown parcel P_gone")
     with pytest.raises(JSONLinesError, match=re.escape(message)):
         cli.COMMANDS[stage](p)

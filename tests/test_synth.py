@@ -169,6 +169,41 @@ def test_make_city_bytes_pinned(tmp_path, city, seed):
             assert line == json.dumps(json.loads(line))
 
 
+def tables_sha256(tables) -> str:
+    """sha256 over the ids, domains, labels and feature bytes of tables."""
+    h = hashlib.sha256()
+    for t in tables:
+        h.update("\n".join(t.ids).encode() + b"\0")
+        h.update("\n".join(map(str, t.domain)).encode() + b"\0")
+        h.update(np.asarray(t.label, dtype="<i8").tobytes())
+        for stream in sorted(t.features):
+            h.update(stream.encode() + b"\0")
+            h.update(np.ascontiguousarray(t.features[stream],
+                                          dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+#: sha256 of the tables the samplers return on the acceptance tests' calls
+SAMPLER_SHA256 = {
+    ("noisy", 0): "99c2f008095e16866835a6733f938762bb02dcc7f3206b2e420a1c69864912e2",
+    ("noisy", 1): "b7d69406572ed3cc2fd606fb83b34ab88494f39ea1b7a2e362d0f78f94e1cc74",
+    ("noisy", 2): "5764a366876dfaa9cc508dbb683c421c34869fc042943f86faccc423316ff117",
+    ("noisy", 3): "0649ace0966928c64c2390de8111b9c0370d4ad0124ddf7f48b44a7b511a47cc",
+    ("noisy", 4): "c595f23f1f5c65ac41a301f6e274e4db5e904706197dcf6bcfc4e8c682ef470e",
+    ("complementary", 5): "87d76b5031ab655c86f795125a3ed75216a0b0b4d82950b8e0b3c0588f5ed952",
+}
+
+
+@pytest.mark.parametrize("sampler, seed", sorted(SAMPLER_SHA256))
+def test_sampler_draws_pinned(sampler, seed):
+    if sampler == "noisy":
+        tables = noisy_web_split(10, 2000, 2000, 512, seed=seed,
+                                 noise_rate=0.3)
+    else:
+        tables = complementary_stream_split(6, 1800, 600, 16, seed=seed)
+    assert tables_sha256(tables) == SAMPLER_SHA256[sampler, seed]
+
+
 @pytest.mark.parametrize("n_truth", [1, 2])
 @pytest.mark.parametrize("seed", [0, 7, 11])
 def test_one_integer_draw_picks_as_choice_does(n_truth, seed):
