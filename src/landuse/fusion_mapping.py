@@ -129,7 +129,8 @@ def export_map(parcels, votes: np.ndarray, taxonomy: Taxonomy,
     doc = {"type": "FeatureCollection", "features": features}
     if provenance is not None:
         doc["provenance"] = provenance
-    checked = [p.rings for p in mapped] if plain_coordinates(mapped) else []
+    polygons = [p.rings for p in mapped]
+    checked = polygons if plain_coordinates(polygons) else []
     if checked and plain_strings([p.id for p in mapped] + [*fine, *names]):
         checked = [features]  # the rest of each is ints and ASCII literals
     return encode_json(doc, checked) + "\n"

@@ -350,14 +350,15 @@ def _member_object(feature: dict, key: str, fid: str) -> dict:
     return value
 
 
-def plain_coordinates(parcels) -> bool:
-    """Whether ``encode_json`` may leave the coordinates of ``parcels``
-    unwalked: each is a float or an int, and zero or of magnitude in
-    [1e-4, 1e16), so orjson writes it as json does. One check covers every
-    coordinate. An int of 1e16 or more fails it, though orjson writes
-    such an int as json does; the walk then decides."""
+def plain_coordinates(polygons) -> bool:
+    """Whether ``encode_json`` may leave the coordinates of ``polygons``,
+    each a sequence of rings of ``(lon, lat)`` pairs, unwalked: each is a
+    float or an int, and zero or of magnitude in [1e-4, 1e16), so orjson
+    writes it as json does. One check covers every coordinate. An int of
+    1e16 or more fails it, though orjson writes such an int as json does;
+    the walk then decides."""
     coords = list(chain.from_iterable(chain.from_iterable(
-        chain.from_iterable(p.rings for p in parcels))))
+        chain.from_iterable(polygons))))
     return (set(map(type, coords)) <= {float, int}
             and bool(_plain_floats(np.array(coords, dtype=np.float64))))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .atomic import atomic_output, write_atomic
 from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
 from .geodata import (METERS_PER_DEGREE, encode_float_rows, encode_json,
-                      encode_row)
+                      encode_row, plain_coordinates, plain_strings)
 from .taxonomy import Taxonomy
 
 
@@ -147,29 +147,41 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     so a fraction of them land in the gap and exercise the dilated and
     dropped paths of geo-filtering.
 
-    Each manifest line is the ``json.dumps`` of its record, ``features``
-    last. The rows are written as they are drawn, in blocks of
-    ``max(1, 2048 // dim)``: each row's head (every key but ``features``)
-    by ``geodata.encode_row``, and each stream's vectors by one
-    ``geodata.encode_float_rows`` per block over the stacked arrays drawn;
-    both give json's bytes.
+    Each row draws the noise of all its streams in one
+    ``rng.normal(size=(len(streams), dim))`` call; a map image draws its
+    geotag offset (the first two values, times ``geo_sigma_m``) in the
+    same call. A stream named twice keeps its last draw. Each manifest
+    line is the ``json.dumps`` of its record, ``features`` last. The rows
+    are written as they are drawn, in blocks of ``max(1, 2048 // dim)``:
+    each row's head (every key but ``features``) by ``geodata.encode_row``,
+    and each stream's vectors by one ``geodata.encode_float_rows`` over
+    the block's ``(class mean + spread * noise) * feature_scale``; both
+    give json's bytes. A bad argument raises ``ValueError`` before any
+    file is written.
     """
+    n_fine = len(taxonomy.fine_classes)
+    n_classes = min(n_classes, n_fine)
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be at least 2 (and is capped at the"
+                         f" taxonomy's {n_fine} fine classes), got {n_classes}")
+    for name, value in (("grid", grid), ("images_per_parcel", images_per_parcel),
+                        ("train_per_class", train_per_class),
+                        ("val_per_class", val_per_class), ("dim", dim),
+                        ("geo_sigma_m", geo_sigma_m)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if not 0.0 <= noise_rate <= 1.0:
+        raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {key: out_dir / name for key, name in CITY_FILES.items()}
     rng = np.random.default_rng(seed)
-    n_classes = min(n_classes, len(taxonomy.fine_classes))
     means = {s: _class_means(rng, n_classes, dim, separation) for s in streams}
 
     lon0, lat0 = -122.42, 37.75
     parcel_size_m, step_m = 80.0, 100.0   # 20 m gaps between parcels
     dlat = 1.0 / METERS_PER_DEGREE
     dlon = dlat / math.cos(math.radians(lat0))
-
-    def features_for(cls):
-        return {s: (means[s][cls]
-                    + spread * rng.normal(size=dim)) * feature_scale
-                for s in streams}
 
     # parcels
     features = []
@@ -196,25 +208,36 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
             center = (lon0 + (x0 + parcel_size_m / 2) * dlon,
                       lat0 + (y0 + parcel_size_m / 2) * dlat)
             parcel_info.append((pid, truth, center))
+    # as in export_map, the walk skips the rings, or the whole features
+    polygons = [f["geometry"]["coordinates"] for f in features]
+    checked = polygons if plain_coordinates(polygons) else []
+    if checked and plain_strings([f["id"] for f in features]
+                                 + list(taxonomy.fine_classes)):
+        checked = [features]
     write_atomic(paths["parcels"], encode_json(
-        {"type": "FeatureCollection", "features": features}) + "\n")
+        {"type": "FeatureCollection", "features": features}, checked) + "\n")
 
     # train / val manifests, written in blocks of rows as they are drawn;
-    # a row is its head and its feature vectors, which come last, so its
-    # line is the head's text with the feature object put in before the
-    # closing brace
-    keys = {s: json.dumps(s).encode("utf-8") + b": " for s in streams}
+    # a row is its head, its class and its streams' noise, and its line is
+    # the head's text with the feature object put in before the closing
+    # brace. A stream named twice keeps its last draw, as a dict built
+    # over ``streams`` would.
+    column = {s: j for j, s in enumerate(streams)}
+    keys = [json.dumps(s).encode("utf-8") + b": " for s in column]
     block = max(1, 2048 // max(dim, 1))   # about 2048 floats per stream
 
     def write_manifest(path, rows):
         with atomic_output(path) as f:
             while chunk := list(islice(rows, block)):
-                texts = {s: encode_float_rows(np.array([v[s] for _, v in chunk]))
-                         for s in keys}
+                heads, classes, noise = zip(*chunk)
+                classes, noise = np.array(classes), np.stack(noise)
+                texts = [encode_float_rows(
+                    (means[s][classes] + spread * noise[:, j]) * feature_scale)
+                    for s, j in column.items()]
                 f.write(b"".join(
                     encode_row(head)[:-1].encode("utf-8") + b', "features": {'
-                    + b", ".join(keys[s] + texts[s][i] for s in keys) + b"}}\n"
-                    for i, (head, _) in enumerate(chunk)))
+                    + b", ".join(key + text[i] for key, text in zip(keys, texts))
+                    + b"}}\n" for i, head in enumerate(heads)))
 
     def training_rows(prefix, per_class, noise):
         i = 0
@@ -227,7 +250,7 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
                     "id": f"{prefix}{i:06d}",
                     "domain": DOMAIN_A if i % 2 == 0 else DOMAIN_B,
                     "label": taxonomy.fine_classes[label],
-                }, features_for(cls)
+                }, cls, rng.normal(size=(len(streams), dim))
                 i += 1
 
     write_manifest(paths["train"],
@@ -240,14 +263,17 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
         for pid, truth, (clon, clat) in parcel_info:
             for _ in range(images_per_parcel):
                 cls = truth[int(rng.integers(len(truth)))]
-                dx, dy = rng.normal(scale=geo_sigma_m, size=2)
+                # the geotag offset and the noise in one draw; the offset
+                # is what normal(scale=geo_sigma_m, size=2) gives
+                z = rng.normal(size=2 + len(streams) * dim)
+                dx, dy = geo_sigma_m * z[:2]
                 yield {
                     "id": f"m{i:06d}",
                     "domain": DOMAIN_B,
                     "lon": _round_coord(clon + dx * dlon),
                     "lat": _round_coord(clat + dy * dlat),
                     "label": taxonomy.fine_classes[cls],
-                }, features_for(cls)
+                }, cls, z[2:].reshape(len(streams), dim)
                 i += 1
 
     write_manifest(paths["map"], map_rows())

@@ -10,7 +10,7 @@ from landuse.dataset import DOMAIN_A, DOMAIN_B, load_manifest
 from landuse.geodata import parse_parcels
 from landuse.synth import (complementary_stream_split, make_city,
                            noisy_web_split)
-from landuse.taxonomy import builtin_taxonomy
+from landuse.taxonomy import Taxonomy, builtin_taxonomy
 
 TAX = builtin_taxonomy()
 
@@ -116,6 +116,38 @@ def test_make_city_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["parcels.geojson"]
 
 
+#: a taxonomy of one fine class, which caps every city at one class
+ONE_CLASS = Taxonomy.from_text("Top\n  Middle\n    only\n")
+
+
+@pytest.mark.parametrize("kwargs, taxonomy, name", [
+    pytest.param(dict(n_classes=1), TAX, "n_classes", id="one-class"),
+    pytest.param({}, ONE_CLASS, "n_classes", id="capped-to-one-class"),
+    pytest.param(dict(grid=-2), TAX, "grid", id="grid"),
+    pytest.param(dict(images_per_parcel=-1), TAX, "images_per_parcel",
+                 id="images_per_parcel"),
+    pytest.param(dict(train_per_class=-1), TAX, "train_per_class",
+                 id="train_per_class"),
+    pytest.param(dict(val_per_class=-1), TAX, "val_per_class",
+                 id="val_per_class"),
+    pytest.param(dict(dim=-1), TAX, "dim", id="dim"),
+    pytest.param(dict(geo_sigma_m=-0.5), TAX, "geo_sigma_m",
+                 id="geo_sigma_m"),
+    pytest.param(dict(geo_sigma_m=float("nan")), TAX, "geo_sigma_m",
+                 id="geo_sigma_m-nan"),
+    pytest.param(dict(noise_rate=-0.1), TAX, "noise_rate", id="noise-low"),
+    pytest.param(dict(noise_rate=1.5), TAX, "noise_rate", id="noise-high"),
+    pytest.param(dict(noise_rate=float("nan")), TAX, "noise_rate",
+                 id="noise-nan"),
+])
+def test_make_city_rejects_bad_arguments_before_writing(tmp_path, kwargs,
+                                                       taxonomy, name):
+    out = tmp_path / "city"
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make_city(out, taxonomy, seed=1, **kwargs)
+    assert not out.exists()
+
+
 #: a learn_wide-shaped city (45 classes, 256-dim features), kept small
 WIDE_CITY = dict(n_classes=45, dim=256, grid=3, images_per_parcel=3,
                  train_per_class=2, val_per_class=1, noise_rate=0.4,
@@ -126,8 +158,27 @@ DENSE_CITY = dict(n_classes=16, grid=16, images_per_parcel=6,
                   geo_sigma_m=25.0, dim=16, train_per_class=40,
                   val_per_class=10)
 
+#: the city of the benchmark's parcels_detailed workload
+DETAILED_CITY = dict(n_classes=16, grid=8, images_per_parcel=4,
+                     geo_sigma_m=20.0, dim=16, train_per_class=40,
+                     val_per_class=10)
+
+#: the keyword arguments of each pinned city but the seed
+CITIES = {
+    "default": {}, "dense": DENSE_CITY, "wide": WIDE_CITY,
+    "detailed": DETAILED_CITY,
+    "one_stream": dict(streams=("object",)),
+    "three_streams": dict(streams=("object", "scene", "texture")),
+    "repeated_stream": dict(streams=("object", "object")),
+    "dim0": dict(dim=0),
+    "no_map_images": dict(images_per_parcel=0),
+}
+
 #: sha256 of each file make_city writes; each default city holds one
-#: vector that the standard json writer must write
+#: vector that the standard json writer must write. The cities from
+#: "detailed" on pin what drawing a row's streams in one call could
+#: break: their stream counts, a stream named twice (its last draw is
+#: kept), no feature values and no map images.
 CITY_SHA256 = {
     ("dense", 7): {
         "parcels": "8da5f600d1e59d4511d9885ba0d388dae48c33e7c416569707b022836e72ba52",
@@ -154,13 +205,42 @@ CITY_SHA256 = {
         "train": "ebe6c67d1402ee1ed88f1fe2cd8b4ae3cd668b4798a223b0844f538dc5918130",
         "val": "f6782d2478026df60c84d55cf89623018577da9b100dc355c422be5695f0dbb0",
         "map": "0b33109376cad41f684346366288de97966cad26aeab29b3c70c71bd62e1f54c"},
+    ("detailed", 7): {
+        "parcels": "50f9350f2463e397353588fd01e44a18d4450a4b01b52ad594e6e360180b6d7e",
+        "train": "413b96d47a8b67f5852b695973513b8070ee2c0d9624e6911bd2d4702382104c",
+        "val": "819ef27b8a4a2b48e20c6fdbf1832f9ea03a52729ca9b7726b56f928975c6807",
+        "map": "81ca121d682d39756b34d2906901fbd003730d1c8278da49f3377bbfc24855ad"},
+    ("one_stream", 7): {
+        "parcels": "4e3dc5fb1bc5bc3ccc7bb533319c0412ff495281819edf95d62dfd4291f0fc65",
+        "train": "eaf9e82739ac5e16b77ad5594220905da3f03fc06e837ca87994a3199013c297",
+        "val": "d23c532596b1ef6304faeabda7bd8fc77234d67791960a8d41ac61582fb257b1",
+        "map": "cac50f1e7b0873006a540a531a9b32970916ee46e189083d480faa43ea65f739"},
+    ("three_streams", 11): {
+        "parcels": "cf85cd2c40268371e4b2b894a42c1fa6a76386e6b2775c7b8b0e2bf63f991dcf",
+        "train": "08f297f291bb77333c9d70459ffd06b92ac8dcc5ab6e111819be3cd707571006",
+        "val": "9b0eb7d679b4ccebd249836a71b5779346a789ce99660de4f6b5847cb8c3720f",
+        "map": "7d6be89ab90cf020af32ad1f4a02654504b779f0a8fd0b7177ac90b7115176cf"},
+    ("repeated_stream", 3): {
+        "parcels": "3b6c50cbaa2c684d14af30bd30fb5a5df65f8868bf95989804df36d99543efc2",
+        "train": "758c4f79466fe63479e6f989173f37896587e91fc918a5df2478cf4c98e68a41",
+        "val": "1703f4d6373d0f4859aa3916585115b1ce787a0932817cd434843fccbb5929d8",
+        "map": "0b241ec7c01718f31b6915c2b19e77fe713809d4188ec1639f6f0725b191451a"},
+    ("dim0", 7): {
+        "parcels": "2840f8748e148139d8ea13f8e82323b6f83e31935625e0229d31bb0a380176ff",
+        "train": "bb40711cee786d06b316a36552667a807657e8186abca4afcac99e5c72d9eb30",
+        "val": "ddb2f2047bbefca9fe1f0b1998e95c3b40ce6741092faeee1360aa2223e57021",
+        "map": "e271f4463d9f63611a2db0f3de9d2c671d82f0e282998bc4725167b4cc27310e"},
+    ("no_map_images", 7): {
+        "parcels": "0499f528222ffbffe3cbe5eb7033f39a6a0517c2b74802af37c1df724769e413",
+        "train": "3539af6e267f98638afdbc0559f68d42d82827500bf9ca02cd448984df740f0f",
+        "val": "11bcd74ee3243ddab88893948fb36d80f366d1600c214388d58cafe2ba60c2c9",
+        "map": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
 }
 
 
 @pytest.mark.parametrize("city, seed", sorted(CITY_SHA256))
 def test_make_city_bytes_pinned(tmp_path, city, seed):
-    kwargs = {"wide": WIDE_CITY, "dense": DENSE_CITY}.get(city, {})
-    paths = make_city(tmp_path, TAX, seed=seed, **kwargs)
+    paths = make_city(tmp_path, TAX, seed=seed, **CITIES[city])
     got = {key: hashlib.sha256(path.read_bytes()).hexdigest()
            for key, path in paths.items()}
     assert got == CITY_SHA256[city, seed]
@@ -216,3 +296,28 @@ def test_one_integer_draw_picks_as_choice_does(n_truth, seed):
         assert ours.normal(size=2).tolist() == theirs.normal(size=2).tolist()
     assert ours.random() == theirs.random()
 
+
+
+@pytest.mark.parametrize("dim", [0, 1, 16, 256])
+@pytest.mark.parametrize("n_streams", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_one_normal_draw_per_row_draws_as_separate_calls_do(seed, n_streams,
+                                                            dim):
+    """A training row's noise, one ``(streams, dim)`` draw, and a map
+    image's geotag and noise, one flat draw, give the values of one draw
+    per stream (and of ``normal(scale=sigma, size=2)`` for the geotag) and
+    leave the generator where those leave it, with the integer draws of
+    the classes in between."""
+    sigma = 25.0
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert ours.integers(3) == theirs.integers(3)
+        assert (ours.normal(size=(n_streams, dim)).tolist()
+                == [theirs.normal(size=dim).tolist() for _ in range(n_streams)])
+        assert ours.integers(3) == theirs.integers(3)
+        z = ours.normal(size=2 + n_streams * dim)
+        assert (sigma * z[:2]).tolist() == theirs.normal(scale=sigma,
+                                                          size=2).tolist()
+        assert (z[2:].reshape(n_streams, dim).tolist()
+                == [theirs.normal(size=dim).tolist() for _ in range(n_streams)])
+    assert ours.random() == theirs.random()
