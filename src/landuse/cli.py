@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # no
                              predict_image, predict_table)
 from .geodata import (DEFAULT_DILATION_M, GeoPoint, JSONLinesError, assign,
                       assignments_from_jsonl, assignments_to_jsonl,
-                      encode_json, encode_row, jsonl_rows, jsonl_value,
+                      encode_json, jsonl_rows, jsonl_value,
                       parse_parcels, read_parcel_entry, write_parcel_entry)
 from .taxonomy import Level, Taxonomy, builtin_taxonomy
 
@@ -270,7 +269,7 @@ class Pipeline:
         meta = dict(self.provenance, stream=stream,
                     val_accuracy=result.val_accuracy)
         write_atomic(path.with_suffix(".lusm.meta.json"),
-                     encode_json(meta) + "\n")
+                     encode_json(meta, indent=True) + b"\n")
 
     def load_mapping(self):
         """(parcels, assignments); an unknown parcel raises JSONLinesError."""
@@ -296,10 +295,10 @@ class Pipeline:
                 preds[image] = pred
         return preds
 
-    def _write_jsonl(self, path: Path, body: str) -> None:
+    def _write_jsonl(self, path: Path, body: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        header = json.dumps({"provenance": self.provenance})
-        write_atomic(path, header + "\n" + body)
+        header = encode_json({"provenance": self.provenance})
+        write_atomic(path, header + b"\n" + body)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +342,10 @@ def cmd_predict(p: Pipeline) -> None:
     table = p.load_split("map_manifest")
     preds = (predict_table(models, table, p.fusion_weights())[0].tolist()
              if len(table) else [])
-    lines = [encode_row({"image": rid, "pred": k,
-                         "class": p.taxonomy.fine_classes[k]})
-             for rid, k in zip(table.ids, preds)]
-    p._write_jsonl(p.predictions_path,
-                   "\n".join(lines) + ("\n" if lines else ""))
+    fine = p.taxonomy.fine_classes
+    p._write_jsonl(p.predictions_path, b"".join(
+        encode_json({"image": rid, "pred": k, "class": fine[k]}) + b"\n"
+        for rid, k in zip(table.ids, preds)))
 
 
 def cmd_map(p: Pipeline) -> None:
@@ -381,7 +379,8 @@ def cmd_eval(p: Pipeline) -> None:
                                   {i: up[c] for i, c in labels.items()})
     out = {"provenance": p.provenance, "image_accuracy": accuracy,
            "mapping": report.to_json()}
-    write_atomic(p.out_dir / "report.json", encode_json(out) + "\n")
+    write_atomic(p.out_dir / "report.json",
+                 encode_json(out, indent=True) + b"\n")
     write_atomic(p.out_dir / "per_class.csv",
                  per_class_report(report, p.taxonomy,
                                   image_predictions=predictions,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .classifier import SoftmaxModel, forward
 from .dataset import ImageRecord, ManifestTable, missing_stream
-from .geodata import encode_json, plain_coordinates, plain_strings
+from .geodata import encode_json
 from .taxonomy import Level, Taxonomy, TaxonomyError
 
 
@@ -96,15 +96,15 @@ def aggregate_parcels(assignments, predictions: dict[str, int], parcels,
 
 
 def export_map(parcels, votes: np.ndarray, taxonomy: Taxonomy,
-               level: Level = Level.FINE, provenance: dict | None = None) -> str:
+               level: Level = Level.FINE, provenance: dict | None = None) -> bytes:
     """GeoJSON FeatureCollection of the parcels with votes in ``votes``
     (``aggregate_parcels``). The majority label is rolled up to ``level``;
     the fine histogram is kept in the properties so mixed-use parcels stay
     visible. Geometry is the parcels' rings, verbatim. A ``provenance``
-    given is the last member. The text is ``json.dumps(collection,
-    indent=2)`` and a line feed, by ``geodata.encode_json``; its walk skips
-    the rings if ``plain_coordinates`` passes, and whole features if
-    ``plain_strings`` passes as well."""
+    given is the last member. The text is orjson's, indented by two
+    spaces and ended by a line feed, from ``geodata.encode_json``; a
+    parcel id with a lone surrogate, or an integer coordinate past 64
+    bits, has ``json`` write the whole collection instead."""
     histograms: dict[int, dict[str, int]] = {}
     rows, cols = np.nonzero(votes)
     fine = taxonomy.fine_classes
@@ -129,8 +129,4 @@ def export_map(parcels, votes: np.ndarray, taxonomy: Taxonomy,
     doc = {"type": "FeatureCollection", "features": features}
     if provenance is not None:
         doc["provenance"] = provenance
-    polygons = [p.rings for p in mapped]
-    checked = polygons if plain_coordinates(polygons) else []
-    if checked and plain_strings([p.id for p in mapped] + [*fine, *names]):
-        checked = [features]  # the rest of each is ints and ASCII literals
-    return encode_json(doc, checked) + "\n"
+    return encode_json(doc, indent=True) + b"\n"

@@ -32,7 +32,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -58,20 +57,6 @@ _GRID_MIN_CELL = 1e-9
 #: orjson reads an integer literal past 64 bits as a float, which is at
 #: least this large in magnitude
 _INT64_BOUND = 2.0 ** 63
-
-#: orjson writes a nonzero float as ``repr`` does, and so as json does,
-#: only at magnitudes in [_PLAIN_FLOAT_MIN, _PLAIN_FLOAT_MAX): outside them
-#: ``repr`` writes ``1e-05`` and ``1e+16`` where orjson writes ``0.00001``
-#: and ``1e16``
-_PLAIN_FLOAT_MIN = 1e-4
-_PLAIN_FLOAT_MAX = 1e16
-
-#: the integers orjson writes; past them it raises
-_ORJSON_INT_MIN = -2 ** 63
-_ORJSON_INT_END = 2 ** 64
-
-#: containers orjson writes nested at most this deep; past it it raises
-_ORJSON_DEPTH = 255
 
 
 class GeoJSONParseError(ValueError):
@@ -350,25 +335,6 @@ def _member_object(feature: dict, key: str, fid: str) -> dict:
     return value
 
 
-def plain_coordinates(polygons) -> bool:
-    """Whether ``encode_json`` may leave the coordinates of ``polygons``,
-    each a sequence of rings of ``(lon, lat)`` pairs, unwalked: each is a
-    float or an int, and zero or of magnitude in [1e-4, 1e16), so orjson
-    writes it as json does. One check covers every coordinate. An int of
-    1e16 or more fails it, though orjson writes such an int as json does;
-    the walk then decides."""
-    coords = list(chain.from_iterable(chain.from_iterable(
-        chain.from_iterable(polygons))))
-    return (set(map(type, coords)) <= {float, int}
-            and bool(_plain_floats(np.array(coords, dtype=np.float64))))
-
-
-def plain_strings(strings) -> bool:
-    """Whether ``encode_json`` may skip ``strings``: all ASCII without DEL."""
-    text = "".join(strings)
-    return text.isascii() and "\x7f" not in text
-
-
 # ---------------------------------------------------------------------------
 # parcel entry
 #
@@ -630,155 +596,50 @@ def _median_cell(sizes: list[float]) -> float:
     return max(sorted(sizes)[len(sizes) // 2], _GRID_MIN_CELL)
 
 
-def assignments_to_jsonl(assignments) -> str:
-    """One JSON object per (image, parcel) pair."""
-    lines = [encode_row({"image": a.image_id, "parcel": parcel_id,
-                         "mode": mode})
-             for a in assignments for parcel_id, mode in a.pairs()]
-    return "\n".join(lines) + ("\n" if lines else "")
+def assignments_to_jsonl(assignments) -> bytes:
+    """One JSON object per (image, parcel) pair, a line each."""
+    return b"".join(encode_json({"image": a.image_id, "parcel": parcel_id,
+                                 "mode": mode}) + b"\n"
+                    for a in assignments for parcel_id, mode in a.pairs())
 
 
 # ---------------------------------------------------------------------------
 # JSON text
 #
-# ``decode_json``, ``encode_json``, ``encode_row`` and ``encode_float_rows``
-# are one contract: the program's JSON reader, its writer of indented JSON,
-# its writer of JSON-lines rows and its writer of feature vectors each give
-# what the standard ``json`` module gives (``json.loads(text)``,
-# ``json.dumps(value, indent=2)``, ``json.dumps(row)``,
-# ``json.dumps(vec.tolist())`` of each row). Each writes the text itself, or
-# lets orjson do the work, wherever the result is known to be the same, and
-# falls back to ``json`` for the rest; there is no option to choose. The writers are
-# exact. The reader differs in the two ways its docstring names: an integer
-# literal past 64 bits nested inside a value, and a text nested past json's
-# recursion limit.
+# Every JSON artifact is orjson's text, written by ``encode_json``: a
+# document indented by two spaces, a JSON-lines row compact. The one
+# exception is a value orjson refuses for what it holds, an integer past
+# 64 bits or a string with a lone surrogate, which ``json`` writes
+# instead. ``decode_json`` reads the text back to the value written, with
+# the two exceptions its docstring names.
 
 
-def encode_json(value, checked=()) -> str:
-    """``json.dumps(value, indent=2)``, written by orjson wherever that
-    gives the same text.
+#: the starts of orjson's messages for the values it refuses that json
+#: writes: an integer past 64 bits and a string with a lone surrogate
+_JSON_FALLBACK = ("Integer exceeds 64-bit range", "str is not valid UTF-8")
 
-    One walk over ``value`` decides. orjson writes the text if the walk
-    finds only these exact types: ``dict`` with ``str`` keys, ``list``,
-    ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``, nested
-    in at most as many containers as orjson writes (255), and finds only
-    values that orjson writes as json does:
 
-    - strings and keys of ASCII without DEL; json escapes the rest under
-      ``ensure_ascii``, and both escape control characters alike;
-    - floats that are zero or of magnitude in [1e-4, 1e16), which both
-      write as ``repr`` does; outside that range the notations differ,
-      and orjson writes a non-finite float as ``null``;
-    - integers in [-2**63, 2**64), past which orjson raises.
+def encode_json(value, indent: bool = False) -> bytes:
+    """orjson's UTF-8 text of ``value``, indented by two spaces if
+    ``indent``, compact otherwise; numpy arrays are written as lists.
 
-    json writes every other value, and any value orjson refuses, so json's
-    text and exceptions hold: a circular value, where the walk stops at
-    the depth bound, raises json's ``ValueError``.
-
-    ``checked`` names containers inside ``value`` whose members the caller
-    has already found to be such values, as ``plain_coordinates`` finds a
-    map's coordinate lists to be; the walk does not enter them.
+    A value holding an integer past 64 bits or a string with a lone
+    surrogate, which orjson refuses, is written by ``json.dumps`` with
+    orjson's separators; it escapes every non-ASCII character. Any other
+    value orjson refuses (a key that is not a string, a value nested past
+    255 containers) raises its ``JSONEncodeError``, a ``TypeError``. A
+    non-finite float is written as ``null``, so no caller may hand one in.
     """
-    if _orjson_writes_as_json(value, 0, {id(c) for c in checked}):
-        try:
-            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
-        except orjson.JSONEncodeError:
-            pass
-    return json.dumps(value, indent=2)
-
-
-def _finite_float(value: float) -> str:
-    """json's text for a finite float, ``float.__repr__``; a non-finite
-    one raises ``ValueError``, and json writes it (``NaN``, ``Infinity``)."""
-    if not math.isfinite(value):
-        raise ValueError(value)
-    return float.__repr__(value)
-
-
-#: the value types ``encode_row`` writes, by the functions json uses
-_ROW_VALUES = {str: encode_basestring_ascii, int: int.__repr__,
-               float: _finite_float}
-
-
-def encode_row(row: dict) -> str:
-    """``json.dumps(row)``, written as json writes a row of ``str`` keys
-    and ``str``, ``int`` or finite ``float`` values; ``json.dumps`` writes
-    any other row."""
     try:
-        return "{" + ", ".join([
-            f"{encode_basestring_ascii(key)}: {_ROW_VALUES[type(value)](value)}"
-            for key, value in row.items()]) + "}"
-    except (KeyError, TypeError, ValueError):
-        return json.dumps(row)
-
-
-def encode_float_rows(rows: np.ndarray) -> list[bytes]:
-    """``json.dumps(vec.tolist()).encode()`` of each row ``vec`` of a 2-D
-    array, written by orjson wherever that gives the same text.
-
-    One test over the whole array finds the rows whose values are all zero
-    or of magnitude in [1e-4, 1e16), the floats ``encode_json`` lets orjson
-    write. orjson writes each such row of a float64 array, and json puts
-    ``", "`` where orjson puts ``","``. json writes every other row (one
-    holding NaN, an infinity, ``1e-05`` or ``1e+16``, say), every row of
-    another dtype, whose values orjson writes at that precision, and any
-    row orjson refuses, such as a slice that is not contiguous.
-    """
-    plain = (_plain_floats(rows).tolist() if rows.dtype == np.float64
-             else [False] * len(rows))
-    return [_float_text(vec, ok) for vec, ok in zip(rows, plain)]
-
-
-def _float_text(vec: np.ndarray, plain: bool) -> bytes:
-    """One row of ``encode_float_rows``: orjson's text, with json's
-    separator, if ``plain`` and orjson takes ``vec``; json's otherwise."""
-    if plain:
-        try:
-            return orjson.dumps(vec, option=orjson.OPT_SERIALIZE_NUMPY
-                                ).replace(b",", b", ")
-        except orjson.JSONEncodeError:
-            pass
-    return json.dumps(vec.tolist()).encode()
-
-
-def _plain_floats(values: np.ndarray) -> np.ndarray:
-    """Whether every value along the last axis of ``values`` is zero or of
-    magnitude in [1e-4, 1e16), as the floats orjson writes as json does
-    are."""
-    mag = np.abs(values)
-    return (((mag >= _PLAIN_FLOAT_MIN) & (mag < _PLAIN_FLOAT_MAX))
-            | (mag == 0.0)).all(axis=-1)
-
-
-def _orjson_writes_as_json(value, depth: int, checked: set[int]) -> bool:
-    """Whether orjson writes ``value``, inside ``depth`` containers, as
-    json does; a container whose ``id`` is in ``checked`` is taken as it
-    is. See ``encode_json``."""
-    kind = type(value)
-    if kind is float:
-        return (value == 0.0
-                or _PLAIN_FLOAT_MIN <= abs(value) < _PLAIN_FLOAT_MAX)
-    if kind is str:
-        return value.isascii() and "\x7f" not in value
-    if kind is int:
-        return _ORJSON_INT_MIN <= value < _ORJSON_INT_END
-    if kind is bool or value is None or id(value) in checked:
-        return True
-    if depth == _ORJSON_DEPTH:
-        return False
-    if kind is list or kind is tuple:
-        members = value
-    elif kind is dict:
-        if not all(type(key) is str and key.isascii() and "\x7f" not in key
-                   for key in value):
-            return False
-        members = value.values()
-    else:
-        return False
-    for member in members:
-        if not _orjson_writes_as_json(member, depth + 1, checked):
-            return False
-    return True
+        return orjson.dumps(value, default=np.ndarray.tolist,
+                            option=orjson.OPT_SERIALIZE_NUMPY
+                            | (orjson.OPT_INDENT_2 if indent else 0))
+    except orjson.JSONEncodeError as e:
+        if not str(e).startswith(_JSON_FALLBACK):
+            raise
+    return json.dumps(value, indent=2 if indent else None,
+                      separators=(",", ": " if indent else ":"),
+                      default=np.ndarray.tolist).encode()
 
 
 def decode_json(line):

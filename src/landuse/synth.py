@@ -7,7 +7,6 @@ data from this module. All generation is seeded and byte-deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import islice
 from pathlib import Path
@@ -16,8 +15,7 @@ import numpy as np
 
 from .atomic import atomic_output, write_atomic
 from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
-from .geodata import (METERS_PER_DEGREE, encode_float_rows, encode_json,
-                      encode_row, plain_coordinates, plain_strings)
+from .geodata import METERS_PER_DEGREE, encode_json
 from .taxonomy import Taxonomy
 
 
@@ -150,14 +148,15 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     Each row draws the noise of all its streams in one
     ``rng.normal(size=(len(streams), dim))`` call; a map image draws its
     geotag offset (the first two values, times ``geo_sigma_m``) in the
-    same call. A stream named twice keeps its last draw. Each manifest
-    line is the ``json.dumps`` of its record, ``features`` last. The rows
-    are written as they are drawn, in blocks of ``max(1, 2048 // dim)``:
-    each row's head (every key but ``features``) by ``geodata.encode_row``,
-    and each stream's vectors by one ``geodata.encode_float_rows`` over
-    the block's ``(class mean + spread * noise) * feature_scale``; both
-    give json's bytes. A bad argument raises ``ValueError`` before any
-    file is written.
+    same call. A stream named twice keeps its last draw. The rows are
+    written as they are drawn, in blocks of ``max(1, 2048 // dim)``: each
+    stream's block is ``(class mean + spread * noise) * feature_scale``
+    over the block's stacked draws, and each manifest line is
+    ``geodata.encode_json`` of its record, ``features`` last, whose
+    vectors are rows of those blocks. A bad argument raises ``ValueError``
+    before any file is written. So does a block holding a non-finite
+    value (from a ``feature_scale`` of 1e308, say), which orjson would
+    write as ``null``; the manifest being written is then left out.
     """
     n_fine = len(taxonomy.fine_classes)
     n_classes = min(n_classes, n_fine)
@@ -208,22 +207,14 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
             center = (lon0 + (x0 + parcel_size_m / 2) * dlon,
                       lat0 + (y0 + parcel_size_m / 2) * dlat)
             parcel_info.append((pid, truth, center))
-    # as in export_map, the walk skips the rings, or the whole features
-    polygons = [f["geometry"]["coordinates"] for f in features]
-    checked = polygons if plain_coordinates(polygons) else []
-    if checked and plain_strings([f["id"] for f in features]
-                                 + list(taxonomy.fine_classes)):
-        checked = [features]
     write_atomic(paths["parcels"], encode_json(
-        {"type": "FeatureCollection", "features": features}, checked) + "\n")
+        {"type": "FeatureCollection", "features": features}, indent=True)
+        + b"\n")
 
     # train / val manifests, written in blocks of rows as they are drawn;
-    # a row is its head, its class and its streams' noise, and its line is
-    # the head's text with the feature object put in before the closing
-    # brace. A stream named twice keeps its last draw, as a dict built
-    # over ``streams`` would.
+    # a row is its head, its class and its streams' noise. A stream named
+    # twice keeps its last draw, as a dict built over ``streams`` would.
     column = {s: j for j, s in enumerate(streams)}
-    keys = [json.dumps(s).encode("utf-8") + b": " for s in column]
     block = max(1, 2048 // max(dim, 1))   # about 2048 floats per stream
 
     def write_manifest(path, rows):
@@ -231,13 +222,17 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
             while chunk := list(islice(rows, block)):
                 heads, classes, noise = zip(*chunk)
                 classes, noise = np.array(classes), np.stack(noise)
-                texts = [encode_float_rows(
-                    (means[s][classes] + spread * noise[:, j]) * feature_scale)
-                    for s, j in column.items()]
-                f.write(b"".join(
-                    encode_row(head)[:-1].encode("utf-8") + b', "features": {'
-                    + b", ".join(key + text[i] for key, text in zip(keys, texts))
-                    + b"}}\n" for i, head in enumerate(heads)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    blocks = {s: (means[s][classes] + spread * noise[:, j])
+                              * feature_scale for s, j in column.items()}
+                if not all(np.isfinite(b).all() for b in blocks.values()):
+                    raise ValueError(
+                        f"{path.name}: a drawn feature value is not finite"
+                        f" (feature_scale {feature_scale}, spread {spread},"
+                        f" separation {separation})")
+                f.write(b"".join(encode_json(dict(head, features={
+                    s: b[i] for s, b in blocks.items()})) + b"\n"
+                    for i, head in enumerate(heads)))
 
     def training_rows(prefix, per_class, noise):
         i = 0

@@ -19,7 +19,7 @@ from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
 from landuse.dataset import read_entry
 from landuse.evaluation import image_accuracy
 from landuse.geodata import (DEFAULT_DILATION_M, JSONLinesError,
-                             read_parcel_entry)
+                             jsonl_rows, parse_parcels, read_parcel_entry)
 from landuse.taxonomy import Level, builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -431,6 +431,48 @@ def test_rerun_subcommand_byte_identical(tmp_path):
     assert before == after
 
 
+def test_lone_surrogate_image_ids_pass_through_the_stages(tmp_path):
+    """A map image id holding a lone surrogate, escaped in the manifest as
+    UTF-8 cannot hold it, has json write its rows. Every artifact reads
+    back to those of the same city with plain ids, the ids aside, and the
+    map, the report and the CSV keep their bytes."""
+    outs, renamed = [], {}
+    for name, tail in (("plain", ""), ("lone", "\udc80")):
+        root = tmp_path / name
+        root.mkdir()
+        path = write_config(root)
+        run(path, "synth")
+        manifest = root / "data" / "map.jsonl"
+        rows = [json.loads(line) for line in
+                manifest.read_text(encoding="utf-8").splitlines()]
+        for k, row in enumerate(rows):
+            if k % 2:
+                renamed[row["id"]] = row["id"] = row["id"] + tail
+        manifest.write_text("".join(json.dumps(row) + "\n" for row in rows),
+                            encoding="utf-8")
+        for stage in ("filter", "train", "adapt", "predict", "map", "eval"):
+            run(path, stage)
+        outs.append(root / "out")
+    plain, lone = outs
+    for artifact in ("assignments.jsonl", "predictions.jsonl"):
+        read = []
+        for out in outs:
+            with open(out / artifact, "rb") as f:
+                read.append([row for _, row in jsonl_rows(f, artifact)])
+        assert read[1] == [dict(row, image=renamed.get(row["image"],
+                                                       row["image"]))
+                           for row in read[0]]
+        assert any("\udc80" in row["image"] for row in read[1])
+        assert (lone / artifact).read_bytes().count(b"\\udc80") == sum(
+            "\udc80" in row["image"] for row in read[1])
+    for artifact in ("map.geojson", "report.json", "per_class.csv"):
+        assert (lone / artifact).read_bytes() == (plain / artifact).read_bytes()
+    rings = {pc.id: pc.rings for pc in parse_parcels(
+        (tmp_path / "lone" / "data" / "parcels.geojson").read_bytes(), TAX)}
+    mapped = parse_parcels((lone / "map.geojson").read_bytes(), TAX)
+    assert mapped and all(pc.rings == rings[pc.id] for pc in mapped)
+
+
 ENTRIES = ("map_manifest.lutab", "train_manifest.lutab", "val_manifest.lutab")
 
 
@@ -700,7 +742,9 @@ def finished_run(tmp_path_factory):
 
 def raw_utf8(data: bytes) -> bytes:
     """The same rows with a raw two-byte character in every image id."""
-    return data.replace(b'"image": "', '"image": "é'.encode("utf-8"))
+    changed = data.replace(b'"image":"', '"image":"é'.encode("utf-8"))
+    assert changed != data
+    return changed
 
 
 @pytest.mark.parametrize("name,rows", [

