@@ -55,6 +55,14 @@ class Schedule:
     momentum: float = 0.0
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        if self.decay_every < 1:
+            raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
+        if not self.decay_factor > 0:
+            raise ValueError(f"decay_factor must be > 0, got {self.decay_factor}")
+        if self.total_epochs < 0:
+            raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
+
     def lr_at(self, epoch: int) -> float:
         return self.initial_lr / self.decay_factor ** (epoch // self.decay_every)
 

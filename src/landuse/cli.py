@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,9 @@ from .dataset import ManifestError, load_manifest
 from .evaluation import image_accuracy, mapping_metrics, per_class_report
 # no stage calls predict_image; it stays among this module's names so
 # that traces which wrap them still find it
-from .fusion_mapping import (aggregate_parcels, equal_weights, export_map,  # noqa: F401
-                             predict_image, predict_table)
+from .fusion_mapping import (aggregate_parcels, check_weights,  # noqa: F401
+                             equal_weights, export_map, predict_image,
+                             predict_table)
 from .geodata import (DEFAULT_DILATION_M, GeoPoint, JSONLinesError, assign,
                       assignments_from_jsonl, assignments_to_jsonl,
                       encode_json, jsonl_rows, jsonl_value,
@@ -66,8 +68,6 @@ def load_config(path: str, overrides) -> dict[str, str]:
         # split and stripped as a line of the file is
         key, value = (part.strip() for part in item.split("=", 1))
         cfg[key] = value
-    if "seed" not in cfg:
-        raise ConfigError("config must set a seed")
     return cfg
 
 
@@ -77,24 +77,91 @@ def config_hash(cfg: dict[str, str]) -> str:
     return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
+#: every key a config may set -> the kind of its value; ``train.*`` precede
+#: ``finetune.*``, as ``finetune.batch_size`` overrides ``train.batch_size``
+KEYS = {
+    "seed": int, "out_dir": str, "streams": str, "taxonomy": str,
+    "all.skip_synth": bool, "parcels": str, "train_manifest": str,
+    "val_manifest": str, "map_manifest": str, "synth.classes": int,
+    "synth.grid": int, "synth.images_per_parcel": int,
+    "synth.geo_sigma_m": float, "synth.train_per_class": int,
+    "synth.val_per_class": int, "synth.dim": int, "synth.noise": float,
+    "synth.separation": float, "synth.spread": float,
+    "synth.feature_scale": float, "dilation_m": float, "train.lr": float,
+    "train.decay_factor": float, "train.decay_every": int,
+    "train.epochs": int, "train.batch_size": int, "train.domain_ratio": float,
+    "train.momentum": float, "train.weight_decay": float, "finetune.lr": float,
+    "finetune.decay_factor": float, "finetune.decay_every": int,
+    "finetune.epochs": int, "finetune.batch_size": int, "gate.mode": str,
+    "gate.threshold": float, "predict.use_adapted": bool,
+    "fusion.weights": str, "level": Level, "eval.include_untruthed": bool}
+
+#: what a value of each kind is, for the message that refuses one
+EXPECTED = {int: "an integer", float: "a finite number", bool: "true or false",
+            Level: f"one of {', '.join(v.value for v in Level)}"}
+
+#: the keyword a ``section.name`` key sets, where it is not ``name``
+KEYWORDS = {"synth.classes": "n_classes", "synth.noise": "noise_rate",
+            "train.lr": "initial_lr", "finetune.lr": "initial_lr",
+            "train.epochs": "total_epochs", "finetune.epochs": "total_epochs"}
+
+
+def parse_value(key: str, text: str):
+    """The value of config key ``key``, of the kind ``KEYS`` gives it."""
+    kind = KEYS[key]
+    try:
+        if kind is bool:  # in any case
+            return {"true": True, "false": False}[text.lower()]
+        value = kind(text)
+        if kind is not float or math.isfinite(value):
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError(f"config key {key!r}: expected {EXPECTED[kind]},"
+                      f" got {text!r}")
+
+
+def _keywords(values: dict, *prefixes: str) -> dict:
+    """The values of the keys under ``prefixes``, by the keyword each sets."""
+    return {KEYWORDS.get(k, k.partition(".")[2]): x
+            for k, x in values.items() if k.startswith(prefixes)}
+
+
+def _schedule(schedule: Schedule, values: dict, *prefixes: str) -> Schedule:
+    """``schedule`` with the keys under ``prefixes`` set one at a time, so
+    that a value it refuses is a ConfigError naming its key."""
+    for key, value in values.items():
+        if key.startswith(prefixes):
+            try:
+                schedule = replace(schedule, **_keywords({key: value}, key))
+            except ValueError as e:
+                raise ConfigError(f"config key {key!r}: {e}") from None
+    return schedule
+
+
 class Pipeline:
-    """The stages of a config, whose relative paths lie under ``base``."""
+    """The stages of a config, whose relative paths lie under ``base``.
+
+    The constructor reads every value, so that a bad one stops a command
+    before its first stage. A key the config leaves unset is not passed
+    on, and the library's default holds."""
 
     def __init__(self, cfg: dict[str, str], base: Path = Path(".")):
+        if "seed" not in cfg:
+            raise ConfigError("config must set a seed")
         if bad := [k for k in cfg if k not in KEYS]:
             raise ConfigError(f"unknown config key {bad[0]!r}")
-        self.cfg = cfg
-        self.seed = self.i("seed", None)
-        self.hash = config_hash(cfg)
-        self.base = base
-        self.out_dir = self._resolve(cfg.get("out_dir", "out"))
-        spec = self.cfg.get("streams", "object,scene")
+        v = {key: parse_value(key, cfg[key]) for key in KEYS if key in cfg}
+        self.cfg, self.base, self.seed = cfg, base, v["seed"]
+        self.provenance = {"config_sha256": config_hash(cfg), "seed": self.seed}
+        self.out_dir = self._resolve(v.get("out_dir", "out"))
+        spec = v.get("streams", "object,scene")
         self.streams = [s for s in spec.split(",") if s]
         if not self.streams or len(set(self.streams)) < len(self.streams):
             raise ConfigError(f"config key 'streams': expected distinct stream"
                               f" names, got {spec!r}")
-        taxonomy_path = cfg.get("taxonomy")
-        if taxonomy_path:
+        self.taxonomy = builtin_taxonomy()
+        if taxonomy_path := v.get("taxonomy"):
             path = self._resolve(taxonomy_path)
             try:
                 text = path.read_text(encoding="utf-8")
@@ -103,99 +170,44 @@ class Pipeline:
                 raise ConfigError(f"config key 'taxonomy': cannot read"
                                   f" {path}: {reason}") from None
             self.taxonomy = Taxonomy.from_text(text)
-        else:
-            self.taxonomy = builtin_taxonomy()
+        self.skip_synth = v.get("all.skip_synth", False)
+        self.city = _keywords(v, "synth.")
+        self.dilation_m = v.get("dilation_m", DEFAULT_DILATION_M)
+        train = _schedule(Schedule(), v, "train.")
+        tune = _schedule(default_finetune_schedule(), v, "train.batch_size",
+                         "train.domain_ratio", "finetune.")
+        self.schedules = {s: replace(train, seed=self.seed + 1000 * (k + 1))
+                          for k, s in enumerate(self.streams)}
+        try:
+            self.gates = {s: GateConfig(schedule=replace(
+                tune, seed=x.seed + 500), **_keywords(v, "gate."))
+                for s, x in self.schedules.items()}
+        except ValueError as e:
+            raise ConfigError(
+                f"config keys gate.mode={v.get('gate.mode', GateConfig.mode)!r},"
+                f" gate.threshold={v.get('gate.threshold', GateConfig.threshold)!r}:"
+                f" {e}") from None
+        self.use_adapted = v.get("predict.use_adapted", True)
+        spec = v.get("fusion.weights", "equal")
+        self.weights = (equal_weights(self.streams) if spec == "equal"
+                        else self._fusion_weights(spec))
+        self.level = v.get("level", Level.FINE)
+        self.include_untruthed = v.get("eval.include_untruthed", False)
 
     # -- config access ---------------------------------------------------
 
     def _resolve(self, value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else self.base / p
+        return self.base / value  # an absolute value replaces the base
 
     def path(self, key: str) -> Path:
         if key not in self.cfg:
             raise ConfigError(f"config key {key!r} is required")
         return self._resolve(self.cfg[key])
 
-    def f(self, key: str, default: float) -> float:
-        value = self.cfg.get(key, default)
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise ConfigError(f"config key {key!r}: expected a finite number,"
-                              f" got {value!r}")
-        return number
-
-    def i(self, key: str, default: int | None) -> int:
-        value = self.cfg.get(key, default)
-        try:
-            return int(value)
-        except (ValueError, TypeError):
-            raise ConfigError(f"config key {key!r}: expected an integer,"
-                              f" got {value!r}") from None
-
-    def b(self, key: str, default: bool) -> bool:
-        value = self.cfg.get(key, str(default))
-        if value.lower() not in ("true", "false"):
-            raise ConfigError(f"config key {key!r}: expected true or false,"
-                              f" got {value!r}")
-        return value.lower() == "true"
-
-    @property
-    def level(self) -> Level:
-        value = self.cfg.get("level", "fine")
-        try:
-            return Level(value)
-        except ValueError:
-            raise ConfigError(
-                f"config key 'level': expected one of"
-                f" {', '.join(v.value for v in Level)}, got {value!r}") from None
-
-    @property
-    def provenance(self) -> dict:
-        return {"config_sha256": self.hash, "seed": self.seed}
-
-    def train_schedule(self, stream_index: int) -> Schedule:
-        d = Schedule()
-        return Schedule(
-            initial_lr=self.f("train.lr", d.initial_lr),
-            decay_factor=self.f("train.decay_factor", d.decay_factor),
-            decay_every=self.i("train.decay_every", d.decay_every),
-            total_epochs=self.i("train.epochs", d.total_epochs),
-            batch_size=self.i("train.batch_size", d.batch_size),
-            seed=self.seed + 1000 * (stream_index + 1),
-            domain_ratio=self.f("train.domain_ratio", d.domain_ratio),
-            momentum=self.f("train.momentum", d.momentum),
-            weight_decay=self.f("train.weight_decay", d.weight_decay))
-
-    def gate_config(self, stream_index: int) -> GateConfig:
-        d, ft, gate = Schedule(), default_finetune_schedule(), GateConfig()
-        schedule = Schedule(
-            initial_lr=self.f("finetune.lr", ft.initial_lr),
-            decay_factor=self.f("finetune.decay_factor", ft.decay_factor),
-            decay_every=self.i("finetune.decay_every", ft.decay_every),
-            total_epochs=self.i("finetune.epochs", ft.total_epochs),
-            batch_size=self.i("finetune.batch_size",
-                              self.i("train.batch_size", d.batch_size)),
-            seed=self.seed + 1000 * (stream_index + 1) + 500,
-            domain_ratio=self.f("train.domain_ratio", d.domain_ratio))
-        mode = self.cfg.get("gate.mode", gate.mode)
-        threshold = self.f("gate.threshold", gate.threshold)
-        try:
-            return GateConfig(mode=mode, threshold=threshold, schedule=schedule)
-        except ValueError as e:
-            raise ConfigError(f"config keys gate.mode={mode!r},"
-                              f" gate.threshold={threshold!r}: {e}") from None
-
-    def fusion_weights(self) -> dict[str, float]:
-        spec = self.cfg.get("fusion.weights", "equal")
-        if spec == "equal":
-            return equal_weights(self.streams)
+    def _fusion_weights(self, spec: str) -> dict[str, float]:
         weights = {}
         for part in spec.split(","):
-            stream, sep, value = part.partition(":")
+            stream, sep, value = (x.strip() for x in part.partition(":"))
             if not sep:
                 raise ConfigError(
                     f"fusion.weights: bad part {part!r}, expected stream:weight")
@@ -205,10 +217,13 @@ class Pipeline:
                 weight = math.nan
             if not math.isfinite(weight):
                 raise ConfigError(f"fusion.weights: bad weight in {part!r}")
-            stream = stream.strip()
             if stream in weights:
                 raise ConfigError(f"fusion.weights: stream {stream!r} given twice")
             weights[stream] = weight
+        try:
+            check_weights(weights, self.streams)
+        except ValueError as e:
+            raise ConfigError(f"fusion.weights: {e}") from None
         return weights
 
     # -- artifact paths --------------------------------------------------
@@ -310,8 +325,7 @@ def cmd_filter(p: Pipeline) -> None:
     lon, lat = table.lon.tolist(), table.lat.tolist()
     records = [(table.ids[k], GeoPoint(lon[k], lat[k]))
                for k in np.flatnonzero(table.has_geo).tolist()]
-    assignments = assign(records, p.load_parcels(),
-                         dilation_m=p.f("dilation_m", DEFAULT_DILATION_M))
+    assignments = assign(records, p.load_parcels(), dilation_m=p.dilation_m)
     p._write_jsonl(p.assignments_path, assignments_to_jsonl(assignments))
 
 
@@ -319,28 +333,27 @@ def cmd_train(p: Pipeline) -> None:
     train_records, val_records = p.load_training()
     n = len(p.taxonomy.fine_classes)
     p.out_dir.mkdir(parents=True, exist_ok=True)
-    for k, stream in enumerate(p.streams):
+    for stream, schedule in p.schedules.items():
         d = train_records.stream(stream).shape[1]
-        result = train(init_model(n, d, stream), train_records,
-                       p.train_schedule(k), validation=val_records)
+        result = train(init_model(n, d, stream), train_records, schedule,
+                       validation=val_records)
         p.write_model(result, stream)
 
 
 def cmd_adapt(p: Pipeline) -> None:
     train_records, val_records = p.load_training()
-    for k, stream in enumerate(p.streams):
+    for stream, gate in p.gates.items():
         model = load_model(p.model_path(stream))
-        result = adaptive_finetune(model, train_records, p.gate_config(k),
+        result = adaptive_finetune(model, train_records, gate,
                                    validation=val_records)
         p.write_model(result, stream, adapted=True)
 
 
 def cmd_predict(p: Pipeline) -> None:
-    use_adapted = p.b("predict.use_adapted", True)
-    models = {stream: load_model(p.model_path(stream, adapted=use_adapted))
+    models = {stream: load_model(p.model_path(stream, adapted=p.use_adapted))
               for stream in p.streams}
     table = p.load_split("map_manifest")
-    preds = (predict_table(models, table, p.fusion_weights())[0].tolist()
+    preds = (predict_table(models, table, p.weights)[0].tolist()
              if len(table) else [])
     fine = p.taxonomy.fine_classes
     p._write_jsonl(p.predictions_path, b"".join(
@@ -368,13 +381,12 @@ def cmd_eval(p: Pipeline) -> None:
         raise ManifestError(
             f"{p.path('map_manifest')}: {len(unlabeled)} of {len(predictions)}"
             f" predicted images have no label (first: {unlabeled[0]})")
-    level = p.level
     report = mapping_metrics(
-        assignments, predictions, parcels, p.taxonomy, level=level,
-        include_untruthed=p.b("eval.include_untruthed", False))
-    accuracy = None
-    if not unlabeled:
-        up = p.taxonomy.roll_up_index(level)
+        assignments, predictions, parcels, p.taxonomy, level=p.level,
+        include_untruthed=p.include_untruthed)
+    accuracy = None  # over no image, or over unlabelled ones, undefined
+    if predictions and not unlabeled:
+        up = p.taxonomy.roll_up_index(p.level)
         accuracy = image_accuracy({i: up[c] for i, c in predictions.items()},
                                   {i: up[c] for i, c in labels.items()})
     out = {"provenance": p.provenance, "image_accuracy": accuracy,
@@ -387,33 +399,6 @@ def cmd_eval(p: Pipeline) -> None:
                                   image_labels=labels))
 
 
-#: config key -> (``synth.make_city`` keyword, number type); a key the
-#: config leaves unset keeps make_city's default
-SYNTH_KEYS = {
-    "synth.classes": ("n_classes", int),
-    "synth.grid": ("grid", int),
-    "synth.images_per_parcel": ("images_per_parcel", int),
-    "synth.geo_sigma_m": ("geo_sigma_m", float),
-    "synth.train_per_class": ("train_per_class", int),
-    "synth.val_per_class": ("val_per_class", int),
-    "synth.dim": ("dim", int),
-    "synth.noise": ("noise_rate", float),
-    "synth.separation": ("separation", float),
-    "synth.spread": ("spread", float),
-    "synth.feature_scale": ("feature_scale", float),
-}
-
-#: every key a config may set
-KEYS = {"seed", "out_dir", "streams", "taxonomy", "parcels", "train_manifest",
-        "val_manifest", "map_manifest", "dilation_m", "level", "gate.mode",
-        "gate.threshold", "fusion.weights", "predict.use_adapted",
-        "eval.include_untruthed", "all.skip_synth", "train.lr", "train.epochs",
-        "train.decay_factor", "train.decay_every", "train.batch_size",
-        "train.domain_ratio", "train.momentum", "train.weight_decay",
-        "finetune.lr", "finetune.epochs", "finetune.decay_factor",
-        "finetune.decay_every", "finetune.batch_size", *SYNTH_KEYS}
-
-
 def cmd_synth(p: Pipeline) -> None:
     data_dir = p.path("parcels").parent
     # a config pointing anywhere else fails before a file is written
@@ -423,10 +408,8 @@ def cmd_synth(p: Pipeline) -> None:
         if key in p.cfg and p.path(key).resolve() != wrote.resolve():
             raise ConfigError(f"synth would write {wrote}, but config {key}"
                               f" points at {p.path(key)}")
-    given = {keyword: p.i(key, None) if kind is int else p.f(key, None)
-             for key, (keyword, kind) in SYNTH_KEYS.items() if key in p.cfg}
     synth.make_city(data_dir, p.taxonomy, seed=p.seed,
-                    streams=tuple(p.streams), **given)
+                    streams=tuple(p.streams), **p.city)
 
 
 #: the stages, in the order ``landuse all`` runs them
@@ -443,9 +426,8 @@ COMMANDS = {
 
 def cmd_all(p: Pipeline) -> None:
     for name, command in COMMANDS.items():
-        if name == "synth" and p.b("all.skip_synth", False):
-            continue
-        command(p)
+        if name != "synth" or not p.skip_synth:
+            command(p)
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ def equal_weights(streams) -> dict[str, float]:
     return {s: 1.0 / len(streams) for s in streams}
 
 
-def _check_weights(weights: dict[str, float], streams) -> None:
+def check_weights(weights: dict[str, float], streams) -> None:
     vals = list(weights.values())
     if not all(v >= 0 for v in vals):  # NaN compares false, so fails too
         raise ValueError("fusion weights must be >= 0")
@@ -35,7 +35,7 @@ def _check_weights(weights: dict[str, float], streams) -> None:
 def fuse(scores: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray:
     """Element-wise convex combination of per-stream scores: one vector per
     stream, or one ``(N, n)`` matrix per stream with a row per image."""
-    _check_weights(weights, scores)
+    check_weights(weights, scores)
     shapes = {np.shape(v) for v in scores.values()}
     if len(shapes) != 1:
         raise ValueError(f"score length mismatch: {sorted(shapes)}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import atomic_output, write_atomic
 from .dataset import DOMAIN_A, DOMAIN_B, ManifestTable
-from .geodata import METERS_PER_DEGREE, encode_json
+from .geodata import METERS_PER_DEGREE, GeoPoint, encode_json
 from .taxonomy import Taxonomy
 
 
@@ -156,7 +156,9 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
     vectors are rows of those blocks. A bad argument raises ``ValueError``
     before any file is written. So does a block holding a non-finite
     value (from a ``feature_scale`` of 1e308, say), which orjson would
-    write as ``null``; the manifest being written is then left out.
+    write as ``null``, and a geotag that ``GeoPoint`` refuses (from a
+    ``geo_sigma_m`` of ``inf``, say); the manifest being written is then
+    left out.
     """
     n_fine = len(taxonomy.fine_classes)
     n_classes = min(n_classes, n_fine)
@@ -258,15 +260,21 @@ def make_city(out_dir, taxonomy: Taxonomy, *, seed: int = 0,
         for pid, truth, (clon, clat) in parcel_info:
             for _ in range(images_per_parcel):
                 cls = truth[int(rng.integers(len(truth)))]
-                # the geotag offset and the noise in one draw; the offset
-                # is what normal(scale=geo_sigma_m, size=2) gives
+                # one draw: the offset normal(scale=geo_sigma_m, size=2) gives,
+                # as Python floats (inf on overflow, no warning), and the noise
                 z = rng.normal(size=2 + len(streams) * dim)
-                dx, dy = geo_sigma_m * z[:2]
+                dx, dy = (geo_sigma_m * d for d in z[:2].tolist())
+                try:  # a geotag the manifest would refuse stops here
+                    at = GeoPoint(_round_coord(clon + dx * dlon),
+                                  _round_coord(clat + dy * dlat))
+                except ValueError as e:
+                    raise ValueError(f"{paths['map'].name}: m{i:06d}: drawn"
+                                     f" geotag {e} (geo_sigma_m {geo_sigma_m})"
+                                     ) from None
                 yield {
                     "id": f"m{i:06d}",
                     "domain": DOMAIN_B,
-                    "lon": _round_coord(clon + dx * dlon),
-                    "lat": _round_coord(clat + dy * dlat),
+                    "lon": at.lon, "lat": at.lat,
                     "label": taxonomy.fine_classes[cls],
                 }, cls, z[2:].reshape(len(streams), dim)
                 i += 1

@@ -193,6 +193,20 @@ def test_gradients_match_finite_differences():
 # schedules and training
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(decay_every=0), "decay_every must be >= 1, got 0"),
+    (dict(decay_factor=0.0), "decay_factor must be > 0, got 0.0"),
+    (dict(decay_factor=-10.0), "decay_factor must be > 0, got -10.0"),
+    (dict(total_epochs=-1), "total_epochs must be >= 0, got -1"),
+])
+def test_schedule_rejects_what_its_loop_cannot_run(kwargs, message):
+    """``lr_at`` divides by ``decay_factor ** (e // decay_every)``, and a
+    negative epoch count trains nothing, so these raise at construction."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Schedule(**kwargs)
+    assert Schedule(total_epochs=0).total_epochs == 0
+
+
 def test_step_decay_values():
     s = Schedule(initial_lr=0.01, decay_factor=10.0, decay_every=5,
                  total_epochs=12)

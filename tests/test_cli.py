@@ -92,17 +92,22 @@ def test_override_is_split_and_stripped_as_a_file_line_is(tmp_path):
     cfg = load_config(str(path), [item])
     assert parse_config_text(item) == {"train.epochs": "1"}
     assert cfg["train.epochs"] == "1" and " train.epochs" not in cfg
-    assert Pipeline(cfg).train_schedule(0).total_epochs == 1
+    assert Pipeline(cfg).schedules["object"].total_epochs == 1
     assert config_hash(cfg) == config_hash(
         load_config(str(path), ["train.epochs=1"]))
 
 
 def test_load_config_requires_seed(tmp_path):
+    """The config read, file and overrides, must set a seed; that is
+    checked before any other rule, an unknown key's included."""
     path = tmp_path / "c.txt"
     path.write_text("a=1\n")
-    with pytest.raises(ConfigError, match="seed"):
-        load_config(str(path), [])
-    assert load_config(str(path), ["seed=3"])["seed"] == "3"
+    with pytest.raises(ConfigError, match="^config must set a seed$"):
+        Pipeline(load_config(str(path), []))
+    with pytest.raises(ConfigError, match="^unknown config key 'a'$"):
+        Pipeline(load_config(str(path), ["seed=3"]))
+    path.write_text("train.lr=1\n")
+    assert Pipeline(load_config(str(path), ["seed=3"])).seed == 3
 
 
 def test_no_module_reads_the_environment():
@@ -121,7 +126,8 @@ def test_no_module_reads_the_environment():
         assert not names & banned, f"{path.name}: {sorted(names & banned)}"
 
 
-@pytest.mark.parametrize("override,message", [
+#: an override with one bad value, and the message that refuses it
+BAD_VALUES = [
     ("train.lr=abc", "config key 'train.lr': expected a finite number, got 'abc'"),
     ("train.lr=nan", "config key 'train.lr': expected a finite number, got 'nan'"),
     ("dilation_m=inf",
@@ -143,11 +149,52 @@ def test_no_module_reads_the_environment():
                  " got ''"),
     ("streams=object,object", "config key 'streams': expected distinct"
                               " stream names, got 'object,object'"),
-])
+]
+
+#: values the schedules refuse, and fusion weights that ``fuse`` refuses
+REFUSED_VALUES = [
+    ("train.decay_every=0",
+     "config key 'train.decay_every': decay_every must be >= 1, got 0"),
+    ("finetune.decay_every=0",
+     "config key 'finetune.decay_every': decay_every must be >= 1, got 0"),
+    ("train.decay_factor=0",
+     "config key 'train.decay_factor': decay_factor must be > 0, got 0.0"),
+    ("finetune.decay_factor=-10", "config key 'finetune.decay_factor':"
+                                  " decay_factor must be > 0, got -10.0"),
+    ("train.epochs=-3",
+     "config key 'train.epochs': total_epochs must be >= 0, got -3"),
+    ("finetune.epochs=-1",
+     "config key 'finetune.epochs': total_epochs must be >= 0, got -1"),
+    ("fusion.weights=object:x", "fusion.weights: bad weight in 'object:x'"),
+    ("fusion.weights=object:1", "fusion.weights: streams ['object', 'scene']"
+                                " do not match weights ['object']"),
+    ("fusion.weights=object:0.5,sky:0.5", "fusion.weights: streams"
+     " ['object', 'scene'] do not match weights ['object', 'sky']"),
+    ("fusion.weights=object:0.5,scene:0.6",
+     "fusion.weights: fusion weights must sum to 1, got 1.1"),
+    ("fusion.weights=object:-0.5,scene:1.5",
+     "fusion.weights: fusion weights must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("override,message", BAD_VALUES)
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, override, message):
     path = write_config(tmp_path)
     assert main(["all", "--config", str(path), override]) == 1
     assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+
+@pytest.mark.parametrize("command", [*cli.COMMANDS, "all"])
+@pytest.mark.parametrize("override,message", BAD_VALUES + REFUSED_VALUES)
+def test_bad_config_value_stops_a_command_before_its_first_stage(
+        tmp_path, capsys, command, override, message):
+    """Every value is read before any stage, so a bad one, even a key of a
+    later stage, stops any command with the same message and writes no
+    file."""
+    path = write_config(tmp_path)
+    assert main([command, "--config", str(path), override]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 
 @pytest.mark.parametrize("where", ["file", "override"])
@@ -221,23 +268,43 @@ class ReadKeys(dict):
         return super().__contains__(key)
 
 
+#: a value of each kind that differs from every default of that kind
+SAMPLES = {int: ["3"], float: ["0.25"], bool: ["true", "false"],
+           Level: ["top"]}
+
+#: a value for each key of kind ``str`` that is not a file's path
+TEXT_SAMPLES = {"out_dir": ["elsewhere"], "streams": ["scene"],
+                "taxonomy": ["tax.txt"], "gate.mode": ["soft"],
+                "fusion.weights": ["object:0.25,scene:0.75"]}
+
+
 def test_the_keys_the_stages_read_are_the_config_keys(tmp_path):
+    """Every key of ``cli.KEYS`` reaches a stage: either setting it changes
+    what the ``Pipeline`` hands the stages, or a stage looks it up in the
+    config (the keys naming files)."""
+    (tmp_path / "tax.txt").write_text("Top\n  Middle\n    a\n    b\n",
+                                      encoding="utf-8")
+
+    def given(cfg):
+        return {k: v for k, v in vars(Pipeline(cfg, tmp_path)).items()
+                if k not in ("cfg", "provenance")}
+
+    plain = given({"seed": "1"})
+    changed = {key for key, kind in cli.KEYS.items()
+               for value in TEXT_SAMPLES.get(key, SAMPLES.get(kind, []))
+               if given({"seed": "1", key: value}) != plain}
     cfg = ReadKeys(load_config(str(write_config(tmp_path)), []))
     p = Pipeline(cfg, tmp_path)
+    cfg.read.clear()
     cli.cmd_all(p)
-    p.train_schedule(0), p.gate_config(0), p.fusion_weights(), p.level
-    assert sorted(cfg.read) == sorted(cli.KEYS)
+    assert sorted(changed | cfg.read) == sorted(cli.KEYS)
 
 
-#: keys whose value the accessors parse; keys naming files are left out, as
-#: a missing file is an ``OSError`` when it is opened, not a bad value
-VALUE_KEYS = ("seed", "level", "dilation_m", "streams", "fusion.weights",
-              "gate.mode", "gate.threshold", "train.lr", "train.decay_factor",
-              "train.decay_every", "train.epochs", "train.batch_size",
-              "train.domain_ratio", "train.momentum", "train.weight_decay",
-              "finetune.lr", "finetune.epochs", "finetune.batch_size",
-              "synth.grid", "synth.noise", "predict.use_adapted",
-              "eval.include_untruthed", "all.skip_synth")
+#: keys with a value to parse; keys naming files are left out, as a
+#: missing file is an ``OSError`` when it is opened, not a bad value
+VALUE_KEYS = tuple(k for k in cli.KEYS if k not in (
+    "out_dir", "taxonomy", "parcels", "train_manifest", "val_manifest",
+    "map_manifest"))
 
 
 @settings(max_examples=300, deadline=None,
@@ -252,10 +319,7 @@ def test_any_override_loads_or_is_a_config_error(tmp_path, key, value):
     path = tmp_path / "c.txt"
     path.write_text("seed=1\n", encoding="utf-8")
     try:
-        p = Pipeline(load_config(str(path), [f"{key}={value}"]), tmp_path)
-        p.train_schedule(0), p.gate_config(0), p.fusion_weights()
-        p.level, p.provenance, p.f("dilation_m", 5.0)
-        p.f(key, 0.0), p.i(key, 0), p.b(key, False)
+        Pipeline(load_config(str(path), [f"{key}={value}"]), tmp_path)
     except ConfigError:
         pass
 
@@ -264,15 +328,21 @@ def test_any_override_loads_or_is_a_config_error(tmp_path, key, value):
                                         ("False", False), ("false", False)])
 def test_switch_reads_true_or_false_in_any_case(value, want):
     p = Pipeline({"seed": "1", "eval.include_untruthed": value})
-    assert p.b("eval.include_untruthed", not want) is want
-    assert p.b("all.skip_synth", want) is want  # unset: the default
+    assert p.include_untruthed is want
+    assert p.skip_synth is False and p.use_adapted is True  # unset: defaults
+    assert Pipeline({"seed": "1", "all.skip_synth": value}).skip_synth is want
+    assert Pipeline({"seed": "1",
+                     "predict.use_adapted": value}).use_adapted is want
 
 
 def test_unset_keys_take_the_library_defaults(tmp_path, monkeypatch):
     p = Pipeline({"seed": "1"})
-    assert p.train_schedule(0) == replace(Schedule(), seed=1001)
-    assert p.gate_config(1) == replace(
+    assert p.schedules == {"object": replace(Schedule(), seed=1001),
+                           "scene": replace(Schedule(), seed=2001)}
+    assert p.gates["scene"] == replace(
         GateConfig(), schedule=replace(default_finetune_schedule(), seed=2501))
+    assert p.city == {} and p.weights == {"object": 0.5, "scene": 0.5}
+    assert p.level is Level.FINE
     seen = []
     monkeypatch.setattr(cli, "assign", lambda records, parcels, dilation_m:
                         seen.append(dilation_m) or [])
@@ -318,6 +388,12 @@ def test_synth_to_other_paths_fails_before_writing(tmp_path, capsys):
 def test_empty_stream_names_are_skipped():
     assert Pipeline({"seed": "1", "streams": "object,,scene"}).streams == [
         "object", "scene"]
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    assert [k for k in cli.KEYS if f"`{k}`" not in readme] == []
 
 
 def test_config_hash_properties():
@@ -595,6 +671,17 @@ def test_eval_rejects_partly_labelled_map(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_eval_of_no_image_reports_null_accuracy(tmp_path):
+    """With no image predicted, the image accuracy is undefined, as each
+    class's accuracy in ``per_class.csv`` is, not 0."""
+    path = write_config(tmp_path)
+    run(path, "all", "synth.images_per_parcel=0")
+    assert (tmp_path / "out" / "predictions.jsonl").read_text().count(
+        "\n") == 1  # the header alone
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["image_accuracy"] is None
+
+
 def test_eval_without_labels_reports_null_accuracy(tmp_path):
     path = write_config(tmp_path)
     run(path, "all")
@@ -613,11 +700,10 @@ def test_eval_without_labels_reports_null_accuracy(tmp_path):
     ("object:0.5,scene:0.5,object:0.9", "stream 'object' given twice"),
 ])
 def test_malformed_fusion_weights(spec, bad):
-    p = Pipeline({"seed": "1", "fusion.weights": spec})
     with pytest.raises(ConfigError, match=f"fusion.weights: {bad}"):
-        p.fusion_weights()
+        Pipeline({"seed": "1", "fusion.weights": spec})
     ok = Pipeline({"seed": "1", "fusion.weights": "object:0.25, scene:0.75"})
-    assert ok.fusion_weights() == {"object": 0.25, "scene": 0.75}
+    assert ok.weights == {"object": 0.25, "scene": 0.75}
 
 
 def test_map_rejects_cut_or_repeated_predictions(tmp_path, capsys):

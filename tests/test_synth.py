@@ -132,6 +132,21 @@ def test_make_city_rejects_non_finite_features(tmp_path, kwargs, cut):
     assert cut not in left and not any(n.endswith(".tmp") for n in left)
 
 
+@pytest.mark.parametrize("sigma, message", [
+    (float("inf"), r"non-finite coordinate \(-?inf, -?inf\)"),
+    (1e308, r"longitude \S+ out of range \[-180, 180\]"),
+])
+def test_make_city_rejects_a_geotag_the_manifest_would_refuse(
+        tmp_path, sigma, message):
+    """A drawn geotag that ``GeoPoint`` refuses raises before its row is
+    written, and no map manifest is left behind."""
+    with pytest.raises(ValueError, match=f"^map.jsonl: m000000: drawn geotag"
+                                         f" {message} \\(geo_sigma_m"):
+        make_city(tmp_path, TAX, seed=1, geo_sigma_m=sigma)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "parcels.geojson", "train.jsonl", "val.jsonl"]
+
+
 #: a taxonomy of one fine class, which caps every city at one class
 ONE_CLASS = Taxonomy.from_text("Top\n  Middle\n    only\n")
 
