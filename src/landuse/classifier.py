@@ -62,6 +62,13 @@ class Schedule:
             raise ValueError(f"decay_factor must be > 0, got {self.decay_factor}")
         if self.total_epochs < 0:
             raise ValueError(f"total_epochs must be >= 0, got {self.total_epochs}")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not 0.0 <= self.domain_ratio <= 1.0:
+            raise ValueError(f"domain_ratio must be in [0, 1], got {self.domain_ratio}")
+        for name in ("initial_lr", "momentum", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         return self.initial_lr / self.decay_factor ** (epoch // self.decay_every)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .entry import (classes_sha256, file_sha256, read_entry as read_items,
                     write_entry)
-from .geodata import GeoPoint, JSONLinesError, jsonl_rows
+from .geodata import GeoPoint, JSONLinesError, check_position, jsonl_rows
 from .taxonomy import Taxonomy
 
 FEATURE_FILE_MAGIC = b"LUFV1"
@@ -309,7 +309,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
                     label[k] = value
                 if "lon" in obj and "lat" in obj:
                     try:
-                        GeoPoint(obj["lon"], obj["lat"])
+                        check_position(obj["lon"], obj["lat"])
                     except (ValueError, TypeError):
                         raise ManifestError(
                             f"record {rid}: bad coordinates"
@@ -414,11 +414,8 @@ def stratified_batches(domains, batch_size: int, domain_ratio: float,
     records, a copy shuffled when its first record is drawn; the epoch
     ends when the longer domain is exhausted, the partial batch dropped.
     Too few records for one full batch raise rather than give no batches.
+    ``Schedule`` holds the ranges of ``batch_size`` and ``domain_ratio``.
     """
-    if batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
-    if not 0.0 <= domain_ratio <= 1.0:
-        raise ValueError("domain_ratio must be in [0, 1]")
     n_a = int(round(batch_size * domain_ratio))
     n_b = batch_size - n_a
     domains = np.asarray(domains)

@@ -16,13 +16,8 @@ only add candidates and the result equals the all-pairs one. The padded
 boxes are indexed in a uniform grid, so a point tests only the boxes of
 its own cell and the few boxes too large for the grid: on a city of
 parcels of similar size, the cost per point does not grow with the
-number of parcels.
-
-Ring validation finds self-intersections by sweep-and-prune over the edges'
-bounding boxes: sorted by min x, each edge is tested only against earlier
-edges whose boxes still overlap its own. That is about linear in the
-number of edges for parcel-like rings, and never more pairs than the
-all-pairs check, since the candidates are a subset of all pairs.
+number of parcels. Rings are validated by a sweep over their edges'
+boxes; see ``_validate_ring``.
 """
 
 from __future__ import annotations
@@ -77,14 +72,22 @@ class GeoPoint:
     lat: float
 
     def __post_init__(self):
-        if isinstance(self.lon, bool) or isinstance(self.lat, bool):
-            raise TypeError(f"boolean coordinate ({self.lon}, {self.lat})")
-        if not (math.isfinite(self.lon) and math.isfinite(self.lat)):
-            raise ValueError(f"non-finite coordinate ({self.lon}, {self.lat})")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} out of range [-180, 180]")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} out of range [-90, 90]")
+        check_position(self.lon, self.lat)
+
+
+def check_position(lon, lat) -> None:
+    """The one rule for a geotag or a parcel vertex: a WGS 84 longitude in
+    [-180, 180] and latitude in [-90, 90] (RFC 7946 §4). A boolean or a
+    non-number raises TypeError, anything else out of range ValueError."""
+    if isinstance(lon, bool) or isinstance(lat, bool):
+        raise TypeError(f"boolean coordinate ({lon}, {lat})")
+    if -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0:
+        return
+    if lon != lon or lat != lat or math.inf in (abs(lon), abs(lat)):
+        raise ValueError(f"non-finite coordinate ({lon}, {lat})")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon} out of range [-180, 180]")
+    raise ValueError(f"latitude {lat} out of range [-90, 90]")
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,11 @@ def _validate_ring(parcel_id: str, ring) -> None:
     reported. Two edges whose boxes are apart are never tested, so
     rounding in ``_orient`` cannot call them crossing.
     """
-    if not all(map(math.isfinite, chain.from_iterable(ring))):
+    try:
+        finite = all(map(math.isfinite, chain.from_iterable(ring)))
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
         raise ParcelValidationError(f"parcel {parcel_id}: non-finite vertex")
     if len(ring) < 4 or ring[0] != ring[-1]:
         raise ParcelValidationError(
@@ -229,7 +236,9 @@ def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
     MultiPolygon features are split into one parcel per member polygon,
     named ``<id>#<k>``. A ``landuse`` value that is not a list of strings,
     unknown class names and repeated parcel ids raise instead of being
-    silently dropped.
+    silently dropped. Every position must pass ``check_position``, so a
+    file in projected coordinates is refused, naming the feature, ring
+    and position.
     """
     if isinstance(document, bytes):
         try:
@@ -290,13 +299,15 @@ def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
             rings = tuple(tuple(map(tuple, ring)) for ring in rings)
             for r, ring in enumerate(rings):
                 for k, v in enumerate(ring):
-                    if not _is_position(v):
+                    try:
+                        check_position(*v)
+                    except TypeError:  # not two numbers, or not two at all
                         raise GeoJSONParseError(
-                            f"feature {fid}: position {list(v)} is not [lon, lat]")
-                    if not _fits_float(v):
+                            f"feature {fid}: position {list(v)} is not"
+                            f" [lon, lat]") from None
+                    except ValueError as e:
                         raise GeoJSONParseError(
-                            f"feature {pid}: ring {r}, position {k} has a"
-                            f" coordinate past the float range")
+                            f"feature {pid}: ring {r}, position {k}: {e}") from None
             parcels.append(Parcel(id=pid, rings=rings, truth=truth))
     return parcels
 
@@ -306,21 +317,6 @@ def _nested_lists(value, depth: int) -> bool:
     ``depth`` levels down."""
     return isinstance(value, list) and (
         depth == 0 or all(_nested_lists(v, depth - 1) for v in value))
-
-
-def _is_position(v: tuple) -> bool:
-    """Two JSON numbers; ``true`` and ``false`` are not numbers."""
-    return len(v) == 2 and all(type(c) in (int, float) for c in v)
-
-
-def _fits_float(v: tuple) -> bool:
-    """Whether each number of ``v`` converts to a float; a JSON integer
-    can be too large for one."""
-    try:
-        float(v[0]), float(v[1])
-    except OverflowError:
-        return False
-    return True
 
 
 def _member_object(feature: dict, key: str, fid: str) -> dict:
@@ -344,16 +340,13 @@ def _member_object(feature: dict, key: str, fid: str) -> dict:
 # the vertices of each ring, the truth class indices in the order each set
 # iterates, the lon and lat of each vertex, and a flag per coordinate, set
 # where it was a JSON integer. Integers are kept as integers, as
-# ``export_map`` writes them back. A file with an integer coordinate that a
-# float cannot hold exactly gets no entry. The entry holds no path, so
-# equal inputs give equal entries in any directory. PARCEL_ENTRY_VERSION
-# changes whenever the items or the parse do.
+# ``export_map`` writes them back; a parsed coordinate is in range, so a
+# float holds it exactly. The entry holds no path, so equal inputs give
+# equal entries in any directory. PARCEL_ENTRY_VERSION changes whenever
+# the items or the parse do.
 
 PARCEL_ENTRY_MAGIC = b"LUPAR"
-PARCEL_ENTRY_VERSION = 2
-
-#: integers a float64 holds exactly, and so the entry
-_EXACT_INT = 2 ** 53
+PARCEL_ENTRY_VERSION = 3
 
 
 def _parcel_key(data: bytes, taxonomy: Taxonomy) -> bytes:
@@ -397,15 +390,12 @@ def read_parcel_entry(entry, data: bytes, taxonomy: Taxonomy) -> list[Parcel] | 
 
 def write_parcel_entry(entry, data: bytes, taxonomy: Taxonomy,
                        parcels: list[Parcel]) -> None:
-    """Write the parcel entry for the parcels ``data`` parsed into. Nothing
-    is written if a coordinate is an integer past 2**53, or if the entry
-    cannot be written: the entry then misses next time, which costs a parse
-    and nothing else."""
+    """Write the parcel entry for the parcels ``data`` parsed into. If the
+    entry cannot be written, it misses next time, which costs a parse and
+    nothing else."""
     rings = [ring for p in parcels for ring in p.rings]
     coords = list(chain.from_iterable(chain.from_iterable(rings)))
     is_int = [type(c) is int for c in coords]
-    if any(flag and abs(c) > _EXACT_INT for flag, c in zip(is_int, coords)):
-        return
     counts = ([len(p.rings) for p in parcels], [len(p.truth) for p in parcels],
               [len(ring) for ring in rings],
               [c for p in parcels for c in p.truth])
@@ -604,14 +594,8 @@ def assignments_to_jsonl(assignments) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# JSON text
-#
-# Every JSON artifact is orjson's text, written by ``encode_json``: a
-# document indented by two spaces, a JSON-lines row compact. The one
-# exception is a value orjson refuses for what it holds, an integer past
-# 64 bits or a string with a lone surrogate, which ``json`` writes
-# instead. ``decode_json`` reads the text back to the value written, with
-# the two exceptions its docstring names.
+# JSON text: every JSON artifact is written by ``encode_json`` and read
+# back by ``decode_json``.
 
 
 #: the starts of orjson's messages for the values it refuses that json

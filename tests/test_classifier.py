@@ -207,6 +207,25 @@ def test_schedule_rejects_what_its_loop_cannot_run(kwargs, message):
     assert Schedule(total_epochs=0).total_epochs == 0
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(batch_size=1), "batch_size must be >= 2, got 1"),
+    (dict(batch_size=0), "batch_size must be >= 2, got 0"),
+    (dict(domain_ratio=1.5), r"domain_ratio must be in \[0, 1\], got 1.5"),
+    (dict(domain_ratio=-0.5), r"domain_ratio must be in \[0, 1\], got -0.5"),
+    (dict(initial_lr=-1.0), "initial_lr must be >= 0, got -1.0"),
+    (dict(momentum=-2.0), "momentum must be >= 0, got -2.0"),
+    (dict(weight_decay=-1e-4), "weight_decay must be >= 0, got -0.0001"),
+])
+def test_schedule_rejects_batches_and_steps_no_run_means(kwargs, message):
+    """``stratified_batches`` takes these from the schedule, and a negative
+    step size, momentum or weight decay climbs the loss, so these raise at
+    construction too; zero is allowed."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Schedule(**kwargs)
+    assert Schedule(initial_lr=0.0, momentum=0.0, weight_decay=0.0,
+                    domain_ratio=0.0, batch_size=2).batch_size == 2
+
+
 def test_step_decay_values():
     s = Schedule(initial_lr=0.01, decay_factor=10.0, decay_every=5,
                  total_epochs=12)

@@ -165,6 +165,19 @@ REFUSED_VALUES = [
      "config key 'train.epochs': total_epochs must be >= 0, got -3"),
     ("finetune.epochs=-1",
      "config key 'finetune.epochs': total_epochs must be >= 0, got -1"),
+    ("train.batch_size=0",
+     "config key 'train.batch_size': batch_size must be >= 2, got 0"),
+    ("finetune.batch_size=0",
+     "config key 'finetune.batch_size': batch_size must be >= 2, got 0"),
+    ("train.domain_ratio=1.5", "config key 'train.domain_ratio':"
+                               " domain_ratio must be in [0, 1], got 1.5"),
+    ("train.lr=-1", "config key 'train.lr': initial_lr must be >= 0, got -1.0"),
+    ("finetune.lr=-1e-5",
+     "config key 'finetune.lr': initial_lr must be >= 0, got -1e-05"),
+    ("train.momentum=-2",
+     "config key 'train.momentum': momentum must be >= 0, got -2.0"),
+    ("train.weight_decay=-0.1",
+     "config key 'train.weight_decay': weight_decay must be >= 0, got -0.1"),
     ("fusion.weights=object:x", "fusion.weights: bad weight in 'object:x'"),
     ("fusion.weights=object:1", "fusion.weights: streams ['object', 'scene']"
                                 " do not match weights ['object']"),
@@ -805,7 +818,8 @@ def first_lon_past_float_range(data: bytes) -> bytes:
     (lambda b: b.replace(b'"id": "', b'"id": "\xff', 1),
      r"not UTF-8 at byte offset \d+: invalid start byte"),
     (first_lon_past_float_range,
-     r"feature \S+: ring 0, position 0 has a coordinate past the float range"),
+     r"feature \S+: ring 0, position 0: longitude 10{400} out of range"
+     r" \[-180, 180\]"),
 ])
 def test_filter_names_undecodable_parcels(tmp_path, capsys, fault, message):
     path = write_config(tmp_path)
@@ -815,6 +829,26 @@ def test_filter_names_undecodable_parcels(tmp_path, capsys, fault, message):
     assert main(["filter", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: GeoJSONParseError: {message}\n", err), err
+
+
+def test_projected_parcels_stop_the_run_before_assignments(tmp_path, capsys):
+    """Parcels exported in a projected frame (UTM-like metres) are refused
+    by the position rule, where they once assigned no image at all."""
+    path = write_config(tmp_path)
+    run(path, "synth")
+    parcels = tmp_path / "data" / "parcels.geojson"
+    doc = json.loads(parcels.read_bytes())
+    for feature in doc["features"]:
+        for ring in feature["geometry"]["coordinates"]:
+            ring[:] = [[550000 + 88000 * (x + 122.4), 4180000 + 111000 * (y - 37.7)]
+                       for x, y in ring]
+    parcels.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["all", "--config", str(path), "all.skip_synth=true"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: GeoJSONParseError: feature \S+: ring 0,"
+                        r" position 0: longitude [\d.]+ out of range"
+                        r" \[-180, 180\]\n", err), err
+    assert not (tmp_path / "out" / "assignments.jsonl").exists()
 
 
 @pytest.fixture(scope="module")

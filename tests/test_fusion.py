@@ -11,7 +11,7 @@ from landuse.evaluation import mapping_metrics
 from landuse.fusion_mapping import (aggregate_parcels, equal_weights,
                                     export_map, fuse, predict_image,
                                     predict_table)
-from landuse.geodata import Assignment, Parcel, parse_parcels
+from landuse.geodata import Assignment, GeoJSONParseError, Parcel, parse_parcels
 from landuse.taxonomy import Level, TaxonomyError, builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -362,7 +362,9 @@ def square_at(x0, y0, side):
 def test_export_text_reads_back_for_any_coordinates(rings, provenance):
     """The map reads back, through ``json`` and through ``parse_parcels``,
     to the coordinates it was given, integers as integers, whether orjson
-    writes it or, for an integer past 64 bits, json does."""
+    writes it or, for an integer past 64 bits, json does. A parcel built
+    in code may lie outside lon/lat range: its map exports, and parsing
+    refuses it."""
     parcels = [Parcel(id="P", rings=rings),
                Parcel(id="Q", rings=(square_at(2.0, 2.0, 0.5),))]
     text = export_map(parcels, one_vote_each(2), TAX, provenance=provenance)
@@ -370,6 +372,10 @@ def test_export_text_reads_back_for_any_coordinates(rings, provenance):
     assert doc["features"][0]["geometry"]["coordinates"] == \
         [[list(v) for v in ring] for ring in rings]
     assert doc.get("provenance") == provenance
+    if max(abs(c) for ring in rings for v in ring for c in v) > 180:
+        with pytest.raises(GeoJSONParseError, match="out of range"):
+            parse_parcels(text, TAX)
+        return
     again = parse_parcels(text, TAX)
     assert [(p.id, p.rings) for p in again] == [(p.id, p.rings) for p in parcels]
     assert [type(c) for p in again for ring in p.rings for v in ring

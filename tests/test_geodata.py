@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from _oracles import (oracle_assign, oracle_contains, oracle_ring_crossing,
                       random_parcel, star_ring)
 from landuse import geodata
+from landuse.dataset import ManifestError, load_manifest
 from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Assignment, GeoJSONParseError, GeoPoint, JSONLinesError,
                              Parcel, ParcelValidationError, assign,
@@ -51,6 +52,34 @@ def test_position_that_is_not_lon_lat_rejected(position):
     with pytest.raises(GeoJSONParseError,
                        match=re.escape(f"feature p1: position {position}"
                                        " is not [lon, lat]")):
+        parse_parcels(doc, TAX)
+
+
+#: a bad position as JSON text, the coordinate at fault first or second
+BAD_POSITIONS = ["[true, 0]", "[NaN, 0]", "[0, Infinity]", "[181, 0]",
+                 "[0, -91]", "[1" + "0" * 400 + ", 0]", '["1", 0]']
+
+
+@pytest.mark.parametrize("text", BAD_POSITIONS, ids=[
+    "true", "NaN", "Infinity", "lon181", "lat-91", "10**400", "string"])
+def test_every_position_reader_refuses_a_bad_position(tmp_path, text):
+    """Geotags and parcel vertices share ``check_position``, so each reader
+    refuses each bad position with its own typed error, and none lets an
+    ``OverflowError`` through."""
+    lon_text, lat_text = text[1:-1].split(", ")
+    with pytest.raises((TypeError, ValueError)):  # no OverflowError
+        GeoPoint(*json.loads(text))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(f'{{"id": "a", "lon": {lon_text}, "lat": {lat_text},'
+                        f' "features": {{"o": [1.0]}}}}\n', encoding="utf-8")
+    with pytest.raises(ManifestError, match="^record a: bad coordinates"):
+        load_manifest(manifest, TAX)
+    doc = ('{"type": "FeatureCollection", "features": [{"id": "p", "geometry":'
+           ' {"type": "Polygon", "coordinates":'
+           f' [[[0, 0], [1, 0], {text}, [0, 1], [0, 0]]]}}}}]}}')
+    with pytest.raises(GeoJSONParseError,
+                       match=r"^feature p: (position \[.*\] is not \[lon, lat\]"
+                             r"|ring 0, position 2: )"):
         parse_parcels(doc, TAX)
 
 
@@ -136,8 +165,8 @@ def test_integer_coordinate_past_the_float_range_rejected(big):
         "type": "Feature", "id": "p1",
         "geometry": {"type": "Polygon", "coordinates": [ring]}}])
     doc = doc.replace("[1, 1]", f"[{big}, 1]")
-    with pytest.raises(GeoJSONParseError, match=r"^feature p1: ring 0, position 2"
-                       r" has a coordinate past the float range$"):
+    with pytest.raises(GeoJSONParseError, match=r"^feature p1: ring 0, position 2:"
+                       rf" longitude {big} out of range \[-180, 180\]$"):
         parse_parcels(doc, TAX)
 
 
@@ -234,8 +263,16 @@ def test_non_finite_vertex_rejected(bad):
         Parcel(id="bad", rings=(ring,))
     # json.dumps writes NaN/Infinity tokens, which json.loads accepts
     doc = feature_collection([polygon_feature("bad", [ring])])
-    with pytest.raises(ParcelValidationError, match="non-finite"):
+    with pytest.raises(GeoJSONParseError, match="^feature bad: ring 0,"
+                       " position 2: non-finite coordinate"):
         parse_parcels(doc, TAX)
+
+
+def test_integer_vertex_past_the_float_range_rejected():
+    """A parcel built in code is not held to lon/lat range, but its
+    vertices must be finite floats."""
+    with pytest.raises(ParcelValidationError, match="^parcel x: non-finite vertex$"):
+        Parcel(id="x", rings=(((0, 0), (10 ** 400, 0), (1, 1), (0, 0)),))
 
 
 def test_ring_must_close():
@@ -1278,7 +1315,7 @@ def test_encode_json_falls_back_when_orjson_refuses(monkeypatch):
     [-float(np.nextafter(1e16, 0)), 1.0], [1.0, math.nan], [math.inf, 2.0],
     [-math.inf], [], [1e-05, 1e+16, 0.1],
 ], ids=repr)
-def test_encode_floats_edge_vectors(values):
+def test_encode_json_edge_vectors(values):
     """A float64 vector reads back as its values, and a non-finite value
     as null, which is why ``make_city`` checks its blocks."""
     vec = np.array(values, dtype=np.float64)
@@ -1286,7 +1323,7 @@ def test_encode_floats_edge_vectors(values):
     assert read_back({"v": vec}) == json.dumps({"v": want})
 
 
-def test_encode_floats_non_contiguous_slice_and_other_dtypes():
+def test_encode_json_non_contiguous_slice_and_other_dtypes():
     base = np.linspace(-3.0, 3.0, 13)
     assert read_back(base[::2]) == json.dumps(base[::2].tolist())
     assert read_back(base[::-1]) == json.dumps(base[::-1].tolist())
@@ -1297,7 +1334,7 @@ def test_encode_floats_non_contiguous_slice_and_other_dtypes():
         == single.tolist()
 
 
-def test_encode_floats_writes_plain_vectors_with_orjson(monkeypatch):
+def test_encode_json_writes_plain_vectors_with_orjson(monkeypatch):
     written = []
     monkeypatch.setattr(geodata, "json", SimpleNamespace(
         dumps=lambda value, **kw: written.append(value)))

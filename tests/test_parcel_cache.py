@@ -40,7 +40,8 @@ def square(x0, y0, side):
 @st.composite
 def polygons(draw):
     """One polygon, an exterior square and perhaps a square hole, with
-    integer, float or mixed (integer lon, float lat) coordinates."""
+    integer, float or mixed (integer lon, float lat) coordinates, each
+    inside the range ``check_position`` allows."""
     kind = draw(st.sampled_from(("int", "float", "mixed")))
     if kind == "float":
         x0 = draw(st.sampled_from((-0.0, 0.0)) | st.floats(-170, 170))
@@ -48,7 +49,7 @@ def polygons(draw):
         side = draw(st.floats(0.01, 5.0))
         quarter = side / 4
     else:
-        x0, y0 = draw(st.integers(-170, 170)), draw(st.integers(-80, 80))
+        x0, y0 = draw(st.integers(-170, 168)), draw(st.integers(-80, 78))
         side = 4 * draw(st.integers(1, 3))
         quarter = side // 4
     rings = [square(x0, y0, side)]
@@ -207,19 +208,28 @@ def test_unwritable_out_dir_parses_each_time(tmp_path, parses):
     assert len(parses) == 3
 
 
-@pytest.mark.parametrize("big,cached", [(2 ** 53, True), (2 ** 53 + 1, False),
-                                        (-2 ** 53 - 1, False)])
-def test_integer_a_float_cannot_hold_gets_no_entry(tmp_path, parses, big, cached):
+@pytest.mark.parametrize("big", [2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1, 181])
+def test_entry_of_an_older_version_for_parcels_out_of_range_is_refused(
+        tmp_path, parses, monkeypatch, big):
+    """Version 2 parsed parcels out of lon/lat range and gave them an entry
+    (integers up to 2**53). Such an entry is a miss now, and the file is
+    parsed and refused, whatever entry exists."""
     ring = [[0, 0], [big, 0], [big, 1], [0, 1], [0, 0]]
-    path = write_parcels(tmp_path, coordinates=[ring])
-    p = pipeline(tmp_path)
+    data = write_parcels(tmp_path, coordinates=[ring]).read_bytes()
+    parcels = [geodata.Parcel(id="A", rings=(tuple(map(tuple, ring)),))]
+    entry = tmp_path / "out" / "parcels.lupar"
+    with monkeypatch.context() as old:
+        old.setattr(geodata, "PARCEL_ENTRY_VERSION", 2)
+        write_parcel_entry(entry, data, TAX, parcels)
+        assert read_parcel_entry(entry, data, TAX) is not None
+    written = entry.read_bytes()
+    assert read_parcel_entry(entry, data, TAX) is None
     for _ in range(2):
-        parcels = p.load_parcels()
-        assert parcels[0].rings[0][1] == (big, 0)
-        assert type(parcels[0].rings[0][1][0]) is int
-    assert (tmp_path / "out" / "parcels.lupar").exists() == cached
-    assert len(parses) == (1 if cached else 2)
-    assert_same_parcels(parcels, parse_parcels(path.read_bytes(), TAX))
+        with pytest.raises(GeoJSONParseError, match=f"^feature A: ring 0,"
+                           f" position 1: longitude {big} out of range"):
+            pipeline(tmp_path).load_parcels()
+    assert len(parses) == 2
+    assert entry.read_bytes() == written
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from landuse.taxonomy import Taxonomy, builtin_taxonomy
 TAX = builtin_taxonomy()
 
 
-def test_blob_split_balanced_and_seeded():
+def test_noisy_web_split_balanced_and_seeded():
     kw = dict(noise_rate=0.0, core_spread=1.0, faded_fraction=0.0,
               feature_scale=1.0, seed=3)
     a, _ = noisy_web_split(4, 40, 0, 8, **kw, mixed_domains=True)
@@ -27,7 +27,7 @@ def test_blob_split_balanced_and_seeded():
     assert sorted(set(labels)) == [0, 1, 2, 3]
 
 
-def test_blob_split_noise_rate():
+def test_noisy_web_split_noise_rate():
     train_set, val_set = noisy_web_split(5, 2000, 500, 8, noise_rate=0.3,
                                          core_spread=1.0, faded_fraction=0.0,
                                          feature_scale=1.0, seed=1)
