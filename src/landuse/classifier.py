@@ -149,9 +149,11 @@ def train(model: SoftmaxModel, records: ManifestTable, schedule: Schedule,
     Each step forwards its batch once. ``weight_fn(P) -> weights`` turns
     those scores, from the current model state, into per-sample loss
     weights (the adaptive gate uses it); None means unit weights. With a
-    validation split, its accuracy is recorded after every epoch.
+    validation split, its accuracy is recorded after every epoch. Each
+    batch is gathered into one buffer, so that a step allocates less.
     """
     X = records.stream(model.stream)
+    Xb = np.empty((schedule.batch_size, X.shape[1]))
     m = model.copy()
     vW = np.zeros_like(m.W)
     vb = np.zeros_like(m.b)
@@ -162,7 +164,7 @@ def train(model: SoftmaxModel, records: ManifestTable, schedule: Schedule,
                                      schedule.domain_ratio,
                                      seed=schedule.seed + epoch)
         for idx in batches:
-            Xb = X[idx]
+            np.take(X, idx, axis=0, out=Xb, mode="clip")  # idx is in range
             P = forward(m, Xb)
             w = np.ones(len(idx)) if weight_fn is None else weight_fn(P)
             _, gW, gb = loss_grad(m, Xb, records.label[idx], w, P)

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import math
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -329,23 +330,59 @@ def cmd_filter(p: Pipeline) -> None:
     p._write_jsonl(p.assignments_path, assignments_to_jsonl(assignments))
 
 
+def per_stream(work, items) -> list:
+    """``work(*item)`` for each of ``items`` (one per stream), the first on
+    this thread and each further one on a helper thread of its own; the
+    streams are independent, and their BLAS calls release the GIL. The
+    results come back in item order once every call has returned; the first
+    call to raise, in item order, raises here. (Plain threads: importing
+    ``concurrent.futures`` adds about 0.4 MB to each stage process.)"""
+    items = list(items)
+    results, errors = [None] * len(items), [None] * len(items)
+
+    def run(k):
+        try:
+            results[k] = work(*items[k])
+        except BaseException as e:  # noqa: BLE001 - raised below, in order
+            errors[k] = e
+
+    helpers = [threading.Thread(target=run, args=(k,))
+               for k in range(1, len(items))]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
 def cmd_train(p: Pipeline) -> None:
     train_records, val_records = p.load_training()
     n = len(p.taxonomy.fine_classes)
-    p.out_dir.mkdir(parents=True, exist_ok=True)
-    for stream, schedule in p.schedules.items():
+
+    def fit(stream, schedule):
         d = train_records.stream(stream).shape[1]
-        result = train(init_model(n, d, stream), train_records, schedule,
-                       validation=val_records)
+        return train(init_model(n, d, stream), train_records, schedule,
+                     validation=val_records)
+
+    results = per_stream(fit, p.schedules.items())
+    p.out_dir.mkdir(parents=True, exist_ok=True)
+    for stream, result in zip(p.schedules, results):
         p.write_model(result, stream)
 
 
 def cmd_adapt(p: Pipeline) -> None:
     train_records, val_records = p.load_training()
-    for stream, gate in p.gates.items():
-        model = load_model(p.model_path(stream))
-        result = adaptive_finetune(model, train_records, gate,
-                                   validation=val_records)
+
+    def tune(stream, gate):
+        return adaptive_finetune(load_model(p.model_path(stream)),
+                                 train_records, gate, validation=val_records)
+
+    results = per_stream(tune, p.gates.items())
+    for stream, result in zip(p.gates, results):
         p.write_model(result, stream, adapted=True)
 
 

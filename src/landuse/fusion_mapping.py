@@ -8,6 +8,8 @@ index everywhere, for reproducibility.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .classifier import SoftmaxModel, forward
@@ -32,19 +34,24 @@ def check_weights(weights: dict[str, float], streams) -> None:
             f"streams {sorted(streams)} do not match weights {sorted(weights)}")
 
 
-def fuse(scores: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray:
+def fuse(scores: dict, weights: dict[str, float]) -> np.ndarray:
     """Element-wise convex combination of per-stream scores: one vector per
-    stream, or one ``(N, n)`` matrix per stream with a row per image."""
+    stream, or one ``(N, n)`` matrix per stream with a row per image. A
+    stream's scores may also be given as a function of no arguments that
+    makes them; each is called in turn, so that only one stream's scores
+    need exist at a time."""
     check_weights(weights, scores)
-    shapes = {np.shape(v) for v in scores.values()}
-    if len(shapes) != 1:
-        raise ValueError(f"score length mismatch: {sorted(shapes)}")
-    shape = shapes.pop()
-    out, product = np.zeros(shape), np.empty(shape)
+    out = product = None
     for stream, vec in scores.items():
-        np.multiply(weights[stream], np.asarray(vec, dtype=np.float64),
-                    out=product)
+        vec = np.asarray(vec() if callable(vec) else vec, dtype=np.float64)
+        if out is None:
+            out, product = np.zeros(vec.shape), np.empty(vec.shape)
+        elif vec.shape != out.shape:
+            raise ValueError(
+                f"score length mismatch: {sorted({out.shape, vec.shape})}")
+        np.multiply(weights[stream], vec, out=product)
         out += product
+        del vec  # before the next stream's scores are made
     return out
 
 
@@ -65,7 +72,7 @@ def predict_table(models: dict[str, SoftmaxModel], table: ManifestTable,
     """Fused predictions for every record of a table, one forward per
     stream: (argmax class index per record, ``(N, n)`` fused scores).
     Row ``k`` agrees with ``predict_image`` on ``table[k]``."""
-    fused = fuse({stream: forward(model, table.stream(stream))
+    fused = fuse({stream: partial(forward, model, table.stream(stream))
                   for stream, model in models.items()}, weights)
     return np.argmax(fused, axis=-1), fused
 

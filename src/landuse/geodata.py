@@ -672,9 +672,9 @@ def jsonl_rows(lines, source):
     only: other Unicode line ends, such as U+2028, may stand raw inside a
     JSON string. A blank line is one ``bytes.strip`` empties, so only ASCII
     whitespace is blank. A line that is not UTF-8 (as a ``str`` holding a
-    lone surrogate is not), not JSON (a cut last line, say), or JSON but
-    not an object raises ``JSONLinesError`` naming ``source`` and the
-    line."""
+    lone surrogate is not), not JSON (a cut last line, or an integer
+    literal past ``json``'s digit limit, say), or JSON but not an object
+    raises ``JSONLinesError`` naming ``source`` and the line."""
     if isinstance(lines, str):
         lines = lines.encode("utf-8", "surrogatepass").split(b"\n")
     for lineno, line in enumerate(lines, start=1):
@@ -687,6 +687,8 @@ def jsonl_rows(lines, source):
         except UnicodeDecodeError as e:
             raise JSONLinesError(
                 f"{source}:{lineno}: not UTF-8: {e.reason}") from None
+        except ValueError as e:  # an integer literal of too many digits
+            raise JSONLinesError(f"{source}:{lineno}: bad JSON: {e}") from None
         if not isinstance(obj, dict):
             raise JSONLinesError(f"{source}:{lineno}: expected a JSON object,"
                                  f" got {type(obj).__name__}")

@@ -1,9 +1,11 @@
 import ast
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from landuse import cli
-from landuse.adaptive import GateConfig, default_finetune_schedule
+from landuse.adaptive import (GateConfig, adaptive_finetune,
+                              default_finetune_schedule)
 from landuse.atomic import atomic_output, write_atomic
-from landuse.classifier import Schedule
+from landuse.classifier import Schedule, init_model, load_model, train
 from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
                          main, parse_config_text)
 from landuse.dataset import read_entry
@@ -520,6 +523,100 @@ def test_rerun_subcommand_byte_identical(tmp_path):
     assert before == after
 
 
+# ---------------------------------------------------------------------------
+# streams trained concurrently
+
+
+@pytest.mark.parametrize("streams", ["object", "object,scene",
+                                     "object,scene,extra"])
+def test_streams_trained_together_match_one_at_a_time(tmp_path, streams):
+    """``train`` and ``adapt`` write the models and ``.meta.json`` files that
+    training each stream in turn writes, byte for byte. Three streams run
+    on more threads than a two-core machine has, switching often."""
+    path = write_config(tmp_path)
+    override = f"streams={streams}"
+    run(path, "synth", override)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for stage in ("train", "adapt"):
+            run(path, stage, override)
+    finally:
+        sys.setswitchinterval(interval)
+    seq = Pipeline(load_config(str(path), [override]), tmp_path)
+    seq.out_dir = tmp_path / "seq"
+    seq.out_dir.mkdir()
+    train_records, val_records = seq.load_training()
+    n = len(TAX.fine_classes)
+    for stream, schedule in seq.schedules.items():
+        d = train_records.stream(stream).shape[1]
+        seq.write_model(train(init_model(n, d, stream), train_records,
+                              schedule, validation=val_records), stream)
+    for stream, gate in seq.gates.items():
+        seq.write_model(adaptive_finetune(
+            load_model(seq.model_path(stream)), train_records, gate,
+            validation=val_records), stream, adapted=True)
+
+    def models(out):
+        return {p.name: p.read_bytes() for p in out.glob("model_*")}
+
+    want = models(seq.out_dir)
+    assert len(want) == 4 * len(seq.streams)
+    assert models(tmp_path / "out") == want
+
+
+@pytest.mark.parametrize("stage,name", [("train", "train"),
+                                        ("adapt", "adaptive_finetune")])
+@pytest.mark.parametrize("failing", [("scene",), ("object", "scene")])
+def test_a_failing_stream_writes_no_model_of_its_stage(
+        tmp_path, capsys, monkeypatch, stage, name, failing):
+    """A stream that raises stops the stage before any model of it is
+    written; the first failure in stream order is the error, and no helper
+    thread is left running."""
+    path = write_config(tmp_path)
+    run(path, "synth")
+    if stage == "adapt":
+        run(path, "train")
+    real = getattr(cli, name)
+
+    def fail(model, *args, **kwargs):
+        if model.stream in failing:
+            raise RuntimeError(f"stream {model.stream} failed")
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, fail)
+    threads = threading.active_count()
+    assert main([stage, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: RuntimeError: stream {failing[0]} failed\n")
+    suffix = "_adapted" if stage == "adapt" else ""
+    assert not list((tmp_path / "out").glob(f"model_*{suffix}.lusm*"))
+    assert threading.active_count() == threads
+
+
+def test_blas_threads_change_no_byte(tmp_path):
+    """``landuse all`` writes the same bytes with BLAS on one thread as
+    with BLAS choosing its own thread count."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pinned = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
+    outputs = []
+    for name, pin in (("pinned", True), ("unpinned", False)):
+        root = tmp_path / name
+        root.mkdir()
+        path = write_config(root)
+        env = {k: v for k, v in os.environ.items() if k not in pinned}
+        env.update(pinned if pin else {}, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "landuse.cli", "all", "--config", str(path)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted((root / "out").iterdir())})
+    assert len(outputs[0]) == 17
+    assert outputs[0] == outputs[1]
+
+
 def test_lone_surrogate_image_ids_pass_through_the_stages(tmp_path):
     """A map image id holding a lone surrogate, escaped in the manifest as
     UTF-8 cannot hold it, has json write its rows. Every artifact reads
@@ -792,6 +889,19 @@ def test_prediction_pred_that_is_not_a_class_index_rejected(tmp_path, value,
     with pytest.raises(JSONLinesError,
                        match=f"^{re.escape(str(p.predictions_path))}:2:"
                              f" pred must be a class index, got {kind}$"):
+        p.read_predictions()
+
+
+def test_prediction_pred_past_the_digit_limit_rejected(tmp_path):
+    """json refuses an integer literal of more than 4,300 digits; that is a
+    bad line of the artifact, not a raw ValueError."""
+    p = Pipeline({"seed": "1", "out_dir": str(tmp_path)})
+    p.predictions_path.write_text(
+        '{"provenance": {}}\n{"image": "i", "pred": 1' + "0" * 5000 + "}\n",
+        encoding="utf-8")
+    with pytest.raises(JSONLinesError,
+                       match=f"^{re.escape(str(p.predictions_path))}:2:"
+                             " bad JSON: Exceeds the limit"):
         p.read_predictions()
 
 

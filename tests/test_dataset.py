@@ -218,6 +218,18 @@ def test_malformed_json_line_rejected(tmp_path, line, message):
         load_manifest(path, TAX)
 
 
+@pytest.mark.parametrize("row", [
+    '{"id": "b", "lon": 1%s, "lat": 0.0, "features": {"o": [1.0]}}',
+    '{"id": "b", "features": {"o": [1%s]}}'], ids=["lon", "feature"])
+def test_integer_past_the_digit_limit_is_a_manifest_error(tmp_path, row):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id": "a", "features": {"o": [1.0]}}\n'
+                    + row % ("0" * 5000) + "\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:2:"
+                                            " bad JSON: Exceeds the limit"):
+        load_manifest(path, TAX)
+
+
 @pytest.mark.parametrize("value", [True, False, 1.0])
 def test_label_that_is_not_an_integer_is_out_of_range(tmp_path, value):
     path = tmp_path / "m.jsonl"
