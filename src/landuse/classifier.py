@@ -8,6 +8,7 @@ bit-for-bit reproducible given a seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -69,6 +70,18 @@ class Schedule:
         for name in ("initial_lr", "momentum", "weight_decay"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # the last epoch has the largest divisor, or the largest rate when
+        # decay_factor < 1: 10.0 ** 400 overflows, and 0.5 ** 1100 is 0
+        last = max(self.total_epochs - 1, 0)
+        k = last // self.decay_every
+        try:
+            lr = self.initial_lr / float(self.decay_factor) ** k
+        except (OverflowError, ZeroDivisionError):
+            lr = math.inf
+        if not math.isfinite(lr):
+            raise ValueError(
+                f"learning rate of epoch {last} out of range: initial_lr"
+                f" {self.initial_lr} / decay_factor {self.decay_factor} ** {k}")
 
     def lr_at(self, epoch: int) -> float:
         return self.initial_lr / self.decay_factor ** (epoch // self.decay_every)
@@ -108,8 +121,12 @@ def forward(model: SoftmaxModel, X) -> np.ndarray:
 
 def loss_grad(model: SoftmaxModel, X, y, sample_weights, P=None):
     """Weighted-mean cross-entropy loss of feature rows ``X`` with labels
-    ``y``, and its analytic gradients. ``P`` is ``forward(model, X)`` when
-    the caller has it already.
+    ``y``, and its analytic gradients.
+
+    ``sample_weights`` None means unit weights, and skips the weighting.
+    ``P`` is ``forward(model, X)`` when the caller has it already; it is
+    consumed: the gradient is built in its buffer, so the caller must not
+    read it afterwards.
 
     Weighted mean (not sum) so that gating samples out does not implicitly
     shrink the learning rate; all-zero weights give zero loss and zero
@@ -117,12 +134,15 @@ def loss_grad(model: SoftmaxModel, X, y, sample_weights, P=None):
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    w = np.asarray(sample_weights, dtype=np.float64)
-    if w.shape != y.shape:
-        raise ValueError(f"need {len(y)} sample weights, got {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("sample weights must be >= 0")
-    wsum = w.sum()
+    if sample_weights is None:
+        w, wsum = None, float(len(y))
+    else:
+        w = np.asarray(sample_weights, dtype=np.float64)
+        if w.shape != y.shape:
+            raise ValueError(f"need {len(y)} sample weights, got {w.shape}")
+        if np.any(w < 0):
+            raise ValueError("sample weights must be >= 0")
+        wsum = w.sum()
     if wsum == 0.0:
         return 0.0, np.zeros_like(model.W), np.zeros_like(model.b)
     if y.min() < 0 or y.max() >= model.n:
@@ -131,12 +151,14 @@ def loss_grad(model: SoftmaxModel, X, y, sample_weights, P=None):
     if P is None:
         P = forward(model, X)
     idx = np.arange(len(y))
-    loss = float(-(w * np.log(P[idx, y])).sum() / wsum)
-    E = P.copy()
+    logp = np.log(P[idx, y])
+    loss = float(-(logp if w is None else w * logp).sum() / wsum)
+    E = P  # the error P - onehot(y), in place
     E[idx, y] -= 1.0
-    WE = E * w[:, None]
-    gradW = WE.T @ X / wsum
-    gradb = WE.sum(axis=0) / wsum
+    if w is not None:
+        E *= w[:, None]
+    gradW = E.T @ X / wsum
+    gradb = E.sum(axis=0) / wsum
     return loss, gradW, gradb
 
 
@@ -166,7 +188,7 @@ def train(model: SoftmaxModel, records: ManifestTable, schedule: Schedule,
         for idx in batches:
             np.take(X, idx, axis=0, out=Xb, mode="clip")  # idx is in range
             P = forward(m, Xb)
-            w = np.ones(len(idx)) if weight_fn is None else weight_fn(P)
+            w = None if weight_fn is None else weight_fn(P)
             _, gW, gb = loss_grad(m, Xb, records.label[idx], w, P)
             if schedule.weight_decay:
                 gW = gW + schedule.weight_decay * m.W

@@ -129,15 +129,21 @@ def _keywords(values: dict, *prefixes: str) -> dict:
 
 
 def _schedule(schedule: Schedule, values: dict, *prefixes: str) -> Schedule:
-    """``schedule`` with the keys under ``prefixes`` set one at a time, so
-    that a value it refuses is a ConfigError naming its key."""
-    for key, value in values.items():
-        if key.startswith(prefixes):
+    """``schedule`` with the keys under ``prefixes`` set. If it refuses
+    them, they are set again one at a time, so that the ConfigError names
+    the first key it refuses. (Set one at a time only, a value that needs
+    a later key, such as a decay that outruns the default epoch count,
+    would be refused.)"""
+    given = {k: x for k, x in values.items() if k.startswith(prefixes)}
+    try:
+        return replace(schedule, **_keywords(given, *prefixes))
+    except ValueError:
+        for key, value in given.items():
             try:
                 schedule = replace(schedule, **_keywords({key: value}, key))
             except ValueError as e:
                 raise ConfigError(f"config key {key!r}: {e}") from None
-    return schedule
+        raise
 
 
 class Pipeline:
@@ -264,18 +270,26 @@ class Pipeline:
     def load_training(self):
         """(train table, validation table or None if no val_manifest).
 
-        Both splits must carry every configured stream, so that a bad split
-        fails before any stream's model is trained."""
+        Both splits must carry every configured stream and label every
+        record (validation accuracy would count an unlabelled one as
+        wrong), so that a bad split fails before any stream's model is
+        trained."""
         train_records = self.load_split("train_manifest")
         if not len(train_records):
             raise ManifestError(
                 f"{self.path('train_manifest')}: no training records")
         val_records = (self.load_split("val_manifest")
                        if "val_manifest" in self.cfg else None)
-        for split in (train_records, val_records):
+        for key, split in (("train_manifest", train_records),
+                           ("val_manifest", val_records)):
             if split:
                 for stream in self.streams:
                     split.stream(stream)
+                unlabelled = np.flatnonzero(split.label < 0)
+                if len(unlabelled):
+                    raise ManifestError(f"{self.path(key)}: record"
+                                        f" {split.ids[unlabelled[0]]} has no"
+                                        f" label")
         return train_records, val_records
 
     def write_model(self, result, stream: str, adapted: bool = False) -> None:

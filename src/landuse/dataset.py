@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 import struct
+import threading
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -356,16 +358,34 @@ def read_entry(entry, path, taxonomy: Taxonomy) -> ManifestTable | None:
     extended, one whose columns disagree in length, or one keyed by other
     bytes of the manifest or its sidecars, or by another taxonomy. The key
     is checked by hashing the files in chunks, so a hit never holds the
-    manifest's bytes.
+    manifest's bytes. Once the entry is found, the manifest is hashed on a
+    helper thread while the entry is read and verified; ``hashlib`` and the
+    reads release the GIL, so on two free cores a hit costs about the
+    longer of the two. The helper is joined before this returns or raises.
     """
-    items = read_items(entry, ENTRY_MAGIC, ENTRY_VERSION)
-    if items is None or len(items) < 10:
+    path = Path(path)
+    if not os.path.exists(entry):  # a cold load hashes nothing
+        return None
+    digest = []
+
+    def hash_manifest():
+        try:
+            digest.append(file_sha256(path))
+        except (OSError, ValueError):  # a miss; the decode meets it again
+            pass
+
+    helper = threading.Thread(target=hash_manifest)
+    helper.start()
+    try:
+        items = read_items(entry, ENTRY_MAGIC, ENTRY_VERSION)
+    finally:
+        helper.join()
+    if items is None or len(items) < 10 or not digest:
         return None
     (key, refs, ids, streams, dims, domain, has_geo, label, lon, lat,
      *mats) = items
-    path = Path(path)
     try:
-        if key.tobytes() != _cache_key(file_sha256(path), taxonomy, (
+        if key.tobytes() != _cache_key(digest[0], taxonomy, (
                 file_sha256(path.parent / ref) for ref in refs)):
             return None
     except OSError:
@@ -404,6 +424,20 @@ def _write_entry(entry, taxonomy: Taxonomy, table: ManifestTable,
 # stratified batching
 
 
+def shuffle(items: list, getrandbits) -> None:
+    """Shuffle ``items`` in place as ``random.Random.shuffle`` does, given
+    that generator's ``getrandbits``: the same Fisher-Yates swaps, each
+    index drawn by rejection from the fewest bits that cover it, with no
+    method call per swap beyond the draw, so the same seed gives the same
+    order."""
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
 def stratified_batches(domains, batch_size: int, domain_ratio: float,
                        seed: int) -> list[np.ndarray]:
     """Seeded mixed-domain batches, as index arrays into ``domains`` (one
@@ -432,12 +466,12 @@ def stratified_batches(domains, batch_size: int, domain_ratio: float,
         raise ValueError(
             f"no full batch: {len(pool_a)} domain-A and {len(pool_b)} domain-B"
             f" records, but batch_size {batch_size} takes {n_a} A + {n_b} B")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
 
     def shuffled(pool):
         while True:
             fresh = pool[:]
-            rng.shuffle(fresh)
+            shuffle(fresh, getrandbits)
             yield fresh
 
     draw_a = chain.from_iterable(shuffled(pool_a))

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from landuse.adaptive import (HARD, SOFT, GateConfig, adaptive_finetune,
                               default_finetune_schedule, discard_probability,
                               gate_weights)
-from landuse.classifier import Schedule, init_model
+from landuse.classifier import (Schedule, forward, init_model, loss_grad,
+                                train)
+from landuse.dataset import stratified_batches
 from landuse.synth import noisy_web_split
 
 
@@ -174,3 +176,38 @@ def test_finetune_deterministic():
     m1 = adaptive_finetune(base, train_set, cfg).model
     m2 = adaptive_finetune(base, train_set, cfg).model
     assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.b, m2.b)
+
+
+@pytest.mark.parametrize("mode", [HARD, SOFT])
+def test_finetune_matches_a_hand_loop(mode):
+    """Each step forwards its batch once, gates on those scores and takes
+    the gradient of the same scores, bit for bit as this loop does."""
+    train_set, _ = noisy_web_split(
+        4, 120, 0, 5, noise_rate=0.3, core_spread=1.0, faded_fraction=0.0,
+        feature_scale=1.0, seed=6, separation=4.0, mixed_domains=True)
+    base = train(init_model(4, 5, "object"), train_set,
+                 Schedule(total_epochs=10, batch_size=16, seed=1,
+                          initial_lr=1.0)).model
+    cfg = GateConfig(mode=mode, schedule=Schedule(
+        initial_lr=0.05, decay_every=2, total_epochs=3, batch_size=16,
+        seed=9))
+    got = adaptive_finetune(base, train_set, cfg).model
+
+    m, sched = base.copy(), cfg.schedule
+    X, y = train_set.stream("object"), train_set.label
+    kept = []
+    for epoch in range(sched.total_epochs):
+        for idx in stratified_batches(train_set.domain, sched.batch_size,
+                                      sched.domain_ratio,
+                                      seed=sched.seed + epoch):
+            P = forward(m, X[idx])
+            w = gate_weights(P, cfg)
+            kept.append(w.mean())
+            _, gW, gb = loss_grad(m, X[idx], y[idx], w, P)
+            m.W -= sched.lr_at(epoch) * gW
+            m.b -= sched.lr_at(epoch) * gb
+    assert got.W.tobytes() == m.W.tobytes()
+    assert got.b.tobytes() == m.b.tobytes()
+    # the gate kept some samples and dropped or shrank others
+    assert 0.0 < np.mean(kept) < 1.0
+    assert not np.array_equal(got.W, base.W)

@@ -174,6 +174,33 @@ def test_precomputed_scores_give_the_same_step():
     np.testing.assert_array_equal(plain[2], given[2])
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 6),
+       d=st.integers(1, 7), size=st.integers(1, 20))
+def test_unit_weights_given_as_none_give_the_same_step(seed, n, d, size):
+    """None skips the weighting, and a ``P`` handed in is consumed, yet the
+    loss and gradients equal those of explicit unit weights bit for bit."""
+    rng = random.Random(seed)
+    X, y = random_batch(rng, n, d, size)
+    nprng = np.random.default_rng(seed)
+    m = SoftmaxModel(W=nprng.standard_normal((n, d)),
+                     b=nprng.standard_normal(n), stream="object")
+    want = loss_grad(m, X, y, np.ones(len(y)), forward(m, X))
+    for got in (loss_grad(m, X, y, None, forward(m, X)),
+                loss_grad(m, X, y, None)):
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_unit_weights_given_as_none_check_labels_and_allow_no_rows():
+    m = init_model(2, 2, "object")
+    with pytest.raises(ValueError, match="unlabeled record"):
+        loss_grad(m, np.zeros((1, 2)), [-1], None)
+    loss, gW, gb = loss_grad(m, np.zeros((0, 2)), [], None)
+    assert loss == 0.0 and not gW.any() and not gb.any()
+
+
 def test_gradients_match_finite_differences():
     rng = random.Random(123)
     nprng = np.random.default_rng(123)
@@ -224,6 +251,39 @@ def test_schedule_rejects_batches_and_steps_no_run_means(kwargs, message):
         Schedule(**kwargs)
     assert Schedule(initial_lr=0.0, momentum=0.0, weight_decay=0.0,
                     domain_ratio=0.0, batch_size=2).batch_size == 2
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # the README fine-tuning schedule run for 400 epochs: 10.0 ** 399
+    (dict(initial_lr=1e-5, decay_every=1, total_epochs=400),
+     r"learning rate of epoch 399 out of range: initial_lr 1e-05"
+     r" / decay_factor 10.0 \*\* 399"),
+    # 0.5 ** 1099 is 0
+    (dict(initial_lr=1e-5, decay_factor=0.5, decay_every=1,
+          total_epochs=1100),
+     r"learning rate of epoch 1099 out of range: initial_lr 1e-05"
+     r" / decay_factor 0.5 \*\* 1099"),
+    # 0.5 ** 1024 is not 0, but 1.0 / 0.5 ** 1024 is inf
+    (dict(initial_lr=1.0, decay_factor=0.5, decay_every=1, total_epochs=1025),
+     r"learning rate of epoch 1024 out of range: initial_lr 1.0"
+     r" / decay_factor 0.5 \*\* 1024"),
+])
+def test_schedule_rejects_a_decay_past_the_float_range(kwargs, message):
+    """``lr_at`` of the last epoch would overflow, divide by zero or give an
+    infinite step, so these raise at construction."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Schedule(**kwargs)
+
+
+def test_schedule_allows_every_decay_its_epochs_reach():
+    s = Schedule(initial_lr=1e-5, decay_every=1, total_epochs=300)
+    assert s.lr_at(299) == 1e-5 / 10.0 ** 299
+    s = Schedule(initial_lr=1e-5, decay_factor=0.5, decay_every=1,
+                 total_epochs=1000)
+    assert s.lr_at(999) == 1e-5 / 0.5 ** 999
+    # a decay no epoch reaches is no fault
+    assert Schedule(decay_factor=1e-300, total_epochs=1).lr_at(0) == 0.01
+    assert Schedule(decay_factor=1e-300, total_epochs=0).total_epochs == 0
 
 
 def test_step_decay_values():

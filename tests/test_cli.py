@@ -154,7 +154,8 @@ BAD_VALUES = [
                               " stream names, got 'object,object'"),
 ]
 
-#: values the schedules refuse, and fusion weights that ``fuse`` refuses
+#: values the schedules refuse, and fusion weights that ``fuse`` refuses;
+#: an override of two keys separates them by a space
 REFUSED_VALUES = [
     ("train.decay_every=0",
      "config key 'train.decay_every': decay_every must be >= 1, got 0"),
@@ -181,6 +182,11 @@ REFUSED_VALUES = [
      "config key 'train.momentum': momentum must be >= 0, got -2.0"),
     ("train.weight_decay=-0.1",
      "config key 'train.weight_decay': weight_decay must be >= 0, got -0.1"),
+    ("finetune.epochs=400", "config key 'finetune.epochs': learning rate of"
+     " epoch 399 out of range: initial_lr 1e-05 / decay_factor 10.0 ** 399"),
+    ("finetune.decay_factor=0.5 finetune.epochs=1100",
+     "config key 'finetune.epochs': learning rate of epoch 1099 out of range:"
+     " initial_lr 1e-05 / decay_factor 0.5 ** 1099"),
     ("fusion.weights=object:x", "fusion.weights: bad weight in 'object:x'"),
     ("fusion.weights=object:1", "fusion.weights: streams ['object', 'scene']"
                                 " do not match weights ['object']"),
@@ -208,9 +214,22 @@ def test_bad_config_value_stops_a_command_before_its_first_stage(
     later stage, stops any command with the same message and writes no
     file."""
     path = write_config(tmp_path)
-    assert main([command, "--config", str(path), override]) == 1
+    assert main([command, "--config", str(path), *override.split(" ")]) == 1
     assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["train.decay_factor=1e-200", "train.epochs=1"],
+    ["finetune.decay_factor=1e-200", "finetune.epochs=1"],
+])
+def test_schedule_keys_are_checked_together(tmp_path, overrides):
+    """A decay the default epoch count would take past the float range is
+    no fault when the epochs set with it stay inside it."""
+    p = Pipeline(load_config(write_config(tmp_path), overrides), tmp_path)
+    schedule = p.schedules["object"] if overrides[0].startswith("train.") \
+        else p.gates["object"].schedule
+    assert schedule.lr_at(schedule.total_epochs - 1) > 0
 
 
 @pytest.mark.parametrize("where", ["file", "override"])
@@ -764,6 +783,34 @@ def strip_labels(manifest, keep):
             obj.pop("label", None)
         lines.append(json.dumps(obj))
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["train", "adapt"])
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_training_names_the_first_unlabelled_record(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    split):
+    """An unlabelled record in either split stops train and adapt with the
+    file and the record named, before any stream starts: validation
+    accuracy would count it as wrong."""
+    path = write_config(tmp_path)
+    run(path, "synth")
+    run(path, "train")
+    models = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
+              if p.name.startswith("model_")}
+    manifest = tmp_path / "data" / f"{split}.jsonl"
+    ids = [json.loads(line)["id"] for line in manifest.read_text().splitlines()]
+    strip_labels(manifest, keep=lambda i: i not in (ids[4], ids[2]))
+    started = []
+    monkeypatch.setattr(cli, "train", lambda *a, **k: started.append(a))
+    monkeypatch.setattr(cli, "adaptive_finetune",
+                        lambda *a, **k: started.append(a))
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ManifestError: {manifest}: record {ids[2]} has no label\n")
+    assert started == []
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
+            if p.name.startswith("model_")} == models
 
 
 def test_eval_rejects_partly_labelled_map(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from _oracles import oracle_load_manifest, oracle_stratified_batches
 from landuse.dataset import (DOMAIN_A, DOMAIN_B, ImageRecord, ManifestError,
-                             load_manifest, read_feature_file,
+                             load_manifest, read_feature_file, shuffle,
                              stratified_batches, write_feature_file)
 from landuse.taxonomy import builtin_taxonomy
 
@@ -300,6 +300,28 @@ def test_different_seeds_differ():
     a = stratified_batches(pool, 16, 0.5, seed=1)
     b = stratified_batches(pool, 16, 0.5, seed=2)
     assert [x.tolist() for x in a] != [x.tolist() for x in b]
+
+
+#: lengths at and beside each power of two, where the bits drawn per swap
+#: change
+EDGE_LENGTHS = sorted({n for k in range(12) for n in (2 ** k - 1, 2 ** k,
+                                                       2 ** k + 1)
+                       if 0 <= n <= 2100})
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from(EDGE_LENGTHS) | st.integers(0, 2100),
+       seed=st.integers(0, 2 ** 64))
+def test_shuffle_is_random_shuffle(n, seed):
+    """The inline Fisher-Yates gives ``random.Random.shuffle``'s order and
+    leaves the generator where that call leaves it."""
+    want, got = list(range(n)), list(range(n))
+    rng = random.Random(seed)
+    rng.shuffle(want)
+    mine = random.Random(seed)
+    shuffle(got, mine.getrandbits)
+    assert got == want
+    assert mine.getstate() == rng.getstate()
 
 
 def test_missing_required_domain():

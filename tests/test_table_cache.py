@@ -3,7 +3,10 @@ the decoded table bit for bit, and anything else is a miss that decodes."""
 
 import hashlib
 import json
+import os
 import shutil
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -426,3 +429,112 @@ def test_item_of_a_dtype_numpy_cannot_read_is_a_miss(valid_entry, code):
                                1)
     assert body != whole[:-32]
     assert_miss_then_rewritten(valid_entry, body + hashlib.sha256(body).digest())
+
+
+# ---------------------------------------------------------------------------
+# the manifest hashed while the entry is read
+
+
+def test_manifest_deleted_behind_a_valid_entry_raises_as_without_a_cache(
+        tmp_path):
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    load_manifest(path, TAX, cache=entry)
+    path.unlink()
+    assert read_entry(entry, path, TAX) is None
+    with pytest.raises(FileNotFoundError) as plain:
+        load_manifest(path, TAX)
+    with pytest.raises(FileNotFoundError) as cached:
+        load_manifest(path, TAX, cache=entry)
+    assert str(cached.value) == str(plain.value)
+
+
+def test_manifest_edited_after_the_entry_was_written_is_a_miss(tmp_path):
+    """The key is the manifest's content: an edit of the same size that
+    restores the file's times still misses."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    old = load_manifest(path, TAX, cache=entry)
+    stat = path.stat()
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("0.5", "0.6"), encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert read_entry(entry, path, TAX) is None
+    table = load_manifest(path, TAX, cache=entry)
+    assert table.features["object"][0, 0] == 0.6 != old.features["object"][0, 0]
+    assert_same_table(read_entry(entry, path, TAX), load_manifest(path, TAX))
+
+
+def test_a_load_leaves_no_thread_behind(tmp_path, monkeypatch):
+    """The helper that hashes the manifest is joined after a hit, a miss
+    and a failure."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    threads = threading.active_count()
+    table = load_manifest(path, TAX, cache=entry)             # cold miss
+    assert threading.active_count() == threads
+    assert_same_table(read_entry(entry, path, TAX), table)    # hit
+    assert threading.active_count() == threads
+    flip_byte(path.parent / "scene.lufv", 20)                 # stale entry
+    assert read_entry(entry, path, TAX) is None
+    assert threading.active_count() == threads
+
+    def fail(*args):
+        raise RuntimeError("entry read failed")
+
+    monkeypatch.setattr(dataset, "read_items", fail)          # failure
+    with pytest.raises(RuntimeError, match="entry read failed"):
+        read_entry(entry, path, TAX)
+    monkeypatch.undo()
+    assert threading.active_count() == threads
+    path.unlink()                                             # no manifest
+    with pytest.raises(FileNotFoundError):
+        load_manifest(path, TAX, cache=entry)
+    assert threading.active_count() == threads
+
+
+def test_hits_on_many_threads_under_a_short_switch_interval(tmp_path):
+    """Each hit joins its own helper before it reads the digest, so hits
+    on more threads than cores, switching every microsecond, all hit."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "m.lutab"
+    want = load_manifest(path, TAX, cache=entry)
+    hits = []
+
+    def hit():
+        for _ in range(10):
+            hits.append(read_entry(entry, path, TAX))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hit) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(hits) == 40
+    for table in hits:
+        assert_same_table(table, want)
+
+
+def test_a_cold_load_hashes_the_manifest_once(tmp_path, monkeypatch):
+    """With no entry to read, the manifest is hashed only by its decode."""
+    path = small_manifest(tmp_path)
+    entry = tmp_path / "out" / "m.lutab"
+    hashed = []
+    file_sha256 = dataset.file_sha256
+
+    def counted(p):
+        hashed.append(p)
+        return file_sha256(p)
+
+    monkeypatch.setattr(dataset, "file_sha256", counted)
+    load_manifest(path, TAX, cache=entry)
+    assert hashed == []
+    load_manifest(path, TAX, cache=entry)
+    assert hashed == [path, path.parent / "scene.lufv"]
