@@ -22,7 +22,7 @@ from . import synth
 from .adaptive import GateConfig, adaptive_finetune, default_finetune_schedule
 from .atomic import write_atomic
 from .classifier import Schedule, init_model, load_model, save_model, train
-from .dataset import ManifestError, load_manifest
+from .dataset import DOMAIN_A, ManifestError, batch_plan, load_manifest
 from .evaluation import image_accuracy, mapping_metrics, per_class_report
 # no stage calls predict_image; it stays among this module's names so
 # that traces which wrap them still find it
@@ -160,6 +160,9 @@ class Pipeline:
             raise ConfigError(f"unknown config key {bad[0]!r}")
         v = {key: parse_value(key, cfg[key]) for key in KEYS if key in cfg}
         self.cfg, self.base, self.seed = cfg, base, v["seed"]
+        if not 0 <= self.seed < 2 ** 64:  # the range synth and the writer take
+            raise ConfigError(f"config key 'seed': expected an integer in"
+                              f" [0, 2**64), got {cfg['seed']!r}")
         self.provenance = {"config_sha256": config_hash(cfg), "seed": self.seed}
         self.out_dir = self._resolve(v.get("out_dir", "out"))
         spec = v.get("streams", "object,scene")
@@ -167,6 +170,8 @@ class Pipeline:
         if not self.streams or len(set(self.streams)) < len(self.streams):
             raise ConfigError(f"config key 'streams': expected distinct stream"
                               f" names, got {spec!r}")
+        if any("\ud800" <= c <= "\udfff" for c in spec):  # argv not UTF-8
+            raise ConfigError(f"config key 'streams': {spec!r} is not UTF-8")
         self.taxonomy = builtin_taxonomy()
         if taxonomy_path := v.get("taxonomy"):
             path = self._resolve(taxonomy_path)
@@ -183,6 +188,7 @@ class Pipeline:
         train = _schedule(Schedule(), v, "train.")
         tune = _schedule(default_finetune_schedule(), v, "train.batch_size",
                          "train.domain_ratio", "finetune.")
+        self.batched = {"train.batch_size": train, "finetune.batch_size": tune}
         self.schedules = {s: replace(train, seed=self.seed + 1000 * (k + 1))
                           for k, s in enumerate(self.streams)}
         try:
@@ -272,8 +278,9 @@ class Pipeline:
 
         Both splits must carry every configured stream and label every
         record (validation accuracy would count an unlabelled one as
-        wrong), so that a bad split fails before any stream's model is
-        trained."""
+        wrong), and the train split must fill a batch of each schedule
+        that has epochs, so that a bad split fails before any stream's
+        model is trained."""
         train_records = self.load_split("train_manifest")
         if not len(train_records):
             raise ManifestError(
@@ -290,6 +297,14 @@ class Pipeline:
                     raise ManifestError(f"{self.path(key)}: record"
                                         f" {split.ids[unlabelled[0]]} has no"
                                         f" label")
+        count_a = int(np.count_nonzero(train_records.domain == DOMAIN_A))
+        for key, schedule in self.batched.items():
+            try:
+                if schedule.total_epochs:
+                    batch_plan(count_a, len(train_records) - count_a,
+                               schedule.batch_size, schedule.domain_ratio)
+            except ValueError as e:
+                raise ConfigError(f"config key {key!r}: {e}") from None
         return train_records, val_records
 
     def write_model(self, result, stream: str, adapted: bool = False) -> None:

@@ -15,11 +15,9 @@ the JSON only when the entry does not hold the table for the same inputs.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import random
 import struct
-import threading
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -28,7 +26,8 @@ import numpy as np
 
 from .entry import (classes_sha256, file_sha256, read_entry as read_items,
                     write_entry)
-from .geodata import GeoPoint, JSONLinesError, check_position, jsonl_rows
+from .geodata import (GeoPoint, JSONLinesError, check_position, jsonl_rows,
+                      record_id)
 from .taxonomy import Taxonomy
 
 FEATURE_FILE_MAGIC = b"LUFV1"
@@ -172,8 +171,6 @@ def _row_fault(rid: str, stream: str, vec, d: int) -> str:
     finite, or its dimension, in that order."""
     try:
         arr = np.asarray(vec, dtype=np.float64)
-    except OverflowError:  # an integer past the float range
-        arr = np.array([math.inf])
     except (ValueError, TypeError):
         arr = np.zeros((0, 0))
     if arr.ndim != 1:
@@ -192,7 +189,8 @@ def load_manifest(path, taxonomy: Taxonomy, cache=None) -> ManifestTable:
     pointing at LUFV1 sidecar files (paths relative to the manifest).
     String labels are resolved to fine class indices via the taxonomy.
     A line whose one key is ``provenance`` is a header and is skipped; any
-    other line lacking ``id`` raises.
+    other line lacking ``id``, or whose ``id`` ``record_id`` refuses,
+    raises.
     Ids must not repeat, and every record must carry the first record's
     streams. Each row goes straight into its stream's matrix, and each
     fault raises on the record where it is met, so the error is the one a
@@ -248,7 +246,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
                 k = len(ids)
                 if k == capacity:
                     raise ManifestError(f"{path}: changed while it was read")
-                rid = str(obj["id"])
+                rid = record_id(obj["id"], f"{path}:{lineno}", ManifestError)
                 ids.append(rid)
                 if rid in seen:
                     raise ManifestError(f"{path}:{lineno}: repeated record id {rid}")
@@ -265,7 +263,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
                                             f" object, got {type(value).__name__}")
                 row = dict(inline)
                 for stream, ref in refs.items():
-                    if not isinstance(ref, str):
+                    if not isinstance(ref, str) or "\0" in ref:
                         raise ManifestError(f"record {rid}: features_ref of stream"
                                             f" {stream} must be a path, got {ref!r}")
                     if ref not in sidecars:
@@ -293,7 +291,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
                         if len(vec) != M.shape[1]:  # numpy would broadcast [x]
                             raise ValueError
                         M[k] = vec
-                    except (ValueError, TypeError, OverflowError):
+                    except (ValueError, TypeError):
                         raise ManifestError(
                             _row_fault(rid, stream, vec, M.shape[1])) from None
                     if not np.isfinite(M[k]).all():
@@ -343,7 +341,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
 # or the decode do.
 
 ENTRY_MAGIC = b"LUTAB"
-ENTRY_VERSION = 3
+ENTRY_VERSION = 4
 
 
 def _cache_key(digest: bytes, taxonomy: Taxonomy, sidecar_digests) -> bytes:
@@ -358,34 +356,23 @@ def read_entry(entry, path, taxonomy: Taxonomy) -> ManifestTable | None:
     extended, one whose columns disagree in length, or one keyed by other
     bytes of the manifest or its sidecars, or by another taxonomy. The key
     is checked by hashing the files in chunks, so a hit never holds the
-    manifest's bytes. Once the entry is found, the manifest is hashed on a
-    helper thread while the entry is read and verified; ``hashlib`` and the
-    reads release the GIL, so on two free cores a hit costs about the
-    longer of the two. The helper is joined before this returns or raises.
+    manifest's bytes. The manifest is hashed before the entry is read,
+    which gave a lower peak RSS than hashing after it.
     """
     path = Path(path)
     if not os.path.exists(entry):  # a cold load hashes nothing
         return None
-    digest = []
-
-    def hash_manifest():
-        try:
-            digest.append(file_sha256(path))
-        except (OSError, ValueError):  # a miss; the decode meets it again
-            pass
-
-    helper = threading.Thread(target=hash_manifest)
-    helper.start()
     try:
-        items = read_items(entry, ENTRY_MAGIC, ENTRY_VERSION)
-    finally:
-        helper.join()
-    if items is None or len(items) < 10 or not digest:
+        digest = file_sha256(path)
+    except (OSError, ValueError):  # a miss; the decode meets it again
+        return None
+    items = read_items(entry, ENTRY_MAGIC, ENTRY_VERSION)
+    if items is None or len(items) < 10:
         return None
     (key, refs, ids, streams, dims, domain, has_geo, label, lon, lat,
      *mats) = items
     try:
-        if key.tobytes() != _cache_key(digest[0], taxonomy, (
+        if key.tobytes() != _cache_key(digest, taxonomy, (
                 file_sha256(path.parent / ref) for ref in refs)):
             return None
     except OSError:
@@ -438,34 +425,38 @@ def shuffle(items: list, getrandbits) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+def batch_plan(count_a: int, count_b: int, batch_size: int,
+               domain_ratio: float) -> tuple[int, int, int]:
+    """(domain-A records per batch, domain-B records per batch, full batches
+    per epoch) for ``count_a`` and ``count_b`` records: a batch holds
+    ``round(batch_size * domain_ratio)`` domain-A records, and an epoch
+    ends when the longer domain is exhausted. Too few records for one full
+    batch raise ValueError. ``Schedule`` holds the ranges of the two."""
+    n_a = int(round(batch_size * domain_ratio))
+    n_b = batch_size - n_a
+    if n_a > 0 and not count_a:
+        raise ValueError("batch requires domain-A records but none are present")
+    if n_b > 0 and not count_b:
+        raise ValueError("batch requires domain-B records but none are present")
+    n_batches = max(count_a // n_a if n_a else 0, count_b // n_b if n_b else 0)
+    if n_batches == 0:
+        raise ValueError(
+            f"no full batch: {count_a} domain-A and {count_b} domain-B"
+            f" records, but batch_size {batch_size} takes {n_a} A + {n_b} B")
+    return n_a, n_b, n_batches
+
+
 def stratified_batches(domains, batch_size: int, domain_ratio: float,
                        seed: int) -> list[np.ndarray]:
     """Seeded mixed-domain batches, as index arrays into ``domains`` (one
-    domain per record), with a fixed per-batch domain ratio.
-
-    Each full batch holds ``round(batch_size * domain_ratio)`` domain-A
-    records, then the domain-B rest. Each domain draws from copies of its
-    records, a copy shuffled when its first record is drawn; the epoch
-    ends when the longer domain is exhausted, the partial batch dropped.
-    Too few records for one full batch raise rather than give no batches.
-    ``Schedule`` holds the ranges of ``batch_size`` and ``domain_ratio``.
-    """
-    n_a = int(round(batch_size * domain_ratio))
-    n_b = batch_size - n_a
+    domain per record), as many as ``batch_plan`` gives, each its domain-A
+    records and then its domain-B rest. Each domain draws from copies of
+    its records, a copy shuffled when its first record is drawn."""
     domains = np.asarray(domains)
     pool_a = np.flatnonzero(domains == DOMAIN_A).tolist()
     pool_b = np.flatnonzero(domains == DOMAIN_B).tolist()
-    if n_a > 0 and not pool_a:
-        raise ValueError("batch requires domain-A records but none are present")
-    if n_b > 0 and not pool_b:
-        raise ValueError("batch requires domain-B records but none are present")
-
-    n_batches = max(len(pool_a) // n_a if n_a else 0,
-                    len(pool_b) // n_b if n_b else 0)
-    if n_batches == 0:
-        raise ValueError(
-            f"no full batch: {len(pool_a)} domain-A and {len(pool_b)} domain-B"
-            f" records, but batch_size {batch_size} takes {n_a} A + {n_b} B")
+    n_a, n_b, n_batches = batch_plan(len(pool_a), len(pool_b), batch_size,
+                                     domain_ratio)
     getrandbits = random.Random(seed).getrandbits
 
     def shuffled(pool):

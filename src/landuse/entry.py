@@ -8,8 +8,7 @@ Each item starts at a multiple of 8 bytes, after zero padding, with an
 8-byte ASCII code and a ``<Q`` count. An array item's code is its numpy
 dtype string, and its data the count elements, so every array is aligned
 for its dtype. A string item's code is ``utf-8``, and its data the ``<u4``
-byte length of each of the count strings, then their bytes; strings keep
-lone surrogates (``surrogatepass``), which JSON can hold.
+byte length of each of the count strings, then their UTF-8 bytes.
 
 Each kind of entry (the manifest table of ``dataset``, the parcels of
 ``geodata``) has its own magic and says which items it stores in which
@@ -89,7 +88,7 @@ def read_entry(entry, magic: bytes, version: int) -> list | None:
                 sizes = np.frombuffer(take(4 * n), dtype="<u4").tolist()
                 blob = take(sum(sizes))
                 ends = np.cumsum(sizes).tolist()
-                items.append([str(blob[e - k:e], "utf-8", "surrogatepass")
+                items.append([str(blob[e - k:e], "utf-8")
                               for k, e in zip(sizes, ends)])
             else:
                 dtype = np.dtype(code.decode("ascii"))
@@ -125,7 +124,7 @@ def write_entry(entry, magic: bytes, version: int, items) -> None:
                     put(_ITEM.pack(flat.dtype.str.encode("ascii"), len(flat)))
                     put(flat.data)
                 else:
-                    raw = [t.encode("utf-8", "surrogatepass") for t in item]
+                    raw = [t.encode("utf-8") for t in item]
                     put(_ITEM.pack(_TEXT, len(raw)))
                     put(np.array([len(r) for r in raw], dtype="<u4").data)
                     put(b"".join(raw))

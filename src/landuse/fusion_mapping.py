@@ -109,9 +109,9 @@ def export_map(parcels, votes: np.ndarray, taxonomy: Taxonomy,
     the fine histogram is kept in the properties so mixed-use parcels stay
     visible. Geometry is the parcels' rings, verbatim. A ``provenance``
     given is the last member. The text is orjson's, indented by two
-    spaces and ended by a line feed, from ``geodata.encode_json``; a
-    parcel id with a lone surrogate, or an integer coordinate past 64
-    bits, has ``json`` write the whole collection instead."""
+    spaces and ended by a line feed, from ``geodata.encode_json``, which
+    refuses a parcel built in code with a lone surrogate in its id or an
+    integer coordinate past 64 bits; no parsed parcel holds either."""
     histograms: dict[int, dict[str, int]] = {}
     rows, cols = np.nonzero(votes)
     fine = taxonomy.fine_classes

@@ -23,7 +23,6 @@ boxes; see ``_validate_ring``.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -49,9 +48,12 @@ _GRID_MAX_SPAN = 8
 #: cell finite, since a longitude over it is at most 1.8e11
 _GRID_MIN_CELL = 1e-9
 
-#: orjson reads an integer literal past 64 bits as a float, which is at
-#: least this large in magnitude
-_INT64_BOUND = 2.0 ** 63
+#: the deepest nesting read, the deepest orjson writes; orjson's reader
+#: recurses once a level and overflows the C stack some 100k levels down
+_MAX_DEPTH = 255
+
+#: the bytes that are neither a bracket nor a quote
+_NOT_BRACKET = bytes(set(range(256)) - set(b'[]{}"'))
 
 
 class GeoJSONParseError(ValueError):
@@ -88,6 +90,16 @@ def check_position(lon, lat) -> None:
     if not -180.0 <= lon <= 180.0:
         raise ValueError(f"longitude {lon} out of range [-180, 180]")
     raise ValueError(f"latitude {lat} out of range [-90, 90]")
+
+
+def record_id(value, where: str, error: type) -> str:
+    """The one id rule, for a manifest record and a GeoJSON feature alike:
+    a string, or an integer that is not a boolean, as its text. Any other
+    value raises ``error`` naming ``where``, the record or feature."""
+    if type(value) in (str, int):
+        return str(value)
+    raise error(f"{where}: id must be a string or an integer,"
+                f" got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -234,27 +246,26 @@ def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
     into parcels.
 
     MultiPolygon features are split into one parcel per member polygon,
-    named ``<id>#<k>``. A ``landuse`` value that is not a list of strings,
-    unknown class names and repeated parcel ids raise instead of being
-    silently dropped. Every position must pass ``check_position``, so a
-    file in projected coordinates is refused, naming the feature, ring
-    and position.
+    named ``<id>#<k>``. A feature's ``id``, else its ``properties.id``,
+    follows ``record_id``. A ``landuse`` value that is not a list of
+    strings, unknown class names and repeated parcel ids raise instead of
+    being silently dropped. Every position must pass ``check_position``,
+    so a file in projected coordinates is refused, naming the feature,
+    ring and position.
     """
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise GeoJSONParseError(
-                f"not UTF-8 at byte offset {e.start}: {e.reason}") from None
+    if isinstance(document, str):
+        document = document.encode("utf-8", "surrogatepass")
     try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as e:
+        doc = _loads(document)
+    except UnicodeDecodeError as e:
         raise GeoJSONParseError(
-            f"malformed GeoJSON at byte offset {e.pos}: {e.msg}") from None
-    except ValueError as e:  # an integer literal of too many digits
+            f"not UTF-8 at byte offset {e.start}: {e.reason}") from None
+    except orjson.JSONDecodeError as e:  # orjson counts characters
+        at = len(document.decode("utf-8")[:e.pos].encode("utf-8"))
+        raise GeoJSONParseError(
+            f"malformed GeoJSON at byte offset {at}: {e.msg}") from None
+    except RecursionError as e:
         raise GeoJSONParseError(f"malformed GeoJSON: {e}") from None
-    except RecursionError:
-        raise GeoJSONParseError("malformed GeoJSON: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise GeoJSONParseError("expected a FeatureCollection")
     features = doc.get("features", [])
@@ -268,9 +279,9 @@ def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
         if not isinstance(feature, dict):
             raise GeoJSONParseError(
                 f"feature {i} must be an object, got {type(feature).__name__}")
-        props = _member_object(feature, "properties",
-                               feature.get("id", f"feature{i}"))
-        fid = str(feature.get("id", props.get("id", f"feature{i}")))
+        props = _member_object(feature, "properties", i)
+        fid = record_id(feature.get("id", props.get("id", f"feature{i}")),
+                        f"feature {i}", GeoJSONParseError)
         landuse = props.get("landuse", [])
         if not (isinstance(landuse, list)
                 and all(isinstance(name, str) for name in landuse)):
@@ -319,7 +330,7 @@ def _nested_lists(value, depth: int) -> bool:
         depth == 0 or all(_nested_lists(v, depth - 1) for v in value))
 
 
-def _member_object(feature: dict, key: str, fid: str) -> dict:
+def _member_object(feature: dict, key: str, fid) -> dict:
     """A feature's ``properties`` or ``geometry``: an object, or ``{}``
     where it is absent or null."""
     value = feature.get(key)
@@ -346,7 +357,7 @@ def _member_object(feature: dict, key: str, fid: str) -> dict:
 # the items or the parse do.
 
 PARCEL_ENTRY_MAGIC = b"LUPAR"
-PARCEL_ENTRY_VERSION = 3
+PARCEL_ENTRY_VERSION = 4
 
 
 def _parcel_key(data: bytes, taxonomy: Taxonomy) -> bytes:
@@ -594,86 +605,51 @@ def assignments_to_jsonl(assignments) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# JSON text: every JSON artifact is written by ``encode_json`` and read
-# back by ``decode_json``.
-
-
-#: the starts of orjson's messages for the values it refuses that json
-#: writes: an integer past 64 bits and a string with a lone surrogate
-_JSON_FALLBACK = ("Integer exceeds 64-bit range", "str is not valid UTF-8")
+# JSON text: every JSON artifact is written by ``encode_json`` and every
+# JSON input read by ``_loads``, both orjson.
 
 
 def encode_json(value, indent: bool = False) -> bytes:
     """orjson's UTF-8 text of ``value``, indented by two spaces if
-    ``indent``, compact otherwise; numpy arrays are written as lists.
+    ``indent``, compact otherwise; numpy arrays are written as lists. What
+    orjson refuses (an integer past 64 bits, a lone surrogate, a key that
+    is not a string, nesting past 255 containers) raises its
+    ``JSONEncodeError``, a ``TypeError``. A non-finite float is written as
+    ``null``, so no caller may hand one in."""
+    return orjson.dumps(value, default=np.ndarray.tolist,
+                        option=orjson.OPT_SERIALIZE_NUMPY
+                        | (orjson.OPT_INDENT_2 if indent else 0))
 
-    A value holding an integer past 64 bits or a string with a lone
-    surrogate, which orjson refuses, is written by ``json.dumps`` with
-    orjson's separators; it escapes every non-ASCII character. Any other
-    value orjson refuses (a key that is not a string, a value nested past
-    255 containers) raises its ``JSONEncodeError``, a ``TypeError``. A
-    non-finite float is written as ``null``, so no caller may hand one in.
-    """
+
+def _loads(data: bytes):
+    """orjson's value of the JSON text ``data``, an integer literal past 64
+    bits as its nearest float. Bytes that are not UTF-8 raise
+    ``UnicodeDecodeError``, a text nested deeper than ``_MAX_DEPTH``
+    ``RecursionError``, and any other text orjson refuses (``NaN``,
+    ``1e400``, a lone surrogate escape) ``orjson.JSONDecodeError``."""
+    if data.count(b"[") + data.count(b"{") > _MAX_DEPTH:
+        # the brackets outside strings: escaped backslashes and quotes go
+        # first, so that the quotes left pair up around each string
+        bare = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+        bare = b"".join(bare.translate(None, _NOT_BRACKET).split(b'"')[::2])
+        steps = (np.frombuffer(bare, dtype="u1") & 2).astype(np.intp) - 1
+        if steps.cumsum().max(initial=0) > _MAX_DEPTH:  # [ and { have bit 1
+            raise RecursionError("nested too deeply")  # as json raised
     try:
-        return orjson.dumps(value, default=np.ndarray.tolist,
-                            option=orjson.OPT_SERIALIZE_NUMPY
-                            | (orjson.OPT_INDENT_2 if indent else 0))
-    except orjson.JSONEncodeError as e:
-        if not str(e).startswith(_JSON_FALLBACK):
-            raise
-    return json.dumps(value, indent=2 if indent else None,
-                      separators=(",", ": " if indent else ":"),
-                      default=np.ndarray.tolist).encode()
-
-
-def decode_json(line):
-    """``json.loads`` of one JSON text, given as ``str`` or UTF-8 ``bytes``,
-    decoded by orjson wherever that gives the same object.
-
-    json decodes the text instead when orjson rejects it, which keeps
-    json's ``NaN`` and ``Infinity``, its infinities for floats out of
-    range, lone surrogates and its error messages; bytes that are not
-    UTF-8 then raise ``UnicodeDecodeError``. json also decodes it when the
-    document, or a value directly inside it, comes back as a float of
-    magnitude 2**63 or more, as orjson gives an integer literal past 64
-    bits. Such a literal nested deeper stays the float nearest to it, the
-    value a float64 array holds for it either way. orjson also reads texts
-    nested deeper than json's recursion allows. A text that neither reads
-    for its depth raises ``json.JSONDecodeError`` ("nested too deeply"),
-    where ``json.loads`` raises ``RecursionError``. These are the two ways
-    the result differs from ``json.loads``.
-    """
-    try:
-        obj = orjson.loads(line)
+        return orjson.loads(data)
     except orjson.JSONDecodeError:
-        pass
-    else:
-        if type(obj) is dict:
-            members = obj.values()
-        elif type(obj) is list:
-            members = obj
-        else:
-            members = (obj,)
-        if float not in map(type, members) or not any(
-                type(v) is float and abs(v) >= _INT64_BOUND for v in members):
-            return obj
-    text = line if isinstance(line, str) else line.decode("utf-8")
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+        data.decode("utf-8")  # a UTF-8 fault raises at its offset
+        raise
 
 
 def jsonl_rows(lines, source):
     """(line number, row) for each row of JSON lines: the lines of a file
-    opened in binary, or a ``str``, which is read as its UTF-8 bytes. A row
-    is an object on a non-blank line, except the provenance header, which
-    is an object whose one key is ``provenance``. Lines end at a line feed
-    only: other Unicode line ends, such as U+2028, may stand raw inside a
-    JSON string. A blank line is one ``bytes.strip`` empties, so only ASCII
-    whitespace is blank. A line that is not UTF-8 (as a ``str`` holding a
-    lone surrogate is not), not JSON (a cut last line, or an integer
-    literal past ``json``'s digit limit, say), or JSON but not an object
+    opened in binary, or a ``str``, read as its UTF-8 bytes. A row is an
+    object on a non-blank line, except the provenance header, an object
+    whose one key is ``provenance``. Lines end at a line feed only, so
+    U+2028, say, may stand raw inside a string, and only ASCII whitespace
+    (what ``bytes.strip`` empties) is blank. A line ``_loads`` refuses (a
+    cut one, ``NaN``, a lone surrogate), or one that is not an object,
     raises ``JSONLinesError`` naming ``source`` and the line."""
     if isinstance(lines, str):
         lines = lines.encode("utf-8", "surrogatepass").split(b"\n")
@@ -681,13 +657,13 @@ def jsonl_rows(lines, source):
         if not line.strip():
             continue
         try:
-            obj = decode_json(line)
-        except json.JSONDecodeError as e:
-            raise JSONLinesError(f"{source}:{lineno}: bad JSON: {e.msg}") from None
+            obj = _loads(line)
         except UnicodeDecodeError as e:
             raise JSONLinesError(
                 f"{source}:{lineno}: not UTF-8: {e.reason}") from None
-        except ValueError as e:  # an integer literal of too many digits
+        except orjson.JSONDecodeError as e:
+            raise JSONLinesError(f"{source}:{lineno}: bad JSON: {e.msg}") from None
+        except RecursionError as e:
             raise JSONLinesError(f"{source}:{lineno}: bad JSON: {e}") from None
         if not isinstance(obj, dict):
             raise JSONLinesError(f"{source}:{lineno}: expected a JSON object,"

@@ -9,6 +9,7 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -22,7 +23,8 @@ from landuse.cli import (ConfigError, Pipeline, config_hash, load_config,
 from landuse.dataset import read_entry
 from landuse.evaluation import image_accuracy
 from landuse.geodata import (DEFAULT_DILATION_M, JSONLinesError,
-                             jsonl_rows, parse_parcels, read_parcel_entry)
+                             encode_json, jsonl_rows, parse_parcels,
+                             read_parcel_entry)
 from landuse.taxonomy import Level, builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -636,46 +638,23 @@ def test_blas_threads_change_no_byte(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_lone_surrogate_image_ids_pass_through_the_stages(tmp_path):
+def test_lone_surrogate_image_id_stops_filter_at_its_line(tmp_path, capsys):
     """A map image id holding a lone surrogate, escaped in the manifest as
-    UTF-8 cannot hold it, has json write its rows. Every artifact reads
-    back to those of the same city with plain ids, the ids aside, and the
-    map, the report and the CSV keep their bytes."""
-    outs, renamed = [], {}
-    for name, tail in (("plain", ""), ("lone", "\udc80")):
-        root = tmp_path / name
-        root.mkdir()
-        path = write_config(root)
-        run(path, "synth")
-        manifest = root / "data" / "map.jsonl"
-        rows = [json.loads(line) for line in
-                manifest.read_text(encoding="utf-8").splitlines()]
-        for k, row in enumerate(rows):
-            if k % 2:
-                renamed[row["id"]] = row["id"] = row["id"] + tail
-        manifest.write_text("".join(json.dumps(row) + "\n" for row in rows),
-                            encoding="utf-8")
-        for stage in ("filter", "train", "adapt", "predict", "map", "eval"):
-            run(path, stage)
-        outs.append(root / "out")
-    plain, lone = outs
-    for artifact in ("assignments.jsonl", "predictions.jsonl"):
-        read = []
-        for out in outs:
-            with open(out / artifact, "rb") as f:
-                read.append([row for _, row in jsonl_rows(f, artifact)])
-        assert read[1] == [dict(row, image=renamed.get(row["image"],
-                                                       row["image"]))
-                           for row in read[0]]
-        assert any("\udc80" in row["image"] for row in read[1])
-        assert (lone / artifact).read_bytes().count(b"\\udc80") == sum(
-            "\udc80" in row["image"] for row in read[1])
-    for artifact in ("map.geojson", "report.json", "per_class.csv"):
-        assert (lone / artifact).read_bytes() == (plain / artifact).read_bytes()
-    rings = {pc.id: pc.rings for pc in parse_parcels(
-        (tmp_path / "lone" / "data" / "parcels.geojson").read_bytes(), TAX)}
-    mapped = parse_parcels((lone / "map.geojson").read_bytes(), TAX)
-    assert mapped and all(pc.rings == rings[pc.id] for pc in mapped)
+    UTF-8 cannot hold it, is not JSON as orjson reads it: filter stops at
+    its line before writing a file. (json once read the id, and its rows
+    were written escaped.)"""
+    path = write_config(tmp_path)
+    run(path, "synth")
+    manifest = tmp_path / "data" / "map.jsonl"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[2])
+    lines[2] = json.dumps(dict(row, id=row["id"] + "\udc80")) + "\n"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    assert main(["filter", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ManifestError: {manifest}:3: bad JSON: invalid high surrogate"
+        f" in string\n")
+    assert not (tmp_path / "out" / "assignments.jsonl").exists()
 
 
 ENTRIES = ("map_manifest.lutab", "train_manifest.lutab", "val_manifest.lutab")
@@ -741,6 +720,87 @@ def test_all_fails_when_training_set_fills_no_batch(tmp_path, capsys):
     assert code == 1
     assert "no full batch" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model_object.lusm").exists()
+
+
+#: the minimal config of README.md
+README_CONFIG = """\
+seed=5
+parcels=data/parcels.geojson
+train_manifest=data/train.jsonl
+val_manifest=data/val.jsonl
+map_manifest=data/map.jsonl
+out_dir=out
+"""
+
+
+def write_readme_config(root: Path) -> Path:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    assert f"```\n{README_CONFIG}```" in readme
+    path = root / "cfg.txt"
+    path.write_text(README_CONFIG, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("override,message", [
+    ("seed=-1", "config key 'seed': expected an integer in [0, 2**64),"
+                " got '-1'"),
+    ("seed=18446744073709551616", "config key 'seed': expected an integer in"
+                                  " [0, 2**64), got '18446744073709551616'"),
+    # argv bytes that are not UTF-8 reach Python as lone surrogates
+    ("streams=a\udcff,b", "config key 'streams': 'a\\udcff,b' is not UTF-8"),
+])
+def test_value_the_writer_cannot_hold_stops_all_before_a_file(
+        tmp_path, capsys, override, message):
+    """A seed outside [0, 2**64), which synth and the provenance cannot
+    take, and a stream name that is not UTF-8, which no model file or
+    ``.meta.json`` can hold, stop ``landuse all`` before its first stage."""
+    path = write_readme_config(tmp_path)
+    assert main(["all", "--config", str(path), override]) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+    for seed in ("0", str(2 ** 64 - 1)):
+        assert Pipeline({"seed": seed}).seed == int(seed)
+
+
+@pytest.mark.parametrize("key", ["train.batch_size", "finetune.batch_size"])
+def test_batch_size_past_the_split_stops_training_before_any_stream(
+        tmp_path, capsys, key):
+    """Both schedules are checked against the train split's domains when it
+    loads, so neither stage writes a model; the rule is ``batch_plan``'s,
+    which ``stratified_batches`` also follows."""
+    path = write_readme_config(tmp_path)
+    assert main(["all", "--config", str(path), f"{key}=1000"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: config key {key!r}: no full batch: 160 domain-A"
+        f" and 160 domain-B records, but batch_size 1000 takes 500 A + 500 B\n")
+    assert not list((tmp_path / "out").glob("model_*"))
+    # a schedule with no epochs draws no batch, so it is not checked
+    assert main(["all", "--config", str(path), f"{key}=1000",
+                 "train.epochs=0", "finetune.epochs=0"]) == 0
+
+
+def test_every_json_artifact_is_what_the_writer_writes_for_what_it_reads(
+        tmp_path):
+    """After ``landuse all``, every JSON text it wrote, each JSON-lines row
+    and each whole document, is ``encode_json`` of what orjson reads from
+    it: the writer and the reader agree on every artifact."""
+    path = write_readme_config(tmp_path)
+    run(path, "all")
+    rows = documents = 0
+    for artifact in sorted(tmp_path.rglob("*")):
+        if artifact.suffix == ".jsonl":
+            lines = artifact.read_bytes().split(b"\n")
+            assert lines.pop() == b""
+            for line in lines:
+                assert encode_json(orjson.loads(line)) == line
+            rows += len(lines)
+        elif artifact.suffix in (".json", ".geojson"):
+            data = artifact.read_bytes()
+            assert encode_json(orjson.loads(data), indent=True) + b"\n" == data
+            documents += 1
+    # synth's three manifests and parcels, and the stage artifacts
+    assert documents == 7 and rows > 300
 
 
 def drop_stream(manifest, stream):
@@ -872,7 +932,7 @@ def test_map_rejects_cut_or_repeated_predictions(tmp_path, capsys):
     assert main(["map", "--config", str(path)]) == 1
     assert capsys.readouterr().err == (
         f"error: JSONLinesError: {preds}:{len(lines)}: bad JSON:"
-        f" Unterminated string starting at\n")
+        f" unexpected end of data\n")
     preds.write_text("".join(lines + lines[1:2]), encoding="utf-8")
     image = json.loads(lines[1])["image"]
     assert main(["eval", "--config", str(path)]) == 1
@@ -940,15 +1000,16 @@ def test_prediction_pred_that_is_not_a_class_index_rejected(tmp_path, value,
 
 
 def test_prediction_pred_past_the_digit_limit_rejected(tmp_path):
-    """json refuses an integer literal of more than 4,300 digits; that is a
-    bad line of the artifact, not a raw ValueError."""
+    """orjson reads an integer literal of 5,001 digits as no number; that is
+    a bad line of the artifact, not a raw ValueError."""
     p = Pipeline({"seed": "1", "out_dir": str(tmp_path)})
     p.predictions_path.write_text(
         '{"provenance": {}}\n{"image": "i", "pred": 1' + "0" * 5000 + "}\n",
         encoding="utf-8")
     with pytest.raises(JSONLinesError,
                        match=f"^{re.escape(str(p.predictions_path))}:2:"
-                             " bad JSON: Exceeds the limit"):
+                             " bad JSON: number is infinity when parsed as"
+                             " double$"):
         p.read_predictions()
 
 
@@ -975,8 +1036,8 @@ def first_lon_past_float_range(data: bytes) -> bytes:
     (lambda b: b.replace(b'"id": "', b'"id": "\xff', 1),
      r"not UTF-8 at byte offset \d+: invalid start byte"),
     (first_lon_past_float_range,
-     r"feature \S+: ring 0, position 0: longitude 10{400} out of range"
-     r" \[-180, 180\]"),
+     r"malformed GeoJSON at byte offset \d+: number is infinity when parsed"
+     r" as double"),
 ])
 def test_filter_names_undecodable_parcels(tmp_path, capsys, fault, message):
     path = write_config(tmp_path)
@@ -1118,7 +1179,8 @@ def test_assignment_to_an_unknown_parcel_fails_the_stage(finished_run,
 def test_prediction_out_of_range_fails_the_stage_naming_its_line(
         finished_run, tmp_path, stage, pred):
     """A class index outside the taxonomy fails map and eval at its line,
-    also for an image that no assignment names."""
+    also for an image that no assignment names. An integer literal past 64
+    bits reads as a float, so it is no class index."""
     p = Pipeline(dict(finished_run.cfg, out_dir=str(tmp_path)),
                  finished_run.base)
     (tmp_path / "assignments.jsonl").write_bytes(
@@ -1129,7 +1191,9 @@ def test_prediction_out_of_range_fails_the_stage_naming_its_line(
     preds.write_text("".join(lines) + json.dumps(
         {"image": "unassigned", "pred": pred}) + "\n", encoding="utf-8")
     message = (f"{preds}:{len(lines) + 1}: pred {pred} out of range"
-               f" [0, {len(TAX.fine_classes)})")
+               f" [0, {len(TAX.fine_classes)})" if pred < 2 ** 64 else
+               f"{preds}:{len(lines) + 1}: pred must be a class index, got"
+               f" float")
     with pytest.raises(JSONLinesError, match=f"^{re.escape(message)}$"):
         cli.COMMANDS[stage](p)
 

@@ -6,6 +6,7 @@ import re
 import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -49,12 +50,15 @@ def test_dimension_mismatch_names_record(tmp_path):
 
 
 def test_non_finite_feature_rejected(tmp_path):
+    """JSON holds no non-finite number: a literal that would be one is a
+    bad line. (A sidecar may hold one; see the first-fault tests.)"""
     path = tmp_path / "m.jsonl"
-    row = manifest_row(0)
-    row["features"]["object"][2] = float("nan")
-    write_lines(path, [row])
-    with pytest.raises(ManifestError, match="non-finite"):
-        load_manifest(path, TAX)
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400", "-1e400"):
+        path.write_text('{"id": "r0", "features": {"object": [0.1, '
+                        + literal + "]}}\n", encoding="utf-8")
+        with pytest.raises(ManifestError,
+                           match=f"^{re.escape(str(path))}:1: bad JSON: "):
+            load_manifest(path, TAX)
 
 
 def test_unknown_domain_rejected(tmp_path):
@@ -202,14 +206,16 @@ def test_feature_file_bad_rows_rejected(tmp_path, data, message):
     (b'{"id": "b", "features_ref": {"o": 5}}',
      "record b: features_ref of stream o must be a path, got 5"),
     (b'{"id": "b", "features": {"o": [1' + b"0" * 400 + b"]}}",
-     "record b: non-finite value in stream o"),
+     "{path}:2: bad JSON: number is infinity when parsed as double"),
     (b'{"id": "b\xff", "features": {"o": [2.0]}}',
      "{path}:2: not UTF-8: invalid start byte"),
     (b'{"id": "b", "features": {"o": ' + b"[" * 100000,
      "{path}:2: bad JSON: nested too deeply"),
+    (b'{"id": "b", "features_ref": {"o": "o.lufv\\u0000"}}',
+     "record b: features_ref of stream o must be a path, got 'o.lufv\\x00'"),
 ], ids=["int", "str", "list", "features_list", "features_ref_list",
         "features_ref_int", "int_past_float_range", "not_utf8",
-        "nested_too_deeply"])
+        "nested_too_deeply", "features_ref_nul"])
 def test_malformed_json_line_rejected(tmp_path, line, message):
     path = tmp_path / "m.jsonl"
     path.write_bytes(b'{"id": "a", "features": {"o": [1.0]}}\n' + line + b"\n")
@@ -226,7 +232,8 @@ def test_integer_past_the_digit_limit_is_a_manifest_error(tmp_path, row):
     path.write_text('{"id": "a", "features": {"o": [1.0]}}\n'
                     + row % ("0" * 5000) + "\n", encoding="utf-8")
     with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:2:"
-                                            " bad JSON: Exceeds the limit"):
+                                            " bad JSON: number is infinity"
+                                            " when parsed as double$"):
         load_manifest(path, TAX)
 
 
@@ -239,17 +246,53 @@ def test_label_that_is_not_an_integer_is_out_of_range(tmp_path, value):
         load_manifest(path, TAX)
 
 
-def test_big_integers_read_exactly(tmp_path):
+def test_big_integers_read_as_their_nearest_floats(tmp_path):
+    """An integer literal past 64 bits reads as its nearest float: a feature
+    value is that float, a label out of range, and an id is refused."""
     path = tmp_path / "m.jsonl"
     big = 10 ** 25
-    write_lines(path, [{"id": big, "features": {"o": [big, 1.0]}},
+    write_lines(path, [{"id": "a", "features": {"o": [big, 1.0]}},
                        {"id": "b", "label": big, "features": {"o": [1.0, 2.0]}}])
-    with pytest.raises(ManifestError, match=f"^record b: label {big} out of range$"):
+    with pytest.raises(ManifestError, match=r"^record b: label 1e\+25 out of range$"):
         load_manifest(path, TAX)
-    write_lines(path, [{"id": big, "features": {"o": [big, 1.0]}}])
+    write_lines(path, [{"id": "a", "features": {"o": [big, 1.0]}},
+                       {"id": big, "features": {"o": [1.0, 2.0]}}])
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:2: id must"
+                                            " be a string or an integer, got"
+                                            " float$"):
+        load_manifest(path, TAX)
+    write_lines(path, [{"id": 2 ** 64 - 1, "features": {"o": [big, 1.0]}}])
     table = load_manifest(path, TAX)
-    assert table.ids == (str(big),)
+    assert table.ids == (str(2 ** 64 - 1),)
     assert table.stream("o").tolist() == [[float(big), 1.0]]
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("null", "NoneType"), ("true", "bool"), ("false", "bool"), ("1.5", "float"),
+    ("[1]", "list"), ('{"a": 1}', "dict"), ("1" + "0" * 29, "float"),
+    ("-9223372036854775809", "float")])
+def test_record_id_that_is_not_a_string_or_an_integer_rejected(tmp_path, text,
+                                                               kind):
+    """The id rule ``record_id`` holds for manifests and GeoJSON alike; an
+    id of another kind once loaded as its ``str``, ``"None"`` say."""
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id": "a", "features": {"o": [1.0]}}\n'
+                    '{"id": ' + text + ', "features": {"o": [1.0]}}\n',
+                    encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}:2: id"
+                                            f" must be a string or an integer,"
+                                            f" got {kind}$"):
+        load_manifest(path, TAX)
+
+
+@pytest.mark.parametrize("rid,want", [
+    ('"r1"', "r1"), ("7", "7"), ("-9223372036854775808", str(-2 ** 63)),
+    ("18446744073709551615", str(2 ** 64 - 1)), ("-0", "0")])
+def test_record_id_string_or_integer_loads_as_its_text(tmp_path, rid, want):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id": ' + rid + ', "features": {"o": [1.0]}}\n',
+                    encoding="utf-8")
+    assert load_manifest(path, TAX).ids == (want,)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +407,7 @@ def test_record_lacking_a_stream_rejected_at_load(tmp_path):
 
 
 @pytest.mark.parametrize("lon,lat", [(200.0, 1.0), (1.0, -91.0), ("east", 1.0),
-                                     pytest.param(10 ** 400, 1.0, id="10**400")])
+                                     pytest.param(2 ** 64 - 1, 1.0, id="2**64-1")])
 def test_bad_coordinates_rejected(tmp_path, lon, lat):
     path = tmp_path / "m.jsonl"
     row = manifest_row(0)
@@ -404,11 +447,16 @@ def test_table_columns(tmp_path):
 
 @pytest.mark.parametrize("first", ["object", "scene"])
 def test_first_non_finite_record_named_whatever_its_stream(tmp_path, first):
+    """Non-finite values come from sidecars, as JSON holds none."""
     later = {"object": "scene", "scene": "object"}[first]
-    rows = [{"id": f"r{i}", "features": {"object": [1.0, 2.0], "scene": [3.0]}}
+    vectors = {"object": {f"r{i}": [1.0, 2.0] for i in range(4)},
+               "scene": {f"r{i}": [3.0] for i in range(4)}}
+    vectors[first]["r1"][0] = float("nan")
+    vectors[later]["r2"][0] = float("inf")
+    for stream, by_id in vectors.items():
+        write_feature_file(tmp_path / f"{stream}.lufv", by_id)
+    rows = [{"id": f"r{i}", "features_ref": {s: f"{s}.lufv" for s in vectors}}
             for i in range(4)]
-    rows[1]["features"][first][0] = float("nan")
-    rows[2]["features"][later][0] = float("inf")
     path = tmp_path / "m.jsonl"
     write_lines(path, rows)
     with pytest.raises(ManifestError,
@@ -420,12 +468,12 @@ def test_first_non_finite_record_named_whatever_its_stream(tmp_path, first):
     with pytest.raises(ManifestError, match="^record r1: non-finite"):
         load_manifest(path, TAX)
     del rows[3]["domain"]
-    rows[3]["features_ref"] = {"depth": "broken.lufv"}
+    rows[3]["features_ref"]["depth"] = "broken.lufv"
     (tmp_path / "broken.lufv").write_bytes(b"LUFV0")
     write_lines(path, rows)
     with pytest.raises(ManifestError, match="^record r1: non-finite"):
         load_manifest(path, TAX)
-    del rows[3]["features_ref"]
+    del rows[3]["features_ref"]["depth"]
     rows[3]["label"] = "no_such_class"
     write_lines(path, rows)
     with pytest.raises(ManifestError, match="^record r1: non-finite"):
@@ -574,13 +622,44 @@ def outcome(load, path):
         return None, (type(e), str(e))
 
 
+def oracle_outcome_under_orjson(path):
+    """The oracle's outcome for the manifest as orjson reads it. A line that
+    orjson refuses, or whose id is neither a string nor an integer, raises
+    a ManifestError at its line once the oracle has passed every line
+    before it; an integer literal past 64 bits is its nearest float."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    fault = None
+    for k, line in enumerate(lines):
+        try:
+            rid = orjson.loads(line).get("id", "")
+        except orjson.JSONDecodeError as e:
+            fault = f"{path}:{k + 1}: bad JSON: {e.msg}"
+        else:
+            if type(rid) not in (str, int):
+                fault = (f"{path}:{k + 1}: id must be a string or an integer,"
+                         f" got {type(rid).__name__}")
+        if fault:
+            lines = lines[:k]
+            break
+    path.write_text("".join(lines).replace(str(10 ** 25), repr(1e25)),
+                    encoding="utf-8")
+    try:
+        records, want = outcome(oracle_load_manifest, path)
+    finally:
+        path.write_text(text, encoding="utf-8")
+    if fault and want is None:
+        return None, (ManifestError, fault)
+    return records, want
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(manifests())
 def test_table_matches_oracle(tmp_path_factory, case):
     rows, mode = case
     path = write_manifest(tmp_path_factory.mktemp("m"), rows, mode)
-    records, want = outcome(oracle_load_manifest, path)
+    records, want = oracle_outcome_under_orjson(path)
     table, got = outcome(load_manifest, path)
     assert got == want
     if want is not None:
@@ -627,7 +706,20 @@ NAN, INF = float("nan"), float("inf")
      "record b: label 45 out of range"),
 ])
 def test_first_fault_matches_oracle(tmp_path, rows, message):
+    """A record holding a non-finite value, which JSON cannot, carries its
+    streams in LUFV1 sidecars of its own."""
     path = tmp_path / "m.jsonl"
+    rows = [dict(row) for row in rows]
+    for row in rows:
+        vectors = row.get("features", {}).values()
+        if any(isinstance(v, list) and any(
+                isinstance(x, float) and not math.isfinite(x) for x in v)
+               for v in vectors):
+            row["features_ref"] = {}
+            for stream, vec in row.pop("features").items():
+                name = f"{row['id']}_{stream}.lufv"
+                write_feature_file(tmp_path / name, {row["id"]: vec})
+                row["features_ref"][stream] = name
     write_lines(path, rows)
     assert outcome(oracle_load_manifest, path)[1] == (ManifestError, message)
     assert outcome(load_manifest, path)[1] == (ManifestError, message)

@@ -355,14 +355,12 @@ def square_at(x0, y0, side):
     ((square_at(1e16, 0.5, 1e16),), None),            # from 1e16
     ((square_at(5e-324, 0.5, 1.0),), None),           # subnormal
     ((square_at(10 ** 17, 0, 10 ** 17),), None),      # int orjson writes
-    ((square_at(2 ** 70, 0, 2 ** 70),), None),        # int orjson refuses
     ((SQUARE,), {"seed": 3, "scale": 1e-5}),
     ((SQUARE, square_at(0.25, 0.25, 1e-5)), None),    # a hole of odd values
 ])
 def test_export_text_reads_back_for_any_coordinates(rings, provenance):
     """The map reads back, through ``json`` and through ``parse_parcels``,
-    to the coordinates it was given, integers as integers, whether orjson
-    writes it or, for an integer past 64 bits, json does. A parcel built
+    to the coordinates it was given, integers as integers. A parcel built
     in code may lie outside lon/lat range: its map exports, and parsing
     refuses it."""
     parcels = [Parcel(id="P", rings=rings),
@@ -383,8 +381,19 @@ def test_export_text_reads_back_for_any_coordinates(rings, provenance):
                             for v in ring for c in v]
 
 
+@pytest.mark.parametrize("parcel", [
+    Parcel(id="lone\udc80", rings=(SQUARE,)),
+    Parcel(id="P", rings=(square_at(2 ** 70, 0, 2 ** 70),))], ids=repr)
+def test_export_refuses_what_the_writer_cannot_hold(parcel):
+    """A parcel built in code may hold what no parsed parcel holds, a lone
+    surrogate or an integer past 64 bits; the writer refuses it, as json
+    no longer writes it."""
+    with pytest.raises(TypeError):
+        export_map([parcel], one_vote_each(1), TAX)
+
+
 @pytest.mark.parametrize("pid", ["Zürich", "del\x7f", "line\u2028end",
-                                 "lone\udc80", 'q"\\\x01'])
+                                 'q"\\\x01'])
 def test_export_text_reads_back_for_any_parcel_id(pid):
     parcels = squares("P", pid)
     text = export_map(parcels, one_vote_each(2), TAX)

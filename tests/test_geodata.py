@@ -6,11 +6,11 @@ import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from _oracles import (oracle_assign, oracle_contains, oracle_ring_crossing,
                       random_parcel, star_ring)
@@ -20,9 +20,9 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              Assignment, GeoJSONParseError, GeoPoint, JSONLinesError,
                              Parcel, ParcelValidationError, assign,
                              assignments_from_jsonl, assignments_to_jsonl,
-                             boundary_distance_m, contains, decode_json,
+                             boundary_distance_m, contains,
                              encode_json, jsonl_rows, parse_parcels)
-from landuse.taxonomy import builtin_taxonomy
+from landuse.taxonomy import TaxonomyError, builtin_taxonomy
 
 TAX = builtin_taxonomy()
 
@@ -59,24 +59,41 @@ def test_position_that_is_not_lon_lat_rejected(position):
 BAD_POSITIONS = ["[true, 0]", "[NaN, 0]", "[0, Infinity]", "[181, 0]",
                  "[0, -91]", "[1" + "0" * 400 + ", 0]", '["1", 0]']
 
+#: the bad positions that are not JSON: orjson refuses the literal
+NOT_JSON = {"NaN": "unexpected character",
+            "Infinity": "unexpected character",
+            "1" + "0" * 400: "number is infinity when parsed as double"}
+
 
 @pytest.mark.parametrize("text", BAD_POSITIONS, ids=[
     "true", "NaN", "Infinity", "lon181", "lat-91", "10**400", "string"])
 def test_every_position_reader_refuses_a_bad_position(tmp_path, text):
     """Geotags and parcel vertices share ``check_position``, so each reader
     refuses each bad position with its own typed error, and none lets an
-    ``OverflowError`` through."""
+    ``OverflowError`` through. A literal that is not JSON is refused by
+    each reader as bad JSON, at its line or offset."""
     lon_text, lat_text = text[1:-1].split(", ")
     with pytest.raises((TypeError, ValueError)):  # no OverflowError
         GeoPoint(*json.loads(text))
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(f'{{"id": "a", "lon": {lon_text}, "lat": {lat_text},'
                         f' "features": {{"o": [1.0]}}}}\n', encoding="utf-8")
-    with pytest.raises(ManifestError, match="^record a: bad coordinates"):
-        load_manifest(manifest, TAX)
     doc = ('{"type": "FeatureCollection", "features": [{"id": "p", "geometry":'
            ' {"type": "Polygon", "coordinates":'
            f' [[[0, 0], [1, 0], {text}, [0, 1], [0, 0]]]}}}}]}}')
+    fault = NOT_JSON.get(lon_text) or NOT_JSON.get(lat_text)
+    if fault:
+        with pytest.raises(ManifestError, match=re.escape(
+                f"{manifest}:1: bad JSON: {fault}")):
+            load_manifest(manifest, TAX)
+        at = doc.index(text) + text.index(next(
+            t for t in (lon_text, lat_text) if t in NOT_JSON))
+        with pytest.raises(GeoJSONParseError, match=re.escape(
+                f"malformed GeoJSON at byte offset {at}: {fault}")):
+            parse_parcels(doc, TAX)
+        return
+    with pytest.raises(ManifestError, match="^record a: bad coordinates"):
+        load_manifest(manifest, TAX)
     with pytest.raises(GeoJSONParseError,
                        match=r"^feature p: (position \[.*\] is not \[lon, lat\]"
                              r"|ring 0, position 2: )"):
@@ -140,8 +157,13 @@ def test_parse_malformed_json_reports_offset():
 @pytest.mark.parametrize("document,message", [
     (b'{"type": "FeatureCollection", "features": [{"id": "\xe9"}]}',
      "not UTF-8 at byte offset 51: invalid continuation byte"),
-    ("[" + "1" * 5000 + "]", "malformed GeoJSON: Exceeds the limit"),
+    ("[" + "1" * 5000 + "]",
+     "malformed GeoJSON at byte offset 1: number is infinity when parsed as"
+     " double"),
     ("[" * 100000, "malformed GeoJSON: nested too deeply"),
+    ("[" * 200000 + "]" * 200000, "malformed GeoJSON: nested too deeply"),
+    ('["\u00e9\u00e9", x]'.encode("utf-8"),
+     "malformed GeoJSON at byte offset 9: unexpected character"),
 ])
 def test_parse_rejects_undecodable_documents(document, message):
     with pytest.raises(GeoJSONParseError, match=f"^{re.escape(message)}"):
@@ -160,13 +182,16 @@ def test_parse_reads_utf8_bytes_as_text():
 
 @pytest.mark.parametrize("big", ["1" + "0" * 400, "-" + "9" * 309])
 def test_integer_coordinate_past_the_float_range_rejected(big):
+    """orjson reads an integer literal past the float range as no number,
+    so the document is malformed at the literal."""
     ring = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
     doc = feature_collection([{
         "type": "Feature", "id": "p1",
         "geometry": {"type": "Polygon", "coordinates": [ring]}}])
     doc = doc.replace("[1, 1]", f"[{big}, 1]")
-    with pytest.raises(GeoJSONParseError, match=r"^feature p1: ring 0, position 2:"
-                       rf" longitude {big} out of range \[-180, 180\]$"):
+    with pytest.raises(GeoJSONParseError, match=re.escape(
+            f"malformed GeoJSON at byte offset {doc.index(big)}: number is"
+            f" infinity when parsed as double")):
         parse_parcels(doc, TAX)
 
 
@@ -183,13 +208,47 @@ def test_parse_rejects_non_collection():
     ('{"type": "FeatureCollection", "features": [5]}',
      "feature 0 must be an object, got int"),
     ('{"type": "FeatureCollection", "features": [{"id": "F", "properties": []}]}',
-     "feature F: properties must be an object, got list"),
+     "feature 0: properties must be an object, got list"),
     ('{"type": "FeatureCollection", "features": [{"id": "F", "geometry": "x"}]}',
      "feature F: geometry must be an object, got str"),
 ])
 def test_parse_rejects_members_of_the_wrong_shape(document, message):
     with pytest.raises(GeoJSONParseError, match=f"^{re.escape(message)}$"):
         parse_parcels(document, TAX)
+
+
+#: a feature id as JSON text that ``record_id`` refuses, and its kind
+BAD_IDS = [("null", "NoneType"), ("true", "bool"), ("1.5", "float"),
+           ("[1]", "list"), ('{"a": 1}', "dict"), ("1" + "0" * 29, "float")]
+
+
+@pytest.mark.parametrize("where", ["id", "properties.id"])
+@pytest.mark.parametrize("text,kind", BAD_IDS, ids=[t for t, _ in BAD_IDS])
+def test_feature_id_that_is_not_a_string_or_an_integer_rejected(where, text,
+                                                                kind):
+    """A feature's id, or its properties' id, follows ``record_id``; one of
+    another kind once named the parcel by its ``str``, ``"None"`` say."""
+    ring = json.dumps([[list(v) for v in UNIT_SQUARE]])
+    member = (f'"id": {text}' if where == "id"
+              else f'"properties": {{"id": {text}}}')
+    doc = ('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+           + member + ', "geometry": {"type": "Polygon", "coordinates": '
+           + ring + "}}]}")
+    with pytest.raises(GeoJSONParseError, match=re.escape(
+            f"feature 0: id must be a string or an integer, got {kind}")):
+        parse_parcels(doc, TAX)
+
+
+@pytest.mark.parametrize("text,pid", [
+    ('"P7"', "P7"), ("7", "7"), ("-9223372036854775808", str(-2 ** 63)),
+    ("18446744073709551615", str(2 ** 64 - 1))])
+def test_feature_id_string_or_integer_names_the_parcel(text, pid):
+    ring = json.dumps([[list(v) for v in UNIT_SQUARE]])
+    for member in (f'"id": {text}', f'"properties": {{"id": {text}}}'):
+        doc = ('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+               + member + ', "geometry": {"type": "Polygon", "coordinates": '
+               + ring + "}}]}")
+        assert [p.id for p in parse_parcels(doc, TAX)] == [pid]
 
 
 SQUARE_RING = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
@@ -261,10 +320,10 @@ def test_non_finite_vertex_rejected(bad):
     ring = ((0.0, 0.0), (1.0, 0.0), (bad, 1.0), (0.0, 1.0), (0.0, 0.0))
     with pytest.raises(ParcelValidationError, match="non-finite"):
         Parcel(id="bad", rings=(ring,))
-    # json.dumps writes NaN/Infinity tokens, which json.loads accepts
+    # json.dumps writes NaN/Infinity tokens, which are not JSON
     doc = feature_collection([polygon_feature("bad", [ring])])
-    with pytest.raises(GeoJSONParseError, match="^feature bad: ring 0,"
-                       " position 2: non-finite coordinate"):
+    with pytest.raises(GeoJSONParseError,
+                       match="^malformed GeoJSON at byte offset [0-9]+: "):
         parse_parcels(doc, TAX)
 
 
@@ -1072,7 +1131,8 @@ def test_jsonl_lone_surrogate_in_text_is_not_utf8():
 #: JSON lines, blank lines of ASCII whitespace, and lines with a raw
 #: character past ASCII
 JSONL_LINES = st.one_of(
-    st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=4),
+    st.dictionaries(st.text(max_size=3),
+                    st.integers(-2 ** 63, 2 ** 64 - 1) | st.text(max_size=4),
                     max_size=3).map(lambda d: json.dumps(d, ensure_ascii=False)),
     st.text(alphabet=" \t\r\x0b\x0c", max_size=3))
 
@@ -1091,56 +1151,119 @@ def test_jsonl_rows_over_a_binary_file_reads_as_over_its_text(tmp_path_factory,
 
 
 # ---------------------------------------------------------------------------
-# JSON decoding against json.loads
+# JSON decoding: orjson reads every JSON input
 
 
-def decoded(decode, text):
-    """``repr`` of what ``decode`` gives, which tells 1 from 1.0 and -0.0
-    from 0.0, or the type and message of what it raises."""
-    try:
-        return repr(decode(text))
-    except ValueError as e:
-        return type(e), str(e)
+def read_rows(line):
+    """``repr`` of the rows ``jsonl_rows`` reads from one line, given as
+    ``str`` or as bytes, which tells 1 from 1.0 and -0.0 from 0.0."""
+    lines = line if isinstance(line, str) else [line]
+    return repr([row for _, row in jsonl_rows(lines, "src")])
 
 
-BIG = str(10 ** 25)
-EDGE_TEXTS = [
-    f'{{"id": {BIG}, "label": {BIG}}}', BIG, f"-{BIG}", f"[{BIG}, 1]",
-    "9223372036854775807", "-9223372036854775808", "-9223372036854775809",
-    "18446744073709551615", "18446744073709551616", "1" + "0" * 400,
-    "1e400", "-1e400", '{"v": [1.0, 1e400]}', "[NaN, Infinity, -Infinity]",
-    '{"id": "r\\ud800"}', '"\\udc00x"', '"\\ud83d\\ude00"', "5", '"x"',
-    "[1]", "null", "true", "-0", "-0.0", "1E5", "1e-400", "-1e-400",
-    "[5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]",
-    "9007199254740993.0", "9007199254740993.000000000000000000001",
-    '{"a": 1, "a": 2}', '{"a": "\u00e9\u2028"}', "\ufeff{}", "", "   ",
-    '{"a": 1', "[1,]", "01", "1.", '{"a": 1} x', '"a\tb"', "[" * 50 + "]" * 50,
+def nested(levels: int, inner=1) -> list:
+    """``inner`` inside ``levels`` lists."""
+    value = [inner]
+    for _ in range(levels - 1):
+        value = [value]
+    return value
+
+
+BIG = 10 ** 25
+
+#: a line that is not JSON as orjson reads it
+BAD = "bad JSON"
+
+#: JSON lines and the row each reads as, or ``BAD``; a comment says what
+#: ``json.loads`` read instead, where it read something else
+EDGE_ROWS = [
+    (f'{{"id": {BIG}, "label": -{BIG}}}',
+     {"id": 1e25, "label": -1e25}),                         # the integers
+    ('{"v": [9223372036854775807, -9223372036854775808,'
+     ' 18446744073709551615]}', {"v": [2 ** 63 - 1, -2 ** 63, 2 ** 64 - 1]}),
+    ('{"v": [-9223372036854775809, 18446744073709551616]}',
+     {"v": [-2.0 ** 63, 2.0 ** 64]}),                       # the integers
+    ('{"v": 1' + "0" * 400 + "}", BAD),                     # the integer
+    ('{"v": 1e400}', BAD), ('{"v": [-1e400]}', BAD),        # infinities
+    ('{"v": [NaN]}', BAD), ('{"v": Infinity}', BAD),        # the floats
+    ('{"v": -Infinity}', BAD),
+    ('{"id": "r\\ud800"}', BAD), ('{"v": "\\udc00x"}', BAD),  # the strings
+    ('{"v": "\\ud83d\\ude00"}', {"v": "\U0001F600"}),
+    ('{"v": [-0, -0.0, 1E5, 1e-400, -1e-400]}',
+     {"v": [0, -0.0, 1e5, 0.0, -0.0]}),
+    ('{"v": [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]}',
+     {"v": [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]}),
+    ('{"v": [9007199254740993.0, 9007199254740993.000000000000000000001]}',
+     {"v": [9007199254740992.0, 9007199254740994.0]}),
+    ('{"a": 1, "a": 2}', {"a": 2}),
+    ('{"a": "\u00e9\u2028"}', {"a": "\u00e9\u2028"}),
+    ('{"v": ' + "[" * 253 + "1" + "]" * 253 + "}", {"v": nested(253)}),
+    ('{"v": ' + "[" * 254 + "1" + "]" * 254 + "}", {"v": nested(254)}),
+    ('{"v": ' + "[" * 255 + "1" + "]" * 255 + "}", BAD),    # the lists
+    ('{"v": "' + "[" * 300 + '"}', {"v": "[" * 300}),
+    ('{"a": "a\tb"}', BAD), ("\ufeff{}", BAD), ('{"a": 1', BAD),
+    ('{"a": [1,]}', BAD), ('{"a": 01}', BAD), ('{"a": 1.}', BAD),
+    ('{"a": 1} x', BAD),
 ]
 
 
-@pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda text: text[:32])
-def test_decode_json_matches_json_loads(text):
-    want = decoded(json.loads, text)
-    assert decoded(decode_json, text) == want
-    assert decoded(decode_json, text.encode("utf-8")) == want
+@pytest.mark.parametrize("text,want", EDGE_ROWS,
+                         ids=[text[:32] for text, _ in EDGE_ROWS])
+def test_jsonl_rows_read_edge_lines_as_orjson_does(text, want):
+    """Every line is read by orjson: an integer literal past 64 bits is its
+    nearest float, and what orjson refuses is a bad line, also where json
+    read it. A line may nest 255 containers, as deep as the writer goes."""
+    for line in (text, text.encode("utf-8")):
+        if want is BAD:
+            with pytest.raises(JSONLinesError, match="^src:1: bad JSON: "):
+                read_rows(line)
+        else:
+            assert read_rows(line) == repr([want])
 
 
-def test_decode_json_reads_bytes_as_utf8():
-    for raw in (b"\xff", b'"\xed\xa0\x80"', b'{"a": "\xc3"}'):
-        with pytest.raises(UnicodeDecodeError):
-            decode_json(raw)
+@pytest.mark.parametrize("big", [2 ** 64, -2 ** 63 - 1, BIG, 10 ** 300])
+def test_integer_past_64_bits_reads_as_its_nearest_float_at_any_depth(big):
+    for text, value in ((f'{{"v": {big}}}', float(big)),
+                        (f'{{"v": [{big}]}}', [float(big)]),
+                        (f'{{"v": {{"w": [[{big}, 1]]}}}}',
+                         {"w": [[float(big), 1]]})):
+        assert read_rows(text) == repr([{"v": value}])
 
 
-def test_decode_json_nested_big_integer_is_its_nearest_float():
-    # the documented difference: json gives the int, orjson the float that
-    # a float64 array holds for it either way
-    big = 10 ** 25
-    assert decode_json(f'{{"v": [{big}]}}') == {"v": [float(big)]}
+def test_bytes_that_are_not_utf8_name_their_line_or_offset():
+    for raw in (b'{"a": "\xff"}', b'{"a": "\xed\xa0\x80"}', b'{"a": "\xc3"}'):
+        with pytest.raises(UnicodeDecodeError) as e:
+            raw.decode("utf-8")
+        with pytest.raises(JSONLinesError, match=re.escape(
+                f"src:1: not UTF-8: {e.value.reason}")):
+            read_rows(raw)
+        with pytest.raises(GeoJSONParseError, match=re.escape(
+                f"not UTF-8 at byte offset {e.value.start}: {e.value.reason}")):
+            parse_parcels(raw, TAX)
+
+
+def test_deep_document_is_refused_before_orjson_recurses():
+    """orjson's reader recurses once a level and overflows the C stack some
+    100k levels down; nesting is counted outside strings first, so such a
+    text is a typed error, and brackets inside strings count for nothing."""
+    deep = "[" * 300_000 + "]" * 300_000
+    with pytest.raises(JSONLinesError, match=r"^src:1: bad JSON: nested too"
+                                             r" deeply$"):
+        read_rows('{"a": ' + deep + "}")
+    with pytest.raises(GeoJSONParseError,
+                       match="^malformed GeoJSON: nested too deeply$"):
+        parse_parcels(deep, TAX)
+    quoted = '\\"' + "[" * 300 + '\\\\'
+    assert read_rows('{"a": "' + quoted + '", "b": ' + "[" * 200 + "]" * 200
+                     + "}") == repr([{"a": '"' + "[" * 300 + "\\",
+                                      "b": nested(199, [])}])
+    # an escaped backslash before a closing quote ends the string
+    assert read_rows('{"a": "x\\\\", "b": "' + "[" * 300 + '"}') == repr(
+        [{"a": "x\\", "b": "[" * 300}])
 
 
 # each writes a float literal, or for an integral float below 1e17 an
-# integer literal within 64 bits: a longer one nested in an array is the
-# difference decode_json documents
+# integer literal within 64 bits
 FLOAT_FORMATS = (repr, "{:.17g}".format, "{:.16e}".format, "{:.30e}".format,
                  "{:.20f}".format)
 
@@ -1148,10 +1271,15 @@ FLOAT_FORMATS = (repr, "{:.17g}".format, "{:.16e}".format, "{:.30e}".format,
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
        st.integers(), st.sampled_from(FLOAT_FORMATS))
-def test_decode_json_floats_and_integers_match_json_loads(values, n, fmt):
+def test_jsonl_numbers_read_as_json_reads_them_within_64_bits(values, n, fmt):
+    """A float literal reads as json reads it, the nearest float, and an
+    integer literal as its integer within 64 bits and its nearest float
+    past them."""
     text = f'{{"id": {n}, "v": [{", ".join(map(fmt, values))}]}}'
-    assert decoded(decode_json, text) == decoded(json.loads, text)
-    assert decoded(decode_json, text.encode()) == decoded(json.loads, text)
+    want = json.loads(text)
+    if not -2 ** 63 <= n < 2 ** 64:
+        want["id"] = float(n)
+    assert read_rows(text) == read_rows(text.encode()) == repr([want])
 
 
 # ---------------------------------------------------------------------------
@@ -1168,14 +1296,14 @@ def as_json(value):
 
 
 def read_back(value, indent=False):
-    """``json.dumps`` of what ``decode_json`` reads from ``encode_json``'s
-    text of ``value``, which tells 1 from 1.0, -0.0 from 0.0 and one key
-    order from another, or the type of what the writer raises."""
+    """``json.dumps`` of what the reader reads from ``encode_json``'s text
+    of ``value``, which tells 1 from 1.0, -0.0 from 0.0 and one key order
+    from another, or the type of what the writer raises."""
     try:
         text = encode_json(value, indent)
     except Exception as e:  # noqa: BLE001 - compared, not handled
         return type(e)
-    return json.dumps(decode_json(text))
+    return json.dumps(geodata._loads(text))
 
 
 def float_from_bits(bits: int) -> float:
@@ -1199,17 +1327,15 @@ def around(x: float, steps: int = 2) -> list[float]:
 EDGE_FLOATS = ([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 1.7976931348623157e308] + around(1e-4) + around(1e16))
 
-#: orjson writes integers in [-2**63, 2**64); json writes those past them
-EDGE_INTS = [-2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1,
-             2 ** 64]
-
 finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
                  | st.integers(0, 2 ** 64 - 1).map(float_from_bits).filter(
                      math.isfinite)
                  | st.sampled_from(EDGE_FLOATS))
-#: non-ASCII text, control characters, line ends and lone surrogates
-texts = st.text(st.characters(exclude_categories=()) | st.sampled_from(
-    "\x7f\x00\x1f\n\t\"\\/\u00e9\u2028\u2029\ud800\udfff"))
+#: non-ASCII text, control characters and line ends (no lone surrogate,
+#: which UTF-8 cannot hold)
+texts = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(
+    "\x7f\x00\x1f\n\t\"\\/\u00e9\u2028\u2029"))
+#: the values the writer takes: integers within 64 bits
 values = st.recursive(
     st.none() | st.booleans() | finite_floats | texts
     | st.integers(-2 ** 63, 2 ** 64 - 1),
@@ -1217,15 +1343,10 @@ values = st.recursive(
                       | st.lists(children, max_size=5).map(tuple)
                       | st.dictionaries(texts, children, max_size=5)),
     max_leaves=30)
-#: an integer past 64 bits is read back exactly as a document or one of
-#: its members, and as its nearest float deeper (see ``decode_json``)
-big_ints = st.integers(-2 ** 70, 2 ** 70) | st.sampled_from(EDGE_INTS)
-documents = (values | big_ints | st.lists(values | big_ints, max_size=5)
-             | st.dictionaries(texts, values | big_ints, max_size=5))
 
 
 @settings(max_examples=1000, deadline=None)
-@given(documents, st.booleans())
+@given(values, st.booleans())
 def test_encode_json_reads_back_as_written(value, indent):
     assert read_back(value, indent) == json.dumps(as_json(value))
     if not indent:  # a row is one line
@@ -1243,14 +1364,17 @@ class Name(str):
 
 #: edge values, each with what reads back from the writer's text, ``...``
 #: for the value as JSON holds it: a NaN reads back as null, a dataclass
-#: as an object of its fields, and a key that is not a string is refused
+#: as an object of its fields, and an integer past 64 bits or a key that
+#: is not a string is refused
 EDGE_VALUES = [
     ({"a": [1, 2.5, None, True], "b": {"c": "d", "e": []}, "f": {}}, ...),
     ([0.0, -0.0, 1e-4, 9999999999999998.0, 1e16, 9.999999999999999e-05], ...),
-    ("caf\u00e9", ...), ("\x7f", ...), ({"\x7f": 1}, ...), ({"\u00e9": 1}, ...),
-    ("\x00\x1f\n", ...), ([2 ** 64 - 1, 2 ** 64], ...),
-    ({1: "a", None: "b"}, TypeError), ((1, (2, 3)), ...),
-    ([math.nan], [None]), (Point(2.0), {"x": 2.0}), (Name("x"), "x"),
+    ("caf\u00e9", ...), ("\x7f", ...), ({"\x7f": 1}, ...),
+    ({"\u00e9": 1}, ...),
+    ("\x00\x1f\n", ...), ([2 ** 64 - 1, -2 ** 63], ...),
+    ([2 ** 64 - 1, 2 ** 64], TypeError), ({1: "a", None: "b"}, TypeError),
+    ((1, (2, 3)), ...), ([math.nan], [None]), (Point(2.0), {"x": 2.0}),
+    (Name("x"), "x"),
 ]
 
 
@@ -1263,48 +1387,28 @@ def test_encode_json_edge_values(value, back):
             want if want is TypeError else json.dumps(want))
 
 
-def nested(levels: int) -> list:
-    value = [1]
-    for _ in range(levels - 1):
-        value = [value]
-    return value
-
-
-def test_encode_json_falls_back_when_orjson_refuses(monkeypatch):
-    """json writes exactly the values orjson refuses for what they hold,
-    an integer past 64 bits and a string with a lone surrogate, at any
-    depth and beside a numpy array, with orjson's separators. orjson
-    writes every other value, and its other refusals raise its error."""
-    written = []
-    monkeypatch.setattr(geodata, "json", SimpleNamespace(
-        dumps=lambda value, **kw: written.append(value)
-        or json.dumps(value, **kw), loads=json.loads,
-        JSONDecodeError=json.JSONDecodeError))
+def test_encode_json_refuses_what_orjson_refuses():
+    """orjson is the one writer: an integer past 64 bits and a string with a
+    lone surrogate raise its ``JSONEncodeError``, a ``TypeError``, at any
+    depth and beside a numpy array, as its other refusals do. No ``json``
+    fallback is left to write them."""
+    assert not hasattr(geodata, "json")
     refused = [2 ** 64, -2 ** 63 - 1, [[{"a": 2 ** 70}]], "\ud800",
                {"k\udfff": 1}, [{"id": "lone\udc80",
                                  "v": np.array([1.5, -0.0])}]]
-    for value in refused:
+    circular = [1]
+    circular.append(circular)
+    for value in [*refused, {1: "a"}, nested(256), circular, object(), b"x",
+                  {1}]:
         for indent in (False, True):
-            written.clear()
-            text = encode_json(value, indent)
-            assert written == [value]
-            assert text.isascii()
-            assert decode_json(text) == as_json(value)
-    value = {"a": [1, 2 ** 64], "b": {}}
-    assert encode_json(value) == b'{"a":[1,18446744073709551616],"b":{}}'
-    assert encode_json(value, True) == (
-        b'{\n  "a": [\n    1,\n    18446744073709551616\n  ],\n  "b": {}\n}')
-    written.clear()
+            with pytest.raises(TypeError):
+                encode_json(value, indent)
     taken = [2 ** 64 - 1, -2 ** 63, "caf\u00e9\u2028\x00", 1e16, 5e-324,
              math.nan, np.arange(3.0), np.arange(6.0)[::2], nested(255)]
     for value in taken:
-        encode_json(value), encode_json(value, True)
-    circular = [1]
-    circular.append(circular)
-    for value in ({1: "a"}, nested(256), circular, object(), b"x", {1}):
-        with pytest.raises(TypeError):
-            encode_json(value)
-    assert written == []
+        for indent in (False, True):
+            assert geodata._loads(encode_json(value, indent)) == (
+                None if value is math.nan else as_json(value))
 
 
 @pytest.mark.parametrize("values", [
@@ -1330,15 +1434,103 @@ def test_encode_json_non_contiguous_slice_and_other_dtypes():
     # a float32 is written as the shortest text that reads back to it
     single = np.array([0.1, 2.5], dtype=np.float32)
     assert read_back(single) == "[0.1, 2.5]"
-    assert np.array(decode_json(encode_json(single)), np.float32).tolist() \
-        == single.tolist()
+    assert np.array(geodata._loads(encode_json(single)),
+                    np.float32).tolist() == single.tolist()
 
 
-def test_encode_json_writes_plain_vectors_with_orjson(monkeypatch):
-    written = []
-    monkeypatch.setattr(geodata, "json", SimpleNamespace(
-        dumps=lambda value, **kw: written.append(value)))
+def test_encode_json_writes_plain_vectors_with_orjson():
     for vec in ([0.25, -0.0, 1e-4, -9999999999999998.0], [0.25, 1e-5],
                 [0.25, 1e16], [5e-324, 1.0]):
-        assert encode_json(np.array(vec)) == encode_json(vec)
-    assert written == []
+        assert encode_json(np.array(vec)) == encode_json(vec) == \
+            orjson.dumps(vec)
+
+
+# ---------------------------------------------------------------------------
+# malformed input raises only typed errors
+
+#: valid manifest rows: a provenance header, then records with each kind
+#: of field
+MANIFEST_ROWS = [
+    {"provenance": {"seed": 1, "config_sha256": "ab"}},
+    {"id": "r0", "domain": "A", "label": "restaurant", "lon": 1.5,
+     "lat": -2.0, "features": {"o": [0.5, -1.0], "s": [2.0]}},
+    {"id": 7, "domain": "B", "label": 3, "features": {"o": [1, 0.25],
+                                                       "s": [-0.0]}},
+]
+
+#: a valid FeatureCollection: a Polygon with an id and a MultiPolygon
+#: named by its properties
+PARCELS = {"type": "FeatureCollection", "features": [
+    {"type": "Feature", "id": "P", "properties": {"landuse": ["restaurant"]},
+     "geometry": {"type": "Polygon", "coordinates": [
+         [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]],
+         [[0.25, 0.25], [0.5, 0.25], [0.5, 0.5], [0.25, 0.25]]]}},
+    {"type": "Feature", "properties": {"id": 5},
+     "geometry": {"type": "MultiPolygon", "coordinates": [
+         [[[2.0, 2.0], [3.0, 2.0], [3.0, 3.0], [2.0, 2.0]]]]}}]}
+
+#: what a mutation splices in: literals orjson refuses, integers past 64
+#: bits, values of every kind, deep nesting and stray punctuation or bytes
+SPLICES = [b"NaN", b"-Infinity", b"1e400", b'"\\ud800"', b'"\\udc80x"',
+           b"1" * 30, b"-" + b"9" * 30, b"18446744073709551616", b"null",
+           b"true", b"1.5", b"[1]", b"{}", b'{"a": [1]}', b'"x"', b'"\x00"',
+           b"[" * 100 + b"1" + b"]" * 100, b"[" * 300 + b"]" * 300, b"[", b"]",
+           b"{", b"}", b",", b":", b'"', b"\\", b"\xff", b"\xc3", b"\n",
+           b"\xef\xbb\xbf"]
+
+
+@st.composite
+def malformed(draw, valid: bytes):
+    """``valid`` after one to three mutations: a cut, a byte flipped, a
+    splice inserted, or a member's value replaced by a splice."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("cut", "flip", "insert", "replace")))
+        if op == "cut":
+            del data[at:]
+        elif op == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif op == "insert":
+            data[at:at] = draw(st.sampled_from(SPLICES))
+        elif b":" in data:  # the value after a colon, to its comma or brace
+            starts = [k + 1 for k, c in enumerate(data) if c == ord(":")]
+            start = draw(st.sampled_from(starts))
+            end = start
+            while end < len(data) and data[end] not in b",}\n":
+                end += 1
+            data[start:end] = draw(st.sampled_from(SPLICES))
+    return bytes(data)
+
+
+MANIFEST_TEXT = b"".join(encode_json(row) + b"\n" for row in MANIFEST_ROWS)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed(MANIFEST_TEXT))
+def test_malformed_manifest_raises_only_typed_errors(tmp_path, data):
+    """``jsonl_rows`` raises only ``JSONLinesError``, and ``load_manifest``
+    only ``ManifestError``, or ``TaxonomyError`` for a label name the
+    taxonomy lacks (as the oracle does); never a raw ValueError,
+    TypeError, UnicodeDecodeError or RecursionError."""
+    try:
+        list(jsonl_rows(data.split(b"\n"), "src"))
+    except JSONLinesError:
+        pass
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(data)
+    try:
+        load_manifest(path, TAX)
+    except (ManifestError, TaxonomyError):
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.booleans().flatmap(lambda indent: malformed(
+    encode_json(PARCELS, indent))))
+def test_malformed_parcels_raise_only_typed_errors(data):
+    try:
+        parse_parcels(data, TAX)
+    except (GeoJSONParseError, ParcelValidationError, TaxonomyError):
+        pass

@@ -16,7 +16,7 @@ from landuse.taxonomy import TaxonomyError, builtin_taxonomy
 TAX = builtin_taxonomy()
 
 #: endings that a fixed-width array or a careless codec would lose
-ID_TAILS = ("", "\x00", "\U0001F600", "é\x00", "\ud800")
+ID_TAILS = ("", "\x00", "\U0001F600", "é\x00")
 
 
 def assert_same_parcels(got, want):
