@@ -110,6 +110,8 @@ KEYWORDS = {"synth.classes": "n_classes", "synth.noise": "noise_rate",
 def parse_value(key: str, text: str):
     """The value of config key ``key``, of the kind ``KEYS`` gives it."""
     kind = KEYS[key]
+    if "\0" in text:  # no path, name or number holds one
+        raise ConfigError(f"config key {key!r}: {text!r} holds a NUL byte")
     try:
         if kind is bool:  # in any case
             return {"true": True, "false": False}[text.lower()]
@@ -177,7 +179,7 @@ class Pipeline:
             path = self._resolve(taxonomy_path)
             try:
                 text = path.read_text(encoding="utf-8")
-            except (OSError, ValueError) as e:  # ValueError: a NUL, say
+            except (OSError, ValueError) as e:  # ValueError: not UTF-8
                 reason = getattr(e, "strerror", None) or e
                 raise ConfigError(f"config key 'taxonomy': cannot read"
                                   f" {path}: {reason}") from None

@@ -28,7 +28,7 @@ from .entry import (classes_sha256, file_sha256, read_entry as read_items,
                     write_entry)
 from .geodata import (GeoPoint, JSONLinesError, check_position, jsonl_rows,
                       record_id)
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, TaxonomyError
 
 FEATURE_FILE_MAGIC = b"LUFV1"
 
@@ -86,10 +86,10 @@ class ManifestTable:
 
     def stream(self, name: str) -> np.ndarray:
         """One stream's ``(N, D)`` matrix; a stream the table lacks raises
-        ``ValueError`` naming the first record."""
+        ``ManifestError`` naming the first record."""
         if name not in self.features:
-            raise ValueError(missing_stream(self.ids[0], name) if self.ids
-                             else f"no records, so no stream {name!r}")
+            raise ManifestError(missing_stream(self.ids[0], name) if self.ids
+                                else f"no records, so no stream {name!r}")
         return self.features[name]
 
 
@@ -114,9 +114,9 @@ def write_feature_file(path, vectors: dict[str, np.ndarray]) -> None:
             f.write(np.asarray(vec, dtype="<f4").tobytes())
 
 
-def read_feature_file(path) -> tuple[list[str], np.ndarray, bytes]:
-    """Read an LUFV1 file with one read: its ids, an ``(N, D)`` float64
-    matrix holding row ``k`` for ``ids[k]``, and the sha256 of the bytes
+def read_feature_file(path) -> tuple[dict[str, int], np.ndarray, bytes]:
+    """Read an LUFV1 file with one read: its ids, each to its row, an
+    ``(N, D)`` float64 matrix of the rows, and the sha256 of the bytes
     read. A cut row, an id that is not UTF-8 or that repeats, and bytes
     after the last row raise ``ManifestError``."""
     with open(path, "rb") as f:
@@ -139,9 +139,8 @@ def read_feature_file(path) -> tuple[list[str], np.ndarray, bytes]:
     # every row holds a length field and d floats at least
     if count * (4 + 4 * d) > len(buf) - pos:
         raise ManifestError(f"{path}: truncated feature file")
-    ids = []
-    seen = set()
-    offsets = []   # where each row's floats start
+    X = np.empty((count, d))
+    rows: dict[str, int] = {}
     for k in range(count):
         (idlen,) = struct.unpack_from("<I", buf, take(4))
         start = take(idlen)
@@ -149,17 +148,14 @@ def read_feature_file(path) -> tuple[list[str], np.ndarray, bytes]:
             rid = buf[start:pos].decode("utf-8")
         except UnicodeDecodeError:
             raise ManifestError(f"{path}: row {k}: id is not UTF-8") from None
-        if rid in seen:
+        if rid in rows:
             raise ManifestError(f"{path}: row {k}: repeated id {rid}")
-        seen.add(rid)
-        ids.append(rid)
-        offsets.append(take(4 * d))
+        rows[rid] = k
+        X[k] = np.frombuffer(buf, "<f4", d, take(4 * d))
     if pos < len(buf):
         raise ManifestError(
             f"{path}: {len(buf) - pos} bytes after the last of {count} rows")
-    index = np.array(offsets, dtype=np.intp)[:, None] + np.arange(4 * d)
-    X = np.frombuffer(buf, dtype="u1")[index].view("<f4").astype(np.float64)
-    return ids, X, hashlib.sha256(buf).digest()
+    return rows, X, hashlib.sha256(buf).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +262,13 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
                     if not isinstance(ref, str) or "\0" in ref:
                         raise ManifestError(f"record {rid}: features_ref of stream"
                                             f" {stream} must be a path, got {ref!r}")
-                    if ref not in sidecars:
-                        ref_ids, X, digest = read_feature_file(path.parent / ref)
-                        sidecars[ref] = ({r: i for i, r in enumerate(ref_ids)},
-                                         X, digest)
+                    try:
+                        if ref not in sidecars:
+                            sidecars[ref] = read_feature_file(path.parent / ref)
+                    except OSError as e:
+                        raise ManifestError(
+                            f"record {rid}: cannot read feature file {ref}:"
+                            f" {e.strerror or e}") from None
                     index, X, _ = sidecars[ref]
                     if rid not in index:
                         raise ManifestError(
@@ -300,7 +299,10 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
 
                 value = obj.get("label")
                 if isinstance(value, str):
-                    value = taxonomy.index(value)
+                    try:
+                        value = taxonomy.index(value)
+                    except TaxonomyError as e:
+                        raise ManifestError(f"record {rid}: {e}") from None
                 if value is not None:
                     top = len(taxonomy.fine_classes)
                     if not (type(value) is int and 0 <= value < top):
@@ -341,7 +343,7 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
 # or the decode do.
 
 ENTRY_MAGIC = b"LUTAB"
-ENTRY_VERSION = 4
+ENTRY_VERSION = 5
 
 
 def _cache_key(digest: bytes, taxonomy: Taxonomy, sidecar_digests) -> bytes:

@@ -24,12 +24,12 @@ saves and nothing else.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .atomic import atomic_output
 
@@ -45,10 +45,9 @@ def file_sha256(path) -> bytes:
 
 
 def classes_sha256(taxonomy) -> bytes:
-    """sha256 of a taxonomy's fine-class list as JSON: the part of a
-    taxonomy that names and numbers classes."""
-    classes = list(taxonomy.fine_classes)
-    return hashlib.sha256(json.dumps(classes).encode("utf-8")).digest()
+    """sha256 of a taxonomy's fine-class list as orjson's JSON text: the
+    part of a taxonomy that names and numbers classes."""
+    return hashlib.sha256(orjson.dumps(list(taxonomy.fine_classes))).digest()
 
 
 def read_entry(entry, magic: bytes, version: int) -> list | None:

@@ -31,7 +31,7 @@ import numpy as np
 import orjson
 
 from .entry import classes_sha256, read_entry, write_entry
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, TaxonomyError
 
 #: meters per degree of latitude in the local planar frame
 METERS_PER_DEGREE = 111320.0
@@ -251,7 +251,7 @@ def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
     strings, unknown class names and repeated parcel ids raise instead of
     being silently dropped. Every position must pass ``check_position``,
     so a file in projected coordinates is refused, naming the feature,
-    ring and position.
+    ring and position; a position is kept as a pair of floats.
     """
     if isinstance(document, str):
         document = document.encode("utf-8", "surrogatepass")
@@ -288,7 +288,10 @@ def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
             raise GeoJSONParseError(
                 f"feature {fid}: landuse must be a list of class names,"
                 f" got {type(landuse).__name__}")
-        truth = frozenset(taxonomy.index(name) for name in landuse)
+        try:
+            truth = frozenset(taxonomy.index(name) for name in landuse)
+        except TaxonomyError as e:
+            raise GeoJSONParseError(f"feature {fid}: {e}") from None
         geom = _member_object(feature, "geometry", fid)
         gtype = geom.get("type")
         if gtype not in ("Polygon", "MultiPolygon"):
@@ -307,18 +310,19 @@ def parse_parcels(document: str | bytes, taxonomy: Taxonomy) -> list[Parcel]:
             if pid in seen:
                 raise ParcelValidationError(f"duplicate parcel id {pid!r}")
             seen.add(pid)
-            rings = tuple(tuple(map(tuple, ring)) for ring in rings)
             for r, ring in enumerate(rings):
                 for k, v in enumerate(ring):
                     try:
                         check_position(*v)
                     except TypeError:  # not two numbers, or not two at all
                         raise GeoJSONParseError(
-                            f"feature {fid}: position {list(v)} is not"
+                            f"feature {fid}: position {v} is not"
                             f" [lon, lat]") from None
                     except ValueError as e:
                         raise GeoJSONParseError(
                             f"feature {pid}: ring {r}, position {k}: {e}") from None
+            rings = tuple(tuple((float(x), float(y)) for x, y in ring)
+                          for ring in rings)
             parcels.append(Parcel(id=pid, rings=rings, truth=truth))
     return parcels
 
@@ -349,15 +353,13 @@ def _member_object(feature: dict, key: str, fid) -> dict:
 # ``entry``: the key (the sha256 of the GeoJSON bytes and of the taxonomy's
 # fine-class list), the ids, the rings and truth classes of each parcel,
 # the vertices of each ring, the truth class indices in the order each set
-# iterates, the lon and lat of each vertex, and a flag per coordinate, set
-# where it was a JSON integer. Integers are kept as integers, as
-# ``export_map`` writes them back; a parsed coordinate is in range, so a
-# float holds it exactly. The entry holds no path, so equal inputs give
-# equal entries in any directory. PARCEL_ENTRY_VERSION changes whenever
-# the items or the parse do.
+# iterates, and the lon and lat of each vertex, as the floats the parse
+# gives. The entry holds no path, so equal inputs give equal entries in any
+# directory. PARCEL_ENTRY_VERSION changes whenever the items or the parse
+# do.
 
 PARCEL_ENTRY_MAGIC = b"LUPAR"
-PARCEL_ENTRY_VERSION = 4
+PARCEL_ENTRY_VERSION = 5
 
 
 def _parcel_key(data: bytes, taxonomy: Taxonomy) -> bytes:
@@ -375,22 +377,18 @@ def read_parcel_entry(entry, data: bytes, taxonomy: Taxonomy) -> list[Parcel] | 
     the same bytes.
     """
     items = read_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION)
-    if items is None or len(items) != 8:
+    if items is None or len(items) != 7:
         return None
-    key, ids, rings_per, truth_per, vertices_per, classes, coords, is_int = items
+    key, ids, *counts, classes, coords = items
     if key.tobytes() != _parcel_key(data, taxonomy):
         return None
-    rings_per, truth_per = rings_per.tolist(), truth_per.tolist()
-    vertices_per = vertices_per.tolist()
+    rings_per, truth_per, vertices_per = (c.tolist() for c in counts)
     if (len(rings_per) != len(ids) or len(truth_per) != len(ids)
             or sum(rings_per) != len(vertices_per)
             or sum(truth_per) != len(classes)
-            or not 2 * sum(vertices_per) == len(coords) == len(is_int)):
+            or 2 * sum(vertices_per) != len(coords)):
         return None
-    coords = coords.tolist()
-    for k in np.flatnonzero(is_int).tolist():
-        coords[k] = int(coords[k])
-    xy = iter(coords)
+    xy = iter(coords.tolist())
     vertices = iter(list(zip(xy, xy)))
     rings = iter([tuple(islice(vertices, m)) for m in vertices_per])
     truths = iter(classes.tolist())
@@ -406,14 +404,13 @@ def write_parcel_entry(entry, data: bytes, taxonomy: Taxonomy,
     nothing else."""
     rings = [ring for p in parcels for ring in p.rings]
     coords = list(chain.from_iterable(chain.from_iterable(rings)))
-    is_int = [type(c) is int for c in coords]
     counts = ([len(p.rings) for p in parcels], [len(p.truth) for p in parcels],
               [len(ring) for ring in rings],
               [c for p in parcels for c in p.truth])
     write_entry(entry, PARCEL_ENTRY_MAGIC, PARCEL_ENTRY_VERSION, [
         np.frombuffer(_parcel_key(data, taxonomy), dtype="u1"),
         [p.id for p in parcels], *(np.array(c, dtype="<u4") for c in counts),
-        np.array(coords, dtype="<f8"), np.array(is_int, dtype="?")])
+        np.array(coords, dtype="<f8")])
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,8 @@ BAD_VALUES = [
                               " stream names, got 'object,object'"),
 ]
 
-#: values the schedules refuse, and fusion weights that ``fuse`` refuses;
-#: an override of two keys separates them by a space
+#: values the schedules refuse, fusion weights that ``fuse`` refuses and
+#: values holding a NUL; an override of two keys separates them by a space
 REFUSED_VALUES = [
     ("train.decay_every=0",
      "config key 'train.decay_every': decay_every must be >= 1, got 0"),
@@ -198,6 +198,10 @@ REFUSED_VALUES = [
      "fusion.weights: fusion weights must sum to 1, got 1.1"),
     ("fusion.weights=object:-0.5,scene:1.5",
      "fusion.weights: fusion weights must be >= 0"),
+    ("train_manifest=data/tr\0ain.jsonl",
+     "config key 'train_manifest': 'data/tr\\x00ain.jsonl' holds a NUL byte"),
+    ("taxonomy=tax\0.txt",
+     "config key 'taxonomy': 'tax\\x00.txt' holds a NUL byte"),
 ]
 
 
@@ -273,7 +277,6 @@ def test_relative_paths_lie_under_the_config_directory(tmp_path,
 @pytest.mark.parametrize("value,reason", [
     ("missing.txt", "No such file or directory"),
     ("folder", "Is a directory"),
-    ("tax\0.txt", "embedded null byte"),
 ])
 def test_unreadable_taxonomy_is_a_config_error(tmp_path, capsys, value,
                                                reason):
@@ -829,10 +832,73 @@ def test_train_names_record_lacking_a_stream(tmp_path, capsys, split):
     drop_stream(tmp_path / "data" / f"{split}.jsonl", "scene")
     assert main(["train", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: ValueError: record \w+: missing features"
+    assert re.fullmatch(r"error: ManifestError: record \w+: missing features"
                         r" for stream 'scene'\n", err), err
     # no stream's model is trained before the split is checked
     assert not list((tmp_path / "out").glob("model_*"))
+
+
+def first_id(manifest):
+    with open(manifest, encoding="utf-8") as f:
+        return json.loads(f.readline())["id"]
+
+
+def test_stream_no_record_carries_stops_train(tmp_path, capsys):
+    path = write_config(tmp_path)
+    run(path, "synth")
+    assert main(["train", "--config", str(path), "streams=object,texture"]) == 1
+    rid = first_id(tmp_path / "data" / "train.jsonl")
+    assert capsys.readouterr().err == (
+        f"error: ManifestError: record {rid}: missing features for stream"
+        f" 'texture'\n")
+    assert not list((tmp_path / "out").glob("model_*"))
+
+
+def test_map_manifest_lacking_a_stream_stops_predict(tmp_path, capsys):
+    path = write_config(tmp_path)
+    for command in ("synth", "train", "adapt"):
+        run(path, command)
+    manifest = tmp_path / "data" / "map.jsonl"
+    drop_stream(manifest, "scene")
+    assert main(["predict", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ManifestError: record {first_id(manifest)}: missing features"
+        f" for stream 'scene'\n")
+    assert not (tmp_path / "out" / "predictions.jsonl").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_unknown_label_name_stops_train_naming_its_record(tmp_path, capsys,
+                                                          split):
+    path = write_config(tmp_path)
+    run(path, "synth")
+    manifest = tmp_path / "data" / f"{split}.jsonl"
+    rows = [json.loads(line)
+            for line in manifest.read_text(encoding="utf-8").splitlines()]
+    rows[1]["label"] = "nope"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                        encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ManifestError: record {rows[1]['id']}: unknown fine class"
+        f" name: 'nope'\n")
+    assert not list((tmp_path / "out").glob("model_*"))
+
+
+def test_unknown_parcel_class_stops_filter_naming_its_feature(tmp_path,
+                                                              capsys):
+    path = write_config(tmp_path)
+    run(path, "synth")
+    parcels = tmp_path / "data" / "parcels.geojson"
+    doc = json.loads(parcels.read_text(encoding="utf-8"))
+    doc["features"][1]["properties"]["landuse"] = ["nope"]
+    parcels.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["filter", "--config", str(path)]) == 1
+    fid = doc["features"][1]["id"]
+    assert capsys.readouterr().err == (
+        f"error: GeoJSONParseError: feature {fid}: unknown fine class name:"
+        f" 'nope'\n")
+    assert not (tmp_path / "out" / "assignments.jsonl").exists()
 
 
 def strip_labels(manifest, keep):

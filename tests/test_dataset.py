@@ -4,6 +4,7 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -14,7 +15,7 @@ from _oracles import oracle_load_manifest, oracle_stratified_batches
 from landuse.dataset import (DOMAIN_A, DOMAIN_B, ImageRecord, ManifestError,
                              load_manifest, read_feature_file, shuffle,
                              stratified_batches, write_feature_file)
-from landuse.taxonomy import builtin_taxonomy
+from landuse.taxonomy import TaxonomyError, builtin_taxonomy
 
 TAX = builtin_taxonomy()
 
@@ -40,6 +41,14 @@ def test_load_three_records(tmp_path):
     assert len(records) == 3
     assert records[0].label == TAX.index("restaurant")
     assert records[0].features["object"].shape == (4,)
+
+
+def test_unknown_label_name_is_a_manifest_error_naming_its_record(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_lines(path, [manifest_row(0), manifest_row(1, label="nope")])
+    with pytest.raises(ManifestError) as e:
+        load_manifest(path, TAX)
+    assert str(e.value) == "record r1: unknown fine class name: 'nope'"
 
 
 def test_dimension_mismatch_names_record(tmp_path):
@@ -102,8 +111,8 @@ def test_feature_file_round_trip(tmp_path):
     vectors = {f"id{i}": np.arange(6, dtype=np.float64) + i for i in range(5)}
     path = tmp_path / "f.lufv"
     write_feature_file(path, vectors)
-    ids, X, _ = read_feature_file(path)
-    assert ids == list(vectors)
+    rows, X, _ = read_feature_file(path)
+    assert rows == {rid: k for k, rid in enumerate(vectors)}
     assert X.dtype == np.float64 and X.flags.c_contiguous
     np.testing.assert_allclose(X, np.array(list(vectors.values())), atol=1e-6)
 
@@ -143,8 +152,8 @@ def test_feature_file_round_trip_exact_and_every_prefix_rejected(tmp_path,
     path = tmp_path / "f.lufv"
     write_feature_file(path, vectors)
     whole = path.read_bytes()
-    ids, X, _ = read_feature_file(path)
-    assert ids == list(vectors)
+    rows, X, _ = read_feature_file(path)
+    assert rows == {rid: k for k, rid in enumerate(vectors)}
     want = np.array(list(vectors.values()), dtype=np.float32).astype(np.float64)
     assert X.dtype == np.float64 and X.shape == want.shape
     assert X.tobytes() == want.tobytes()
@@ -172,6 +181,39 @@ def test_sidecar_missing_id(tmp_path):
                         "features_ref": {"object": "feats.lufv"}}])
     with pytest.raises(ManifestError, match="r0"):
         load_manifest(path, TAX)
+
+
+@pytest.mark.parametrize("ref,reason", [
+    ("gone.lufv", "No such file or directory"),
+    ("folder", "Is a directory"),
+])
+def test_unreadable_sidecar_is_a_manifest_error(tmp_path, ref, reason):
+    (tmp_path / "folder").mkdir()
+    path = tmp_path / "m.jsonl"
+    write_lines(path, [manifest_row(0),
+                       {"id": "r1", "features_ref": {"object": ref}}])
+    for cache in (None, tmp_path / "m.lutab"):
+        with pytest.raises(ManifestError) as e:
+            load_manifest(path, TAX, cache=cache)
+        assert str(e.value) == \
+            f"record r1: cannot read feature file {ref}: {reason}"
+
+
+def test_feature_file_read_holds_little_beyond_its_bytes_and_matrix(tmp_path):
+    """Each row goes straight into the float64 matrix, with no index array
+    or float32 copy of the whole file beside it."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "f.lufv"
+    write_feature_file(path, dict(zip(
+        (f"r{k:06d}" for k in range(2000)), rng.standard_normal((2000, 256)))))
+    tracemalloc.start()
+    try:
+        X = read_feature_file(path)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (2000, 256)
+    assert peak < 1.25 * (path.stat().st_size + X.nbytes)
 
 
 def lufv_bytes(ids, d=2):
@@ -626,7 +668,10 @@ def oracle_outcome_under_orjson(path):
     """The oracle's outcome for the manifest as orjson reads it. A line that
     orjson refuses, or whose id is neither a string nor an integer, raises
     a ManifestError at its line once the oracle has passed every line
-    before it; an integer literal past 64 bits is its nearest float."""
+    before it; an integer literal past 64 bits is its nearest float. The
+    oracle's TaxonomyError for a label name the taxonomy lacks is a
+    ManifestError naming the record: the first whose label is such a name,
+    as the oracle passed every record before it."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines(keepends=True)
     fault = None
@@ -650,6 +695,11 @@ def oracle_outcome_under_orjson(path):
         path.write_text(text, encoding="utf-8")
     if fault and want is None:
         return None, (ManifestError, fault)
+    if want is not None and want[0] is TaxonomyError:
+        rid = next(str(row["id"]) for row in map(orjson.loads, lines[1:])
+                   if isinstance(row.get("label"), str)
+                   and row["label"] not in TAX.fine_classes)
+        want = (ManifestError, f"record {rid}: {want[1]}")
     return records, want
 
 

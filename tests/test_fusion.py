@@ -349,7 +349,7 @@ def square_at(x0, y0, side):
 
 @pytest.mark.parametrize("rings,provenance", [
     ((SQUARE,), None),
-    ((square_at(0, 0, 1),), None),                    # JSON integers
+    ((square_at(0, 0, 1),), None),                    # integers in code
     ((square_at(-0.0, 0.0, 1.0),), None),             # negative zero
     ((square_at(1e-5, 0.5, 1.0),), None),             # below 1e-4
     ((square_at(1e16, 0.5, 1e16),), None),            # from 1e16
@@ -359,10 +359,10 @@ def square_at(x0, y0, side):
     ((SQUARE, square_at(0.25, 0.25, 1e-5)), None),    # a hole of odd values
 ])
 def test_export_text_reads_back_for_any_coordinates(rings, provenance):
-    """The map reads back, through ``json`` and through ``parse_parcels``,
-    to the coordinates it was given, integers as integers. A parcel built
-    in code may lie outside lon/lat range: its map exports, and parsing
-    refuses it."""
+    """The map reads back, through ``json``, to the coordinates it was
+    given, integers as integers, and through ``parse_parcels`` to floats of
+    the same values. A parcel built in code may lie outside lon/lat range:
+    its map exports, and parsing refuses it."""
     parcels = [Parcel(id="P", rings=rings),
                Parcel(id="Q", rings=(square_at(2.0, 2.0, 0.5),))]
     text = export_map(parcels, one_vote_each(2), TAX, provenance=provenance)
@@ -376,9 +376,8 @@ def test_export_text_reads_back_for_any_coordinates(rings, provenance):
         return
     again = parse_parcels(text, TAX)
     assert [(p.id, p.rings) for p in again] == [(p.id, p.rings) for p in parcels]
-    assert [type(c) for p in again for ring in p.rings for v in ring
-            for c in v] == [type(c) for p in parcels for ring in p.rings
-                            for v in ring for c in v]
+    assert {type(c) for p in again for ring in p.rings for v in ring
+            for c in v} == {float}
 
 
 @pytest.mark.parametrize("parcel", [

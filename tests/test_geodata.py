@@ -22,7 +22,7 @@ from landuse.geodata import (DEFAULT_DILATION_M, METERS_PER_DEGREE,
                              assignments_from_jsonl, assignments_to_jsonl,
                              boundary_distance_m, contains,
                              encode_json, jsonl_rows, parse_parcels)
-from landuse.taxonomy import TaxonomyError, builtin_taxonomy
+from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
 
@@ -120,8 +120,9 @@ def test_parse_unknown_class():
                      "coordinates": [[list(v) for v in UNIT_SQUARE]]},
         "properties": {"landuse": ["notaclass"]},
     }])
-    with pytest.raises(ValueError, match="notaclass"):
+    with pytest.raises(GeoJSONParseError) as e:
         parse_parcels(doc, TAX)
+    assert str(e.value) == "feature p1: unknown fine class name: 'notaclass'"
 
 
 @pytest.mark.parametrize("landuse", ["bakery", {"bakery": 1}, ["bakery", 3]])
@@ -1511,9 +1512,9 @@ MANIFEST_TEXT = b"".join(encode_json(row) + b"\n" for row in MANIFEST_ROWS)
 @given(malformed(MANIFEST_TEXT))
 def test_malformed_manifest_raises_only_typed_errors(tmp_path, data):
     """``jsonl_rows`` raises only ``JSONLinesError``, and ``load_manifest``
-    only ``ManifestError``, or ``TaxonomyError`` for a label name the
-    taxonomy lacks (as the oracle does); never a raw ValueError,
-    TypeError, UnicodeDecodeError or RecursionError."""
+    only ``ManifestError``, a label name the taxonomy lacks included;
+    never a raw ValueError, TypeError, UnicodeDecodeError, RecursionError
+    or TaxonomyError."""
     try:
         list(jsonl_rows(data.split(b"\n"), "src"))
     except JSONLinesError:
@@ -1522,7 +1523,7 @@ def test_malformed_manifest_raises_only_typed_errors(tmp_path, data):
     path.write_bytes(data)
     try:
         load_manifest(path, TAX)
-    except (ManifestError, TaxonomyError):
+    except ManifestError:
         pass
 
 
@@ -1532,5 +1533,5 @@ def test_malformed_manifest_raises_only_typed_errors(tmp_path, data):
 def test_malformed_parcels_raise_only_typed_errors(data):
     try:
         parse_parcels(data, TAX)
-    except (GeoJSONParseError, ParcelValidationError, TaxonomyError):
+    except (GeoJSONParseError, ParcelValidationError):
         pass

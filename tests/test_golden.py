@@ -45,7 +45,7 @@ ASCII = {
     "taxonomy": None,
     "parcels": [
         feature("A", [square(8.54, 47.37, 0.001)], ["lodging", "bakery"]),
-        # integer coordinates are written back as integers
+        # integer coordinates are read, and written back, as floats
         feature("B", [[[8, 47], [9, 47], [9, 48], [8, 48], [8, 47]]],
                 ["pharmacy"]),
         feature("C", [[square(8.56, 47.37, 0.001)],
@@ -93,7 +93,7 @@ ESCAPED = {
 DIGESTS = {
     "ascii": {
         "map.geojson":
-            "3d4690dc704aafc62bc7a77bf5f012b9a92865f0f6eb02adc24c6677cc7d9781",
+            "25efe72906d384284da91016e623c3f9efdc87677e4d7e7a1a07c9584e8e896c",
         "report.json":
             "250df41b116df0945122774e753544de656c588b57fae5e5220c31042422e7c2",
         "per_class.csv":

@@ -66,6 +66,35 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages ``source`` imports absolutely."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_import_checker_names_each_top_level_package():
+    source = """\
+import json.decoder
+from os import path
+from . import json as j
+def f():
+    import orjson
+"""
+    assert imported_packages(source) == {"json", "os", "orjson"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_the_stdlib_json(path):
+    """orjson is the one JSON codec, for reading, writing and hashing."""
+    assert "json" not in imported_packages(path.read_text(encoding="utf-8"))
+
+
 def unnamed_definitions(sources: dict[str, str], exported) -> list[str]:
     """``module: name`` for each top-level ``def`` or ``class`` in
     ``sources`` (module name to text) that is not in ``exported`` and that

@@ -11,7 +11,7 @@ from landuse.cli import Pipeline
 from landuse.geodata import (GeoJSONParseError, ParcelValidationError,
                              parse_parcels, read_parcel_entry,
                              write_parcel_entry)
-from landuse.taxonomy import TaxonomyError, builtin_taxonomy
+from landuse.taxonomy import builtin_taxonomy
 
 TAX = builtin_taxonomy()
 
@@ -113,6 +113,22 @@ def test_hit_builds_parcels_without_validating(tmp_path, monkeypatch):
         ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)),)
     with pytest.raises(AssertionError, match="validated"):
         geodata.Parcel(id="q", rings=(((0, 0), (1, 0), (1, 1), (0, 0)),))
+
+
+def test_integer_vertices_parse_and_hit_as_floats(tmp_path):
+    """A vertex written as a JSON integer is kept as the float of the same
+    value, by the parse and by a hit alike."""
+    data = json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "id": "p", "geometry": {
+            "type": "Polygon", "coordinates": [square(8, 47, 4),
+                                               square(9, 48, 2)]}}]}).encode()
+    parsed = parse_parcels(data, TAX)
+    assert repr(parsed[0].rings) == repr(tuple(
+        tuple((float(x), float(y)) for x, y in ring)
+        for ring in (square(8, 47, 4), square(9, 48, 2))))
+    entry = tmp_path / "parcels.lupar"
+    write_parcel_entry(entry, data, TAX, parsed)
+    assert_same_parcels(read_parcel_entry(entry, data, TAX), parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +337,7 @@ def test_counts_that_do_not_sum_to_the_items_are_a_miss(valid_entry, tmp_path,
      ParcelValidationError),                                            # crosses
     (lambda b: b.replace(b"[0.0, 0.0]", b"[0.0, 0.0, 5.0]"),
      GeoJSONParseError),                                                # altitude
-    (lambda b: b.replace(b"bakery", b"nothing"), TaxonomyError),         # unknown class
+    (lambda b: b.replace(b"bakery", b"nothing"), GeoJSONParseError),     # unknown class
     (lambda b: b[:-3], GeoJSONParseError),                               # cut
 ])
 def test_bad_parcels_raise_the_same_with_or_without_an_entry(tmp_path, fault,

@@ -292,11 +292,13 @@ def test_missing_sidecar_is_a_miss_that_raises_as_without_a_cache(tmp_path):
     load_manifest(path, TAX, cache=entry)
     (path.parent / "scene.lufv").unlink()
     assert read_entry(entry, path, TAX) is None
-    with pytest.raises(FileNotFoundError) as plain:
+    with pytest.raises(ManifestError) as plain:
         load_manifest(path, TAX)
-    with pytest.raises(FileNotFoundError) as cached:
+    with pytest.raises(ManifestError) as cached:
         load_manifest(path, TAX, cache=entry)
     assert str(cached.value) == str(plain.value)
+    assert str(plain.value) == ("record r0: cannot read feature file"
+                                " scene.lufv: No such file or directory")
 
 
 @pytest.mark.parametrize("fault", [
