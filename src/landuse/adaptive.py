@@ -49,13 +49,22 @@ def discard_probability(Y) -> np.ndarray:
         raise ValueError("scores must be a non-empty array of distributions")
     if np.any(Y < 0) or not np.all(np.abs(Y.sum(axis=-1) - 1.0) <= 1e-6):
         raise ValueError("scores are not probability distributions")
+    return _discard(Y)
+
+
+def _discard(Y: np.ndarray) -> np.ndarray:
+    """``discard_probability`` of float64 distributions, unchecked."""
     return np.maximum(0.0, 2.0 - np.exp(Y.max(axis=-1) - Y.mean(axis=-1)))
 
 
 def gate_weights(Y, cfg: GateConfig) -> np.ndarray:
     """Per-sample loss weights from the discard probabilities of scores
     ``Y``: hard keeps (weight 1) iff p < threshold, soft weights by 1 - p."""
-    p = discard_probability(Y)
+    return _gate(discard_probability(Y), cfg)
+
+
+def _gate(p: np.ndarray, cfg: GateConfig) -> np.ndarray:
+    """``gate_weights`` of discard probabilities ``p``."""
     if cfg.mode == HARD:
         return (p < cfg.threshold).astype(np.float64)
     return 1.0 - p
@@ -67,7 +76,8 @@ def adaptive_finetune(model: SoftmaxModel, records, cfg: GateConfig,
 
     Each batch is forwarded through the current model state before its
     update step; the discard probabilities of those scores set the sample
-    weights, and the same scores give that step's gradient.
+    weights, and the same scores give that step's gradient. The rows of
+    ``forward``'s scores are distributions, so they are not checked.
     """
     return train(model, records, cfg.schedule, validation=validation,
-                 weight_fn=lambda P: gate_weights(P, cfg))
+                 weight_fn=lambda P: _gate(_discard(P), cfg))

@@ -134,32 +134,41 @@ def loss_grad(model: SoftmaxModel, X, y, sample_weights, P=None):
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    if sample_weights is None:
-        w, wsum = None, float(len(y))
-    else:
+    w = None
+    if sample_weights is not None:
         w = np.asarray(sample_weights, dtype=np.float64)
         if w.shape != y.shape:
             raise ValueError(f"need {len(y)} sample weights, got {w.shape}")
         if np.any(w < 0):
             raise ValueError("sample weights must be >= 0")
-        wsum = w.sum()
+    wsum = _weight_sum(model, y, w)
     if wsum == 0.0:
         return 0.0, np.zeros_like(model.W), np.zeros_like(model.b)
-    if y.min() < 0 or y.max() >= model.n:
-        raise ValueError(f"unlabeled record or label outside [0, {model.n})"
-                         f" in training batch")
     if P is None:
         P = forward(model, X)
-    idx = np.arange(len(y))
-    logp = np.log(P[idx, y])
+    logp = np.log(P[np.arange(len(y)), y])
     loss = float(-(logp if w is None else w * logp).sum() / wsum)
+    return (loss, *_gradients(X, y, w, wsum, P))
+
+
+def _weight_sum(model: SoftmaxModel, y: np.ndarray, w) -> float:
+    """The sum of the weights ``w`` of labels ``y`` (None: unit weights).
+    Unless it is 0, a label outside the model's classes raises."""
+    wsum = float(len(y)) if w is None else w.sum()
+    if wsum != 0.0 and (y.min() < 0 or y.max() >= model.n):
+        raise ValueError(f"unlabeled record or label outside [0, {model.n})"
+                         f" in training batch")
+    return wsum
+
+
+def _gradients(X: np.ndarray, y: np.ndarray, w, wsum: float, P: np.ndarray):
+    """The gradients of ``loss_grad`` for scores ``P``, which are consumed,
+    and a weight sum ``wsum`` that is not 0."""
     E = P  # the error P - onehot(y), in place
-    E[idx, y] -= 1.0
+    E[np.arange(len(y)), y] -= 1.0
     if w is not None:
         E *= w[:, None]
-    gradW = E.T @ X / wsum
-    gradb = E.sum(axis=0) / wsum
-    return loss, gradW, gradb
+    return E.T @ X / wsum, E.sum(axis=0) / wsum
 
 
 def train(model: SoftmaxModel, records: ManifestTable, schedule: Schedule,
@@ -169,10 +178,12 @@ def train(model: SoftmaxModel, records: ManifestTable, schedule: Schedule,
     ``model``.
 
     Each step forwards its batch once. ``weight_fn(P) -> weights`` turns
-    those scores, from the current model state, into per-sample loss
-    weights (the adaptive gate uses it); None means unit weights. With a
-    validation split, its accuracy is recorded after every epoch. Each
-    batch is gathered into one buffer, so that a step allocates less.
+    those scores, from the current model state, into a float64 array of
+    per-sample loss weights, each >= 0 (the adaptive gate uses it); None
+    means unit weights. With a validation split, its accuracy is recorded
+    after every epoch. Each batch is gathered into one buffer, so that a
+    step allocates less, and a step computes the gradients of
+    ``loss_grad`` but not the loss.
     """
     X = records.stream(model.stream)
     Xb = np.empty((schedule.batch_size, X.shape[1]))
@@ -189,7 +200,12 @@ def train(model: SoftmaxModel, records: ManifestTable, schedule: Schedule,
             np.take(X, idx, axis=0, out=Xb, mode="clip")  # idx is in range
             P = forward(m, Xb)
             w = None if weight_fn is None else weight_fn(P)
-            _, gW, gb = loss_grad(m, Xb, records.label[idx], w, P)
+            y = records.label[idx]
+            wsum = _weight_sum(m, y, w)
+            if wsum == 0.0:
+                gW, gb = np.zeros_like(m.W), np.zeros_like(m.b)
+            else:
+                gW, gb = _gradients(Xb, y, w, wsum, P)
             if schedule.weight_decay:
                 gW = gW + schedule.weight_decay * m.W
                 gb = gb + schedule.weight_decay * m.b
@@ -232,9 +248,13 @@ def save_model(model: SoftmaxModel, path) -> None:
 def load_model(path) -> SoftmaxModel:
     """Read an LUSM1 file. A file that is cut short, carries trailing bytes,
     has a shape ``init_model`` rejects or a stream name that is not UTF-8
-    raises ``ModelIOError``."""
-    with open(path, "rb") as f:
-        data = f.read()
+    raises ``ModelIOError``, as does a file that cannot be read."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise ModelIOError(f"{path}: cannot read model: {e.strerror or e}"
+                           ) from None
     if data[:len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelIOError(
             f"{path}: bad magic {data[:len(MODEL_MAGIC)]!r}, expected {MODEL_MAGIC!r}")

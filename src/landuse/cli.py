@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
+import pickle
+import signal
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -321,7 +323,7 @@ class Pipeline:
     def load_mapping(self):
         """(parcels, assignments); an unknown parcel raises JSONLinesError."""
         parcels, path = self.load_parcels(), self.assignments_path
-        with open(path, "rb") as f:
+        with _open_output(path, "filter") as f:
             return parcels, assignments_from_jsonl(
                 f, path, {pc.id for pc in parcels})
 
@@ -329,7 +331,7 @@ class Pipeline:
         path = self.predictions_path
         n = len(self.taxonomy.fine_classes)
         preds = {}
-        with open(path, "rb") as f:
+        with _open_output(path, "predict") as f:
             for lineno, obj in jsonl_rows(f, path):
                 image = jsonl_value(obj, "image", str, path, lineno)
                 if image in preds:
@@ -348,6 +350,16 @@ class Pipeline:
         write_atomic(path, header + b"\n" + body)
 
 
+def _open_output(path: Path, stage: str):
+    """``path``, which stage ``stage`` writes, opened for reading; a file
+    that cannot be opened raises ``JSONLinesError`` naming that stage."""
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise JSONLinesError(f"{path}: cannot read: {e.strerror or e}"
+                             f" (written by landuse {stage})") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -361,32 +373,113 @@ def cmd_filter(p: Pipeline) -> None:
     p._write_jsonl(p.assignments_path, assignments_to_jsonl(assignments))
 
 
-def per_stream(work, items) -> list:
-    """``work(*item)`` for each of ``items`` (one per stream), the first on
-    this thread and each further one on a helper thread of its own; the
-    streams are independent, and their BLAS calls release the GIL. The
-    results come back in item order once every call has returned; the first
-    call to raise, in item order, raises here. (Plain threads: importing
-    ``concurrent.futures`` adds about 0.4 MB to each stage process.)"""
-    items = list(items)
-    results, errors = [None] * len(items), [None] * len(items)
+class StreamError(RuntimeError):
+    """A stream's child process died, or raised an exception that could
+    not be pickled."""
 
-    def run(k):
+
+def _child(work, item, r: int, w: int) -> None:
+    """In a forked child: ``work(*item)``, its result or exception pickled
+    into the write end ``w`` of a pipe, then ``os._exit``; this never
+    returns. An exception that does not survive pickling is sent as its
+    type name and message. The read end ``r`` is closed first, so that a
+    write to a pipe whose reader has gone fails rather than blocks."""
+    status = 1
+    try:
+        os.close(r)
         try:
-            results[k] = work(*items[k])
-        except BaseException as e:  # noqa: BLE001 - raised below, in order
-            errors[k] = e
+            outcome = (True, work(*item))
+        except BaseException as e:  # noqa: BLE001 - the parent raises it
+            outcome = (False, e)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            if not outcome[0]:
+                pickle.loads(data)  # a class whose instances do not load
+        except Exception:  # noqa: BLE001 - sent as text instead
+            error = outcome[1]
+            data = pickle.dumps((None, f"{type(error).__name__}: {error}"))
+        with open(w, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
-    helpers = [threading.Thread(target=run, args=(k,))
-               for k in range(1, len(items))]
-    for helper in helpers:
-        helper.start()
-    run(0)
-    for helper in helpers:
-        helper.join()
-    for error in errors:
-        if error is not None:
-            raise error
+
+def _reap(pid: int, r: int, read: bool = True) -> tuple[bytes | None, int]:
+    """Read child ``pid``'s pipe end ``r`` to EOF (or, with ``read`` false
+    or when the read is cut short, kill the child), close it and wait for
+    the child: (the bytes read, the exit code, negative for a signal)."""
+    data = None
+    try:
+        if read:
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+    finally:
+        os.close(r)
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    return data, os.waitstatus_to_exitcode(status)
+
+
+def _outcome(stream: str, data: bytes, code: int):
+    """The result a stream's child sent, or its failure raised."""
+    if code < 0:
+        raise StreamError(f"stream {stream}: child process killed by"
+                          f" {signal.Signals(-code).name}")
+    if code or not data:
+        raise StreamError(f"stream {stream}: child process exited with"
+                          f" status {code}")
+    ok, value = pickle.loads(data)
+    if ok is None:
+        raise StreamError(f"stream {stream}: {value} (the exception could"
+                          f" not be pickled)")
+    if not ok:
+        raise value
+    return value
+
+
+def per_stream(work, items) -> list:
+    """``work(*item)`` for each of ``items``, one ``(stream, ...)`` tuple
+    per stream, the streams being independent. Each of items 1 to
+    ``cores - 1`` runs in a forked child of its own, which pickles its
+    result or exception into a pipe; this process runs item 0 and then any
+    items left over, in turn. With one usable core nothing is forked.
+
+    The results come back in item order once every call has returned; the
+    first call to fail, in item order, raises here, a child's exception
+    with its own type. A child that dies or sends an exception that cannot
+    be pickled raises ``StreamError`` naming its stream. Children still
+    running when this returns early are killed and reaped. A fork copies
+    only the calling thread, so no other thread may be running."""
+    items = list(items)
+    results = [None] * len(items)
+    n_children = min(len(os.sched_getaffinity(0)), len(items)) - 1
+    children = []  # (item index, pid, read end), in item order
+    try:
+        for k in range(1, 1 + n_children):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(work, items[k], r, w)
+            os.close(w)
+            children.append((k, pid, r))
+        failure = None
+        for k in (0, *range(1 + n_children, len(items))):
+            try:
+                results[k] = work(*items[k])
+            except Exception as e:
+                if k == 0:  # before any child's item
+                    raise
+                failure = e  # after every child's item
+                break
+        while children:
+            k, pid, r = children.pop(0)
+            results[k] = _outcome(items[k][0], *_reap(pid, r))
+        if failure is not None:
+            raise failure
+    finally:
+        for _, pid, r in children:
+            _reap(pid, r, read=False)
     return results
 
 

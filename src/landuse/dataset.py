@@ -222,8 +222,12 @@ def _decode_manifest(path: Path, taxonomy: Taxonomy):
     the bytes decoded; and the ``features_ref`` paths used, as written and
     in the order first met, each with the sha256 of the sidecar bytes read.
     A manifest that outgrows its first line count while it is read raises."""
-    with open(path, "rb") as f:
-        capacity = sum(1 for _ in f)
+    try:
+        with open(path, "rb") as f:
+            capacity = sum(1 for _ in f)
+    except OSError as e:
+        raise ManifestError(f"{path}: cannot read manifest:"
+                            f" {e.strerror or e}") from None
     ids: list[str] = []
     domains: list[str] = []
     seen: set[str] = set()

@@ -19,3 +19,17 @@ def working_directory_untouched():
     added = set(os.listdir(cwd)) - before - CACHES
     if added:
         pytest.fail(f"the tests added {sorted(added)} to {cwd}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which this process has a child, running or not yet
+    waited for, as a stage that forked a stream and did not reap it would
+    leave."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process (waitpid gave pid {pid},"
+                f" status {status})")

@@ -3,9 +3,9 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -589,33 +589,122 @@ def test_streams_trained_together_match_one_at_a_time(tmp_path, streams):
     assert models(tmp_path / "out") == want
 
 
+#: how the failing scene stream fails in its child -> the error it gives
+FAULTS = {
+    "raise": "RuntimeError: stream scene failed",
+    "exit": "StreamError: stream scene: child process exited with status 3",
+    "kill": "StreamError: stream scene: child process killed by SIGKILL",
+    "unpicklable": "StreamError: stream scene: Unpicklable: stream scene"
+                   " failed (the exception could not be pickled)",
+}
+
+
 @pytest.mark.parametrize("stage,name", [("train", "train"),
                                         ("adapt", "adaptive_finetune")])
 @pytest.mark.parametrize("failing", [("scene",), ("object", "scene")])
+@pytest.mark.parametrize("fault", FAULTS)
 def test_a_failing_stream_writes_no_model_of_its_stage(
-        tmp_path, capsys, monkeypatch, stage, name, failing):
-    """A stream that raises stops the stage before any model of it is
-    written; the first failure in stream order is the error, and no helper
-    thread is left running."""
+        tmp_path, capsys, monkeypatch, stage, name, failing, fault):
+    """A stream that fails stops the stage before any model of it is
+    written; the first failure in stream order is the error. The scene
+    stream runs in a child, which raises, exits, is killed or raises an
+    exception that cannot be pickled; the object stream runs here and
+    raises."""
     path = write_config(tmp_path)
     run(path, "synth")
     if stage == "adapt":
         run(path, "train")
-    real = getattr(cli, name)
+    real, parent = getattr(cli, name), os.getpid()
+
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
 
     def fail(model, *args, **kwargs):
-        if model.stream in failing:
-            raise RuntimeError(f"stream {model.stream} failed")
-        return real(model, *args, **kwargs)
+        if model.stream not in failing:
+            return real(model, *args, **kwargs)
+        message = f"stream {model.stream} failed"
+        if os.getpid() == parent or fault == "raise":
+            raise RuntimeError(message)
+        if fault == "exit":
+            os._exit(3)
+        if fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise Unpicklable(message)
 
     monkeypatch.setattr(cli, name, fail)
-    threads = threading.active_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main([stage, "--config", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: RuntimeError: stream {failing[0]} failed\n")
+    assert capsys.readouterr().err == "error: " + (
+        FAULTS[fault] if failing == ("scene",)
+        else "RuntimeError: stream object failed") + "\n"
     suffix = "_adapted" if stage == "adapt" else ""
     assert not list((tmp_path / "out").glob(f"model_*{suffix}.lusm*"))
-    assert threading.active_count() == threads
+
+
+def test_one_usable_core_forks_nothing_and_writes_the_same_models(
+        tmp_path, monkeypatch):
+    """With one usable core the streams run in turn in this process, and
+    ``train`` and ``adapt`` write the models two cores write."""
+    path = write_config(tmp_path)
+    run(path, "synth")
+    out = tmp_path / "out"
+
+    def stages():
+        for stage in ("train", "adapt"):
+            run(path, stage)
+        return {p.name: p.read_bytes() for p in out.glob("model_*")}
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = stages()
+    assert len(forked) == 8
+    for p in out.glob("model_*"):
+        p.unlink()
+
+    def fork():
+        raise AssertionError("forked with one usable core")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", fork)
+    assert stages() == forked
+
+
+@pytest.mark.parametrize("before,removed,stage,error", [
+    ((), None, "train",
+     "ManifestError: {data}/train.jsonl: cannot read manifest: No such file"
+     " or directory"),
+    (("synth",), None, "map",
+     "JSONLinesError: {out}/assignments.jsonl: cannot read: No such file or"
+     " directory (written by landuse filter)"),
+    (("synth",), None, "eval",
+     "JSONLinesError: {out}/assignments.jsonl: cannot read: No such file or"
+     " directory (written by landuse filter)"),
+    (("synth", "filter"), None, "map",
+     "JSONLinesError: {out}/predictions.jsonl: cannot read: No such file or"
+     " directory (written by landuse predict)"),
+    (("synth",), None, "adapt",
+     "ModelIOError: {out}/model_object.lusm: cannot read model: No such file"
+     " or directory"),
+    # the scene stream fails in its child, and its error keeps its type
+    (("synth", "train"), "model_scene.lusm", "adapt",
+     "ModelIOError: {out}/model_scene.lusm: cannot read model: No such file"
+     " or directory"),
+    (("synth", "train"), None, "predict",
+     "ModelIOError: {out}/model_object_adapted.lusm: cannot read model: No"
+     " such file or directory"),
+], ids=["train-without-manifest", "map-before-filter", "eval-before-filter",
+        "map-before-predict", "adapt-before-train", "adapt-without-scene-model",
+        "predict-before-adapt"])
+def test_a_stage_input_that_cannot_be_read_is_a_typed_error(
+        tmp_path, capsys, monkeypatch, before, removed, stage, error):
+    path = write_config(tmp_path)
+    for earlier in before:
+        run(path, earlier)
+    if removed:
+        (tmp_path / "out" / removed).unlink()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main([stage, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: " + error.format(
+        data=tmp_path / "data", out=tmp_path / "out") + "\n"
 
 
 def test_blas_threads_change_no_byte(tmp_path):
@@ -1276,8 +1365,9 @@ def test_predict_without_an_adapted_model_names_it(finished_run, tmp_path,
     gone = path.parent / "out" / "model_scene_adapted.lusm"
     gone.unlink()
     assert main(["predict", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == ("error: FileNotFoundError: [Errno 2]"
-                                       f" No such file or directory: '{gone}'\n")
+    assert capsys.readouterr().err == (f"error: ModelIOError: {gone}: cannot"
+                                       f" read model: No such file or"
+                                       f" directory\n")
 
 
 def test_predict_reads_the_base_models_when_told_to(finished_run, tmp_path,

@@ -441,11 +441,12 @@ def test_manifest_deleted_behind_a_valid_entry_raises_as_without_a_cache(
     load_manifest(path, TAX, cache=entry)
     path.unlink()
     assert read_entry(entry, path, TAX) is None
-    with pytest.raises(FileNotFoundError) as plain:
+    with pytest.raises(ManifestError) as plain:
         load_manifest(path, TAX)
-    with pytest.raises(FileNotFoundError) as cached:
+    with pytest.raises(ManifestError) as cached:
         load_manifest(path, TAX, cache=entry)
-    assert str(cached.value) == str(plain.value)
+    assert str(cached.value) == str(plain.value) == (
+        f"{path}: cannot read manifest: No such file or directory")
 
 
 def test_manifest_edited_after_the_entry_was_written_is_a_miss(tmp_path):
@@ -488,7 +489,7 @@ def test_a_load_leaves_no_thread_behind(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert threading.active_count() == threads
     path.unlink()                                             # no manifest
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ManifestError, match="cannot read manifest"):
         load_manifest(path, TAX, cache=entry)
     assert threading.active_count() == threads
 
